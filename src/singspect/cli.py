@@ -8,7 +8,7 @@ where the manifest captures command, polynomial, seed and budgets; identical
 manifests produce byte-identical reports apart from the separate timing
 field.  Errors render as structured JSON on stderr.  Exit codes: 0 success,
 1 parse error, 2 degenerate input, 3 McKean-Singer constancy violated,
-4 unsupported request.
+4 unsupported request (including a rejected quadrature node count).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from . import __version__
 from .index_integral import (
     ConstancyViolated,
     IndexResult,
+    UnsupportedNodeCount,
     compute_index,
     mckean_singer_check,
 )
@@ -173,6 +174,8 @@ def cmd_index(args) -> int:
                                       method=args.method, report=nd)
     except ConstancyViolated as exc:
         return _emit_error(exc, EXIT_CONSTANCY)
+    except UnsupportedNodeCount as exc:
+        return _emit_error(exc, EXIT_UNSUPPORTED)
     passed = res.mu_rounded == mu_oracle
     result = {
         "estimates": [
@@ -417,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="singspect",
         description="Spectral invariants of quasi-homogeneous singularities.",
     )
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker cap (reserved; computation is single-process)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     w = sub.add_parser("weights", help="weight system, tameness and Milnor number")

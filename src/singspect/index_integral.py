@@ -7,8 +7,10 @@ For a non-degenerate quasi-homogeneous f,
 independent of t > 0.  The module evaluates the integral either by
 importance-sampled Monte Carlo (complex Gaussian proposal whose scale comes
 from the fitted quadratic growth floor |grad f|^2 >= |z|^2 / C - 1, which
-keeps the weights bounded) or by tensor Gauss-Hermite quadrature (n <= 2),
-and checks the t-independence across a grid.
+keeps the weights bounded) or, for any n, by orbit-reduced quadrature: the
+weighted circle action of f leaves the integrand invariant, so z1 is taken
+real and radial (Gauss-Laguerre) and C^{n-1} gets a tensor Gauss-Hermite
+rule.  It checks the t-independence across a grid.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ class BudgetTooSmall(RuntimeError):
 
 class MissingTamenessReport(ValueError):
     """compute_index needs the non-degeneracy report for its sampling scale."""
+
+
+class UnsupportedNodeCount(ValueError):
+    """A quadrature node count too large to run or with non-finite Gauss weights."""
 
 
 class ConstancyViolated(RuntimeError):
@@ -153,8 +159,6 @@ def _mc_estimate(
         log_h = (n * math.log(t / math.pi) - t * comp.grad_sq(Z))
         det_sq = comp.det_hess_sq(Z)
         w = det_sq * np.exp(log_h - log_p)
-        # tail guard: clip at the top 1e-12 quantile (a no-op at sane budgets)
-        w = np.minimum(w, np.quantile(w, 1.0 - 1e-12))
         total += float(w.sum())
         total_sq += float((w * w).sum())
         m_total += m
@@ -163,47 +167,78 @@ def _mc_estimate(
     return mean, math.sqrt(var / m_total)
 
 
+# cap on quadrature points: the size of a 128-node tensor Gauss-Hermite rule on C^2
+_MAX_QUADRATURE_POINTS = 128 ** 4
+
+
+def _gauss_rules(nodes: int, n: int):
+    """Gauss-Laguerre nodes/weights in s and Gauss-Hermite nodes/weights in x.
+
+    Both weights are returned unweighted (multiplied by e^s and e^{x^2}), so
+    the rules integrate plain functions on [0, inf) and on R.  Raises
+    UnsupportedNodeCount, before any integrand is evaluated, for a rule
+    larger than _MAX_QUADRATURE_POINTS or one whose weights are not finite.
+    """
+    # building a 1-D rule costs ~nodes^2 evaluations, which dominates at n = 1
+    points = max(nodes ** (2 * n - 1), nodes ** 2)
+    if nodes < 1 or points > _MAX_QUADRATURE_POINTS:
+        raise UnsupportedNodeCount(
+            f"{nodes} nodes in {n} variables need {points} quadrature points; "
+            f"nodes must be positive and points at most {_MAX_QUADRATURE_POINTS}")
+
+    def finite(w: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(w)):
+            raise UnsupportedNodeCount(f"the {nodes}-node Gauss rule has non-finite weights")
+        return w
+
+    from scipy import special
+
+    # Laguerre weights lose finiteness first (from 364 nodes; Hermite from 372),
+    # so the dense O(nodes^3) Hermite build never runs for an oversized count
+    with np.errstate(all="ignore"):
+        s, ws = special.roots_laguerre(nodes)
+        ws = finite(np.exp(np.log(ws) + s))
+        x, wx = np.polynomial.hermite.hermgauss(nodes)
+        wx = finite(wx * np.exp(x * x))
+    return s, ws, x, wx
+
+
 def _quadrature_estimate(
     comp: _Compiled, t: float, nodes: int, growth_c: float
 ) -> Tuple[float, float]:
-    """Tensor Gauss-Hermite after the Gaussian change of variables.
+    """Orbit-reduced Gauss quadrature after the Gaussian change of variables.
 
-    The reported error is the difference against the half-node rule.
+    The integrand is invariant under the circle action z_j -> e^{i theta q_j} z_j
+    of a quasi-homogeneous f, so rotating z1 onto the positive real axis gives
+
+        int_{C^n} F = 2 pi int_0^inf r dr int_{C^{n-1}} F(r, z') dz'.
+
+    The radial integral is Gauss-Laguerre in s = r^2 / sigma^2 and C^{n-1}
+    carries the tensor Gauss-Hermite rule with nodes sigma x, sigma^2 = C / t:
+    nodes^(2n-1) points, evaluated one radial node at a time.  The reported
+    error is the difference against the half-node rule.
     """
+    n = comp.n
+    sigma = math.sqrt(growth_c / t)
+    half = max(nodes // 2, 8)
+    rules = {npts: _gauss_rules(npts, n) for npts in (nodes, half)}
 
     def run(npts: int) -> float:
-        x, wts = np.polynomial.hermite.hermgauss(npts)
-        sigma = math.sqrt(growth_c / t)
-        xs = sigma * x
-        ws = sigma * wts * np.exp(x * x)
-        n = comp.n
-        if n == 1:
-            Z = (xs[:, None] + 1j * xs[None, :]).ravel()[:, None]
-            W = (ws[:, None] * ws[None, :]).ravel()
-            vals = (t / math.pi) * np.exp(-t * comp.grad_sq(Z)) * comp.det_hess_sq(Z)
-            return float((vals * W).sum())
-        if n == 2:
-            total = 0.0
-            x2, y2 = np.meshgrid(xs, xs, indexing="ij")
-            z2 = (x2 + 1j * y2).ravel()
-            w2 = (ws[:, None] * ws[None, :]).ravel()
-            for i in range(npts):
-                # chunk over the first complex coordinate's real node
-                z1 = xs[i] + 1j * xs
-                w1 = ws[i] * ws
-                Z = np.empty((npts * z2.size, 2), dtype=complex)
-                Z[:, 0] = np.repeat(z1, z2.size)
-                Z[:, 1] = np.tile(z2, npts)
-                W = np.repeat(w1, z2.size) * np.tile(w2, npts)
-                vals = (t ** 2 / math.pi ** 2) * np.exp(-t * comp.grad_sq(Z)) \
-                    * comp.det_hess_sq(Z)
-                total += float((vals * W).sum())
-            return total
-        raise ValueError("quadrature path supports n <= 2")
+        s, ws, x, wx = rules[npts]
+        # tensor grid on the 2n - 2 real axes of C^{n-1} (one point when n = 1)
+        idx = np.indices((npts,) * (2 * n - 2)).reshape(2 * n - 2, npts ** (2 * n - 2))
+        wts = np.prod(sigma * wx[idx], axis=0)
+        Z = np.empty((wts.size, n), dtype=complex)
+        Z[:, 1:] = sigma * (x[idx[0::2]] + 1j * x[idx[1::2]]).T
+        total = 0.0
+        for r, wr in zip(sigma * np.sqrt(s), math.pi * sigma ** 2 * ws):
+            Z[:, 0] = r
+            vals = np.exp(-t * comp.grad_sq(Z)) * comp.det_hess_sq(Z)
+            total += wr * float(vals @ wts)
+        return (t / math.pi) ** n * total
 
     full = run(nodes)
-    half = run(max(nodes // 2, 8))
-    return full, abs(full - half)
+    return full, abs(full - run(half))
 
 
 def compute_index(
@@ -229,8 +264,7 @@ def compute_index(
     if method == "mc":
         est, err = _mc_estimate(comp, t, budget, seed, report.fitted_C)
     elif method == "quadrature":
-        est, err = _quadrature_estimate(comp, t, budget if budget < 10 ** 4 else 128,
-                                        report.fitted_C)
+        est, err = _quadrature_estimate(comp, t, budget, report.fitted_C)
     else:
         raise ValueError("method must be 'mc' or 'quadrature'")
     if tol is not None and err > tol:

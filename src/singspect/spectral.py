@@ -144,26 +144,26 @@ def _sector_matrix(size: int, alpha: int, omega: float, v: float, r: int) -> np.
 
 
 def choose_oscillator_scale(config: GalerkinConfig) -> float:
-    """Line search minimizing the trace of the truncated Rayleigh quotient."""
+    """The omega minimizing the trace of the truncated Rayleigh quotient.
+
+    Summed over sectors alpha = 0..M with multiplicity m_alpha (1 for
+    alpha = 0, else 2), the trace of `_sector_matrix` is exactly
+    omega A + v B omega^{-r} with
+
+        A = sum_alpha m_alpha sum_k (2k + alpha + 1) / 4,
+        B = sum_alpha m_alpha tr[(T_alpha^r)[:size, :size]],
+
+    so its minimizer is omega* = (r v B / A)^{1/(r+1)}.
+    """
     v, r = config.data.potential_scale, config.data.r
     size, M = config.basis_size, config.sector_cutoff
-
-    def trace_of(omega: float) -> float:
-        total = 0.0
-        for alpha in range(M + 1):
-            A = _sector_matrix(size, alpha, omega, v, r)
-            total += float(np.trace(A)) * (1 if alpha == 0 else 2)
-        return total
-
-    lo, hi = -3.0, 4.0  # log omega bracket
-    for _ in range(80):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if trace_of(math.exp(m1)) <= trace_of(math.exp(m2)):
-            hi = m2
-        else:
-            lo = m1
-    return math.exp((lo + hi) / 2)
+    A = B = 0.0
+    for alpha in range(M + 1):
+        mult = 1 if alpha == 0 else 2
+        A += mult * size * (size + alpha) / 4  # sum_k (2k + alpha + 1) / 4
+        T = _laguerre_s_matrix(size + r, alpha)
+        B += mult * float(np.trace(np.linalg.matrix_power(T, r)[:size, :size]))
+    return (r * v * B / A) ** (1 / (r + 1))
 
 
 def eigensolve(config: GalerkinConfig) -> Spectrum:

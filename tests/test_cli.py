@@ -71,6 +71,17 @@ def test_index_quadrature_product():
     assert len(res["estimates"]) == 1
 
 
+def test_index_quadrature_rejects_node_counts():
+    # 20000 nodes exceed the point budget; from 364 nodes the Gauss weights overflow
+    for nodes in ("20000", "400"):
+        proc = run_cli("index", "z1^3 + z2^3", "--t", "1", "--method", "quadrature",
+                       "--nodes", nodes)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        err = json.loads(proc.stderr)
+        assert err["error"]["type"] == "UnsupportedNodeCount"
+
+
 def test_index_single_t_gaussian_normalization():
     proc = run_cli("index", "(1/2)*z1^2", "--t", "1", "--samples", "100000",
                    "--seed", "2")

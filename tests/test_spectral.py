@@ -10,6 +10,7 @@ from singspect.spectral import (
     GalerkinConfig,
     TailDominates,
     UnsupportedSingularity,
+    _sector_matrix,
     ar_data,
     choose_oscillator_scale,
     eigensolve,
@@ -62,6 +63,22 @@ def test_config_validation():
 def test_oscillator_scale_line_search():
     omega = choose_oscillator_scale(GalerkinConfig(A1, basis_size=24))
     assert abs(omega - 2.0) < 1e-3  # exact basis match for the quadratic case
+
+
+def test_oscillator_scale_minimizes_trace():
+    # the closed-form omega* is a minimum of the summed sector-matrix traces
+    for f in (A2, parse("z1^4", 1)):
+        config = GalerkinConfig(f, basis_size=40)
+        v, r = config.data.potential_scale, config.data.r
+
+        def trace_of(omega):
+            return sum((1 if alpha == 0 else 2)
+                       * np.trace(_sector_matrix(40, alpha, omega, v, r))
+                       for alpha in range(config.sector_cutoff + 1))
+
+        omega = choose_oscillator_scale(config)
+        for step in (1e-3, -1e-3):
+            assert trace_of(omega * math.exp(step)) >= trace_of(omega)
 
 
 def test_a1_eigenvalues(a1_spectrum):
