@@ -4,24 +4,35 @@ All polynomial coefficients and exact operator entries in this package are
 Gaussian rationals, so algebraic identities (ring axioms, supertrace
 identities, the parametrix recursion) can be tested as exact equalities.
 Conversion to floating complex happens only at evaluation boundaries.
+
+A value is stored as three integers (p, q, d) meaning (p + q*i)/d, in the
+normal form d > 0 and gcd(p, q, d) = 1, so equal values have equal triples.
+Every operation normalizes its result once, with a single three-argument
+gcd; a sum with an int or with a coprime denominator needs none.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class GaussianRational:
-    """a + b*i with a, b exact rationals."""
+    """(p + q*i)/d with p, q, d integers, d > 0 and gcd(p, q, d) = 1."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+        if type(re) is int and type(im) is int:
+            p, q, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            b, e = re.denominator, im.denominator
+            d = lcm(b, e)
+            # already in lowest terms: a prime dividing d and both numerators
+            # would divide a reduced numerator and its own denominator
+            p, q = re.numerator * (d // b), im.numerator * (d // e)
+        self._p, self._q, self._d = p, q, d
 
     # -- constructors -------------------------------------------------
 
@@ -33,96 +44,143 @@ class GaussianRational:
             raise TypeError("refusing implicit float->exact conversion")
         return GaussianRational(value)
 
+    # -- parts -----------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._p, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._q, self._d)
+
     # -- arithmetic ----------------------------------------------------
 
-    def _coerce(self, other):
+    def _triple(self, other):
+        """(p, q, d) of an operand, or None for an unsupported type."""
         if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
+            return other._p, other._q, other._d
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, int):
+            # p + other*d keeps gcd(., q, d) = 1
+            return _make(self._p + other * self._d, self._q, self._d)
+        t = self._triple(other)
+        if t is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return _sum(self._p, self._q, self._d, *t)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = self._triple(other)
+        if t is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return _sum(self._p, self._q, self._d, -t[0], -t[1], t[2])
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = self._triple(other)
+        if t is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return _sum(-self._p, -self._q, self._d, *t)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        p, q, d = self._p, self._q, self._d
+        if isinstance(other, int):
+            return _reduced(p * other, q * other, d)
+        t = self._triple(other)
+        if t is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        op, oq, od = t
+        return _reduced(p * op - q * oq, p * oq + q * op, d * od)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = self._triple(other)
+        if t is None:
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        op, oq, od = t
+        n2 = op * op + oq * oq
+        if n2 == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+        # (p + q i)/d * od (op - oq i) / (op^2 + oq^2)
+        p, q = self._p * od, self._q * od
+        return _reduced(p * op + q * oq, q * op - p * oq, self._d * n2)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = self._triple(other)
+        if t is None:
             return NotImplemented
-        return o / self
+        return _make(*t) / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._p, -self._q, self._d)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self._p, -self._q, self._d)
 
     def abs2(self) -> Fraction:
         """|self|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._p * self._p + self._q * self._q, self._d * self._d)
 
     # -- predicates / conversion ---------------------------------------
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._p != 0 or self._q != 0
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        t = self._triple(other)
+        if t is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._p == t[0] and self._q == t[1] and self._d == t[2]
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._p, self._q, self._d))
 
     def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self._p / self._d, self._q / self._d)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._q == 0
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+
+
+def _make(p: int, q: int, d: int) -> GaussianRational:
+    """A GaussianRational from a triple already in normal form."""
+    x = _new(GaussianRational)
+    x._p, x._q, x._d = p, q, d
+    return x
+
+
+def _sum(p: int, q: int, d: int, op: int, oq: int, od: int) -> GaussianRational:
+    """(p + q i)/d + (op + oq i)/od, both operands in normal form."""
+    if d == od:
+        return _reduced(p + op, q + oq, d)
+    g = gcd(d, od)
+    if g == 1:
+        # a prime of d (or od) dividing both numerators would divide p and q
+        return _make(p * od + op * d, q * od + oq * d, d * od)
+    d //= g
+    return _reduced(p * (od // g) + op * d, q * (od // g) + oq * d, d * od)
+
+
+def _reduced(p: int, q: int, d: int) -> GaussianRational:
+    """A GaussianRational from any triple with d > 0."""
+    g = gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    return _make(p, q, d)
 
 
 ONE = GaussianRational(1)

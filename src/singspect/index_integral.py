@@ -169,6 +169,8 @@ def _mc_estimate(
 
 # cap on quadrature points: the size of a 128-node tensor Gauss-Hermite rule on C^2
 _MAX_QUADRATURE_POINTS = 128 ** 4
+# rows of the C^{n-1} grid evaluated at once; bounds memory at any n and node count
+_QUADRATURE_BLOCK_ROWS = 2 ** 16
 
 
 def _gauss_rules(nodes: int, n: int):
@@ -215,26 +217,33 @@ def _quadrature_estimate(
 
     The radial integral is Gauss-Laguerre in s = r^2 / sigma^2 and C^{n-1}
     carries the tensor Gauss-Hermite rule with nodes sigma x, sigma^2 = C / t:
-    nodes^(2n-1) points, evaluated one radial node at a time.  The reported
-    error is the difference against the half-node rule.
+    nodes^(2n-1) points, evaluated one radial node at a time in blocks of at
+    most _QUADRATURE_BLOCK_ROWS grid rows.  The reported error is the
+    difference against the half-node rule.
     """
     n = comp.n
     sigma = math.sqrt(growth_c / t)
     half = max(nodes // 2, 8)
     rules = {npts: _gauss_rules(npts, n) for npts in (nodes, half)}
+    axes = 2 * n - 2  # real axes of C^{n-1}; the grid is one point when n = 1
 
     def run(npts: int) -> float:
         s, ws, x, wx = rules[npts]
-        # tensor grid on the 2n - 2 real axes of C^{n-1} (one point when n = 1)
-        idx = np.indices((npts,) * (2 * n - 2)).reshape(2 * n - 2, npts ** (2 * n - 2))
-        wts = np.prod(sigma * wx[idx], axis=0)
-        Z = np.empty((wts.size, n), dtype=complex)
-        Z[:, 1:] = sigma * (x[idx[0::2]] + 1j * x[idx[1::2]]).T
+        radial = list(zip(sigma * np.sqrt(s), math.pi * sigma ** 2 * ws))
+        size = npts ** axes
         total = 0.0
-        for r, wr in zip(sigma * np.sqrt(s), math.pi * sigma ** 2 * ws):
-            Z[:, 0] = r
-            vals = np.exp(-t * comp.grad_sq(Z)) * comp.det_hess_sq(Z)
-            total += wr * float(vals @ wts)
+        for lo in range(0, size, _QUADRATURE_BLOCK_ROWS):
+            rows = np.arange(lo, min(lo + _QUADRATURE_BLOCK_ROWS, size))
+            # row-major digits of each row number: its tensor-grid multi-index
+            idx = np.array([rows // npts ** (axes - 1 - a) % npts for a in range(axes)],
+                           dtype=np.intp).reshape(axes, rows.size)
+            wts = np.prod(sigma * wx[idx], axis=0)
+            Z = np.empty((rows.size, n), dtype=complex)
+            Z[:, 1:] = sigma * (x[idx[0::2]] + 1j * x[idx[1::2]]).T
+            for r, wr in radial:
+                Z[:, 0] = r
+                vals = np.exp(-t * comp.grad_sq(Z)) * comp.det_hess_sq(Z)
+                total += wr * float(vals @ wts)
         return (t / math.pi) ** n * total
 
     full = run(nodes)

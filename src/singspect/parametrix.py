@@ -266,8 +266,18 @@ def _recursion_rhs(B, g, lap_g, grad_sq_g, U, j) -> OperatorPolynomial:
     return rhs
 
 
+def _recursion_lhs(U, j) -> OperatorPolynomial:
+    """(j+1) U_{j+1} + (z-w).grad_z U_{j+1}."""
+    return U[j + 1].scalar_mul(j + 1) + U[j + 1].u_euler()
+
+
 def build_U(f: MixedPolynomial, k: int) -> ParametrixBundle:
-    """U_0..U_k exactly, with the defining identities re-verified after the fact."""
+    """U_0..U_k exactly, with the defining identities re-verified after the fact.
+
+    Each order's recursion identity is checked exactly against the
+    right-hand side the build solved, which is not computed a second time;
+    recursion_residual recomputes it for an independent check.
+    """
     if k < 0:
         raise ValueError("truncation order must be non-negative")
     n = f.n
@@ -280,9 +290,10 @@ def build_U(f: MixedPolynomial, k: int) -> ParametrixBundle:
     U = [OperatorPolynomial.identity(n)]
     if k >= 1:
         U.append(B.tau_weighted(0).scalar_mul(-1))
+    rhs: Dict[int, OperatorPolynomial] = {}
     for j in range(1, k):
-        rhs = _recursion_rhs(B, g, lap_g, grad_sq_g, U, j)
-        U.append(rhs.tau_weighted(j))
+        rhs[j] = _recursion_rhs(B, g, lap_g, grad_sq_g, U, j)
+        U.append(rhs[j].tau_weighted(j))
 
     bundle = ParametrixBundle(f=f, k=k, V=V, g=g, B=B, U=U)
 
@@ -293,7 +304,7 @@ def build_U(f: MixedPolynomial, k: int) -> ParametrixBundle:
         if not (U[1].swap_points() - U[1]).is_zero():
             raise AssertionError("U_1 is not symmetric in z and w")
     for j in range(1, k):
-        if not recursion_residual(bundle, j).is_zero():
+        if not (_recursion_lhs(U, j) - rhs[j]).is_zero():
             raise AssertionError(f"recursion identity failed at j={j}")
     return bundle
 
@@ -309,8 +320,7 @@ def recursion_residual(bundle: ParametrixBundle, j: int) -> OperatorPolynomial:
     U, B, g = bundle.U, bundle.B, bundle.g
     lap_g = g.laplacian_z()
     grad_sq_g = grad_square_z(g)
-    lhs = U[j + 1].scalar_mul(j + 1) + U[j + 1].u_euler()
-    return lhs - _recursion_rhs(B, g, lap_g, grad_sq_g, U, j)
+    return _recursion_lhs(U, j) - _recursion_rhs(B, g, lap_g, grad_sq_g, U, j)
 
 
 def default_order(n: int) -> int:

@@ -31,7 +31,6 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special
 
 from .poly import MixedPolynomial
 from .spectrum import Spectrum, cluster_eigenvalues
@@ -244,6 +243,8 @@ class WeylTail:
 
     def heat_tail(self, t: float) -> float:
         """int_cutoff^inf e^{-t lam} dN(lam)."""
+        from scipy import special
+
         a = self.p / self.lam0 ** self.p
         return a * special.gamma(self.p) * special.gammaincc(self.p, self.cutoff * t) \
             / t ** self.p
@@ -592,9 +593,10 @@ def renormalize_and_torsion(
     def F(t: float) -> float:
         return pref * heat_trace(spectrum, tail, t)
 
+    from scipy import integrate, special
+
     lam = spectrum.eigenvalues
     upper = pref * float((special.exp1(lam * split)).sum())
-    from scipy import integrate
     tail_upper, _ = integrate.quad(lambda t: pref * tail.heat_tail(t) / t, split, 50.0)
     upper += tail_upper
 

@@ -131,3 +131,12 @@ def test_verify_suites():
     assert res["pass"] is True
     proc2 = run_cli("verify", "not-a-suite")
     assert proc2.returncode == 4
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special costs about half of the CLI's import time; only the
+    # numeric torsion and quadrature paths load it
+    code = "import sys, singspect.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

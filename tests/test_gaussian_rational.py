@@ -1,0 +1,116 @@
+"""GaussianRational against a reference built from (Fraction, Fraction) pairs."""
+
+import math
+from fractions import Fraction
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from singspect.gaussian_rational import GaussianRational
+
+fractions = st.fractions(max_denominator=50).filter(lambda x: abs(x.numerator) < 10 ** 6)
+gaussians = st.tuples(fractions, fractions)
+operands = st.one_of(
+    st.tuples(st.just("gr"), gaussians),
+    st.tuples(st.just("int"), st.integers(-50, 50)),
+    st.tuples(st.just("fraction"), fractions),
+)
+
+
+def make(kind, value):
+    """The operand as the code under test sees it, and as a reference pair."""
+    if kind == "gr":
+        return GaussianRational(*value), value
+    return value, (Fraction(value), Fraction(0))
+
+
+def ref_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def ref_div(a, b):
+    d = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
+
+
+REFERENCE = {
+    "+": lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    "-": lambda a, b: (a[0] - b[0], a[1] - b[1]),
+    "*": ref_mul,
+    "/": ref_div,
+}
+OPS = {
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+    "/": lambda x, y: x / y,
+}
+
+
+def assert_matches(got, ref):
+    assert isinstance(got, GaussianRational)
+    assert (got.re, got.im) == ref
+    assert isinstance(got.re, Fraction) and isinstance(got.im, Fraction)
+    p, q, d = got._p, got._q, got._d
+    assert d > 0 and math.gcd(p, q, d) == 1
+    assert got == GaussianRational(*ref)
+    assert hash(got) == hash(GaussianRational(*ref))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaussians, operands, st.sampled_from(sorted(OPS)))
+def test_binary_ops_match_fraction_pairs(a, operand, op):
+    x = GaussianRational(*a)
+    y, b = make(*operand)
+    for left, right, lref, rref in ((x, y, a, b), (y, x, b, a)):
+        if op == "/" and rref == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                OPS[op](left, right)
+            continue
+        assert_matches(OPS[op](left, right), REFERENCE[op](lref, rref))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaussians)
+def test_unary_ops_and_normal_form(a):
+    x = GaussianRational(*a)
+    assert_matches(x, a)
+    assert_matches(-x, (-a[0], -a[1]))
+    assert_matches(x.conjugate(), (a[0], -a[1]))
+    assert x.abs2() == a[0] * a[0] + a[1] * a[1]
+    assert isinstance(x.abs2(), Fraction)
+    assert x.is_real() == (a[1] == 0)
+    assert bool(x) == (a != (0, 0))
+    assert complex(x) == complex(float(a[0]), float(a[1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaussians, st.integers(1, 30))
+def test_equal_values_have_equal_triples(a, k):
+    # the same value reached through an unreduced route
+    x = GaussianRational(*a)
+    y = GaussianRational(a[0] * k, a[1] * k) / k
+    assert x == y and hash(x) == hash(y)
+    assert (x._p, x._q, x._d) == (y._p, y._q, y._d)
+
+
+def test_mixed_type_equality_and_unsupported_operands():
+    assert GaussianRational(3) == 3 and 3 == GaussianRational(3)
+    assert GaussianRational(Fraction(1, 2)) == Fraction(1, 2)
+    assert GaussianRational(1, 1) != 1
+    assert GaussianRational(2) != 2.0
+    with pytest.raises(TypeError):
+        GaussianRational(1) + 1.5
+    with pytest.raises(TypeError):
+        GaussianRational.from_value(1j)
+
+
+def test_division_by_zero_raises():
+    for zero in (0, Fraction(0), GaussianRational(0)):
+        with pytest.raises(ZeroDivisionError):
+            GaussianRational(1, 2) / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / GaussianRational(0)
+    with pytest.raises(ZeroDivisionError):
+        Fraction(1, 3) / GaussianRational(0)

@@ -72,6 +72,17 @@ def test_quadrature_path_is_sharp():
     assert abs(est222.estimate - 1.0) <= 1e-4
 
 
+def test_quadrature_blocks_do_not_change_the_estimate(monkeypatch):
+    # 10^4 and 8^4 grid rows per radial node, in ragged blocks of 97 rows
+    f, _, rep = prepared("z1^3 + z2^3 + z3^3", 3)
+    whole = compute_index(f, 1.0, budget=10, method="quadrature", report=rep)
+    monkeypatch.setattr(index_integral, "_QUADRATURE_BLOCK_ROWS", 97)
+    blocked = compute_index(f, 1.0, budget=10, method="quadrature", report=rep)
+    assert blocked.estimate == pytest.approx(whole.estimate, rel=1e-12)
+    assert blocked.std_error == pytest.approx(whole.std_error, rel=1e-12)
+    assert whole.std_error > 0
+
+
 def test_quadrature_rejects_unsupported_node_counts():
     f, _, rep = prepared("z1^3", 1)
     with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from singspect.poly import MixedPolynomial, hermitian_gradient_square, parse
 A1 = parse("(1/2)*z1^2", 1)
 A2 = parse("z1^3", 1)
 PROD = parse("z1^3 + z2^3", 2)
+TRIPLE = parse("z1^3 + z2^3 + z3^3", 3)
 
 
 def test_build_g_examples():
@@ -71,6 +72,22 @@ def test_recursion_identities_exact(f, k):
         assert recursion_residual(b, j).is_zero()
 
 
+def test_in_build_recursion_check_catches_perturbed_order(monkeypatch):
+    # build_U checks each order against the right-hand side it kept; a wrong
+    # U_3 (from the order-2 tau average) must fail that check at j = 2
+    tau_weighted = OperatorPolynomial.tau_weighted
+
+    def perturbed(self, j):
+        out = tau_weighted(self, j)
+        if j == 2:
+            out = out + OperatorPolynomial.identity(self.n)
+        return out
+
+    monkeypatch.setattr(OperatorPolynomial, "tau_weighted", perturbed)
+    with pytest.raises(AssertionError, match=r"^recursion identity failed at j=2$"):
+        build_U(A2, 4)
+
+
 def test_supertrace_polynomials_a1():
     b = build_U(A1, 4)
     assert b.U[1].diagonal_supertrace().is_zero()
@@ -87,6 +104,17 @@ def test_supertrace_polynomials_n2():
     # and the closed form: (2n)! (-1)^n 4^n |det H|^2 with H = diag(6 z1, 6 z2)
     expected = parse("497664*z1*z2*conj(z1)*conj(z2)", 2)
     assert str_L4 == expected
+
+
+def test_supertrace_polynomials_n3():
+    b = build_U(TRIPLE, 6)
+    for j in range(1, 6):
+        assert b.U[j].diagonal_supertrace().is_zero()
+    str_L6 = (b.B @ b.B @ b.B @ b.B @ b.B @ b.B).supertrace().at_u_zero()
+    assert (b.U[6].diagonal_supertrace() * 720 - str_L6).is_zero()
+    # (2n)! (-1)^n 4^n |det H|^2 with H = diag(6 z1, 6 z2, 6 z3)
+    expected = parse("-2149908480*z1*z2*z3*conj(z1)*conj(z2)*conj(z3)", 3)
+    assert str_L6 == expected
 
 
 def test_evaluate_Pk_examples():
