@@ -8,7 +8,8 @@ where the manifest captures command, polynomial, seed and budgets; identical
 manifests produce byte-identical reports apart from the separate timing
 field.  Errors render as structured JSON on stderr.  Exit codes: 0 success,
 1 parse error, 2 degenerate input, 3 McKean-Singer constancy violated,
-4 unsupported request (including a rejected quadrature node count).
+4 unsupported request (including a rejected quadrature node count),
+5 a `verify` check failed (the report is still written to stdout).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .spectral import (
     UnsupportedSingularity,
     ar_data,
     eigensolve,
-    fit_weyl_tail,
     renormalize_and_torsion,
     torsion_exact_a1,
 )
@@ -60,6 +60,7 @@ EXIT_PARSE = 1
 EXIT_DEGENERATE = 2
 EXIT_CONSTANCY = 3
 EXIT_UNSUPPORTED = 4
+EXIT_VERIFY = 5
 
 _DEGENERACY_ERRORS = (
     NotQuasiHomogeneous,
@@ -210,11 +211,6 @@ def cmd_torsion(args) -> int:
     except ParseError as exc:
         return _emit_error(exc, EXIT_PARSE)
     started = time.perf_counter()
-    if f.n != 1:
-        return _emit_error(
-            UnsupportedSingularity("torsion pipeline supports n = 1 only"),
-            EXIT_UNSUPPORTED,
-        )
     try:
         data = ar_data(f)
     except UnsupportedSingularity as exc:
@@ -238,13 +234,6 @@ def cmd_torsion(args) -> int:
         cfg = GalerkinConfig(f, basis_size=args.basis, sector_cutoff=args.sectors)
         spec = eigensolve(cfg)
         numeric = renormalize_and_torsion(spec, [data.weight])
-        if args.trace_csv:
-            import numpy as np
-            from .spectral import heat_trace_csv
-            grid = np.geomspace(0.05, 4.0, 40)
-            with open(args.trace_csv, "w") as fh:
-                fh.write(heat_trace_csv(spec, fit_weyl_tail(spec), grid))
-            result["trace_csv"] = args.trace_csv
         result["path"] = "numeric" if exact_res is None else "both"
         result["T2"] = _with_err(numeric.torsion, numeric.error_bar * numeric.torsion)
         result["log_T2"] = _with_err(numeric.log_torsion, numeric.error_bar)
@@ -405,7 +394,7 @@ def cmd_verify(args) -> int:
         "result": {"checks": all_checks, "pass": passed},
         "timing": {"wall_clock_s": time.perf_counter() - started},
     })
-    return EXIT_OK if passed else 1
+    return EXIT_OK if passed else EXIT_VERIFY
 
 
 # -- entry point --------------------------------------------------------------------
@@ -447,8 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--basis", type=int, default=60)
     tr.add_argument("--sectors", type=int, default=70)
     tr.add_argument("--seed", type=int, default=_default_seed())
-    tr.add_argument("--trace-csv", default=None,
-                    help="write the heat-trace time series to this CSV path")
     tr.set_defaults(func=cmd_torsion)
 
     vf = sub.add_parser("verify", help="run an invariant suite")

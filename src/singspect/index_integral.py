@@ -219,12 +219,17 @@ def _quadrature_estimate(
     carries the tensor Gauss-Hermite rule with nodes sigma x, sigma^2 = C / t:
     nodes^(2n-1) points, evaluated one radial node at a time in blocks of at
     most _QUADRATURE_BLOCK_ROWS grid rows.  The reported error is the
-    difference against the half-node rule.
+    difference against a reference rule with half the nodes, but at least 8.
+    At exactly 8 nodes that floor would compare the rule with itself, so the
+    reference there is the 4-node rule: like every coarser reference it
+    overstates the error, where a finer 16-node reference can understate it.
     """
     n = comp.n
     sigma = math.sqrt(growth_c / t)
-    half = max(nodes // 2, 8)
-    rules = {npts: _gauss_rules(npts, n) for npts in (nodes, half)}
+    ref = max(nodes // 2, 8)
+    if ref == nodes:
+        ref = nodes // 2
+    rules = {npts: _gauss_rules(npts, n) for npts in (nodes, ref)}
     axes = 2 * n - 2  # real axes of C^{n-1}; the grid is one point when n = 1
 
     def run(npts: int) -> float:
@@ -247,7 +252,7 @@ def _quadrature_estimate(
         return (t / math.pi) ** n * total
 
     full = run(nodes)
-    return full, abs(full - run(half))
+    return full, abs(full - run(ref))
 
 
 def compute_index(

@@ -17,10 +17,11 @@ s = 0 defines the torsion log T^i = -(Theta^i)'(0).  Two routes compute it:
 
   * exact (A_1): Theta^2(s) = (2 tau)^{-s} zeta(s - 1), so
     T^2 = (2 tau)^{-1/12} exp(-zeta'(-1)) with the Euler-Maclaurin oracle;
-  * numeric: Mellin split at t = 1; the upper part sums exponentials
-    termwise, the lower part uses a least-squares fit of the heat trace on
-    the fractional exponent lattice {m + alpha q - 2|q| - n}, whose
-    divergent terms are cancelled by the renormalization.
+  * numeric: Mellin split at t = 1; the upper part sums exponential
+    integrals termwise and takes the Weyl tail in closed form, the lower
+    part uses a least-squares fit of the heat trace on the fractional
+    exponent lattice {m + alpha q - 2|q| - n}, whose divergent terms are
+    cancelled by the renormalization.
 """
 
 from __future__ import annotations
@@ -249,6 +250,21 @@ class WeylTail:
         return a * special.gamma(self.p) * special.gammaincc(self.p, self.cutoff * t) \
             / t ** self.p
 
+    def mellin_upper(self, split: float) -> float:
+        """int_split^inf heat_tail(t) dt/t in closed form.
+
+        With a = p / lam0^p and x = split * cutoff, exchanging the two
+        integrals and integrating E1 by parts gives
+
+            (a/p) split^{-p} [Gamma(p) Q(p, x) - x^p E1(x)].
+        """
+        from scipy import special
+
+        p, x = self.p, split * self.cutoff
+        a = p / self.lam0 ** p
+        return (a / p) * split ** (-p) * (
+            special.gamma(p) * special.gammaincc(p, x) - x ** p * special.exp1(x))
+
     def zeta_tail(self, s: float) -> float:
         if s <= self.p + 0.25:
             raise TailDominates(f"need Re s > {self.p + 0.25:.2f} for the tail model")
@@ -287,16 +303,6 @@ def heat_trace_samples(
                      math.exp(-t * spectrum.complete_below))
         rows.append((float(t), tr, err))
     return rows
-
-
-def heat_trace_csv(
-    spectrum: Spectrum, tail: Optional[WeylTail], t_grid: Sequence[float]
-) -> str:
-    """CSV export of the heat-trace time series (columns t, trace, error)."""
-    lines = ["t,trace,error"]
-    for t, tr, err in heat_trace_samples(spectrum, tail, t_grid):
-        lines.append(f"{t},{tr},{err}")
-    return "\n".join(lines) + "\n"
 
 
 def leading_heat_exponent(
@@ -340,43 +346,28 @@ def theta(
     return pref * (partial + tail_val), pref * 0.25 * abs(tail_val)
 
 
-def exponent_lattice(q: Sequence[Fraction], n: int, beta_max: float = 4.0,
-                     alpha_step: int = 1) -> Tuple[float, ...]:
-    """Exponents {m + alpha . q - 2|q| - n} up to beta_max, deduplicated.
+def exponent_lattice(q: Sequence[Fraction], n: int,
+                     beta_max: float = 4.0) -> Tuple[float, ...]:
+    """Candidate heat-trace exponents up to beta_max, deduplicated and sorted.
 
-    The leading entry is -(n + 2|q|).
-    """
-    qsum = sum(q, Fraction(0))
-    base = -(n + 2 * qsum)
-    vals = set()
-    for m in range(0, int(beta_max - float(base)) + 2):
-        for alpha in range(0, 4 * (n + 1), alpha_step):
-            v = float(base + m + alpha * min(q))
-            if v <= beta_max + 1e-9:
-                vals.add(round(v, 12))
-    return tuple(sorted(vals))
-
-
-def exponent_lattice_scaled(q: Sequence[Fraction], n: int,
-                            beta_max: float = 4.0) -> Tuple[float, ...]:
-    """Exponent candidates from the homogeneity scaling z_i -> t^{dM q_i} z_i.
-
-    With dM = 1/(2(1 - q_M)) the Gaussian-weighted monomial integrals scale
-    as t^{-2 dM (alpha . q + |q|)}, so the trace exponents live on
-    {m + 2 dM (alpha . q) - 2 dM |q| - n}.  For q_M = 1/2 this coincides
-    with `exponent_lattice`; for smaller weights the leading entries differ
-    and this set carries the actual expansion.
+    The union of two families.  The plain lattice {m + alpha min(q) - 2|q| - n}
+    has leading entry -(n + 2|q|).  The homogeneity scaling z_i -> t^{dM q_i} z_i
+    with dM = 1/(2(1 - q_M)) makes the Gaussian-weighted monomial integrals
+    scale as t^{-2 dM (alpha . q + |q|)}, so the trace exponents also live on
+    {m + 2 dM alpha min(q) - 2 dM |q| - n}.  For q_M = 1/2 the second family
+    lies inside the first; for smaller weights its leading entries differ and
+    it carries the actual expansion.
     """
     qsum = sum(q, Fraction(0))
     dM = Fraction(1, 2) / (1 - max(q))
-    base = -(n + 2 * dM * qsum)
     vals = set()
-    step = 2 * dM * min(q)
-    for m in range(0, int(beta_max - float(base)) + 2):
-        for alpha in range(0, 4 * (n + 1)):
-            v = float(base + m + alpha * step)
-            if v <= beta_max + 1e-9:
-                vals.add(round(v, 12))
+    for weight, step in ((2 * qsum, min(q)), (2 * dM * qsum, 2 * dM * min(q))):
+        base = -(n + weight)
+        for m in range(0, int(beta_max - float(base)) + 2):
+            for alpha in range(0, 4 * (n + 1)):
+                v = float(base + m + alpha * step)
+                if v <= beta_max + 1e-9:
+                    vals.add(round(v, 12))
     return tuple(sorted(vals))
 
 
@@ -413,10 +404,10 @@ def _weighted_lstsq(ts: np.ndarray, vals: np.ndarray, exps: np.ndarray):
 def mellin_derivative_at_zero(
     F: Callable[[float], float],
     exponents: Sequence[float],
+    upper_integral: float,
     split: float = 1.0,
     fit_window: Tuple[float, float] = (0.25, 1.0),
     fit_points: int = 60,
-    upper_integral: Optional[float] = None,
     condition_limit: float = 1e9,
     max_terms: int = 8,
 ) -> MellinResult:
@@ -433,6 +424,8 @@ def mellin_derivative_at_zero(
 
     where the divergent beta < 0 terms appear only through their finite
     A^beta / beta parts, exactly as the epsilon-cancellation prescribes.
+    The caller supplies `upper_integral` = int_A^inf F dt/t, which it can
+    evaluate from its own representation of F.
 
     The expansion exponents are chosen from the candidate lattice by greedy
     forward selection: the leading exponent and 0 are mandatory, further
@@ -492,9 +485,6 @@ def mellin_derivative_at_zero(
     tg = np.geomspace(lo, split, 400)
     rg = np.array([(F(t) - fit(t)) / t for t in tg])
     h0 += float(np.trapezoid(rg, tg))
-    if upper_integral is None:
-        from scipy import integrate
-        upper_integral, _ = integrate.quad(lambda t: F(t) / t, split, split + 60.0)
     h0 += upper_integral
 
     return MellinResult(
@@ -524,24 +514,6 @@ class ZetaResult:
     fit_condition: float = 0.0
     fit_unstable: bool = False
     error_bar: float = 0.0
-    theta_fn: Optional[Callable[[float], float]] = None
-
-    def theta(self, s: float) -> float:
-        """Theta^i(s) on the path's own representation."""
-        if self.theta_fn is None:
-            raise ValueError("no theta evaluator attached")
-        return self.theta_fn(s)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "path": self.path,
-            "theta_at_0": self.theta_at_0,
-            "derivative_at_0": self.derivative_at_0,
-            "log_torsion": self.log_torsion,
-            "torsion": self.torsion,
-            "error_bar": self.error_bar if self.path == "numeric" else "exact",
-        }
 
 
 def torsion_exact_a1(tau: float, i: int = 2) -> ZetaResult:
@@ -562,7 +534,6 @@ def torsion_exact_a1(tau: float, i: int = 2) -> ZetaResult:
         log_torsion=log_t,
         torsion=math.exp(log_t),
         exponents=(-2.0, 0.0, 2.0),
-        theta_fn=lambda s: (2 * a) ** (-s) * zeta_and_derivative(s - 1)[0],
     )
 
 
@@ -593,16 +564,13 @@ def renormalize_and_torsion(
     def F(t: float) -> float:
         return pref * heat_trace(spectrum, tail, t)
 
-    from scipy import integrate, special
+    from scipy import special
 
-    lam = spectrum.eigenvalues
-    upper = pref * float((special.exp1(lam * split)).sum())
-    tail_upper, _ = integrate.quad(lambda t: pref * tail.heat_tail(t) / t, split, 50.0)
-    upper += tail_upper
-
-    lattice = sorted(set(exponent_lattice(q, n=1)) | set(exponent_lattice_scaled(q, n=1)))
+    upper = pref * (float(special.exp1(spectrum.eigenvalues * split).sum())
+                    + tail.mellin_upper(split))
     res = mellin_derivative_at_zero(
-        F, lattice, split=split, fit_window=fit_window, upper_integral=upper
+        F, exponent_lattice(q, n=1), split=split, fit_window=fit_window,
+        upper_integral=upper,
     )
     log_t = -res.derivative_at_0
     # fit residual plus a floor for the tail-model and quadrature systematics
@@ -618,7 +586,6 @@ def renormalize_and_torsion(
         fit_condition=res.fit_condition,
         fit_unstable=res.fit_condition > 1e10 or res.fit_residual > 1e-3,
         error_bar=err,
-        theta_fn=lambda s: theta(spectrum, i, s, tail)[0],
     )
 
 

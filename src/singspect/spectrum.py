@@ -1,8 +1,8 @@
-"""Sorted eigenvalue lists with multiplicities and truncation metadata."""
+"""Sorted eigenvalue lists with multiplicities and a completeness bound."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
@@ -14,43 +14,34 @@ class Spectrum:
 
     `levels` is sorted by eigenvalue.  `complete_below` bounds the region in
     which no eigenvalue is missing; sums over the spectrum should either stay
-    below it or correct for the tail.  `errors` (optional, same length as
-    levels) carries per-eigenvalue truncation estimates from refinement.
+    below it or correct for the tail.  The level values and multiplicities
+    are also held as arrays, built once, for the sums below.
     """
 
     levels: Tuple[Tuple[float, int], ...]
     complete_below: float
-    errors: Tuple[float, ...] = ()
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _mults: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lam = [l for l, _ in self.levels]
-        if lam != sorted(lam):
+        values = np.array([lam for lam, _ in self.levels], dtype=float)
+        if np.any(np.diff(values) < 0):
             raise ValueError("levels must be sorted by eigenvalue")
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_mults",
+                           np.array([m for _, m in self.levels], dtype=np.int64))
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues repeated by multiplicity."""
-        out: List[float] = []
-        for lam, m in self.levels:
-            out.extend([lam] * m)
-        return np.asarray(out)
+        return np.repeat(self._values, self._mults)
 
     def count_below(self, bound: float) -> int:
-        return sum(m for lam, m in self.levels if lam < bound)
+        return int(self._mults[self._values < bound].sum())
 
     def heat_sum(self, t: float) -> float:
         """sum of multiplicity * exp(-t*lambda) over the stored levels."""
-        return float(sum(m * np.exp(-t * lam) for lam, m in self.levels))
-
-    def truncated(self, bound: float) -> "Spectrum":
-        kept = tuple((lam, m) for lam, m in self.levels if lam <= bound)
-        return Spectrum(kept, min(self.complete_below, bound))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "levels": [[lam, m] for lam, m in self.levels],
-            "complete_below": self.complete_below,
-        }
+        return float(self._mults @ np.exp(-t * self._values))
 
 
 def cluster_eigenvalues(values, rel_tol: float = 1e-7) -> List[Tuple[float, int]]:

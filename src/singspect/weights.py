@@ -143,22 +143,26 @@ class TamenessReport:
 # -- weight solving ----------------------------------------------------------
 
 
-def _rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form over Q; returns (matrix, pivot columns)."""
+def _rref(rows: List[list]) -> Tuple[List[list], List[int]]:
+    """Reduced row echelon form over Q or Q(i); returns (matrix, pivot columns).
+
+    Entries are `Fraction`s or `GaussianRational`s; a pivot is any nonzero
+    (truthy) entry.
+    """
     mat = [row[:] for row in rows]
     m = len(mat)
     ncols = len(mat[0]) if m else 0
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, m) if mat[i][c] != 0), None)
+        pivot = next((i for i in range(r, m) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         pv = mat[r][c]
         mat[r] = [x / pv for x in mat[r]]
         for i in range(m):
-            if i != r and mat[i][c] != 0:
+            if i != r and mat[i][c]:
                 f = mat[i][c]
                 mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
@@ -349,27 +353,6 @@ def milnor_oracle(wv: WeightVector) -> int:
     return int(mu)
 
 
-def _rank_gaussian(rows: List[List[GaussianRational]]) -> int:
-    mat = [row[:] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][c]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c]:
-                fct = mat[i][c]
-                mat[i] = [x - fct * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
 def milnor_brute_force(f: MixedPolynomial, wv: WeightVector) -> int:
     """dim C[z]/(grad f) by exact linear algebra on the weighted-graded pieces.
 
@@ -413,4 +396,4 @@ def milnor_brute_force(f: MixedPolynomial, wv: WeightVector) -> int:
                     filled = True
             if filled:
                 rows.append(row)
-    return len(basis) - _rank_gaussian(rows)
+    return len(basis) - len(_rref(rows)[1])

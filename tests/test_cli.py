@@ -133,6 +133,15 @@ def test_verify_suites():
     assert proc2.returncode == 4
 
 
+def test_verify_failure_exit_code(monkeypatch, capsys):
+    from singspect import cli
+
+    monkeypatch.setitem(cli._SUITES, "clifford-identities", lambda seed: [("stub", False)])
+    assert cli.main(["verify", "clifford-identities"]) == cli.EXIT_VERIFY == 5
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["pass"] is False
+
+
 def test_cli_import_leaves_scipy_special_unloaded():
     # scipy.special costs about half of the CLI's import time; only the
     # numeric torsion and quadrature paths load it
@@ -140,3 +149,14 @@ def test_cli_import_leaves_scipy_special_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_numeric_torsion_leaves_scipy_integrate_unloaded():
+    # the Weyl tail's upper Mellin integral is closed-form, so no quadrature
+    code = ("import sys, singspect.cli; "
+            "code = singspect.cli.main(['torsion', 'z1^3', '--basis', '20', '--sectors', '24']); "
+            "print(code, 'scipy.integrate' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "0 False"
+    assert json.loads(proc.stdout)["result"]["path"] == "numeric"

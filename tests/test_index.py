@@ -83,6 +83,14 @@ def test_quadrature_blocks_do_not_change_the_estimate(monkeypatch):
     assert whole.std_error > 0
 
 
+def test_quadrature_error_at_eight_nodes():
+    # the reference rule must differ from the 8-node rule it checks
+    f, _, rep = prepared("z1^3 + z2^3", 2)
+    est = compute_index(f, 1.0, budget=8, method="quadrature", report=rep)
+    assert est.std_error > 0
+    assert abs(est.estimate - 4.0) <= est.std_error
+
+
 def test_quadrature_rejects_unsupported_node_counts():
     f, _, rep = prepared("z1^3", 1)
     with pytest.raises(ValueError):

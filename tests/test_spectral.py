@@ -116,6 +116,18 @@ def test_heat_trace_matches_oscillator(a1_big):
         assert abs(heat_trace(a1_big, tail, t) - exact) <= trunc_bound + 1e-9
 
 
+def test_weyl_tail_upper_mellin_closed_form():
+    # small bases keep the modeled tail visible above the split point
+    from scipy import integrate
+
+    for f in (A1, A2):
+        tail = fit_weyl_tail(eigensolve(GalerkinConfig(f, basis_size=8, sector_cutoff=8)))
+        for split in (0.25, 0.5, 1.0):
+            ref, _ = integrate.quad(lambda t: tail.heat_tail(t) / t, split, split + 60.0,
+                                    epsrel=1e-12, epsabs=0.0, limit=200)
+            assert abs(tail.mellin_upper(split) - ref) <= 1e-12 * ref
+
+
 def test_heat_trace_samples_csv_columns(a1_big):
     rows = heat_trace_samples(a1_big, fit_weyl_tail(a1_big), (0.5, 1.0))
     assert len(rows) == 2 and len(rows[0]) == 3
@@ -142,6 +154,9 @@ def test_exponent_lattice():
     lat = exponent_lattice([Fraction(1, 2)], n=1)
     assert lat[0] == -2.0
     assert 0.0 in lat and -1.5 in lat
+    # q = 1/3: the plain family leads with -(1 + 2/3), the scaled one with -3/2
+    lat3 = exponent_lattice([Fraction(1, 3)], n=1)
+    assert lat3[0] == round(-5 / 3, 12) and -1.5 in lat3
 
 
 def test_torsion_exact_values():
