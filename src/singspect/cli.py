@@ -7,9 +7,11 @@ Every report is a single JSON object on stdout with the shape
 where the manifest captures command, polynomial, seed and budgets; identical
 manifests produce byte-identical reports apart from the separate timing
 field.  Errors render as structured JSON on stderr.  Exit codes: 0 success,
-1 parse error, 2 degenerate input, 3 McKean-Singer constancy violated,
-4 unsupported request (including a rejected quadrature node count),
-5 a `verify` check failed (the report is still written to stdout).
+1 parse error (of the polynomial or of a `--t` value), 2 degenerate input,
+3 McKean-Singer constancy violated, 4 unsupported request (a t that is not
+positive and finite, `--samples` below 1, a rejected quadrature node count,
+or a `--basis` or `--sectors` the Galerkin solver rejects), 5 a `verify`
+check failed (the report is still written to stdout).
 """
 
 from __future__ import annotations
@@ -17,20 +19,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .index_integral import (
-    ConstancyViolated,
-    IndexResult,
-    UnsupportedNodeCount,
-    compute_index,
-    mckean_singer_check,
-)
+from .index_integral import ConstancyViolated, mckean_singer_check
 from .poly import MixedPolynomial, ParseError, infer_variable_count, parse
 from .spectral import (
     GalerkinConfig,
@@ -153,7 +148,10 @@ def cmd_index(args) -> int:
     except ParseError as exc:
         return _emit_error(exc, EXIT_PARSE)
     started = time.perf_counter()
-    t_grid = [float(x) for x in args.t.split(",")]
+    try:
+        t_grid = [float(x) for x in args.t.split(",")]
+    except ValueError as exc:
+        return _emit_error(exc, EXIT_PARSE)
     try:
         wv = solve_weights(f)
         nd = nondegeneracy_check(f, wv, seed=args.seed)
@@ -162,20 +160,11 @@ def cmd_index(args) -> int:
         return _emit_error(exc, EXIT_DEGENERATE)
     budget = args.samples if args.method == "mc" else args.nodes
     try:
-        if len(t_grid) == 1:
-            est = compute_index(f, t_grid[0], budget=budget, seed=args.seed,
-                                method=args.method, report=nd)
-            res = IndexResult(
-                t_values=(t_grid[0],), estimates=(est,),
-                mu_pooled=est.estimate, mu_rounded=int(round(est.estimate)),
-                method=args.method, budget=budget, seed=args.seed,
-            )
-        else:
-            res = mckean_singer_check(f, t_grid, budget=budget, seed=args.seed,
-                                      method=args.method, report=nd)
+        res = mckean_singer_check(f, t_grid, budget=budget, seed=args.seed,
+                                  method=args.method, report=nd)
     except ConstancyViolated as exc:
         return _emit_error(exc, EXIT_CONSTANCY)
-    except UnsupportedNodeCount as exc:
+    except ValueError as exc:  # a t, sample budget or node count the integral rejects
         return _emit_error(exc, EXIT_UNSUPPORTED)
     passed = res.mu_rounded == mu_oracle
     result = {
@@ -231,7 +220,10 @@ def cmd_torsion(args) -> int:
         result["T2"] = _exact(exact_res.torsion)
         result["log_T2"] = _exact(exact_res.log_torsion)
     else:
-        cfg = GalerkinConfig(f, basis_size=args.basis, sector_cutoff=args.sectors)
+        try:
+            cfg = GalerkinConfig(f, basis_size=args.basis, sector_cutoff=args.sectors)
+        except ValueError as exc:
+            return _emit_error(exc, EXIT_UNSUPPORTED)
         spec = eigensolve(cfg)
         numeric = renormalize_and_torsion(spec, [data.weight])
         result["path"] = "numeric" if exact_res is None else "both"
@@ -400,10 +392,6 @@ def cmd_verify(args) -> int:
 # -- entry point --------------------------------------------------------------------
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("SINGSPECT_SEED", "0"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="singspect",
@@ -414,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("weights", help="weight system, tameness and Milnor number")
     w.add_argument("polynomial")
     w.add_argument("--n", type=int, default=None)
-    w.add_argument("--seed", type=int, default=_default_seed())
+    w.add_argument("--seed", type=int, default=0)
     w.add_argument("--samples", type=int, default=12000)
     w.set_defaults(func=cmd_weights)
 
@@ -424,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     ix.add_argument("--t", default="0.5,1,2")
     ix.add_argument("--samples", type=int, default=10 ** 6)
     ix.add_argument("--nodes", type=int, default=128)
-    ix.add_argument("--seed", type=int, default=_default_seed())
+    ix.add_argument("--seed", type=int, default=0)
     ix.add_argument("--method", choices=("mc", "quadrature"), default="mc")
     ix.add_argument("--csv", default=None)
     ix.set_defaults(func=cmd_index)
@@ -435,12 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--exact", action="store_true")
     tr.add_argument("--basis", type=int, default=60)
     tr.add_argument("--sectors", type=int, default=70)
-    tr.add_argument("--seed", type=int, default=_default_seed())
+    tr.add_argument("--seed", type=int, default=0)
     tr.set_defaults(func=cmd_torsion)
 
     vf = sub.add_parser("verify", help="run an invariant suite")
     vf.add_argument("suite")
-    vf.add_argument("--seed", type=int, default=_default_seed())
+    vf.add_argument("--seed", type=int, default=0)
     vf.set_defaults(func=cmd_verify)
     return ap
 

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .poly import MixedPolynomial, gradient, hessian
+from .poly import MixedPolynomial, gradient, hessian_determinant
 from .weights import NondegeneracyReport
 
 
@@ -68,20 +68,6 @@ class IndexResult:
     budget: int
     seed: Optional[int]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "t_values": list(self.t_values),
-            "estimates": [
-                {"t": e.t, "estimate": e.estimate, "stderr": e.std_error}
-                for e in self.estimates
-            ],
-            "mu_pooled": self.mu_pooled,
-            "mu_rounded": self.mu_rounded,
-            "method": self.method,
-            "budget": self.budget,
-            "seed": self.seed,
-        }
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -92,52 +78,39 @@ class IndexResult:
 
 
 class _Compiled:
-    """Gradient and Hessian of f prepared for vectorized evaluation."""
+    """Gradient and exact Hessian determinant of f for vectorized evaluation."""
 
     def __init__(self, f: MixedPolynomial):
         self.n = f.n
         self.grads = gradient(f)
-        self.hess = hessian(f)
+        self.det_hess = hessian_determinant(f)
 
-    def grad_sq(self, Z: np.ndarray) -> np.ndarray:
-        out = np.zeros(Z.shape[0])
-        for g in self.grads:
-            out += np.abs(g.evaluate_many(Z)) ** 2
-        return out
+    def density(self, Z: np.ndarray, t: float, log_factor=0.0) -> np.ndarray:
+        """(t^n / pi^n) exp(-t |grad f|^2) |det d^2 f|^2 at the rows of Z.
 
-    def det_hess_sq(self, Z: np.ndarray) -> np.ndarray:
-        n = self.n
-        if n == 1:
-            return np.abs(self.hess[0][0].evaluate_many(Z)) ** 2
-        if n == 2:
-            d = (self.hess[0][0].evaluate_many(Z) * self.hess[1][1].evaluate_many(Z)
-                 - self.hess[0][1].evaluate_many(Z) * self.hess[1][0].evaluate_many(Z))
-            return np.abs(d) ** 2
-        m = Z.shape[0]
-        H = np.empty((m, n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                H[:, i, j] = self.hess[i][j].evaluate_many(Z)
-        return np.abs(np.linalg.det(H)) ** 2
+        `log_factor` (a scalar or one value per row) is added inside the
+        exponential, so an importance weight needs no second `exp`.
+        """
+        grad_sq = sum(np.abs(g.evaluate_many(Z)) ** 2 for g in self.grads)
+        return np.abs(self.det_hess.evaluate_many(Z)) ** 2 * np.exp(
+            self.n * math.log(t / math.pi) - t * grad_sq + log_factor)
 
 
 def integrand(f: MixedPolynomial, z, t: float) -> np.ndarray:
-    """(t^n / pi^n) exp(-t |grad f|^2) |det d^2 f|^2, vectorized over points."""
+    """The index density, vectorized over points (a float for one point)."""
     if t <= 0:
         raise ValueError("t must be positive")
-    comp = _Compiled(f)
     Z = np.asarray(z, dtype=complex)
-    single = Z.ndim == 1
-    if single:
-        Z = Z[None, :]
-    vals = (t ** f.n / math.pi ** f.n) * np.exp(-t * comp.grad_sq(Z)) * comp.det_hess_sq(Z)
-    return float(vals[0]) if single else vals
+    vals = _Compiled(f).density(np.atleast_2d(Z), t)
+    return float(vals[0]) if Z.ndim == 1 else vals
 
 
 def _mc_estimate(
     comp: _Compiled, t: float, budget: int, seed: int, growth_c: float, strata: int = 64
 ) -> Tuple[float, float]:
     """Importance-sampled mean and standard error, reduced in stratum order."""
+    if budget < 1:
+        raise ValueError(f"the Monte Carlo budget must be at least 1 sample, not {budget}")
     n = comp.n
     var_real = growth_c / (2 * t)        # per real coordinate; complex variance C/t
     sigma = math.sqrt(var_real)
@@ -145,7 +118,6 @@ def _mc_estimate(
     counts = [per + (1 if i < budget - per * strata else 0) for i in range(strata)]
     total = 0.0
     total_sq = 0.0
-    m_total = 0
     log_norm = n * math.log(math.pi * 2 * var_real)  # log of proposal normalizer
     for idx, m in enumerate(counts):
         if m == 0:
@@ -153,18 +125,13 @@ def _mc_estimate(
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
         X = rng.normal(scale=sigma, size=(m, n))
         Y = rng.normal(scale=sigma, size=(m, n))
-        Z = X + 1j * Y
-        r2 = (X * X + Y * Y).sum(axis=1)
-        log_p = -r2 / (2 * var_real) - log_norm
-        log_h = (n * math.log(t / math.pi) - t * comp.grad_sq(Z))
-        det_sq = comp.det_hess_sq(Z)
-        w = det_sq * np.exp(log_h - log_p)
+        log_p = -(X * X + Y * Y).sum(axis=1) / (2 * var_real) - log_norm
+        w = comp.density(X + 1j * Y, t, -log_p)  # density / proposal
         total += float(w.sum())
         total_sq += float((w * w).sum())
-        m_total += m
-    mean = total / m_total
-    var = max(total_sq / m_total - mean * mean, 0.0)
-    return mean, math.sqrt(var / m_total)
+    mean = total / budget
+    var = max(total_sq / budget - mean * mean, 0.0)
+    return mean, math.sqrt(var / budget)
 
 
 # cap on quadrature points: the size of a 128-node tensor Gauss-Hermite rule on C^2
@@ -247,9 +214,8 @@ def _quadrature_estimate(
             Z[:, 1:] = sigma * (x[idx[0::2]] + 1j * x[idx[1::2]]).T
             for r, wr in radial:
                 Z[:, 0] = r
-                vals = np.exp(-t * comp.grad_sq(Z)) * comp.det_hess_sq(Z)
-                total += wr * float(vals @ wts)
-        return (t / math.pi) ** n * total
+                total += wr * float(comp.density(Z, t) @ wts)
+        return total
 
     full = run(nodes)
     return full, abs(full - run(ref))
@@ -272,8 +238,8 @@ def compute_index(
     """
     if report is None:
         raise MissingTamenessReport("attach the non-degeneracy report (fitted growth scale)")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, not {t}")
     comp = _Compiled(f)
     if method == "mc":
         est, err = _mc_estimate(comp, t, budget, seed, report.fitted_C)
@@ -295,9 +261,12 @@ def mckean_singer_check(
     method: str = "mc",
     report: Optional[NondegeneracyReport] = None,
 ) -> IndexResult:
-    """Estimates across the t-grid with pairwise 3-sigma constancy enforced."""
-    if len(t_grid) < 2:
-        raise ValueError("need at least two grid points")
+    """Estimates across the t-grid with pairwise 3-sigma constancy enforced.
+
+    A one-point grid has no pairs to compare; its pooled value is its estimate.
+    """
+    if not t_grid:
+        raise ValueError("need at least one grid point")
     ests: List[IndexEstimate] = []
     for i, t in enumerate(t_grid):
         ests.append(compute_index(f, t, budget=budget, seed=seed + 977 * i,
@@ -310,7 +279,9 @@ def mckean_singer_check(
             if zscore > 3.0:
                 raise ConstancyViolated(ests[i].t, ests[j].t, zscore)
     wts = [1.0 / max(e.std_error, floor) ** 2 for e in ests]
-    pooled = sum(w * e.estimate for w, e in zip(wts, ests)) / sum(wts)
+    norm = sum(wts)
+    # weights normalized before summing, so one point pools to its estimate exactly
+    pooled = sum(w / norm * e.estimate for w, e in zip(wts, ests))
     return IndexResult(
         t_values=tuple(float(t) for t in t_grid),
         estimates=tuple(ests),

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -221,7 +221,6 @@ class ParametrixBundle:
     g: TwoPointPolynomial
     B: OperatorPolynomial
     U: List[OperatorPolynomial]
-    q: Optional[tuple] = None
 
 
 def build_g(V: MixedPolynomial) -> TwoPointPolynomial:

@@ -479,6 +479,23 @@ def hessian(f: MixedPolynomial) -> List[List[MixedPolynomial]]:
     return [[gi.wirtinger(j) for j in range(1, f.n + 1)] for gi in g]
 
 
+def hessian_determinant(f: MixedPolynomial) -> MixedPolynomial:
+    """det d^2 f exactly, by cofactor expansion along the first row."""
+
+    def det(rows: List[List[MixedPolynomial]]) -> MixedPolynomial:
+        if len(rows) == 1:
+            return rows[0][0]
+        out = MixedPolynomial.zero(f.n)
+        for j, entry in enumerate(rows[0]):
+            if entry.is_zero():
+                continue
+            term = entry * det([row[:j] + row[j + 1:] for row in rows[1:]])
+            out = out - term if j % 2 else out + term
+        return out
+
+    return det(hessian(f))
+
+
 def hermitian_gradient_square(f: MixedPolynomial) -> MixedPolynomial:
     """The potential sum_i d_i f * conj(d_i f); rejects non-holomorphic input."""
     if not f.is_holomorphic():

@@ -88,9 +88,6 @@ class WeightVector:
         d = self.d
         return tuple(int(qi * d) for qi in self.q)
 
-    def total(self) -> Fraction:
-        return sum(self.q, Fraction(0))
-
 
 @dataclass(frozen=True)
 class NondegeneracyReport:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -88,6 +90,31 @@ def test_index_single_t_gaussian_normalization():
     assert proc.returncode == 0
     res = json.loads(proc.stdout)["result"]
     assert abs(res["mu_pooled"]["value"] - 1.0) < 0.01
+    assert res["mu_pooled"] == res["estimates"][0]["estimate"]
+
+
+@pytest.mark.parametrize("args,code", [
+    (["index", "z1^3", "--t", ""], 1),
+    (["index", "z1^3", "--t", "a"], 1),
+    (["index", "z1^3", "--t", "1,,2"], 1),
+    (["index", "z1^3", "--t", "0"], 4),
+    (["index", "z1^3", "--t", "-1"], 4),
+    (["index", "z1^3", "--t", "nan"], 4),
+    (["index", "z1^3", "--t", "inf"], 4),
+    (["index", "z1^3", "--t", "1", "--samples", "0"], 4),
+    (["index", "z1^3", "--t", "1", "--samples", "-5"], 4),
+    (["torsion", "z1^3", "--basis", "4"], 4),
+    (["torsion", "z1^3", "--sectors", "2"], 4),
+], ids=["t-empty", "t-text", "t-gap", "t-zero", "t-negative", "t-nan", "t-inf",
+        "samples-zero", "samples-negative", "basis-4", "sectors-2"])
+def test_bad_numeric_arguments_are_structured_errors(args, code, capsys):
+    from singspect import cli
+
+    assert cli.main(args) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["schema"] == "1" and payload["error"]["message"]
 
 
 def test_torsion_exact():

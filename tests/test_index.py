@@ -125,9 +125,19 @@ def test_mckean_singer_check():
     res3 = mckean_singer_check(f3, (0.5, 1.0, 2.0), budget=150000, seed=9, report=rep3)
     assert res3.mu_rounded == 2
     assert len(res3.estimates) == 3
-    json_dict = res3.to_json_dict()
-    assert json_dict["mu_rounded"] == 2
     assert "t,estimate,stderr" in res3.to_csv()
+    one = mckean_singer_check(f3, (1.0,), budget=20000, seed=9, report=rep3)
+    assert one.mu_pooled == one.estimates[0].estimate  # no pairs, weight exactly 1
+
+
+def test_index_with_off_diagonal_hessian():
+    # D4: det d^2 f = 12 z2^2 - 4 z1^2 comes from the off-diagonal entries 2 z1
+    f, wv, rep = prepared("z1^2*z2 + z2^3", 2)
+    assert milnor_oracle(wv) == 4
+    mc = compute_index(f, 1.0, budget=400000, seed=3, report=rep)
+    assert abs(mc.estimate - 4.0) <= 4 * mc.std_error
+    quad = compute_index(f, 1.0, budget=48, method="quadrature", report=rep)
+    assert 0 < abs(quad.estimate - 4.0) <= quad.std_error
 
 
 def test_constancy_violation_detected(monkeypatch):

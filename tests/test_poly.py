@@ -10,6 +10,8 @@ from singspect.poly import (
     ParseError,
     TwoPointPolynomial,
     hermitian_gradient_square,
+    hessian,
+    hessian_determinant,
     parse,
     segment_average,
 )
@@ -157,3 +159,22 @@ def test_swap_points_involution():
     g = segment_average(parse("z1*conj(z1) + z1^2*conj(z1)^2", 1), 0)
     assert g.swap_points().swap_points() == g
     assert g.swap_points() == g  # mean value is symmetric in its endpoints
+
+
+@pytest.mark.parametrize("text,n", [
+    ("z1^3", 1),
+    ("z1^2*z2 + z2^3", 2),
+    ("z1^3 + z1*z2^3", 2),
+    ("z1^3 + z2^3 + z3^3 + z1*z2*z3", 3),
+    ("z1^2*z2 + z2^3 + z3^3", 3),
+])
+def test_hessian_determinant_matches_numeric_det(text, n):
+    # the exact cofactor expansion against LAPACK's det of the evaluated Hessian
+    f = parse(text, n)
+    rng = np.random.default_rng(5)
+    Z = rng.normal(size=(50, n)) + 1j * rng.normal(size=(50, n))
+    H = np.stack([np.stack([h.evaluate_many(Z) for h in row], axis=-1)
+                  for row in hessian(f)], axis=-2)
+    ref = np.linalg.det(H)
+    got = hessian_determinant(f).evaluate_many(Z)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
