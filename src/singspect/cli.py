@@ -9,9 +9,9 @@ manifests produce byte-identical reports apart from the separate timing
 field.  Errors render as structured JSON on stderr.  Exit codes: 0 success,
 1 parse error (of the polynomial or of a `--t` value), 2 degenerate input,
 3 McKean-Singer constancy violated, 4 unsupported request (a t that is not
-positive and finite, `--samples` below 1, a rejected quadrature node count,
-or a `--basis` or `--sectors` the Galerkin solver rejects), 5 a `verify`
-check failed (the report is still written to stdout).
+positive and finite, `index` or `weights` `--samples` below 1, a rejected
+quadrature node count, or a `--basis` or `--sectors` the Galerkin solver
+rejects), 5 a `verify` check failed (the report is still written to stdout).
 """
 
 from __future__ import annotations
@@ -112,6 +112,9 @@ def cmd_weights(args) -> int:
         f = _parse_poly(args.polynomial, args.n)
     except ParseError as exc:
         return _emit_error(exc, EXIT_PARSE)
+    if args.samples < 1:
+        return _emit_error(ValueError(f"--samples must be at least 1, not {args.samples}"),
+                           EXIT_UNSUPPORTED)
     started = time.perf_counter()
     try:
         if has_bilinear_monomial(f):
@@ -231,6 +234,8 @@ def cmd_torsion(args) -> int:
         result["log_T2"] = _with_err(numeric.log_torsion, numeric.error_bar)
         result["spectrum_levels"] = len(spec.levels)
         result["fit_exponents"] = list(numeric.exponents)
+        result["fit_condition"] = numeric.fit_condition
+        result["fit_unstable"] = numeric.fit_unstable
         if exact_res is not None:
             result["T2_exact"] = _exact(exact_res.torsion)
             result["log_T2_exact"] = _exact(exact_res.log_torsion)

@@ -140,6 +140,42 @@ _MAX_QUADRATURE_POINTS = 128 ** 4
 _QUADRATURE_BLOCK_ROWS = 2 ** 16
 
 
+def _gauss_laguerre(nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Laguerre nodes s and unweighted weights w e^s.
+
+    The nodes are the eigenvalues of the Jacobi matrix of the Laguerre
+    recurrence (diagonal 2k + 1, off-diagonal k; Golub & Welsch, Math. Comp.
+    23, 1969), polished by two Newton steps.  The weights come from
+    w = s / (N L_{N-1}(s))^2 in log space, not from eigenvector components,
+    which lose all relative accuracy once w falls below 1e-16 although w e^s
+    stays of order one.  L_k runs through
+    the difference recurrence d_{k+1} = (k d_k - s L_k) / (k + 1),
+    L_{k+1} = L_k + d_{k+1}, which keeps small nodes accurate, with both
+    terms rescaled by a power of two at each step so they never overflow.
+    """
+    k = np.arange(1, nodes, dtype=float)
+    s = np.linalg.eigvalsh(np.diag(2.0 * np.arange(nodes) + 1) + np.diag(k, 1)
+                           + np.diag(k, -1))
+
+    def recurrence(s: np.ndarray):
+        """(L_N, L_N - L_{N-1}) divided by 2^e, and the exponent e."""
+        p, d = 1.0 - s, -s
+        e = np.zeros(s.shape, dtype=int)
+        for j in range(1, nodes):
+            d = (j * d - s * p) / (j + 1)
+            p = p + d
+            _, ej = np.frexp(p)
+            p, d, e = np.ldexp(p, -ej), np.ldexp(d, -ej), e + ej
+        return p, d, e
+
+    for _ in range(2):
+        p, d, _ = recurrence(s)
+        s = s - s * p / (nodes * d)  # L_N' = N (L_N - L_{N-1}) / s
+    p, d, e = recurrence(s)
+    log_w = s + np.log(s) - 2 * (math.log(nodes) + np.log(np.abs(p - d)) + e * math.log(2))
+    return s, np.exp(log_w)
+
+
 def _gauss_rules(nodes: int, n: int):
     """Gauss-Laguerre nodes/weights in s and Gauss-Hermite nodes/weights in x.
 
@@ -148,8 +184,8 @@ def _gauss_rules(nodes: int, n: int):
     UnsupportedNodeCount, before any integrand is evaluated, for a rule
     larger than _MAX_QUADRATURE_POINTS or one whose weights are not finite.
     """
-    # building a 1-D rule costs ~nodes^2 evaluations, which dominates at n = 1
-    points = max(nodes ** (2 * n - 1), nodes ** 2)
+    # each rule is a dense O(nodes^3) eigensolve, which dominates at n = 1
+    points = max(nodes ** (2 * n - 1), nodes ** 3)
     if nodes < 1 or points > _MAX_QUADRATURE_POINTS:
         raise UnsupportedNodeCount(
             f"{nodes} nodes in {n} variables need {points} quadrature points; "
@@ -160,13 +196,12 @@ def _gauss_rules(nodes: int, n: int):
             raise UnsupportedNodeCount(f"the {nodes}-node Gauss rule has non-finite weights")
         return w
 
-    from scipy import special
-
-    # Laguerre weights lose finiteness first (from 364 nodes; Hermite from 372),
-    # so the dense O(nodes^3) Hermite build never runs for an oversized count
+    # the Laguerre weights stay finite up to the point cap (645 nodes); the
+    # Hermite weights w e^{x^2} overflow from 372 nodes, so counts from 372
+    # to 645 are rejected after both rules are built
     with np.errstate(all="ignore"):
-        s, ws = special.roots_laguerre(nodes)
-        ws = finite(np.exp(np.log(ws) + s))
+        s, ws = _gauss_laguerre(nodes)
+        ws = finite(ws)
         x, wx = np.polynomial.hermite.hermgauss(nodes)
         wx = finite(wx * np.exp(x * x))
     return s, ws, x, wx
@@ -221,6 +256,11 @@ def _quadrature_estimate(
     return full, abs(full - run(ref))
 
 
+def _check_t(t: float) -> None:
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, not {t}")
+
+
 def compute_index(
     f: MixedPolynomial,
     t: float,
@@ -238,8 +278,7 @@ def compute_index(
     """
     if report is None:
         raise MissingTamenessReport("attach the non-degeneracy report (fitted growth scale)")
-    if not 0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, not {t}")
+    _check_t(t)
     comp = _Compiled(f)
     if method == "mc":
         est, err = _mc_estimate(comp, t, budget, seed, report.fitted_C)
@@ -267,6 +306,8 @@ def mckean_singer_check(
     """
     if not t_grid:
         raise ValueError("need at least one grid point")
+    for t in t_grid:  # reject a bad t before any estimate is computed
+        _check_t(t)
     ests: List[IndexEstimate] = []
     for i, t in enumerate(t_grid):
         ests.append(compute_index(f, t, budget=budget, seed=seed + 977 * i,

@@ -33,11 +33,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._special import EULER_GAMMA, exp1, upper_gamma
 from .poly import MixedPolynomial
 from .spectrum import Spectrum, cluster_eigenvalues
 from .zeta import zeta_and_derivative
-
-EULER_GAMMA = 0.5772156649015329
 
 
 class IllConditionedBasis(RuntimeError):
@@ -103,6 +102,12 @@ def ar_data(f: MixedPolynomial) -> ArData:
 # -- Galerkin discretization ------------------------------------------------------
 
 
+# cap on basis_size: every sector builds dense (basis_size + r)^2 matrices and
+# runs an O(basis_size^3) eigensolve; at 1024 a matrix takes 8 MiB and a sector
+# about 0.2 s on 2 vCPUs, while the callers here use at most 80
+_MAX_BASIS_SIZE = 1024
+
+
 @dataclass
 class GalerkinConfig:
     f: MixedPolynomial
@@ -112,8 +117,9 @@ class GalerkinConfig:
 
     def __post_init__(self):
         self.data = ar_data(self.f)
-        if self.basis_size < 8:
-            raise ValueError("basis_size must be at least 8")
+        if not 8 <= self.basis_size <= _MAX_BASIS_SIZE:
+            raise ValueError(f"basis_size must be from 8 to {_MAX_BASIS_SIZE}, "
+                             f"not {self.basis_size}")
         floor = 2 * self.data.r + 2
         if self.sector_cutoff is None:
             self.sector_cutoff = max(floor, 24)
@@ -244,11 +250,8 @@ class WeylTail:
 
     def heat_tail(self, t: float) -> float:
         """int_cutoff^inf e^{-t lam} dN(lam)."""
-        from scipy import special
-
         a = self.p / self.lam0 ** self.p
-        return a * special.gamma(self.p) * special.gammaincc(self.p, self.cutoff * t) \
-            / t ** self.p
+        return a * upper_gamma(self.p, self.cutoff * t) / t ** self.p
 
     def mellin_upper(self, split: float) -> float:
         """int_split^inf heat_tail(t) dt/t in closed form.
@@ -256,14 +259,11 @@ class WeylTail:
         With a = p / lam0^p and x = split * cutoff, exchanging the two
         integrals and integrating E1 by parts gives
 
-            (a/p) split^{-p} [Gamma(p) Q(p, x) - x^p E1(x)].
+            (a/p) split^{-p} [Gamma(p, x) - x^p E1(x)].
         """
-        from scipy import special
-
         p, x = self.p, split * self.cutoff
         a = p / self.lam0 ** p
-        return (a / p) * split ** (-p) * (
-            special.gamma(p) * special.gammaincc(p, x) - x ** p * special.exp1(x))
+        return (a / p) * split ** (-p) * (upper_gamma(p, x) - x ** p * float(exp1(x)))
 
     def zeta_tail(self, s: float) -> float:
         if s <= self.p + 0.25:
@@ -564,9 +564,7 @@ def renormalize_and_torsion(
     def F(t: float) -> float:
         return pref * heat_trace(spectrum, tail, t)
 
-    from scipy import special
-
-    upper = pref * (float(special.exp1(spectrum.eigenvalues * split).sum())
+    upper = pref * (float(exp1(spectrum.eigenvalues * split).sum())
                     + tail.mellin_upper(split))
     res = mellin_derivative_at_zero(
         F, exponent_lattice(q, n=1), split=split, fit_window=fit_window,
@@ -644,8 +642,11 @@ def torsion_sum_check(
                 total += (-1) ** p * p * p * tr1[p1] * tr2[p2]
         return total - 4.0  # degree-2 harmonic projector, p^2 = 4, rank 1
 
-    from scipy import integrate
-    upper, _ = integrate.quad(lambda t: F(t) / t, 1.0, 60.0)
+    # int_1^60 F(t) dt/t = int_0^{log 60} F(e^u) du, smooth enough in u that 32
+    # Gauss-Legendre nodes agree with an adaptive rule to 1e-13 for tau >= 0.1
+    u, w = np.polynomial.legendre.leggauss(32)
+    half = math.log(60.0) / 2
+    upper = half * sum(wi * F(math.exp(half * (ui + 1))) for ui, wi in zip(u, w))
     lattice = tuple(float(b) for b in range(-4, 3))
     res = mellin_derivative_at_zero(F, lattice, split=1.0,
                                     fit_window=(0.1, 1.0), upper_integral=upper)

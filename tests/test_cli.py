@@ -74,7 +74,7 @@ def test_index_quadrature_product():
 
 
 def test_index_quadrature_rejects_node_counts():
-    # 20000 nodes exceed the point budget; from 364 nodes the Gauss weights overflow
+    # 20000 nodes exceed the point budget; from 372 nodes the Gauss weights overflow
     for nodes in ("20000", "400"):
         proc = run_cli("index", "z1^3 + z2^3", "--t", "1", "--method", "quadrature",
                        "--nodes", nodes)
@@ -105,8 +105,12 @@ def test_index_single_t_gaussian_normalization():
     (["index", "z1^3", "--t", "1", "--samples", "-5"], 4),
     (["torsion", "z1^3", "--basis", "4"], 4),
     (["torsion", "z1^3", "--sectors", "2"], 4),
+    (["torsion", "z1^3", "--basis", "100000"], 4),
+    (["weights", "z1^3", "--samples", "-5"], 4),
+    (["weights", "z1^3", "--samples", "0"], 4),
 ], ids=["t-empty", "t-text", "t-gap", "t-zero", "t-negative", "t-nan", "t-inf",
-        "samples-zero", "samples-negative", "basis-4", "sectors-2"])
+        "samples-zero", "samples-negative", "basis-4", "sectors-2", "basis-100000",
+        "weights-samples-negative", "weights-samples-zero"])
 def test_bad_numeric_arguments_are_structured_errors(args, code, capsys):
     from singspect import cli
 
@@ -131,6 +135,16 @@ def test_torsion_numeric_close_to_exact():
     res = json.loads(proc.stdout)["result"]
     assert res["path"] == "both"
     assert res["log_difference"] < 1e-3
+
+
+@pytest.mark.parametrize("poly,unstable", [("z1^4", True), ("(1/2)*z1^2", False)])
+def test_torsion_reports_fit_diagnostics(poly, unstable, capsys):
+    from singspect import cli
+
+    assert cli.main(["torsion", poly, "--basis", "60", "--sectors", "70"]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["fit_unstable"] is unstable
+    assert res["fit_condition"] > 0
 
 
 def test_torsion_unsupported_n2():
@@ -170,8 +184,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
-    # scipy.special costs about half of the CLI's import time; only the
-    # numeric torsion and quadrature paths load it
+    # scipy.special would cost about half of the CLI's import time
     code = "import sys, singspect.cli; print('scipy.special' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -187,3 +200,26 @@ def test_numeric_torsion_leaves_scipy_integrate_unloaded():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip() == "0 False"
     assert json.loads(proc.stdout)["result"]["path"] == "numeric"
+
+
+def test_every_command_runs_without_scipy():
+    code = """
+import contextlib, io, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from singspect import cli, spectral
+runs = [
+    ["torsion", "z1^3", "--basis", "20", "--sectors", "24"],
+    ["torsion", "(1/2)*z1^2", "--exact"],
+    ["index", "z1^3", "--t", "0.5,1", "--samples", "20000"],
+    ["index", "z1^3 + z2^3", "--t", "1", "--method", "quadrature", "--nodes", "16"],
+    ["weights", "z1^3 + z2^4"],
+    ["verify", "all"],
+]
+for args in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        print(cli.main(args), file=sys.stderr)
+print(spectral.torsion_sum_check(0.5, 0.5).passed, file=sys.stderr)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["0"] * 6 + ["True"]

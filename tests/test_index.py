@@ -102,6 +102,29 @@ def test_quadrature_rejects_unsupported_node_counts():
         compute_index(f33, 1.0, method="quadrature", report=rep33)
 
 
+def test_quadrature_node_cap_precedes_any_rule_build(monkeypatch):
+    # a 1-D rule is a dense nodes x nodes eigensolve, counted as nodes^3 points
+    def build(nodes):
+        raise AssertionError(f"built a {nodes}-node rule")
+
+    monkeypatch.setattr(index_integral, "_gauss_laguerre", build)
+    for nodes, n in ((646, 1), (16384, 1), (646, 2), (64, 3)):
+        with pytest.raises(index_integral.UnsupportedNodeCount):
+            index_integral._gauss_rules(nodes, n)
+
+
+def test_t_grid_is_validated_before_any_estimate(monkeypatch):
+    f, _, rep = prepared("z1^3", 1)
+
+    def estimate(*args, **kwargs):
+        raise AssertionError("an estimate ran before the grid was checked")
+
+    monkeypatch.setattr(index_integral, "compute_index", estimate)
+    for grid in ((0.5, 0.0), (1.0, 2.0, float("nan")), (1.0, -1.0), (0.5, float("inf"))):
+        with pytest.raises(ValueError, match="positive and finite"):
+            mckean_singer_check(f, grid, report=rep)
+
+
 def test_budget_too_small():
     f, wv, rep = prepared("z1^3", 1)
     with pytest.raises(BudgetTooSmall):
