@@ -9,11 +9,10 @@ the Mellin split point does not matter.
 import argparse
 import sys
 
-from fractions import Fraction
-
 from singspect.poly import parse
 from singspect.spectral import (
     GalerkinConfig,
+    ar_data,
     eigensolve,
     renormalize_and_torsion,
     torsion_exact_a1,
@@ -35,7 +34,7 @@ def main() -> int:
                                          sector_cutoff=basis + 10))
         line = [f"basis {basis:3d} (levels {len(spec.levels):3d}):"]
         for split in (float(s) for s in args.splits.split(",")):
-            res = renormalize_and_torsion(spec, [Fraction(1, 2)], split=split)
+            res = renormalize_and_torsion(spec, ar_data(f), split=split)
             line.append(f"split {split:g}: dlog {res.log_torsion - exact.log_torsion:+.2e}")
         print("  ".join(line))
     return 0

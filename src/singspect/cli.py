@@ -228,7 +228,7 @@ def cmd_torsion(args) -> int:
         except ValueError as exc:
             return _emit_error(exc, EXIT_UNSUPPORTED)
         spec = eigensolve(cfg)
-        numeric = renormalize_and_torsion(spec, [data.weight])
+        numeric = renormalize_and_torsion(spec, data)
         result["path"] = "numeric" if exact_res is None else "both"
         result["T2"] = _with_err(numeric.torsion, numeric.error_bar * numeric.torsion)
         result["log_T2"] = _with_err(numeric.log_torsion, numeric.error_bar)
@@ -354,7 +354,7 @@ def _suite_spectral(seed: int) -> list:
     checks.append(("A_1 exact torsion",
                    abs(exact.torsion - math.exp(0.16542114370045092)) < 1e-10))
     big = eigensolve(GalerkinConfig(f, basis_size=60, sector_cutoff=70))
-    numeric = renormalize_and_torsion(big, [Fraction(1, 2)])
+    numeric = renormalize_and_torsion(big, ar_data(f))
     checks.append(("numeric path within 1e-3",
                    abs(numeric.log_torsion - exact.log_torsion) < 1e-3))
     return checks

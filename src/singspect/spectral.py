@@ -17,19 +17,20 @@ s = 0 defines the torsion log T^i = -(Theta^i)'(0).  Two routes compute it:
 
   * exact (A_1): Theta^2(s) = (2 tau)^{-s} zeta(s - 1), so
     T^2 = (2 tau)^{-1/12} exp(-zeta'(-1)) with the Euler-Maclaurin oracle;
-  * numeric: Mellin split at t = 1; the upper part sums exponential
-    integrals termwise and takes the Weyl tail in closed form, the lower
-    part uses a least-squares fit of the heat trace on the fractional
-    exponent lattice {m + alpha q - 2|q| - n}, whose divergent terms are
-    cancelled by the renormalization.
+  * numeric: Mellin split at t = 1/E, with E = v^{1/(r+1)} the energy unit;
+    the upper part sums exponential integrals termwise and takes the Weyl
+    tail in closed form, the lower part fits the heat trace on the
+    Wigner-Kirkwood exponents t^{(k-1)(1+1/r)}, with the two closed-form
+    leading coefficients pinned, and the divergent terms are cancelled by
+    the renormalization.  The error bar is the spread over three splits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,15 +52,18 @@ class TailDominates(RuntimeError):
     """Truncated spectrum too short for the requested zeta argument."""
 
 
-class ExponentFitUnstable(RuntimeError):
-    """Heat-trace expansion fit is numerically degenerate."""
-
-
 class UnsupportedSingularity(ValueError):
     """The spectral pipeline handles one-variable monomial singularities."""
 
 
 # -- problem extraction -------------------------------------------------------
+
+
+class HeatExpansion(NamedTuple):
+    p: float
+    a0: float
+    a1: float
+    energy: float
 
 
 @dataclass(frozen=True)
@@ -81,9 +85,19 @@ class ArData:
             raise ValueError("tau_effective is an A_1 quantity")
         return math.sqrt(self.potential_scale) / 2
 
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(1, self.r + 1)
+    def heat_expansion(self) -> HeatExpansion:
+        """Exponents, two coefficients and energy unit of the small-t heat trace.
+
+        Tr e^{-tH} ~ sum_k a_k t^{(k-1) p} with p = 1 + 1/r (Wigner, Phys.
+        Rev. 40, 749, 1932; Kirkwood, Phys. Rev. 44, 31, 1933).  The Weyl
+        term is a_0 = Gamma(1 + 1/r) v^{-1/r}; a_1 = -r/12, independent of v,
+        is the hbar^2 term -(t^3/12) int e^{-tV} |grad V|^2 after an
+        integration by parts (zeta(-1) at r = 1).  Rescaling z makes every
+        eigenvalue proportional to E = v^{1/(r+1)}.
+        """
+        r, v = self.r, self.potential_scale
+        return HeatExpansion(p=1 + 1 / r, a0=math.gamma(1 + 1 / r) * v ** (-1 / r),
+                             a1=-r / 12, energy=v ** (1 / (r + 1)))
 
 
 def ar_data(f: MixedPolynomial) -> ArData:
@@ -107,6 +121,12 @@ def ar_data(f: MixedPolynomial) -> ArData:
 # about 0.2 s on 2 vCPUs, while the callers here use at most 80
 _MAX_BASIS_SIZE = 1024
 
+# cap on sector_cutoff: each sector costs one eigensolve and keeps
+# max(basis_size // 2, 4) levels, twice over, as Python floats; at basis 60,
+# 4096 sectors take 2.7 s and 55 MB on 2 vCPUs (20000 took 12 s and 139 MB),
+# while the callers here use at most 90
+_MAX_SECTOR_CUTOFF = 4096
+
 
 @dataclass
 class GalerkinConfig:
@@ -123,8 +143,9 @@ class GalerkinConfig:
         floor = 2 * self.data.r + 2
         if self.sector_cutoff is None:
             self.sector_cutoff = max(floor, 24)
-        if self.sector_cutoff < floor:
-            raise ValueError(f"sector_cutoff must be >= {floor}")
+        if not floor <= self.sector_cutoff <= _MAX_SECTOR_CUTOFF:
+            raise ValueError(f"sector_cutoff must be from {floor} to {_MAX_SECTOR_CUTOFF}, "
+                             f"not {self.sector_cutoff}")
 
 
 def _laguerre_s_matrix(size: int, alpha: int) -> np.ndarray:
@@ -271,17 +292,15 @@ class WeylTail:
         return (self.p / self.lam0 ** self.p) * self.cutoff ** (self.p - s) / (s - self.p)
 
 
-def fit_weyl_tail(spectrum: Spectrum) -> WeylTail:
-    lam = spectrum.eigenvalues
-    if lam.size < 16:
-        raise ValueError("too few eigenvalues for a tail fit")
-    counts = np.arange(1, lam.size + 1, dtype=float)
-    lo = lam.size // 2
-    x = np.log(lam[lo:])
-    y = np.log(counts[lo:])
-    p, intercept = np.polyfit(x, y, 1)
-    lam0 = math.exp(-intercept / p)
-    return WeylTail(p=float(p), lam0=float(lam0), cutoff=float(lam[-1]))
+def fit_weyl_tail(spectrum: Spectrum, data: ArData) -> WeylTail:
+    """Weyl counting law above the last kept eigenvalue.
+
+    The exponent is the exact p = 1 + 1/r, and lam0 follows from the Weyl
+    coefficient: N(lambda) ~ a_0 lambda^p / Gamma(p + 1).
+    """
+    p, a0, _, _ = data.heat_expansion()
+    lam0 = (math.gamma(p + 1) / a0) ** (1 / p)
+    return WeylTail(p=p, lam0=lam0, cutoff=spectrum.levels[-1][0])
 
 
 def heat_trace(spectrum: Spectrum, tail: Optional[WeylTail], t: float) -> float:
@@ -290,19 +309,6 @@ def heat_trace(spectrum: Spectrum, tail: Optional[WeylTail], t: float) -> float:
     if tail is not None:
         out += tail.heat_tail(t)
     return out
-
-
-def heat_trace_samples(
-    spectrum: Spectrum, tail: Optional[WeylTail], t_grid: Sequence[float]
-) -> List[Tuple[float, float, float]]:
-    """(t, trace, error) rows; error bars the modeled tail and truncation."""
-    rows = []
-    for t in t_grid:
-        tr = heat_trace(spectrum, tail, t)
-        err = 0.2 * (tail.heat_tail(t) if tail is not None else
-                     math.exp(-t * spectrum.complete_below))
-        rows.append((float(t), tr, err))
-    return rows
 
 
 def leading_heat_exponent(
@@ -346,31 +352,6 @@ def theta(
     return pref * (partial + tail_val), pref * 0.25 * abs(tail_val)
 
 
-def exponent_lattice(q: Sequence[Fraction], n: int,
-                     beta_max: float = 4.0) -> Tuple[float, ...]:
-    """Candidate heat-trace exponents up to beta_max, deduplicated and sorted.
-
-    The union of two families.  The plain lattice {m + alpha min(q) - 2|q| - n}
-    has leading entry -(n + 2|q|).  The homogeneity scaling z_i -> t^{dM q_i} z_i
-    with dM = 1/(2(1 - q_M)) makes the Gaussian-weighted monomial integrals
-    scale as t^{-2 dM (alpha . q + |q|)}, so the trace exponents also live on
-    {m + 2 dM alpha min(q) - 2 dM |q| - n}.  For q_M = 1/2 the second family
-    lies inside the first; for smaller weights its leading entries differ and
-    it carries the actual expansion.
-    """
-    qsum = sum(q, Fraction(0))
-    dM = Fraction(1, 2) / (1 - max(q))
-    vals = set()
-    for weight, step in ((2 * qsum, min(q)), (2 * dM * qsum, 2 * dM * min(q))):
-        base = -(n + weight)
-        for m in range(0, int(beta_max - float(base)) + 2):
-            for alpha in range(0, 4 * (n + 1)):
-                v = float(base + m + alpha * step)
-                if v <= beta_max + 1e-9:
-                    vals.add(round(v, 12))
-    return tuple(sorted(vals))
-
-
 @dataclass
 class MellinResult:
     value_at_0: float
@@ -382,8 +363,9 @@ class MellinResult:
     split: float
 
 
-def _weighted_lstsq(ts: np.ndarray, vals: np.ndarray, exps: np.ndarray):
-    """Relative-weighted least squares on the columns t^beta.
+def _weighted_lstsq(ts: np.ndarray, vals: np.ndarray, exps: np.ndarray,
+                    known: np.ndarray):
+    """Relative-weighted least squares of vals - known on the columns t^beta.
 
     Returns (coefficients, max relative residual, condition number).
     """
@@ -391,14 +373,35 @@ def _weighted_lstsq(ts: np.ndarray, vals: np.ndarray, exps: np.ndarray):
     weights = 1.0 / np.maximum(np.abs(vals), 1e-12)
     dw = design * weights[:, None]
     scale = np.linalg.norm(dw, axis=0)
-    dw = dw / scale[None, :]
-    sv = np.linalg.svd(dw, compute_uv=False)
+    coef, _, _, sv = np.linalg.lstsq(dw / scale[None, :], (vals - known) * weights,
+                                     rcond=None)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    coef, *_ = np.linalg.lstsq(dw, vals * weights, rcond=None)
     coef = coef / scale
-    fitted = design @ coef
-    resid = float(np.max(np.abs(vals - fitted) / np.maximum(np.abs(vals), 1e-12)))
+    resid = float(np.max(np.abs(vals - known - design @ coef) * weights))
     return coef, resid, cond
+
+
+# points of the geometric grid the expansion is fitted on
+_FIT_POINTS = 60
+
+
+@functools.lru_cache(maxsize=1)
+def _gauss_legendre() -> Tuple[np.ndarray, np.ndarray]:
+    # built on first use: importing numpy.polynomial costs every command
+    # about 1 MB of resident memory
+    return np.polynomial.legendre.leggauss(32)
+
+
+def _log_integral(g: Callable[[float], float], lo: float, hi: float) -> float:
+    """int_lo^hi g(t) dt/t by 32-node Gauss-Legendre in u = log t.
+
+    The integrands here are smooth in u; on the torsion sum rule's
+    [A, 60 A] the rule agrees with an adaptive one to 1e-13.
+    """
+    nodes, weights = _gauss_legendre()
+    half = math.log(hi / lo) / 2
+    ts = lo * np.exp(half * (nodes + 1))
+    return half * float(sum(w * g(t) for t, w in zip(ts, weights)))
 
 
 def mellin_derivative_at_zero(
@@ -407,9 +410,7 @@ def mellin_derivative_at_zero(
     upper_integral: float,
     split: float = 1.0,
     fit_window: Tuple[float, float] = (0.25, 1.0),
-    fit_points: int = 60,
-    condition_limit: float = 1e9,
-    max_terms: int = 8,
+    pinned: Sequence[Tuple[float, float]] = (),
 ) -> MellinResult:
     """Renormalized value and derivative at s = 0 of (1/2Gamma(s)) Mellin[F].
 
@@ -427,64 +428,33 @@ def mellin_derivative_at_zero(
     The caller supplies `upper_integral` = int_A^inf F dt/t, which it can
     evaluate from its own representation of F.
 
-    The expansion exponents are chosen from the candidate lattice by greedy
-    forward selection: the leading exponent and 0 are mandatory, further
-    exponents enter only while they reduce the fit residual substantially.
-    The full lattice is far too collinear on any usable window for a joint
-    least-squares solve, and coefficient cross-talk there would corrupt the
-    continuation, so model selection is part of the contract here.
-
-    The fit window may extend above the split point (the expansion is a
-    small-t model, but extra data only sharpens the coefficients); its low
-    edge must sit below the split.
+    The `pinned` (beta, b) terms are known; the coefficients of `exponents`
+    are fitted to the rest of F by one least-squares solve on `fit_window`.
+    The window may extend above the split point (the expansion is a small-t
+    model, but extra data only sharpens the coefficients); its low edge must
+    sit below the split.
     """
     lo, hi = fit_window
     if not (0 < lo < hi) or lo >= split:
         raise ValueError("fit window needs 0 < lo < hi with lo below the split")
-    ts = np.geomspace(lo, hi, fit_points)
+    if not exponents:
+        raise ValueError("need exponents to fit")
+    ts = np.geomspace(lo, hi, _FIT_POINTS)
     vals = np.array([F(t) for t in ts])
-    lattice = sorted(set(float(b) for b in exponents))
-    if not lattice:
-        raise ValueError("need a candidate exponent lattice")
+    exps = np.array([b for b, _ in pinned] + list(exponents), dtype=float)
+    coef = np.array([c for _, c in pinned], dtype=float)
+    known = (ts[:, None] ** exps[None, :coef.size]) @ coef
+    fitted, resid, cond = _weighted_lstsq(ts, vals, exps[coef.size:], known)
+    coef = np.concatenate([coef, fitted])
+    order = np.argsort(exps)
+    exps, coef = exps[order], coef[order]
 
-    # the constant column is mandatory (it carries Theta(0) and the
-    # derivative); the divergent exponents are picked by the data
-    selected = [0.0]
-    coef, resid, cond = _weighted_lstsq(ts, vals, np.asarray(selected))
-    while len(selected) < max_terms and resid > 1e-12:
-        best = None
-        for cand in lattice:
-            if any(abs(cand - b) < 1e-12 for b in selected):
-                continue
-            trial = np.asarray(sorted(selected + [cand]))
-            c_t, r_t, k_t = _weighted_lstsq(ts, vals, trial)
-            if k_t > condition_limit:
-                continue
-            if best is None or r_t < best[1]:
-                best = (cand, r_t, c_t, k_t)
-        if best is None or best[1] > resid / 5:
-            break
-        selected = sorted(selected + [best[0]])
-        coef, resid, cond = best[2], best[1], best[3]
-    if cond > condition_limit:
-        raise ExponentFitUnstable(f"design condition number {cond:.2e}")
-    exps = np.asarray(selected)
-
-    def fit(t):
-        return (coef * t ** exps).sum()
-
-    idx0 = np.where(np.abs(exps) < 1e-12)[0]
-    b0 = float(coef[idx0[0]]) if idx0.size else 0.0
-
-    h0 = 0.0
-    for b, c in zip(exps, coef):
-        if abs(b) > 1e-12:
-            h0 += c * split ** b / b
-    # residual integral int_0^A (F - fit) dt / t, numerically over [lo, A];
-    # the fit is trusted below lo where the data cannot reach
-    tg = np.geomspace(lo, split, 400)
-    rg = np.array([(F(t) - fit(t)) / t for t in tg])
-    h0 += float(np.trapezoid(rg, tg))
+    zero = np.abs(exps) < 1e-12
+    b0 = float(coef[zero].sum())
+    h0 = float((coef[~zero] * split ** exps[~zero] / exps[~zero]).sum())
+    # int_0^A (F - fit) dt/t, numerically over [lo, A]; the fit is trusted
+    # below lo where the data cannot reach
+    h0 += _log_integral(lambda t: F(t) - float(coef @ t ** exps), lo, split)
     h0 += upper_integral
 
     return MellinResult(
@@ -537,53 +507,62 @@ def torsion_exact_a1(tau: float, i: int = 2) -> ZetaResult:
     )
 
 
+# the Wigner-Kirkwood powers (k-1) p are fitted up to this one; raising it to 8
+# moves log T by less than the split spread for r = 1..4
+_MAX_EXPONENT = 4.0
+
+
 def renormalize_and_torsion(
     spectrum: Spectrum,
-    q: Sequence[Fraction],
+    data: ArData,
     i: int = 2,
     split: float = 1.0,
-    fit_window: Optional[Tuple[float, float]] = None,
-    tail: Optional[WeylTail] = None,
 ) -> ZetaResult:
     """Numeric-path torsion from a computed 0-form spectrum (n = 1).
 
     The supertraced heat trace with number-operator weight i reduces to
     (2^i - 2) Tr^0(t) for one variable, so the Mellin engine runs on that
-    scalar multiple of the 0-form trace.
+    scalar multiple of the 0-form trace.  Its t^{-p} and t^0 coefficients
+    are pinned to a_0 and a_1, and only the powers (k-1) p with k >= 2 are
+    fitted.  `split` and the fit window are in units of 1/E, which makes the
+    result covariant under rescaling f.  The value reported is the one at
+    `split`; the error bar is the spread over split/2, split and 2 split.
     """
     if i < 2:
         raise ValueError("numeric path needs i >= 2 (Theta^1 vanishes identically)")
-    if fit_window is None:
-        # keep the window's low edge where spectrum truncation is negligible
-        lo = max(split / 4, min(12.0 / spectrum.complete_below, split * 0.6))
-        fit_window = (lo, max(split, 1.0))
-    if tail is None:
-        tail = fit_weyl_tail(spectrum)
+    p, a0, a1, energy = data.heat_expansion()
+    tail = fit_weyl_tail(spectrum, data)
     pref = 2 ** i - 2
 
     def F(t: float) -> float:
         return pref * heat_trace(spectrum, tail, t)
 
-    upper = pref * (float(exp1(spectrum.eigenvalues * split).sum())
-                    + tail.mellin_upper(split))
-    res = mellin_derivative_at_zero(
-        F, exponent_lattice(q, n=1), split=split, fit_window=fit_window,
-        upper_integral=upper,
-    )
-    log_t = -res.derivative_at_0
-    # fit residual plus a floor for the tail-model and quadrature systematics
-    err = abs(res.fit_residual) + 2e-5
+    exponents = [k * p for k in range(1, int(_MAX_EXPONENT / p + 1e-9) + 1)]
+    pinned = ((-p, pref * a0), (0.0, pref * a1))
+    # keep the window's low edge where spectrum truncation is negligible
+    edge = 12.0 * energy / spectrum.complete_below
+    fits = []
+    for s in (split, split / 2, 2 * split):
+        lo = max(s / 4, min(edge, 0.6 * s))
+        A = s / energy
+        upper = pref * (float(exp1(spectrum.eigenvalues * A).sum()) + tail.mellin_upper(A))
+        fits.append(mellin_derivative_at_zero(
+            F, exponents, upper, split=A,
+            fit_window=(lo / energy, max(s, 1.0) / energy), pinned=pinned,
+        ))
+    logs = [-r.derivative_at_0 for r in fits]
+    res = fits[0]
     return ZetaResult(
         i=i, path="numeric",
         theta_at_0=res.value_at_0,
         derivative_at_0=res.derivative_at_0,
-        log_torsion=log_t,
-        torsion=math.exp(log_t),
+        log_torsion=logs[0],
+        torsion=math.exp(logs[0]),
         exponents=res.exponents,
         coefficients=res.coefficients,
         fit_condition=res.fit_condition,
         fit_unstable=res.fit_condition > 1e10 or res.fit_residual > 1e-3,
-        error_bar=err,
+        error_bar=max(logs) - min(logs),
     )
 
 
@@ -642,14 +621,14 @@ def torsion_sum_check(
                 total += (-1) ** p * p * p * tr1[p1] * tr2[p2]
         return total - 4.0  # degree-2 harmonic projector, p^2 = 4, rank 1
 
-    # int_1^60 F(t) dt/t = int_0^{log 60} F(e^u) du, smooth enough in u that 32
-    # Gauss-Legendre nodes agree with an adaptive rule to 1e-13 for tau >= 0.1
-    u, w = np.polynomial.legendre.leggauss(32)
-    half = math.log(60.0) / 2
-    upper = half * sum(wi * F(math.exp(half * (ui + 1))) for ui, wi in zip(u, w))
-    lattice = tuple(float(b) for b in range(-4, 3))
-    res = mellin_derivative_at_zero(F, lattice, split=1.0,
-                                    fit_window=(0.1, 1.0), upper_integral=upper)
+    # the factor traces are functions of 2 tau t, so split and window scale
+    # with the larger energy unit E; F decays like e^{-2 min(tau) t}, so the
+    # part above 60 split is of order e^{-60 min(tau) / max(tau)}
+    energy = 2 * max(tau1, tau2)
+    split = 1.0 / energy
+    upper = _log_integral(F, split, 60 * split)
+    res = mellin_derivative_at_zero(F, (-4.0, -2.0, 0.0, 2.0, 4.0), upper, split=split,
+                                    fit_window=(0.25 * split, split))
     log_lhs = -res.derivative_at_0
     log_rhs = torsion_sum_rhs(1, 1, log_t1, 1, 1, log_t2)
     diff = abs(log_lhs - log_rhs)
@@ -658,7 +637,3 @@ def torsion_sum_check(
         tolerance=tolerance, passed=diff <= tolerance,
     )
 
-
-def riemann_zeta_and_derivative(s: float) -> Tuple[float, float]:
-    """Euler-Maclaurin zeta oracle re-exported for the torsion formulas."""
-    return zeta_and_derivative(s)

@@ -34,6 +34,7 @@ from singspect.poly import (
 )
 from singspect.spectral import (
     GalerkinConfig,
+    ar_data,
     eigensolve,
     eigensolve_refined,
     fit_weyl_tail,
@@ -207,14 +208,16 @@ def test_criterion_07_galerkin_a1():
     _report(7, ok, f"A_1 eigenvalue error {err:.1e}, monotone refinement, {elapsed:.1f}s")
 
 
+A1_HALF = parse("(1/2)*z1^2", 1)
+
+
 @pytest.fixture(scope="module")
 def a1_big_spectrum():
-    return eigensolve(GalerkinConfig(parse("(1/2)*z1^2", 1),
-                                     basis_size=60, sector_cutoff=70))
+    return eigensolve(GalerkinConfig(A1_HALF, basis_size=60, sector_cutoff=70))
 
 
 def test_criterion_08_heat_trace_exponent(a1_big_spectrum):
-    tail = fit_weyl_tail(a1_big_spectrum)
+    tail = fit_weyl_tail(a1_big_spectrum, ar_data(A1_HALF))
     slope = leading_heat_exponent(a1_big_spectrum, tail)
     ok = abs(slope - (-2.0)) <= 0.04
     _report(8, ok, f"fitted small-t exponent {slope:.4f} vs -2")
@@ -228,7 +231,7 @@ def test_criterion_09_torsion_a1(a1_big_spectrum):
     ok &= abs(exact_half.torsion - math.exp(-zp)) < 1e-13
     exact_tau = torsion_exact_a1(1.7)
     ok &= abs(exact_tau.torsion - (2 * 1.7) ** (-1 / 12) * math.exp(-zp)) < 1e-13
-    numeric = renormalize_and_torsion(a1_big_spectrum, [Fraction(1, 2)])
+    numeric = renormalize_and_torsion(a1_big_spectrum, ar_data(A1_HALF))
     diff = abs(numeric.log_torsion - exact_half.log_torsion)
     ok &= diff <= 1e-3
     _report(9, ok, f"T2 = e^(-zeta'(-1)) = {exact_half.torsion:.6f}; "
@@ -236,7 +239,7 @@ def test_criterion_09_torsion_a1(a1_big_spectrum):
 
 
 def test_criterion_10_vanishing_and_sum(a1_big_spectrum):
-    tail = fit_weyl_tail(a1_big_spectrum)
+    tail = fit_weyl_tail(a1_big_spectrum, ar_data(A1_HALF))
     ok = theta(a1_big_spectrum, 1, 3.0, tail) == (0.0, 0.0)
     a2 = eigensolve(GalerkinConfig(parse("z1^3", 1), basis_size=40))
     ok &= theta(a2, 1, 3.0, None) == (0.0, 0.0)

@@ -1,8 +1,8 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from singspect.oscillator import OscillatorSpec, heat_trace_0forms
 from singspect.poly import parse
@@ -15,18 +15,17 @@ from singspect.spectral import (
     choose_oscillator_scale,
     eigensolve,
     eigensolve_refined,
-    exponent_lattice,
     fit_weyl_tail,
     heat_trace,
-    heat_trace_samples,
     leading_heat_exponent,
+    mellin_derivative_at_zero,
     renormalize_and_torsion,
-    riemann_zeta_and_derivative,
     theta,
     torsion_exact_a1,
     torsion_sum_check,
     torsion_sum_rhs,
 )
+from singspect.zeta import zeta_and_derivative
 
 A1 = parse("(1/2)*z1^2", 1)
 A2 = parse("z1^3", 1)
@@ -37,16 +36,25 @@ def a1_spectrum():
     return eigensolve(GalerkinConfig(A1, basis_size=40))
 
 
+@functools.lru_cache(maxsize=None)
+def spectrum_and_data(poly):
+    """The CLI's default numeric torsion setting: basis 60, sectors 70."""
+    f = parse(poly, 1)
+    return eigensolve(GalerkinConfig(f, basis_size=60, sector_cutoff=70)), ar_data(f)
+
+
 @pytest.fixture(scope="module")
 def a1_big():
-    return eigensolve(GalerkinConfig(A1, basis_size=60, sector_cutoff=70))
+    return spectrum_and_data("(1/2)*z1^2")[0]
 
 
 def test_ar_extraction():
     d = ar_data(A1)
     assert d.r == 1 and abs(d.tau_effective - 0.5) < 1e-15
     assert ar_data(A2).r == 2
-    assert ar_data(A2).weight == Fraction(1, 3)
+    expansion = ar_data(A2).heat_expansion()
+    assert expansion.p == 1.5 and expansion.a1 == -1 / 6
+    assert ar_data(A1).heat_expansion() == (2.0, 1.0, -1 / 12, 1.0)
     with pytest.raises(UnsupportedSingularity):
         ar_data(parse("z1^3 + z2^3", 2))
     with pytest.raises(UnsupportedSingularity):
@@ -109,7 +117,7 @@ def test_a2_spectrum_positive_and_stable():
 
 
 def test_heat_trace_matches_oscillator(a1_big):
-    tail = fit_weyl_tail(a1_big)
+    tail = fit_weyl_tail(a1_big, ar_data(A1))
     for t in (0.5, 1.0, 2.0):
         exact = heat_trace_0forms(OscillatorSpec(0.5, t))
         trunc_bound = a1_big.complete_below * math.exp(-t * a1_big.complete_below) * 10
@@ -121,27 +129,22 @@ def test_weyl_tail_upper_mellin_closed_form():
     from scipy import integrate
 
     for f in (A1, A2):
-        tail = fit_weyl_tail(eigensolve(GalerkinConfig(f, basis_size=8, sector_cutoff=8)))
+        tail = fit_weyl_tail(eigensolve(GalerkinConfig(f, basis_size=8, sector_cutoff=8)),
+                             ar_data(f))
         for split in (0.25, 0.5, 1.0):
             ref, _ = integrate.quad(lambda t: tail.heat_tail(t) / t, split, split + 60.0,
                                     epsrel=1e-12, epsabs=0.0, limit=200)
             assert abs(tail.mellin_upper(split) - ref) <= 1e-12 * ref
 
 
-def test_heat_trace_samples_csv_columns(a1_big):
-    rows = heat_trace_samples(a1_big, fit_weyl_tail(a1_big), (0.5, 1.0))
-    assert len(rows) == 2 and len(rows[0]) == 3
-    assert rows[0][1] > rows[1][1] > 0
-
-
 def test_leading_heat_exponent(a1_big):
-    tail = fit_weyl_tail(a1_big)
+    tail = fit_weyl_tail(a1_big, ar_data(A1))
     slope = leading_heat_exponent(a1_big, tail)
     assert abs(slope - (-2.0)) < 0.04  # -(n + 2|q|) = -2 within 2%
 
 
 def test_theta_values(a1_big):
-    tail = fit_weyl_tail(a1_big)
+    tail = fit_weyl_tail(a1_big, ar_data(A1))
     # Theta^1 vanishes identically via the (2^{i-1} - 1) prefactor
     assert theta(a1_big, 1, 2.5, tail) == (0.0, 0.0)
     v, err = theta(a1_big, 2, 3.0, tail)
@@ -151,17 +154,15 @@ def test_theta_values(a1_big):
 
 
 def test_exponent_lattice():
-    lat = exponent_lattice([Fraction(1, 2)], n=1)
-    assert lat[0] == -2.0
-    assert 0.0 in lat and -1.5 in lat
-    # q = 1/3: the plain family leads with -(1 + 2/3), the scaled one with -3/2
-    lat3 = exponent_lattice([Fraction(1, 3)], n=1)
-    assert lat3[0] == round(-5 / 3, 12) and -1.5 in lat3
+    # the Wigner-Kirkwood powers (k - 1)(1 + 1/r) up to 4, nothing else
+    for poly, lattice in (("(1/2)*z1^2", [-2, 0, 2, 4]), ("z1^3", [-1.5, 0, 1.5, 3])):
+        res = renormalize_and_torsion(*spectrum_and_data(poly))
+        assert list(res.exponents) == lattice
 
 
 def test_torsion_exact_values():
     res = torsion_exact_a1(0.5)
-    _, zp = riemann_zeta_and_derivative(-1.0)
+    _, zp = zeta_and_derivative(-1.0)
     assert abs(res.torsion - math.exp(-zp)) < 1e-12
     assert abs(res.log_torsion + zp) < 1e-13
     # tau = 1: the (2 tau)^{-1/12} factor
@@ -171,7 +172,7 @@ def test_torsion_exact_values():
 
 def test_numeric_torsion_matches_exact(a1_big):
     exact = torsion_exact_a1(0.5)
-    numeric = renormalize_and_torsion(a1_big, [Fraction(1, 2)])
+    numeric = renormalize_and_torsion(a1_big, ar_data(A1))
     assert abs(numeric.log_torsion - exact.log_torsion) <= 1e-3
     assert abs(numeric.theta_at_0 - (-1.0 / 12)) < 1e-3
     assert not numeric.fit_unstable
@@ -181,7 +182,7 @@ def test_numeric_torsion_matches_exact(a1_big):
 def test_split_point_invariance(a1_big):
     exact = torsion_exact_a1(0.5).log_torsion
     vals = [
-        renormalize_and_torsion(a1_big, [Fraction(1, 2)], split=s).log_torsion
+        renormalize_and_torsion(a1_big, ar_data(A1), split=s).log_torsion
         for s in (0.5, 1.0, 2.0)
     ]
     for v in vals:
@@ -189,11 +190,52 @@ def test_split_point_invariance(a1_big):
     assert max(vals) - min(vals) < 1e-3
 
 
+@pytest.mark.parametrize("c", ["(1/4)", "(1/2)", "1", "(3/2)", "2", "100"])
+def test_numeric_torsion_error_bar_covers_exact(c):
+    # f = c z^2 has tau = c; the split spread must cover the true error
+    spectrum, data = spectrum_and_data(f"{c}*z1^2")
+    numeric = renormalize_and_torsion(spectrum, data)
+    err = abs(numeric.log_torsion - torsion_exact_a1(data.tau_effective).log_torsion)
+    assert err <= 3 * numeric.error_bar
+    assert err <= 1e-4
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_numeric_torsion_scale_covariance(r):
+    # f -> 3 f multiplies every eigenvalue by 9^{1/(r+1)}, which shifts
+    # log T^2 by that log times Theta(0) = -r/12
+    one = renormalize_and_torsion(*spectrum_and_data(f"z1^{r + 1}"))
+    three = renormalize_and_torsion(*spectrum_and_data(f"3*z1^{r + 1}"))
+    shift = math.log(9) / (r + 1) * (-r / 12)
+    assert abs(three.log_torsion - one.log_torsion - shift) <= min(one.error_bar,
+                                                                   three.error_bar)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_free_constant_term_recovers_a1(r):
+    # the torsion path pins Theta(0) = a_1 = -r/12; fitting the t^0 term with
+    # only a_0 pinned measures it from the spectrum instead
+    spectrum, data = spectrum_and_data(f"z1^{r + 1}")
+    p, a0, _, energy = data.heat_expansion()
+    tail = fit_weyl_tail(spectrum, data)
+    res = mellin_derivative_at_zero(
+        lambda t: 2 * heat_trace(spectrum, tail, t),
+        [k * p for k in range(int(4 / p + 1e-9) + 1)], 0.0, split=1 / energy,
+        fit_window=(0.25 / energy, 1 / energy), pinned=[(-p, 2 * a0)],
+    )
+    assert abs(res.value_at_0 + r / 12) <= 0.01 * r / 12
+
+
 def test_torsion_sum_check():
     rep = torsion_sum_check(0.5, 0.5)
     assert rep.passed
     logT = torsion_exact_a1(0.5).log_torsion
     assert abs(rep.log_rhs - (-2 * logT)) < 1e-14
+
+
+@pytest.mark.parametrize("tau1,tau2", [(0.5, 1.0), (1.0, 2.0), (2.0, 3.0), (0.25, 0.5)])
+def test_torsion_sum_check_across_tau(tau1, tau2):
+    assert torsion_sum_check(tau1, tau2).passed
 
 
 def test_torsion_sum_scale_covariance():
@@ -213,8 +255,3 @@ def test_torsion_sum_rhs_mu_zero_sanity():
     # setting mu2 = 0 removes the f1 torsion contribution (linear-in-mu form)
     assert torsion_sum_rhs(3, 1, 0.7, 0, 2, 123.0) == (-1) * 3 * 123.0
     assert torsion_sum_rhs(0, 1, 0.7, 5, 2, 123.0) == 5 * 0.7
-
-
-def test_zeta_oracle_reexport():
-    v, d = riemann_zeta_and_derivative(2.0)
-    assert abs(v - math.pi ** 2 / 6) < 1e-12
