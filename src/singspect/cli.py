@@ -6,12 +6,17 @@ Every report is a single JSON object on stdout with the shape
 
 where the manifest captures command, polynomial, seed and budgets; identical
 manifests produce byte-identical reports apart from the separate timing
-field.  Errors render as structured JSON on stderr.  Exit codes: 0 success,
-1 parse error (of the polynomial or of a `--t` value), 2 degenerate input,
-3 McKean-Singer constancy violated, 4 unsupported request (a t that is not
+field.  `main` is the one driver: it parses the polynomial, times the
+command, writes the report, and turns an exception into a structured JSON
+error on stderr with the exit code of the first matching row of
+`_EXIT_CODES`: 1 parse error (of the polynomial, or a `--t` value that is
+not a number; both carry an offset), 2 degenerate input, 3 McKean-Singer
+constancy violated, 4 any other rejected input (a polynomial outside the
+weight system, such as one with a conjugate variable, a t that is not
 positive and finite, `index` or `weights` `--samples` below 1, a rejected
 quadrature node count, or a `--basis` or `--sectors` the Galerkin solver
-rejects), 5 a `verify` check failed (the report is still written to stdout).
+rejects).  0 is success, and 5 a failed `verify` check (the report is
+still written to stdout).
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import math
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
 
 from . import __version__
 from .index_integral import ConstancyViolated, mckean_singer_check
@@ -36,6 +40,7 @@ from .spectral import (
     torsion_exact_a1,
 )
 from .weights import (
+    WITNESS_SAMPLES,
     BilinearMonomialPresent,
     GradientVanishesAwayFromOrigin,
     NonIntegerMilnor,
@@ -57,13 +62,18 @@ EXIT_CONSTANCY = 3
 EXIT_UNSUPPORTED = 4
 EXIT_VERIFY = 5
 
-_DEGENERACY_ERRORS = (
-    NotQuasiHomogeneous,
-    WeightsNotUnique,
-    WeightOutOfRange,
-    BilinearMonomialPresent,
-    GradientVanishesAwayFromOrigin,
-    NonIntegerMilnor,
+# the first row whose class the exception is an instance of picks the exit code;
+# ParseError and the degeneracy errors are ValueErrors, so the order matters
+_EXIT_CODES = (
+    (ParseError, EXIT_PARSE),
+    (NotQuasiHomogeneous, EXIT_DEGENERATE),
+    (WeightsNotUnique, EXIT_DEGENERATE),
+    (WeightOutOfRange, EXIT_DEGENERATE),
+    (BilinearMonomialPresent, EXIT_DEGENERATE),
+    (GradientVanishesAwayFromOrigin, EXIT_DEGENERATE),
+    (NonIntegerMilnor, EXIT_DEGENERATE),
+    (ConstancyViolated, EXIT_CONSTANCY),
+    (ValueError, EXIT_UNSUPPORTED),
 )
 
 
@@ -87,89 +97,55 @@ def _emit_error(exc: Exception, code: int) -> int:
     return code
 
 
-def _manifest(command: str, text: str, n: int, seed: int, budgets: dict) -> dict:
-    return {
-        "command": command,
-        "polynomial": text,
-        "n": n,
-        "seed": seed,
-        "budgets": budgets,
-        "version": __version__,
-    }
+def _t_grid(text: str) -> list:
+    grid, offset = [], 0
+    for item in text.split(","):
+        try:
+            grid.append(float(item))
+        except ValueError:
+            raise ParseError(f"--t value {item!r} is not a number", offset) from None
+        offset += len(item) + 1
+    return grid
 
 
-def _parse_poly(text: str, n: Optional[int]) -> MixedPolynomial:
-    if n is None:
-        n = infer_variable_count(text)
-    return parse(text, n)
+def _weight_system(f: MixedPolynomial, seed: int, samples: int = WITNESS_SAMPLES):
+    """Weights, witness report and Milnor number: the front end of `weights` and `index`.
+
+    The bilinear check runs before `solve_weights`, so a z_i*z_j term is
+    reported as such rather than as a rank-deficient weight system.
+    """
+    if has_bilinear_monomial(f):
+        raise BilinearMonomialPresent("f contains a z_i*z_j monomial with i != j")
+    wv = solve_weights(f)
+    nd = nondegeneracy_check(f, wv, samples=samples, seed=seed)
+    return wv, nd, milnor_oracle(wv)
 
 
-# -- commands -------------------------------------------------------------------
+# -- commands: each returns (budgets, result) or raises -------------------------
 
 
-def cmd_weights(args) -> int:
-    try:
-        f = _parse_poly(args.polynomial, args.n)
-    except ParseError as exc:
-        return _emit_error(exc, EXIT_PARSE)
+def cmd_weights(args, f: MixedPolynomial):
     if args.samples < 1:
-        return _emit_error(ValueError(f"--samples must be at least 1, not {args.samples}"),
-                           EXIT_UNSUPPORTED)
-    started = time.perf_counter()
-    try:
-        if has_bilinear_monomial(f):
-            raise BilinearMonomialPresent("f contains a z_i*z_j monomial with i != j")
-        wv = solve_weights(f)
-        nd = nondegeneracy_check(f, wv, samples_per_radius=args.samples // 3 + 1,
-                                 seed=args.seed)
-        report = tameness_report(wv, nd)
-        mu = milnor_oracle(wv)
-    except _DEGENERACY_ERRORS as exc:
-        return _emit_error(exc, EXIT_DEGENERATE)
+        raise ValueError(f"--samples must be at least 1, not {args.samples}")
+    wv, nd, mu = _weight_system(f, args.seed, args.samples)
     result = {
         "q": [str(qi) for qi in wv.q],
         "d": wv.d,
         "k": list(wv.k),
         "mu": _exact(mu),
     }
-    result.update(report.to_json_dict())
+    result.update(tameness_report(wv, nd).to_json_dict())
     if f.n <= 2 and f.total_degree() <= 6:
         result["mu_brute_force"] = _exact(milnor_brute_force(f, wv))
-    _emit({
-        "schema": "1",
-        "manifest": _manifest("weights", args.polynomial, f.n, args.seed,
-                              {"witness_samples": nd.samples}),
-        "result": result,
-        "timing": {"wall_clock_s": time.perf_counter() - started},
-    })
-    return EXIT_OK
+    return {"witness_samples": nd.samples}, result
 
 
-def cmd_index(args) -> int:
-    try:
-        f = _parse_poly(args.polynomial, args.n)
-    except ParseError as exc:
-        return _emit_error(exc, EXIT_PARSE)
-    started = time.perf_counter()
-    try:
-        t_grid = [float(x) for x in args.t.split(",")]
-    except ValueError as exc:
-        return _emit_error(exc, EXIT_PARSE)
-    try:
-        wv = solve_weights(f)
-        nd = nondegeneracy_check(f, wv, seed=args.seed)
-        mu_oracle = milnor_oracle(wv)
-    except _DEGENERACY_ERRORS as exc:
-        return _emit_error(exc, EXIT_DEGENERATE)
+def cmd_index(args, f: MixedPolynomial):
+    t_grid = _t_grid(args.t)
+    _, nd, mu_oracle = _weight_system(f, args.seed)
     budget = args.samples if args.method == "mc" else args.nodes
-    try:
-        res = mckean_singer_check(f, t_grid, budget=budget, seed=args.seed,
-                                  method=args.method, report=nd)
-    except ConstancyViolated as exc:
-        return _emit_error(exc, EXIT_CONSTANCY)
-    except ValueError as exc:  # a t, sample budget or node count the integral rejects
-        return _emit_error(exc, EXIT_UNSUPPORTED)
-    passed = res.mu_rounded == mu_oracle
+    res = mckean_singer_check(f, t_grid, budget=budget, seed=args.seed,
+                              method=args.method, report=nd)
     result = {
         "estimates": [
             {"t": e.t, "estimate": _with_err(e.estimate, e.std_error)}
@@ -179,35 +155,18 @@ def cmd_index(args) -> int:
                                max(e.std_error for e in res.estimates)),
         "mu_rounded": _exact(res.mu_rounded),
         "mu_oracle": _exact(mu_oracle),
-        "pass": bool(passed),
+        "pass": bool(res.mu_rounded == mu_oracle),
         "method": res.method,
     }
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(res.to_csv())
         result["csv"] = args.csv
-    _emit({
-        "schema": "1",
-        "manifest": _manifest("index", args.polynomial, f.n, args.seed,
-                              {"budget": budget, "t_grid": t_grid,
-                               "method": args.method}),
-        "result": result,
-        "timing": {"wall_clock_s": time.perf_counter() - started},
-    })
-    return EXIT_OK
+    return {"budget": budget, "t_grid": t_grid, "method": args.method}, result
 
 
-def cmd_torsion(args) -> int:
-    try:
-        f = _parse_poly(args.polynomial, args.n)
-    except ParseError as exc:
-        return _emit_error(exc, EXIT_PARSE)
-    started = time.perf_counter()
-    try:
-        data = ar_data(f)
-    except UnsupportedSingularity as exc:
-        return _emit_error(exc, EXIT_UNSUPPORTED)
-
+def cmd_torsion(args, f: MixedPolynomial):
+    data = ar_data(f)
     result: dict = {"r": data.r}
     exact_res = None
     if data.r == 1:
@@ -215,19 +174,12 @@ def cmd_torsion(args) -> int:
         result["tau"] = data.tau_effective
     if args.exact:
         if exact_res is None:
-            return _emit_error(
-                UnsupportedSingularity("closed form exists for A_1 only"),
-                EXIT_UNSUPPORTED,
-            )
+            raise UnsupportedSingularity("closed form exists for A_1 only")
         result["path"] = "exact"
         result["T2"] = _exact(exact_res.torsion)
         result["log_T2"] = _exact(exact_res.log_torsion)
     else:
-        try:
-            cfg = GalerkinConfig(f, basis_size=args.basis, sector_cutoff=args.sectors)
-        except ValueError as exc:
-            return _emit_error(exc, EXIT_UNSUPPORTED)
-        spec = eigensolve(cfg)
+        spec = eigensolve(GalerkinConfig(f, basis_size=args.basis, sector_cutoff=args.sectors))
         numeric = renormalize_and_torsion(spec, data)
         result["path"] = "numeric" if exact_res is None else "both"
         result["T2"] = _with_err(numeric.torsion, numeric.error_bar * numeric.torsion)
@@ -240,15 +192,7 @@ def cmd_torsion(args) -> int:
             result["T2_exact"] = _exact(exact_res.torsion)
             result["log_T2_exact"] = _exact(exact_res.log_torsion)
             result["log_difference"] = abs(numeric.log_torsion - exact_res.log_torsion)
-    _emit({
-        "schema": "1",
-        "manifest": _manifest("torsion", args.polynomial, f.n, args.seed,
-                              {"basis": args.basis, "sectors": args.sectors,
-                               "exact": bool(args.exact)}),
-        "result": result,
-        "timing": {"wall_clock_s": time.perf_counter() - started},
-    })
-    return EXIT_OK
+    return {"basis": args.basis, "sectors": args.sectors, "exact": bool(args.exact)}, result
 
 
 # -- verify suites ----------------------------------------------------------------
@@ -333,11 +277,10 @@ def _suite_oscillator(seed: int) -> list:
 def _suite_index(seed: int) -> list:
     checks = []
     f = parse("z1^3", 1)
-    wv = solve_weights(f)
-    nd = nondegeneracy_check(f, wv, seed=seed)
+    _, nd, mu = _weight_system(f, seed)
     res = mckean_singer_check(f, (0.5, 1.0, 2.0), budget=200000, seed=seed, report=nd)
     checks.append(("McKean-Singer constancy z1^3", True))
-    checks.append(("index rounds to mu", res.mu_rounded == milnor_oracle(wv)))
+    checks.append(("index rounds to mu", res.mu_rounded == mu))
     return checks
 
 
@@ -369,29 +312,18 @@ _SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
+def cmd_verify(args, _f):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     if any(name not in _SUITES for name in names):
-        return _emit_error(
-            ValueError(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)} or 'all'"),
-            EXIT_UNSUPPORTED,
-        )
+        raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)} or 'all'")
     all_checks = []
     for name in names:
         try:
             for label, ok in _SUITES[name](args.seed):
                 all_checks.append({"suite": name, "check": label, "passed": bool(ok)})
-        except ConstancyViolated as exc:
+        except ConstancyViolated as exc:  # a failed check, not an exit code
             all_checks.append({"suite": name, "check": str(exc), "passed": False})
-    passed = all(c["passed"] for c in all_checks)
-    _emit({
-        "schema": "1",
-        "manifest": _manifest("verify", args.suite, 0, args.seed, {}),
-        "result": {"checks": all_checks, "pass": passed},
-        "timing": {"wall_clock_s": time.perf_counter() - started},
-    })
-    return EXIT_OK if passed else EXIT_VERIFY
+    return {}, {"checks": all_checks, "pass": all(c["passed"] for c in all_checks)}
 
 
 # -- entry point --------------------------------------------------------------------
@@ -408,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("polynomial")
     w.add_argument("--n", type=int, default=None)
     w.add_argument("--seed", type=int, default=0)
-    w.add_argument("--samples", type=int, default=12000)
+    w.add_argument("--samples", type=int, default=WITNESS_SAMPLES)
     w.set_defaults(func=cmd_weights)
 
     ix = sub.add_parser("index", help="Gaussian index integral across a t-grid")
@@ -440,7 +372,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    started = time.perf_counter()
+    f = None
+    try:
+        if args.command != "verify":
+            n = infer_variable_count(args.polynomial) if args.n is None else args.n
+            f = parse(args.polynomial, n)
+        budgets, result = args.func(args, f)
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
+        return _emit_error(exc, next(code for cls, code in _EXIT_CODES if isinstance(exc, cls)))
+    _emit({
+        "schema": "1",
+        "manifest": {
+            "command": args.command,
+            "polynomial": args.suite if f is None else args.polynomial,
+            "n": 0 if f is None else f.n,
+            "seed": args.seed,
+            "budgets": budgets,
+            "version": __version__,
+        },
+        "result": result,
+        "timing": {"wall_clock_s": time.perf_counter() - started},
+    })
+    if args.command == "verify" and not result["pass"]:
+        return EXIT_VERIFY
+    return EXIT_OK
 
 
 if __name__ == "__main__":

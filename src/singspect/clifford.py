@@ -8,9 +8,9 @@ popcount.  Wedging a generator into a mask contributes the sign
 order dz^1 < ... < dz^n < dzbar^1 < ... < dzbar^n, and contraction is the
 (signed) adjoint.
 
-Operators are sparse matrices over this basis, with exact Gaussian-rational
-entries by default (complex entries are also accepted for numeric work).
-The Clifford generators are
+Operators are sparse matrices over this basis with exact Gaussian-rational
+entries; numeric work converts them with `to_numpy`.  The Clifford
+generators are
 
     c_i    = dz^i ^ - contract(d/dz_i)        c_i^2 = -1
     chat_i = dz^i ^ + contract(d/dz_i)        chat_i^2 = +1
@@ -28,6 +28,7 @@ which the test suite enforces rather than trusting any transcription.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -37,13 +38,11 @@ from .gaussian_rational import GaussianRational
 Entry = Tuple[int, int]
 
 
-def _as_entry_value(v):
-    if isinstance(v, (GaussianRational, complex)):
+def _as_entry_value(v) -> GaussianRational:
+    if isinstance(v, GaussianRational):
         return v
-    if isinstance(v, (int,)) or type(v).__name__ == "Fraction":
+    if isinstance(v, (int, Fraction)):
         return GaussianRational(v)
-    if isinstance(v, float):
-        return complex(v)
     raise TypeError(f"unsupported entry type {type(v)}")
 
 
@@ -105,10 +104,6 @@ class ExteriorOperator:
         c = _as_entry_value(c)
         if not c:
             return ExteriorOperator.zero(self.n)
-        if isinstance(c, complex):
-            return ExteriorOperator._raw(
-                self.n, {k: complex(v) * c for k, v in self.entries.items()}
-            )
         return ExteriorOperator._raw(self.n, {k: v * c for k, v in self.entries.items()})
 
     def __mul__(self, other):
@@ -350,11 +345,7 @@ def _validate_symmetric(H: Sequence[Sequence[object]]) -> List[List[object]]:
             raise ValueError("Hessian must be square")
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = rows[i][j], rows[j][i]
-            if isinstance(a, (complex, float)) or isinstance(b, (complex, float)):
-                if abs(complex(a) - complex(b)) > 1e-12 * max(1.0, abs(complex(a))):
-                    raise ValueError("Hessian must be symmetric")
-            elif _as_entry_value(a) != _as_entry_value(b):
+            if _as_entry_value(rows[i][j]) != _as_entry_value(rows[j][i]):
                 raise ValueError("Hessian must be symmetric")
     return rows
 
@@ -376,13 +367,8 @@ def build_Lf(H: Sequence[Sequence[object]], n: int | None = None) -> ExteriorOpe
     out = ExteriorOperator.zero(n)
     for m in range(n):
         for l in range(n):
-            h = rows[m][l]
-            if isinstance(h, (float, complex)):
-                hv: object = complex(h)
-                hc: object = complex(h).conjugate()
-            else:
-                hv = _as_entry_value(h)
-                hc = hv.conjugate()
+            hv = _as_entry_value(rows[m][l])
+            hc = hv.conjugate()
             if hv:
                 out = out + holo[m][l].scale(hv * (-2)) + anti[m][l].scale(hc * (-2))
     return out

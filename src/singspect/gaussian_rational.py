@@ -181,8 +181,3 @@ def _reduced(p: int, q: int, d: int) -> GaussianRational:
     if g != 1:
         p, q, d = p // g, q // g, d // g
     return _make(p, q, d)
-
-
-ONE = GaussianRational(1)
-ZERO = GaussianRational(0)
-I = GaussianRational(0, 1)

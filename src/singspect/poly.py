@@ -101,10 +101,6 @@ class MixedPolynomial:
         a, b = ((0,) * n, tuple(e)) if conjugated else (tuple(e), (0,) * n)
         return cls(n, {(a, b): GaussianRational(1)})
 
-    @classmethod
-    def monomial(cls, n: int, a: Sequence[int], b: Sequence[int], c=1) -> "MixedPolynomial":
-        return cls(n, {(tuple(a), tuple(b)): _as_coeff(c)})
-
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other: "MixedPolynomial") -> "MixedPolynomial":
@@ -230,13 +226,6 @@ class MixedPolynomial:
             elif k in out:
                 del out[k]
         return MixedPolynomial._raw(self.n, out)
-
-    def laplacian(self) -> "MixedPolynomial":
-        """4 sum_i d_i dbar_i (the real 2n-dimensional Laplacian)."""
-        out = MixedPolynomial.zero(self.n)
-        for i in range(1, self.n + 1):
-            out = out + self.wirtinger(i).wirtinger(i, conjugated=True) * 4
-        return out
 
     # -- evaluation ----------------------------------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -195,10 +195,7 @@ def solve_weights(f: MixedPolynomial) -> WeightVector:
     q = [Fraction(0)] * n
     for i, c in enumerate(pivots):
         q[c] = mat[i][-1]
-    for qi in q:
-        if not (0 < qi <= Fraction(1, 2)):
-            raise WeightOutOfRange(f"solved weight {qi} outside (0, 1/2]")
-    return WeightVector(tuple(q))
+    return WeightVector(tuple(q))  # raises WeightOutOfRange outside (0, 1/2]
 
 
 def weight_residuals(f: MixedPolynomial, wv: WeightVector) -> List[Fraction]:
@@ -277,29 +274,36 @@ def _descend_to_critical(grads, z0: np.ndarray, steps: int = 300) -> np.ndarray:
     return z
 
 
+# witness points in total, split as evenly as possible over the sphere radii
+WITNESS_SAMPLES = 12000
+_WITNESS_RADII = (0.1, 1.0, 10.0)
+
+
 def nondegeneracy_check(
     f: MixedPolynomial,
     wv: WeightVector,
-    samples_per_radius: int = 4000,
-    radii: Sequence[float] = (0.1, 1.0, 10.0),
+    samples: int = WITNESS_SAMPLES,
     seed: int = 0,
 ) -> NondegeneracyReport:
     """Check the two non-degeneracy conditions.
 
     Condition (1), no bilinear monomial, is exact.  Condition (2), isolated
     critical point at the origin, is a randomized witness check: sample
-    points on spheres, descend from the worst to hunt for off-origin critical
-    points, and fit the quadratic growth floor |grad f|^2 >= |z|^2 / C - 1.
-    Sound for rejection, heuristic for acceptance.
+    `samples` points in total on three spheres, descend from the worst to
+    hunt for off-origin critical points, and fit the quadratic growth floor
+    |grad f|^2 >= |z|^2 / C - 1.  Sound for rejection, heuristic for
+    acceptance.
     """
     if has_bilinear_monomial(f):
         raise BilinearMonomialPresent("f contains a z_i*z_j monomial with i != j")
     grads = gradient(f)
     rng = np.random.default_rng(seed)
     n = f.n
+    per = samples // len(_WITNESS_RADII)
     pts = []
-    for r in radii:
-        x = rng.normal(size=(samples_per_radius, 2 * n))
+    for i, r in enumerate(_WITNESS_RADII):
+        m = per + (1 if i < samples - per * len(_WITNESS_RADII) else 0)
+        x = rng.normal(size=(m, 2 * n))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         pts.append(r * (x[:, :n] + 1j * x[:, n:]))
     Z = np.concatenate(pts, axis=0)

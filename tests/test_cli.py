@@ -34,18 +34,45 @@ def test_weights_single_variable():
 
 
 def test_weights_bilinear_exit_code():
-    proc = run_cli("weights", "z1*z2")
-    assert proc.returncode == 2
-    err = json.loads(proc.stderr)
-    assert err["error"]["type"] == "BilinearMonomialPresent"
+    # both commands check for a bilinear monomial before solving for weights
+    for command in ("weights", "index"):
+        proc = run_cli(command, "z1*z2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        err = json.loads(proc.stderr)
+        assert err["error"]["type"] == "BilinearMonomialPresent"
 
 
 def test_parse_error_exit_code():
-    proc = run_cli("weights", "z1 + % z2")
-    assert proc.returncode == 1
-    err = json.loads(proc.stderr)
-    assert err["error"]["type"] == "ParseError"
-    assert "offset" in err["error"]
+    for args, offset in ((["weights", "z1 + % z2"], 5), (["index", "z1^3", "--t", "1,,2"], 2)):
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        err = json.loads(proc.stderr)
+        assert err["error"]["type"] == "ParseError"
+        assert err["error"]["offset"] == offset
+
+
+def test_weights_witness_samples_is_the_budget_passed(capsys):
+    from singspect import cli
+
+    assert cli.main(["weights", "z1^3", "--samples", "5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["manifest"]["budgets"]["witness_samples"] == 5
+    assert report["result"]["isolated_witness"]["samples"] == 5
+
+
+def test_index_constancy_violation_exit_code(monkeypatch, capsys):
+    from singspect import cli
+    from singspect.index_integral import ConstancyViolated
+
+    def violated(*args, **kwargs):
+        raise ConstancyViolated(0.5, 1.0, 4.2)
+
+    monkeypatch.setattr(cli, "mckean_singer_check", violated)
+    assert cli.main(["index", "z1^3", "--t", "0.5,1"]) == cli.EXIT_CONSTANCY == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ConstancyViolated"
 
 
 def test_index_command(tmp_path):
@@ -109,9 +136,12 @@ def test_index_single_t_gaussian_normalization():
     (["torsion", "z1^3", "--sectors", "4097"], 4),  # one above _MAX_SECTOR_CUTOFF
     (["weights", "z1^3", "--samples", "-5"], 4),
     (["weights", "z1^3", "--samples", "0"], 4),
+    (["weights", "conj(z1)^3"], 4),  # outside the weight system: not holomorphic
+    (["index", "z1^3 + z1*conj(z1)"], 4),
 ], ids=["t-empty", "t-text", "t-gap", "t-zero", "t-negative", "t-nan", "t-inf",
         "samples-zero", "samples-negative", "basis-4", "sectors-2", "basis-100000",
-        "sectors-4097", "weights-samples-negative", "weights-samples-zero"])
+        "sectors-4097", "weights-samples-negative", "weights-samples-zero",
+        "weights-conjugate", "index-conjugate"])
 def test_bad_numeric_arguments_are_structured_errors(args, code, capsys):
     from singspect import cli
 

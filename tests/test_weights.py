@@ -137,6 +137,12 @@ def test_nondegeneracy_check_paths():
     assert sum(abs(g.wirtinger(i).evaluate(w)) ** 2 for i in (1, 2)) < 1e-12
 
 
+@pytest.mark.parametrize("samples", [1, 2, 12000, 12001])
+def test_witness_budget_is_the_budget_passed(samples):
+    f = parse("z1^3 + z2^4", 2)
+    assert nondegeneracy_check(f, solve_weights(f), samples=samples).samples == samples
+
+
 def test_fitted_constant_bounds_growth_floor():
     # |grad f|^2 >= |z|^2 / C - 1 must hold on fresh sample points
     import numpy as np
