@@ -11,11 +11,13 @@ command, writes the report, and turns an exception into a structured JSON
 error on stderr with the exit code of the first matching row of
 `_EXIT_CODES`: 1 parse error (of the polynomial, or a `--t` value that is
 not a number; both carry an offset), 2 degenerate input, 3 McKean-Singer
-constancy violated, 4 any other rejected input (a polynomial outside the
-weight system, such as one with a conjugate variable, a t that is not
-positive and finite, `index` or `weights` `--samples` below 1, a rejected
-quadrature node count, or a `--basis` or `--sectors` the Galerkin solver
-rejects).  0 is success, and 5 a failed `verify` check (the report is
+constancy violated, 4 any other rejected input (a usage error argparse
+reports, such as an unknown command or `--samples abc`; an `index --csv`
+path that cannot be written, checked before any estimate without emptying
+an existing file; a polynomial outside the weight system, such as one with
+a conjugate variable; a t that is not positive and finite, `index` or
+`weights` `--samples` below 1, a rejected quadrature node count, or a
+`--basis` or `--sectors` the Galerkin solver rejects).  0 is success, and 5 a failed `verify` check (the report is
 still written to stdout).
 """
 
@@ -142,6 +144,11 @@ def cmd_weights(args, f: MixedPolynomial):
 
 def cmd_index(args, f: MixedPolynomial):
     t_grid = _t_grid(args.t)
+    if args.csv:  # fail before the estimate, not after it; "a" keeps an old file
+        try:
+            open(args.csv, "a").close()
+        except OSError as exc:
+            raise ValueError(f"cannot write --csv {args.csv!r}: {exc.strerror}") from None
     _, nd, mu_oracle = _weight_system(f, args.seed)
     budget = args.samples if args.method == "mc" else args.nodes
     res = mckean_singer_check(f, t_grid, budget=budget, seed=args.seed,
@@ -235,14 +242,14 @@ def _suite_clifford(seed: int) -> list:
 
 
 def _suite_parametrix(seed: int) -> list:
-    from .parametrix import build_bundle, recursion_residual
+    from .parametrix import build_U, recursion_residual
 
     checks = []
     for text, n in (("(1/2)*z1^2", 1), ("z1^3", 1)):
         f = parse(text, n)
-        b = build_bundle(f)
+        b = build_U(f, 2 * n + 2)
         checks.append((f"recursion identities {text}",
-                       all(recursion_residual(b, j).is_zero() for j in range(1, b.k))))
+                       all(recursion_residual(b, j).is_zero() for j in range(b.k))))
         checks.append((f"str U_1 vanishes {text}",
                        b.U[1].diagonal_supertrace().is_zero()))
         strL2 = (b.B @ b.B).supertrace().at_u_zero()
@@ -329,8 +336,19 @@ def cmd_verify(args, _f):
 # -- entry point --------------------------------------------------------------------
 
 
+class UsageError(ValueError):
+    """A command line argparse rejects: unknown command, missing or ill-typed value."""
+
+
+class _ArgParser(argparse.ArgumentParser):
+    """Raises UsageError instead of printing usage and exiting 2 (subparsers inherit it)."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgParser(
         prog="singspect",
         description="Spectral invariants of quasi-homogeneous singularities.",
     )
@@ -371,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     f = None
     try:
+        args = build_parser().parse_args(argv)
         if args.command != "verify":
             n = infer_variable_count(args.polynomial) if args.n is None else args.n
             f = parse(args.polynomial, n)

@@ -3,16 +3,19 @@
 The parametrix is P_k(z, w, t) = E0 E1 sum_{j<=k} t^j U_j(z, w) with
 E0 the Euclidean heat kernel, E1 = exp(-t g(z, w)), g the segment average
 of the potential V = |grad f|^2, and operator-valued polynomial coefficients
-U_j determined by U_0 = I, U_1 = -int_0^1 B(s(z-w)+w) ds and, for j >= 1,
+U_j determined by U_0 = I and, for j >= 0,
 
   (j+1) U_{j+1} + (z-w).grad_z U_{j+1}
       = Delta_z U_j - B U_j - Delta_z g U_{j-1}
         - 2 grad_z g . grad_z U_{j-1} + (grad_z g)^2 U_{j-2},
 
-solved exactly by the tau-weighted segment average of the right-hand side.
-All real-gradient expressions are translated to Wirtinger form once:
-Delta = 4 sum d dbar, grad.grad = 2 sum (d (x) dbar + dbar (x) d),
-(grad g)^2 = 4 sum dg dbar g.
+where terms with a negative index vanish, solved exactly by the
+tau-weighted segment average of the right-hand side.  At j = 0 the
+right-hand side is -B, so U_1 = -int_0^1 B(s(z-w)+w) ds.  The same
+right-hand side at j = k, k+1, k+2 with U_{k+1} = U_{k+2} = 0 gives the
+remainder of the truncated parametrix.  All real-gradient expressions are
+translated to Wirtinger form once: Delta = 4 sum d dbar,
+grad.grad = 2 sum (d (x) dbar + dbar (x) d), (grad g)^2 = 4 sum dg dbar g.
 
 An operator-valued polynomial is stored as a map from canonicalized
 ExteriorOperator symbols to scalar TwoPointPolynomial coefficients, so all
@@ -34,8 +37,6 @@ from .poly import (
     MixedPolynomial,
     TwoPointPolynomial,
     grad_dot_z,
-    grad_square_z,
-    gradient,
     hermitian_gradient_square,
     hessian,
     segment_average,
@@ -98,10 +99,6 @@ class OperatorPolynomial:
     @classmethod
     def identity(cls, n: int) -> "OperatorPolynomial":
         return cls(n, {ExteriorOperator.identity(n): TwoPointPolynomial.constant(n, 1)})
-
-    @classmethod
-    def from_scalar(cls, n: int, poly: TwoPointPolynomial) -> "OperatorPolynomial":
-        return cls(n, {ExteriorOperator.identity(n): poly})
 
     # -- linear structure ---------------------------------------------------
 
@@ -204,10 +201,8 @@ class OperatorPolynomial:
         return f"OperatorPolynomial(n={self.n}, symbols={len(self.parts)})"
 
 
-def _fmt_coeff(v) -> str:
-    if isinstance(v, GaussianRational):
-        return f"{v.re}{'+' if v.im >= 0 else ''}{v.im}i" if v.im else str(v.re)
-    return repr(v)
+def _fmt_coeff(v: GaussianRational) -> str:
+    return f"{v.re}{'+' if v.im >= 0 else ''}{v.im}i" if v.im else str(v.re)
 
 
 # -- bundle construction ---------------------------------------------------------
@@ -221,6 +216,9 @@ class ParametrixBundle:
     g: TwoPointPolynomial
     B: OperatorPolynomial
     U: List[OperatorPolynomial]
+    # derived from g once by build_U: Delta g and (grad g)^2
+    lap_g: TwoPointPolynomial
+    grad_sq_g: TwoPointPolynomial
 
 
 def build_g(V: MixedPolynomial) -> TwoPointPolynomial:
@@ -254,14 +252,17 @@ def build_B(f: MixedPolynomial) -> OperatorPolynomial:
     return out
 
 
-def _recursion_rhs(B, g, lap_g, grad_sq_g, U, j) -> OperatorPolynomial:
-    """Delta U_j - B U_j - Delta g U_{j-1} - 2 grad g . grad U_{j-1} + (grad g)^2 U_{j-2}."""
-    n = B.n
-    rhs = U[j].laplacian_z() - (B @ U[j])
+def _recursion_rhs(bundle: ParametrixBundle, U, j) -> OperatorPolynomial:
+    """Delta U_j - B U_j - Delta g U_{j-1} - 2 grad g . grad U_{j-1} + (grad g)^2 U_{j-2}.
+
+    Terms with a negative index vanish, so j = 0 gives -B.
+    """
+    rhs = U[j].laplacian_z() - (bundle.B @ U[j])
     if j >= 1:
-        rhs = rhs - U[j - 1].poly_mul(lap_g) - U[j - 1].grad_dot_with(g).scalar_mul(2)
+        rhs = rhs - U[j - 1].poly_mul(bundle.lap_g) \
+            - U[j - 1].grad_dot_with(bundle.g).scalar_mul(2)
     if j >= 2:
-        rhs = rhs + U[j - 2].poly_mul(grad_sq_g)
+        rhs = rhs + U[j - 2].poly_mul(bundle.grad_sq_g)
     return rhs
 
 
@@ -279,32 +280,23 @@ def build_U(f: MixedPolynomial, k: int) -> ParametrixBundle:
     """
     if k < 0:
         raise ValueError("truncation order must be non-negative")
-    n = f.n
     V = hermitian_gradient_square(f)
     g = build_g(V)
-    B = build_B(f)
-    lap_g = g.laplacian_z()
-    grad_sq_g = grad_square_z(g)
-
-    U = [OperatorPolynomial.identity(n)]
-    if k >= 1:
-        U.append(B.tau_weighted(0).scalar_mul(-1))
-    rhs: Dict[int, OperatorPolynomial] = {}
-    for j in range(1, k):
-        rhs[j] = _recursion_rhs(B, g, lap_g, grad_sq_g, U, j)
+    bundle = ParametrixBundle(
+        f=f, k=k, V=V, g=g, B=build_B(f), U=[OperatorPolynomial.identity(f.n)],
+        lap_g=g.laplacian_z(), grad_sq_g=grad_dot_z(g, g),
+    )
+    U = bundle.U
+    rhs = []
+    for j in range(k):
+        rhs.append(_recursion_rhs(bundle, U, j))
         U.append(rhs[j].tau_weighted(j))
 
-    bundle = ParametrixBundle(f=f, k=k, V=V, g=g, B=B, U=U)
-
-    if k >= 1:
-        res = U[1] + U[1].u_euler() + B
-        if not res.is_zero():
-            raise AssertionError("U_1 defining equation failed")
-        if not (U[1].swap_points() - U[1]).is_zero():
-            raise AssertionError("U_1 is not symmetric in z and w")
-    for j in range(1, k):
+    for j in range(k):
         if not (_recursion_lhs(U, j) - rhs[j]).is_zero():
             raise AssertionError(f"recursion identity failed at j={j}")
+    if k >= 1 and not (U[1].swap_points() - U[1]).is_zero():
+        raise AssertionError("U_1 is not symmetric in z and w")
     return bundle
 
 
@@ -314,23 +306,23 @@ def recursion_residual(bundle: ParametrixBundle, j: int) -> OperatorPolynomial:
     (j+1) U_{j+1} + (z-w).grad U_{j+1} - Delta U_j + B U_j
         + Delta g U_{j-1} + 2 grad g . grad U_{j-1} - (grad g)^2 U_{j-2}
     """
-    if not 1 <= j <= bundle.k - 1:
+    if not 0 <= j <= bundle.k - 1:
         raise ValueError("recursion index out of range")
-    U, B, g = bundle.U, bundle.B, bundle.g
-    lap_g = g.laplacian_z()
-    grad_sq_g = grad_square_z(g)
-    return _recursion_lhs(U, j) - _recursion_rhs(B, g, lap_g, grad_sq_g, U, j)
-
-
-def default_order(n: int) -> int:
-    return 2 * n + 2
-
-
-def build_bundle(f: MixedPolynomial, k: int | None = None) -> ParametrixBundle:
-    return build_U(f, default_order(f.n) if k is None else k)
+    return _recursion_lhs(bundle.U, j) - _recursion_rhs(bundle, bundle.U, j)
 
 
 # -- evaluation -------------------------------------------------------------------
+
+
+def _as_point(z: Sequence[complex]) -> List[complex]:
+    return [complex(v) for v in np.atleast_1d(z)]
+
+
+def _gaussian(bundle: ParametrixBundle, z: List[complex], w: List[complex], t: float) -> float:
+    """The prefactor E0 E1 = (4 pi t)^{-n} exp(-|z-w|^2 / 4t) exp(-t g(z, w))."""
+    d2 = sum(abs(a - b) ** 2 for a, b in zip(z, w))
+    e0 = (4 * math.pi * t) ** (-bundle.f.n) * math.exp(-d2 / (4 * t))
+    return e0 * math.exp(-t * bundle.g.evaluate(z, w).real)
 
 
 def evaluate_Pk(
@@ -339,17 +331,12 @@ def evaluate_Pk(
     """P_k(z, w, t) = E0 E1 sum t^j U_j as a dense complex matrix."""
     if t <= 0:
         raise ValueError("t must be positive")
-    n = bundle.f.n
-    z = [complex(v) for v in np.atleast_1d(z)]
-    w = [complex(v) for v in np.atleast_1d(w)]
-    d2 = sum(abs(a - b) ** 2 for a, b in zip(z, w))
-    e0 = (4 * math.pi * t) ** (-n) * math.exp(-d2 / (4 * t))
-    e1 = math.exp(-t * bundle.g.evaluate(z, w).real)
-    dim = 4 ** n
+    z, w = _as_point(z), _as_point(w)
+    dim = 4 ** bundle.f.n
     acc = np.zeros((dim, dim), dtype=complex)
     for j, Uj in enumerate(bundle.U):
         acc += t ** j * Uj.evaluate(z, w)
-    return e0 * e1 * acc
+    return _gaussian(bundle, z, w, t) * acc
 
 
 # -- remainder ---------------------------------------------------------------------
@@ -358,7 +345,8 @@ def evaluate_Pk(
 def residual_polynomials(bundle: ParametrixBundle) -> Tuple[OperatorPolynomial, ...]:
     """The three t-groups of the divided remainder R~ = R / (E0 E1).
 
-    R~ = T_k t^k + T_{k+1} t^{k+1} + T_{k+2} t^{k+2} with
+    R~ = T_k t^k + T_{k+1} t^{k+1} + T_{k+2} t^{k+2}, where T_{k+i} is minus
+    the recursion's right-hand side at order k + i with U_{k+1} = U_{k+2} = 0:
 
         T_k     = -Delta U_k + B U_k + Delta g U_{k-1}
                   + 2 grad g . grad U_{k-1} - (grad g)^2 U_{k-2}
@@ -368,14 +356,13 @@ def residual_polynomials(bundle: ParametrixBundle) -> Tuple[OperatorPolynomial, 
     k = bundle.k
     if k < 2:
         raise ValueError("residual groups need k >= 2")
-    U, B, g = bundle.U, bundle.B, bundle.g
-    lap_g = g.laplacian_z()
-    grad_sq_g = grad_square_z(g)
-    t_k = _recursion_rhs(B, g, lap_g, grad_sq_g, U, k).scalar_mul(-1)
-    t_k1 = U[k].poly_mul(lap_g) + U[k].grad_dot_with(g).scalar_mul(2) \
-        - U[k - 1].poly_mul(grad_sq_g)
-    t_k2 = U[k].poly_mul(grad_sq_g).scalar_mul(-1)
-    return t_k, t_k1, t_k2
+    U = bundle.U + [OperatorPolynomial.zero(bundle.f.n)] * 2
+    return tuple(-_recursion_rhs(bundle, U, k + i) for i in range(3))
+
+
+def _remainder(mats: Sequence[np.ndarray], k: int, t: float) -> np.ndarray:
+    """sum_i t^{k+i} T_{k+i} from the groups evaluated at one point pair."""
+    return sum(t ** (k + i) * m for i, m in enumerate(mats))
 
 
 def evaluate_residual(
@@ -386,18 +373,11 @@ def evaluate_residual(
     include_gaussian: bool = False,
 ) -> np.ndarray:
     """R~(z, w, t) (or the full R when include_gaussian is set)."""
-    groups = residual_polynomials(bundle)
-    k = bundle.k
-    acc = sum(
-        t ** (k + i) * grp.evaluate(z, w) for i, grp in enumerate(groups)
-    )
+    z, w = _as_point(z), _as_point(w)
+    mats = [grp.evaluate(z, w) for grp in residual_polynomials(bundle)]
+    acc = _remainder(mats, bundle.k, t)
     if include_gaussian:
-        n = bundle.f.n
-        z = [complex(v) for v in np.atleast_1d(z)]
-        w = [complex(v) for v in np.atleast_1d(w)]
-        d2 = sum(abs(a - b) ** 2 for a, b in zip(z, w))
-        acc = acc * (4 * math.pi * t) ** (-n) * math.exp(-d2 / (4 * t)) \
-            * math.exp(-t * bundle.g.evaluate(z, w).real)
+        acc = acc * _gaussian(bundle, z, w, t)
     return acc
 
 
@@ -426,12 +406,14 @@ def residual_order_check(
         raise ValueError("residual check needs k >= 2")
     rng = np.random.default_rng(seed)
     n = bundle.f.n
+    groups = residual_polynomials(bundle)
     exps = []
     for _ in range(samples):
         z = rng.normal(scale=0.7, size=n) + 1j * rng.normal(scale=0.7, size=n)
         w = rng.normal(scale=0.7, size=n) + 1j * rng.normal(scale=0.7, size=n)
+        mats = [grp.evaluate(z, w) for grp in groups]
         norms = np.array([
-            np.linalg.norm(evaluate_residual(bundle, z, w, t)) for t in t_grid
+            np.linalg.norm(_remainder(mats, bundle.k, t)) for t in t_grid
         ])
         if np.any(norms == 0):
             continue

@@ -26,9 +26,9 @@ calculus with the conventions
 
     lap p        = 4 sum_i d_i dbar_i p
     grad_dot p q = 2 sum_i (d_i p dbar_i q + dbar_i p d_i q)
-    grad_sq p    = 4 sum_i d_i p dbar_i p
 
-which agree with the real 2n-dimensional gradient and Laplacian.
+which agree with the real 2n-dimensional gradient and Laplacian; the
+square (grad p)^2 is grad_dot p p = 4 sum_i d_i p dbar_i p.
 """
 
 from __future__ import annotations
@@ -498,6 +498,33 @@ def hermitian_gradient_square(f: MixedPolynomial) -> MixedPolynomial:
 # -- two-point polynomials --------------------------------------------------
 
 
+def _u(n: int, j: int) -> MixedPolynomial:
+    """The two-point variable u_{j+1} (slot j + 1 of 2n)."""
+    return MixedPolynomial.variable(2 * n, j + 1)
+
+
+def _w(n: int, j: int) -> MixedPolynomial:
+    """The two-point variable w_{j+1} (slot n + j + 1 of 2n)."""
+    return MixedPolynomial.variable(2 * n, n + j + 1)
+
+
+def _substitute(p: MixedPolynomial, images: Sequence[MixedPolynomial]) -> MixedPolynomial:
+    """p with variable i replaced by images[i] and conj(variable i) by its conjugate."""
+    m = images[0].n
+    conj_images = [x.conjugate() for x in images]
+    out = MixedPolynomial.zero(m)
+    for (a, b), c in p.terms.items():
+        term = MixedPolynomial.constant(m, c)
+        for x, e in zip(images, a):
+            if e:
+                term = term * x ** e
+        for x, e in zip(conj_images, b):
+            if e:
+                term = term * x ** e
+        out = out + term
+    return out
+
+
 class TwoPointPolynomial:
     """Polynomial in (u, w) and conjugates, with u = z - w.
 
@@ -527,21 +554,7 @@ class TwoPointPolynomial:
     def from_single_point(cls, p: MixedPolynomial) -> "TwoPointPolynomial":
         """Substitute z_i = u_i + w_i (conjugates along the conjugate path)."""
         n = p.n
-        out = MixedPolynomial.zero(2 * n)
-        for (a, b), c in p.terms.items():
-            term = MixedPolynomial.constant(2 * n, c)
-            for j, e in enumerate(a):
-                if e:
-                    binom = MixedPolynomial.variable(2 * n, j + 1) + \
-                        MixedPolynomial.variable(2 * n, n + j + 1)
-                    term = term * binom ** e
-            for j, e in enumerate(b):
-                if e:
-                    binom = MixedPolynomial.variable(2 * n, j + 1, conjugated=True) + \
-                        MixedPolynomial.variable(2 * n, n + j + 1, conjugated=True)
-                    term = term * binom ** e
-            out = out + term
-        return cls(n, out)
+        return cls(n, _substitute(p, [_u(n, j) + _w(n, j) for j in range(n)]))
 
     # -- algebra ------------------------------------------------------------
 
@@ -614,25 +627,8 @@ class TwoPointPolynomial:
     def swap_points(self) -> "TwoPointPolynomial":
         """The z <-> w substitution: u -> -u, w -> u + w."""
         n = self.n
-        out = MixedPolynomial.zero(2 * n)
-        for (a, b), c in self.poly.terms.items():
-            sign = (-1) ** (sum(a[:n]) + sum(b[:n]))
-            term = MixedPolynomial.constant(2 * n, c * sign)
-            for j in range(n):
-                if a[j]:
-                    term = term * MixedPolynomial.variable(2 * n, j + 1) ** a[j]
-                if b[j]:
-                    term = term * MixedPolynomial.variable(2 * n, j + 1, conjugated=True) ** b[j]
-                if a[n + j]:
-                    s = MixedPolynomial.variable(2 * n, j + 1) + \
-                        MixedPolynomial.variable(2 * n, n + j + 1)
-                    term = term * s ** a[n + j]
-                if b[n + j]:
-                    s = MixedPolynomial.variable(2 * n, j + 1, conjugated=True) + \
-                        MixedPolynomial.variable(2 * n, n + j + 1, conjugated=True)
-                    term = term * s ** b[n + j]
-            out = out + term
-        return TwoPointPolynomial(n, out)
+        images = [-_u(n, j) for j in range(n)] + [_u(n, j) + _w(n, j) for j in range(n)]
+        return TwoPointPolynomial(n, _substitute(self.poly, images))
 
     def conjugate(self) -> "TwoPointPolynomial":
         return TwoPointPolynomial(self.n, self.poly.conjugate())
@@ -667,20 +663,6 @@ def grad_dot_z(p: TwoPointPolynomial, q: TwoPointPolynomial) -> TwoPointPolynomi
     return out
 
 
-def grad_square_z(p: TwoPointPolynomial) -> TwoPointPolynomial:
-    """(grad_z p)^2 = 4 sum_i d_i p dbar_i p."""
-    out = TwoPointPolynomial.zero(p.n)
-    for i in range(1, p.n + 1):
-        out = out + 4 * (p.dz(i) * p.dz(i, conjugated=True))
-    return out
-
-
-def segment_average(p, j: int = 0) -> TwoPointPolynomial:
-    """int_0^1 p(tau*(z-w) + w) tau^j dtau, exactly.
-
-    Accepts either a single-point MixedPolynomial (substituted to (u, w)
-    first) or a TwoPointPolynomial already in (u, w) form.
-    """
-    if isinstance(p, MixedPolynomial):
-        p = TwoPointPolynomial.from_single_point(p)
-    return p.tau_weighted(j)
+def segment_average(p: MixedPolynomial, j: int = 0) -> TwoPointPolynomial:
+    """int_0^1 p(tau*(z-w) + w) tau^j dtau, exactly."""
+    return TwoPointPolynomial.from_single_point(p).tau_weighted(j)

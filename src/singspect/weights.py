@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .gaussian_rational import GaussianRational
-from .poly import MixedPolynomial, gradient
+from .poly import MixedPolynomial, gradient, hessian
 
 
 class NotQuasiHomogeneous(ValueError):
@@ -239,9 +239,8 @@ def has_bilinear_monomial(f: MixedPolynomial) -> bool:
     return False
 
 
-def _descend_to_critical(grads, z0: np.ndarray, steps: int = 300) -> np.ndarray:
+def _descend_to_critical(grads, hess, z0: np.ndarray, steps: int = 300) -> np.ndarray:
     """Gradient descent on h = |grad f|^2 from z0 (heuristic witness search)."""
-    hess = [[g.wirtinger(j + 1) for j in range(len(grads))] for g in grads]
     z = z0.copy()
 
     def h(z):
@@ -315,8 +314,9 @@ def nondegeneracy_check(
     # descend from the worst candidates: any off-origin critical point found
     # this way is then confirmed by direct evaluation
     order = np.argsort(grad_sq / (np.abs(Z) ** 2).sum(axis=1))
+    hess = hessian(f)
     for idx in order[:8]:
-        zc = _descend_to_critical(grads, Z[idx])
+        zc = _descend_to_critical(grads, hess, Z[idx])
         hval = sum(abs(g.evaluate(zc)) ** 2 for g in grads)
         if hval < 1e-20 and np.linalg.norm(zc) > 0.05:
             raise GradientVanishesAwayFromOrigin(tuple(zc))

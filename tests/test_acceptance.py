@@ -164,7 +164,7 @@ def test_criterion_05_parametrix_exactness():
         b = build_U(f, k)
         V2 = TwoPointPolynomial.from_single_point(hermitian_gradient_square(f))
         ok &= (b.g.u_euler() + b.g - V2).is_zero()
-        ok &= all(recursion_residual(b, j).is_zero() for j in range(1, k))
+        ok &= all(recursion_residual(b, j).is_zero() for j in range(k))
         for j in range(1, 2 * n):
             ok &= b.U[j].diagonal_supertrace().is_zero()
         Lpow = b.B

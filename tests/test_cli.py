@@ -138,10 +138,15 @@ def test_index_single_t_gaussian_normalization():
     (["weights", "z1^3", "--samples", "0"], 4),
     (["weights", "conj(z1)^3"], 4),  # outside the weight system: not holomorphic
     (["index", "z1^3 + z1*conj(z1)"], 4),
+    (["index", "z1^3", "--t", "1", "--samples", "1000", "--csv", "/nonexistent/x.csv"], 4),
+    (["index", "z1^3", "--samples", "abc"], 4),  # argparse usage errors
+    (["index", "z1^3", "--t"], 4),
+    (["nope"], 4),
 ], ids=["t-empty", "t-text", "t-gap", "t-zero", "t-negative", "t-nan", "t-inf",
         "samples-zero", "samples-negative", "basis-4", "sectors-2", "basis-100000",
         "sectors-4097", "weights-samples-negative", "weights-samples-zero",
-        "weights-conjugate", "index-conjugate"])
+        "weights-conjugate", "index-conjugate", "csv-unwritable", "usage-samples-text",
+        "usage-t-missing", "usage-unknown-command"])
 def test_bad_numeric_arguments_are_structured_errors(args, code, capsys):
     from singspect import cli
 
@@ -150,6 +155,45 @@ def test_bad_numeric_arguments_are_structured_errors(args, code, capsys):
     assert out == ""
     payload = json.loads(err)
     assert payload["schema"] == "1" and payload["error"]["message"]
+
+
+def test_unwritable_csv_fails_before_the_estimate(monkeypatch, capsys):
+    from singspect import cli
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("the estimate ran before --csv was checked")
+
+    monkeypatch.setattr(cli, "mckean_singer_check", no_estimate)
+    assert cli.main(["index", "z1^3", "--t", "1", "--csv", "/nonexistent/x.csv"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"]["message"].startswith("cannot write --csv")
+
+
+@pytest.mark.parametrize("polynomial,code", [("z1*z2", 2), ("z1^3", 3)],
+                         ids=["degenerate", "constancy-violated"])
+def test_failed_index_keeps_an_existing_csv(polynomial, code, monkeypatch, tmp_path, capsys):
+    from singspect import cli
+    from singspect.index_integral import ConstancyViolated
+
+    def violated(*args, **kwargs):
+        raise ConstancyViolated(0.5, 1.0, 4.2)
+
+    monkeypatch.setattr(cli, "mckean_singer_check", violated)
+    csv_path = tmp_path / "old.csv"
+    csv_path.write_text("earlier,report\n")
+    assert cli.main(["index", polynomial, "--t", "1", "--csv", str(csv_path)]) == code
+    assert capsys.readouterr().out == ""
+    assert csv_path.read_text() == "earlier,report\n"
+
+
+def test_help_still_exits_zero(capsys):
+    from singspect import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_torsion_exact():

@@ -16,7 +16,13 @@ from singspect.parametrix import (
     residual_order_check,
     residual_polynomials,
 )
-from singspect.poly import MixedPolynomial, hermitian_gradient_square, parse
+from singspect.poly import (
+    MixedPolynomial,
+    TwoPointPolynomial,
+    grad_dot_z,
+    hermitian_gradient_square,
+    parse,
+)
 
 A1 = parse("(1/2)*z1^2", 1)
 A2 = parse("z1^3", 1)
@@ -68,24 +74,44 @@ def test_U2_satisfies_displayed_j1_identity():
 @pytest.mark.parametrize("f,k", [(A1, 4), (A2, 4), (PROD, 6)])
 def test_recursion_identities_exact(f, k):
     b = build_U(f, k)
-    for j in range(1, k):
+    for j in range(0, k):
         assert recursion_residual(b, j).is_zero()
 
 
-def test_in_build_recursion_check_catches_perturbed_order(monkeypatch):
+@pytest.mark.parametrize("bad_j", [0, 2])
+def test_in_build_recursion_check_catches_perturbed_order(monkeypatch, bad_j):
     # build_U checks each order against the right-hand side it kept; a wrong
-    # U_3 (from the order-2 tau average) must fail that check at j = 2
+    # U_{j+1} (from the order-j tau average) must fail that check at j; at
+    # j = 0 this is the U_1 equation
     tau_weighted = OperatorPolynomial.tau_weighted
 
     def perturbed(self, j):
         out = tau_weighted(self, j)
-        if j == 2:
+        if j == bad_j:
             out = out + OperatorPolynomial.identity(self.n)
         return out
 
     monkeypatch.setattr(OperatorPolynomial, "tau_weighted", perturbed)
-    with pytest.raises(AssertionError, match=r"^recursion identity failed at j=2$"):
+    with pytest.raises(AssertionError, match=rf"^recursion identity failed at j={bad_j}$"):
         build_U(A2, 4)
+
+
+@pytest.mark.parametrize("f,k", [(A1, 2), (A2, 3), (PROD, 2)])
+def test_remainder_groups_match_hand_expanded_formulas(f, k):
+    # the two groups past the truncation, written out term by term
+    b = build_U(f, k)
+    g, U = b.g, b.U
+    grad_sq_g = TwoPointPolynomial.zero(f.n)
+    for i in range(1, f.n + 1):
+        grad_sq_g = grad_sq_g + 4 * (g.dz(i) * g.dz(i, conjugated=True))
+    assert grad_dot_z(g, g) == grad_sq_g
+    t_k1 = U[k].poly_mul(g.laplacian_z()) + U[k].grad_dot_with(g).scalar_mul(2) \
+        - U[k - 1].poly_mul(grad_sq_g)
+    t_k2 = U[k].poly_mul(grad_sq_g).scalar_mul(-1)
+    _, got_k1, got_k2 = residual_polynomials(b)
+    assert not t_k1.is_zero() and not t_k2.is_zero()
+    assert (got_k1 - t_k1).is_zero()
+    assert (got_k2 - t_k2).is_zero()
 
 
 def test_supertrace_polynomials_a1():

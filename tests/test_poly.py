@@ -153,6 +153,7 @@ def test_two_point_substitution_is_consistent():
         z = rng.normal(size=2) + 1j * rng.normal(size=2)
         w = rng.normal(size=2) + 1j * rng.normal(size=2)
         assert abs(tp.evaluate(z, w) - p.evaluate(z)) < 1e-10
+        assert abs(tp.swap_points().evaluate(z, w) - p.evaluate(w)) < 1e-10
 
 
 def test_swap_points_involution():
