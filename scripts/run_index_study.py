@@ -12,7 +12,7 @@ import argparse
 import csv
 import sys
 
-from singspect.index_integral import compute_index
+from singspect.index_integral import compute_index, grid_seed
 from singspect.poly import infer_variable_count, parse
 from singspect.weights import milnor_oracle, nondegeneracy_check, solve_weights
 
@@ -38,8 +38,9 @@ def main() -> int:
         rep = nondegeneracy_check(f, wv, seed=args.seed)
         mu = milnor_oracle(wv)
         print(f"\n{text}   mu = {mu}")
-        for t in t_grid:
-            est = compute_index(f, t, budget=args.samples, seed=args.seed, report=rep)
+        for i, t in enumerate(t_grid):
+            est = compute_index(f, t, budget=args.samples, seed=grid_seed(args.seed, i),
+                                report=rep)
             z = abs(est.estimate - mu) / max(est.std_error, 1e-12)
             print(f"  t = {t:6.3f}  estimate = {est.estimate:9.5f} "
                   f"+- {est.std_error:.5f}   z(mu) = {z:5.2f}")

@@ -252,7 +252,7 @@ def _suite_parametrix(seed: int) -> list:
                        all(recursion_residual(b, j).is_zero() for j in range(b.k))))
         checks.append((f"str U_1 vanishes {text}",
                        b.U[1].diagonal_supertrace().is_zero()))
-        strL2 = (b.B @ b.B).supertrace().at_u_zero()
+        strL2 = (b.B @ b.B).diagonal_supertrace()
         checks.append((f"str U_2 matches L^2 {text}",
                        (b.U[2].diagonal_supertrace() * 2 - strL2).is_zero()))
     return checks

@@ -28,7 +28,6 @@ which the test suite enforces rather than trusting any transcription.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -36,14 +35,6 @@ import numpy as np
 from .gaussian_rational import GaussianRational
 
 Entry = Tuple[int, int]
-
-
-def _as_entry_value(v) -> GaussianRational:
-    if isinstance(v, GaussianRational):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return GaussianRational(v)
-    raise TypeError(f"unsupported entry type {type(v)}")
 
 
 class ExteriorOperator:
@@ -59,7 +50,7 @@ class ExteriorOperator:
             for (r, c), v in entries.items():
                 if not (0 <= r < dim and 0 <= c < dim):
                     raise ValueError("entry index out of range")
-                v = _as_entry_value(v)
+                v = GaussianRational.from_value(v)
                 if v:
                     clean[(r, c)] = v
         self.entries = clean
@@ -101,7 +92,7 @@ class ExteriorOperator:
         return ExteriorOperator._raw(self.n, {k: -v for k, v in self.entries.items()})
 
     def scale(self, c) -> "ExteriorOperator":
-        c = _as_entry_value(c)
+        c = GaussianRational.from_value(c)
         if not c:
             return ExteriorOperator.zero(self.n)
         return ExteriorOperator._raw(self.n, {k: v * c for k, v in self.entries.items()})
@@ -285,17 +276,6 @@ def c_bar_hat(i: int, n: int) -> ExteriorOperator:
     return wedge(n, g) + contraction(n, g)
 
 
-_GENERATORS = {"c": c, "chat": c_hat, "cbar": c_bar, "cbarhat": c_bar_hat}
-
-
-def generator(kind: str, i: int, n: int) -> ExteriorOperator:
-    """kind is one of 'c', 'chat', 'cbar', 'cbarhat'."""
-    try:
-        return _GENERATORS[kind](i, n)
-    except KeyError:
-        raise ValueError(f"unknown generator kind {kind!r}") from None
-
-
 def number_operator(n: int) -> ExteriorOperator:
     """Grading operator: N alpha = (degree alpha) alpha."""
     entries = {
@@ -313,10 +293,6 @@ def number_operator_clifford(n: int) -> ExteriorOperator:
     for i in range(1, n + 1):
         out = out + (c(i, n) @ c_hat(i, n) + c_bar(i, n) @ c_bar_hat(i, n)).scale(half)
     return out
-
-
-def supertrace(a: ExteriorOperator):
-    return a.supertrace()
 
 
 def supertrace_matrix(m: np.ndarray) -> complex:
@@ -343,9 +319,10 @@ def _validate_symmetric(H: Sequence[Sequence[object]]) -> List[List[object]]:
     for r in rows:
         if len(r) != n:
             raise ValueError("Hessian must be square")
+    exact = GaussianRational.from_value
     for i in range(n):
         for j in range(i + 1, n):
-            if _as_entry_value(rows[i][j]) != _as_entry_value(rows[j][i]):
+            if exact(rows[i][j]) != exact(rows[j][i]):
                 raise ValueError("Hessian must be symmetric")
     return rows
 
@@ -367,7 +344,7 @@ def build_Lf(H: Sequence[Sequence[object]], n: int | None = None) -> ExteriorOpe
     out = ExteriorOperator.zero(n)
     for m in range(n):
         for l in range(n):
-            hv = _as_entry_value(rows[m][l])
+            hv = GaussianRational.from_value(rows[m][l])
             hc = hv.conjugate()
             if hv:
                 out = out + holo[m][l].scale(hv * (-2)) + anti[m][l].scale(hc * (-2))

@@ -38,11 +38,12 @@ class GaussianRational:
 
     @staticmethod
     def from_value(value) -> "GaussianRational":
+        """The one coercion into the exact layer: exact inputs only, never a float."""
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, complex):
-            raise TypeError("refusing implicit float->exact conversion")
-        return GaussianRational(value)
+        if isinstance(value, (int, Fraction)):
+            return GaussianRational(value)
+        raise TypeError(f"refusing implicit conversion of {type(value).__name__} to exact")
 
     # -- parts -----------------------------------------------------------
 

@@ -292,6 +292,11 @@ def compute_index(
                          budget=budget, seed=seed)
 
 
+def grid_seed(seed: int, i: int) -> int:
+    """Seed of the estimate at point i of a t-grid run with base seed `seed`."""
+    return seed + 977 * i
+
+
 def mckean_singer_check(
     f: MixedPolynomial,
     t_grid: Sequence[float] = (0.5, 1.0, 2.0),
@@ -310,7 +315,7 @@ def mckean_singer_check(
         _check_t(t)
     ests: List[IndexEstimate] = []
     for i, t in enumerate(t_grid):
-        ests.append(compute_index(f, t, budget=budget, seed=seed + 977 * i,
+        ests.append(compute_index(f, t, budget=budget, seed=grid_seed(seed, i),
                                   method=method, report=report))
     floor = 1e-12
     for i in range(len(ests)):

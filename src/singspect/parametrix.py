@@ -18,16 +18,17 @@ translated to Wirtinger form once: Delta = 4 sum d dbar,
 grad.grad = 2 sum (d (x) dbar + dbar (x) d), (grad g)^2 = 4 sum dg dbar g.
 
 An operator-valued polynomial is stored as a map from canonicalized
-ExteriorOperator symbols to scalar TwoPointPolynomial coefficients, so all
-polynomial calculus stays in the scalar factors and matrix products happen
-once per distinct symbol pair (cached).
+ExteriorOperator symbols to scalar two-point polynomial coefficients (2n-slot
+MixedPolynomials in u = z - w and w, see poly.py), so all polynomial calculus
+stays in the scalar factors and matrix products happen once per distinct
+symbol pair (cached).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,11 +36,17 @@ from .clifford import ExteriorOperator, hessian_atoms
 from .gaussian_rational import GaussianRational
 from .poly import (
     MixedPolynomial,
-    TwoPointPolynomial,
+    at_u_zero,
+    evaluate_two_point,
+    from_single_point,
     grad_dot_z,
     hermitian_gradient_square,
     hessian,
+    laplacian_z,
     segment_average,
+    swap_points,
+    tau_weighted,
+    u_euler,
 )
 
 _matmul_cache: Dict[tuple, ExteriorOperator] = {}
@@ -54,7 +61,7 @@ def _cached_matmul(a: ExteriorOperator, b: ExteriorOperator) -> ExteriorOperator
     return out
 
 
-def _normalize_symbol(op: ExteriorOperator, poly: TwoPointPolynomial):
+def _normalize_symbol(op: ExteriorOperator, poly: MixedPolynomial):
     """Scale op so its first (sorted) entry is 1, folding the factor into poly."""
     if op.is_zero() or poly.is_zero():
         return None
@@ -71,14 +78,14 @@ class OperatorPolynomial:
 
     __slots__ = ("n", "parts")
 
-    def __init__(self, n: int, parts: Dict[ExteriorOperator, TwoPointPolynomial] | None = None):
+    def __init__(self, n: int, parts: Dict[ExteriorOperator, MixedPolynomial] | None = None):
         self.n = n
-        self.parts: Dict[ExteriorOperator, TwoPointPolynomial] = {}
+        self.parts: Dict[ExteriorOperator, MixedPolynomial] = {}
         if parts:
             for op, poly in parts.items():
                 self._accumulate(op, poly)
 
-    def _accumulate(self, op: ExteriorOperator, poly: TwoPointPolynomial) -> None:
+    def _accumulate(self, op: ExteriorOperator, poly: MixedPolynomial) -> None:
         norm = _normalize_symbol(op, poly)
         if norm is None:
             return
@@ -98,7 +105,7 @@ class OperatorPolynomial:
 
     @classmethod
     def identity(cls, n: int) -> "OperatorPolynomial":
-        return cls(n, {ExteriorOperator.identity(n): TwoPointPolynomial.constant(n, 1)})
+        return cls(n, {ExteriorOperator.identity(n): MixedPolynomial.constant(2 * n, 1)})
 
     # -- linear structure ---------------------------------------------------
 
@@ -117,15 +124,10 @@ class OperatorPolynomial:
         return self.scalar_mul(-1)
 
     def scalar_mul(self, c) -> "OperatorPolynomial":
+        """Multiply every coefficient by c, an exact number or a two-point polynomial."""
         out = OperatorPolynomial(self.n)
         for op, poly in self.parts.items():
             out._accumulate(op, poly * c)
-        return out
-
-    def poly_mul(self, p: TwoPointPolynomial) -> "OperatorPolynomial":
-        out = OperatorPolynomial(self.n)
-        for op, poly in self.parts.items():
-            out._accumulate(op, poly * p)
         return out
 
     def __matmul__(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
@@ -152,22 +154,22 @@ class OperatorPolynomial:
         return out
 
     def laplacian_z(self) -> "OperatorPolynomial":
-        return self.map_polys(lambda p: p.laplacian_z())
+        return self.map_polys(laplacian_z)
 
     def u_euler(self) -> "OperatorPolynomial":
-        return self.map_polys(lambda p: p.u_euler())
+        return self.map_polys(u_euler)
 
     def tau_weighted(self, j: int) -> "OperatorPolynomial":
-        return self.map_polys(lambda p: p.tau_weighted(j))
+        return self.map_polys(lambda p: tau_weighted(p, j))
 
-    def grad_dot_with(self, g: TwoPointPolynomial) -> "OperatorPolynomial":
+    def grad_dot_with(self, g: MixedPolynomial) -> "OperatorPolynomial":
         """grad_z g . grad_z self, scalar-gradient against each coefficient."""
         return self.map_polys(lambda p: grad_dot_z(g, p))
 
     # -- reductions ----------------------------------------------------------
 
-    def supertrace(self) -> TwoPointPolynomial:
-        out = TwoPointPolynomial.zero(self.n)
+    def supertrace(self) -> MixedPolynomial:
+        out = MixedPolynomial.zero(2 * self.n)
         for op, poly in self.parts.items():
             s = op.supertrace()
             if s:
@@ -176,16 +178,16 @@ class OperatorPolynomial:
 
     def diagonal_supertrace(self) -> MixedPolynomial:
         """str of the operator polynomial restricted to z = w."""
-        return self.supertrace().at_u_zero()
+        return at_u_zero(self.supertrace())
 
     def swap_points(self) -> "OperatorPolynomial":
-        return self.map_polys(lambda p: p.swap_points())
+        return self.map_polys(swap_points)
 
     def evaluate(self, z: Sequence[complex], w: Sequence[complex]) -> np.ndarray:
         dim = 4 ** self.n
         out = np.zeros((dim, dim), dtype=complex)
         for op, poly in self.parts.items():
-            out += poly.evaluate(z, w) * op.to_numpy()
+            out += evaluate_two_point(poly, z, w) * op.to_numpy()
         return out
 
     def dump(self) -> str:
@@ -213,22 +215,25 @@ class ParametrixBundle:
     f: MixedPolynomial
     k: int
     V: MixedPolynomial
-    g: TwoPointPolynomial
+    g: MixedPolynomial
     B: OperatorPolynomial
     U: List[OperatorPolynomial]
     # derived from g once by build_U: Delta g and (grad g)^2
-    lap_g: TwoPointPolynomial
-    grad_sq_g: TwoPointPolynomial
+    lap_g: MixedPolynomial
+    grad_sq_g: MixedPolynomial
+    # the three remainder groups, built on first use by residual_polynomials
+    residual_groups: Optional[Tuple[OperatorPolynomial, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
 
-def build_g(V: MixedPolynomial) -> TwoPointPolynomial:
+def build_g(V: MixedPolynomial) -> MixedPolynomial:
     """Mean value of V along the segment, with both invariants verified."""
     if not V.is_real():
         raise ValueError("potential must be a real polynomial")
     g = segment_average(V, 0)
-    if not (g.swap_points() - g).is_zero():
+    if not (swap_points(g) - g).is_zero():
         raise AssertionError("mean-value function is not point-symmetric")
-    if not (g.u_euler() + g - TwoPointPolynomial.from_single_point(V)).is_zero():
+    if not (u_euler(g) + g - from_single_point(V)).is_zero():
         raise AssertionError("Euler identity (z-w).grad g + g = V failed")
     return g
 
@@ -245,8 +250,8 @@ def build_B(f: MixedPolynomial) -> OperatorPolynomial:
             h = H[m][l]
             if h.is_zero():
                 continue
-            h2 = TwoPointPolynomial.from_single_point(h) * minus_two
-            hc2 = TwoPointPolynomial.from_single_point(h.conjugate()) * minus_two
+            h2 = from_single_point(h) * minus_two
+            hc2 = from_single_point(h.conjugate()) * minus_two
             out = out + OperatorPolynomial(n, {holo[m][l]: h2}) \
                       + OperatorPolynomial(n, {anti[m][l]: hc2})
     return out
@@ -259,10 +264,10 @@ def _recursion_rhs(bundle: ParametrixBundle, U, j) -> OperatorPolynomial:
     """
     rhs = U[j].laplacian_z() - (bundle.B @ U[j])
     if j >= 1:
-        rhs = rhs - U[j - 1].poly_mul(bundle.lap_g) \
+        rhs = rhs - U[j - 1].scalar_mul(bundle.lap_g) \
             - U[j - 1].grad_dot_with(bundle.g).scalar_mul(2)
     if j >= 2:
-        rhs = rhs + U[j - 2].poly_mul(bundle.grad_sq_g)
+        rhs = rhs + U[j - 2].scalar_mul(bundle.grad_sq_g)
     return rhs
 
 
@@ -284,7 +289,7 @@ def build_U(f: MixedPolynomial, k: int) -> ParametrixBundle:
     g = build_g(V)
     bundle = ParametrixBundle(
         f=f, k=k, V=V, g=g, B=build_B(f), U=[OperatorPolynomial.identity(f.n)],
-        lap_g=g.laplacian_z(), grad_sq_g=grad_dot_z(g, g),
+        lap_g=laplacian_z(g), grad_sq_g=grad_dot_z(g, g),
     )
     U = bundle.U
     rhs = []
@@ -322,7 +327,7 @@ def _gaussian(bundle: ParametrixBundle, z: List[complex], w: List[complex], t: f
     """The prefactor E0 E1 = (4 pi t)^{-n} exp(-|z-w|^2 / 4t) exp(-t g(z, w))."""
     d2 = sum(abs(a - b) ** 2 for a, b in zip(z, w))
     e0 = (4 * math.pi * t) ** (-bundle.f.n) * math.exp(-d2 / (4 * t))
-    return e0 * math.exp(-t * bundle.g.evaluate(z, w).real)
+    return e0 * math.exp(-t * evaluate_two_point(bundle.g, z, w).real)
 
 
 def evaluate_Pk(
@@ -356,8 +361,10 @@ def residual_polynomials(bundle: ParametrixBundle) -> Tuple[OperatorPolynomial, 
     k = bundle.k
     if k < 2:
         raise ValueError("residual groups need k >= 2")
-    U = bundle.U + [OperatorPolynomial.zero(bundle.f.n)] * 2
-    return tuple(-_recursion_rhs(bundle, U, k + i) for i in range(3))
+    if bundle.residual_groups is None:
+        U = bundle.U + [OperatorPolynomial.zero(bundle.f.n)] * 2
+        bundle.residual_groups = tuple(-_recursion_rhs(bundle, U, k + i) for i in range(3))
+    return bundle.residual_groups
 
 
 def _remainder(mats: Sequence[np.ndarray], k: int, t: float) -> np.ndarray:

@@ -52,12 +52,6 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-def _as_coeff(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    return GaussianRational(Fraction(value))
-
-
 class MixedPolynomial:
     """Sparse polynomial in z_1..z_n and conj(z_1)..conj(z_n)."""
 
@@ -75,7 +69,7 @@ class MixedPolynomial:
                     raise ValueError("exponent tuple length mismatch")
                 if any(e < 0 or not isinstance(e, int) for e in a + b):
                     raise ValueError("exponents must be non-negative integers")
-                c = _as_coeff(c)
+                c = GaussianRational.from_value(c)
                 if c:
                     clean[(a, b)] = c
         self.n = n
@@ -90,7 +84,7 @@ class MixedPolynomial:
     @classmethod
     def constant(cls, n: int, c) -> "MixedPolynomial":
         z = (0,) * n
-        return cls(n, {(z, z): _as_coeff(c)})
+        return cls(n, {(z, z): GaussianRational.from_value(c)})
 
     @classmethod
     def variable(cls, n: int, i: int, conjugated: bool = False) -> "MixedPolynomial":
@@ -138,7 +132,7 @@ class MixedPolynomial:
                     elif k in out:
                         del out[k]
             return MixedPolynomial._raw(self.n, out)
-        c = _as_coeff(other)
+        c = GaussianRational.from_value(other)
         if not c:
             return MixedPolynomial.zero(self.n)
         return MixedPolynomial._raw(self.n, {k: v * c for k, v in self.terms.items()})
@@ -496,6 +490,11 @@ def hermitian_gradient_square(f: MixedPolynomial) -> MixedPolynomial:
 
 
 # -- two-point polynomials --------------------------------------------------
+#
+# A polynomial in two points (z, w) of C^n is a MixedPolynomial on 2n slots:
+# u = z - w in slots 1..n and w in slots n+1..2n.  Derivatives in z act on
+# the u slots only, so d/dz_i is wirtinger(i).  The functions below are the
+# only code that knows this layout; each reads n as p.n // 2.
 
 
 def _u(n: int, j: int) -> MixedPolynomial:
@@ -525,144 +524,80 @@ def _substitute(p: MixedPolynomial, images: Sequence[MixedPolynomial]) -> MixedP
     return out
 
 
-class TwoPointPolynomial:
-    """Polynomial in (u, w) and conjugates, with u = z - w.
-
-    Internally a MixedPolynomial over 2n variables: slots 1..n hold u and
-    slots n+1..2n hold w.  Derivatives in z act on the u slots only.
-    """
-
-    __slots__ = ("n", "poly")
-
-    def __init__(self, n: int, poly: MixedPolynomial):
-        if poly.n != 2 * n:
-            raise ValueError("two-point polynomial needs 2n variable slots")
-        self.n = n
-        self.poly = poly
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int) -> "TwoPointPolynomial":
-        return cls(n, MixedPolynomial.zero(2 * n))
-
-    @classmethod
-    def constant(cls, n: int, c) -> "TwoPointPolynomial":
-        return cls(n, MixedPolynomial.constant(2 * n, c))
-
-    @classmethod
-    def from_single_point(cls, p: MixedPolynomial) -> "TwoPointPolynomial":
-        """Substitute z_i = u_i + w_i (conjugates along the conjugate path)."""
-        n = p.n
-        return cls(n, _substitute(p, [_u(n, j) + _w(n, j) for j in range(n)]))
-
-    # -- algebra ------------------------------------------------------------
-
-    def __add__(self, other: "TwoPointPolynomial") -> "TwoPointPolynomial":
-        return TwoPointPolynomial(self.n, self.poly + other.poly)
-
-    def __sub__(self, other: "TwoPointPolynomial") -> "TwoPointPolynomial":
-        return TwoPointPolynomial(self.n, self.poly - other.poly)
-
-    def __neg__(self) -> "TwoPointPolynomial":
-        return TwoPointPolynomial(self.n, -self.poly)
-
-    def __mul__(self, other):
-        if isinstance(other, TwoPointPolynomial):
-            return TwoPointPolynomial(self.n, self.poly * other.poly)
-        return TwoPointPolynomial(self.n, self.poly * other)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, TwoPointPolynomial):
-            return NotImplemented
-        return self.n == other.n and self.poly == other.poly
-
-    def __hash__(self):
-        return hash((self.n, self.poly))
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def __str__(self) -> str:
-        return str(self.poly)
-
-    __repr__ = __str__
-
-    # -- structure ------------------------------------------------------------
-
-    def _u_degree(self, key: ExponentPair) -> int:
-        a, b = key
-        return sum(a[: self.n]) + sum(b[: self.n])
-
-    def tau_weighted(self, j: int) -> "TwoPointPolynomial":
-        """Apply int_0^1 p(tau*u, w) tau^j dtau: weight 1/(d_u + j + 1)."""
-        if j < 0:
-            raise ValueError("tau weight must be non-negative")
-        out: Terms = {}
-        for k, c in self.poly.terms.items():
-            out[k] = c * Fraction(1, self._u_degree(k) + j + 1)
-        return TwoPointPolynomial(self.n, MixedPolynomial._raw(2 * self.n, out))
-
-    def u_euler(self) -> "TwoPointPolynomial":
-        """(z - w) . grad_z, the Euler operator in u: multiply by u-degree."""
-        out: Terms = {}
-        for k, c in self.poly.terms.items():
-            d = self._u_degree(k)
-            if d:
-                out[k] = c * d
-        return TwoPointPolynomial(self.n, MixedPolynomial._raw(2 * self.n, out))
-
-    def at_u_zero(self) -> MixedPolynomial:
-        """Set u = 0, returning a single-point polynomial in w."""
-        n = self.n
-        out: Terms = {}
-        for (a, b), c in self.poly.terms.items():
-            if any(a[:n]) or any(b[:n]):
-                continue
-            out[(a[n:], b[n:])] = c
-        return MixedPolynomial._raw(n, out)
-
-    def swap_points(self) -> "TwoPointPolynomial":
-        """The z <-> w substitution: u -> -u, w -> u + w."""
-        n = self.n
-        images = [-_u(n, j) for j in range(n)] + [_u(n, j) + _w(n, j) for j in range(n)]
-        return TwoPointPolynomial(n, _substitute(self.poly, images))
-
-    def conjugate(self) -> "TwoPointPolynomial":
-        return TwoPointPolynomial(self.n, self.poly.conjugate())
-
-    # -- z-direction calculus ---------------------------------------------
-
-    def dz(self, i: int, conjugated: bool = False) -> "TwoPointPolynomial":
-        """d/dz_i acting through the u slot (w held fixed)."""
-        return TwoPointPolynomial(self.n, self.poly.wirtinger(i, conjugated=conjugated))
-
-    def laplacian_z(self) -> "TwoPointPolynomial":
-        out = TwoPointPolynomial.zero(self.n)
-        for i in range(1, self.n + 1):
-            out = out + TwoPointPolynomial(
-                self.n, self.poly.wirtinger(i).wirtinger(i, conjugated=True) * 4
-            )
-        return out
-
-    # -- evaluation ------------------------------------------------------------
-
-    def evaluate(self, z: Sequence[complex], w: Sequence[complex]) -> complex:
-        u = [complex(a) - complex(b) for a, b in zip(z, w)]
-        return self.poly.evaluate(list(u) + [complex(b) for b in w])
+def _u_degree(key: ExponentPair, n: int) -> int:
+    a, b = key
+    return sum(a[:n]) + sum(b[:n])
 
 
-def grad_dot_z(p: TwoPointPolynomial, q: TwoPointPolynomial) -> TwoPointPolynomial:
-    """grad_z p . grad_z q = 2 sum_i (d_i p dbar_i q + dbar_i p d_i q)."""
-    out = TwoPointPolynomial.zero(p.n)
-    for i in range(1, p.n + 1):
-        out = out + 2 * (p.dz(i) * q.dz(i, conjugated=True) +
-                         p.dz(i, conjugated=True) * q.dz(i))
+def from_single_point(p: MixedPolynomial) -> MixedPolynomial:
+    """Substitute z_i = u_i + w_i (conjugates along the conjugate path)."""
+    n = p.n
+    return _substitute(p, [_u(n, j) + _w(n, j) for j in range(n)])
+
+
+def tau_weighted(p: MixedPolynomial, j: int) -> MixedPolynomial:
+    """Apply int_0^1 p(tau*u, w) tau^j dtau: weight 1/(d_u + j + 1)."""
+    if j < 0:
+        raise ValueError("tau weight must be non-negative")
+    n = p.n // 2
+    out: Terms = {}
+    for k, c in p.terms.items():
+        out[k] = c * Fraction(1, _u_degree(k, n) + j + 1)
+    return MixedPolynomial._raw(p.n, out)
+
+
+def u_euler(p: MixedPolynomial) -> MixedPolynomial:
+    """(z - w) . grad_z, the Euler operator in u: multiply by u-degree."""
+    n = p.n // 2
+    out: Terms = {}
+    for k, c in p.terms.items():
+        d = _u_degree(k, n)
+        if d:
+            out[k] = c * d
+    return MixedPolynomial._raw(p.n, out)
+
+
+def at_u_zero(p: MixedPolynomial) -> MixedPolynomial:
+    """Set u = 0, returning a single-point polynomial in w."""
+    n = p.n // 2
+    out: Terms = {}
+    for (a, b), c in p.terms.items():
+        if any(a[:n]) or any(b[:n]):
+            continue
+        out[(a[n:], b[n:])] = c
+    return MixedPolynomial._raw(n, out)
+
+
+def swap_points(p: MixedPolynomial) -> MixedPolynomial:
+    """The z <-> w substitution: u -> -u, w -> u + w."""
+    n = p.n // 2
+    images = [-_u(n, j) for j in range(n)] + [_u(n, j) + _w(n, j) for j in range(n)]
+    return _substitute(p, images)
+
+
+def laplacian_z(p: MixedPolynomial) -> MixedPolynomial:
+    """Delta_z p = 4 sum_i d_i dbar_i p."""
+    out = MixedPolynomial.zero(p.n)
+    for i in range(1, p.n // 2 + 1):
+        out = out + p.wirtinger(i).wirtinger(i, conjugated=True) * 4
     return out
 
 
-def segment_average(p: MixedPolynomial, j: int = 0) -> TwoPointPolynomial:
+def grad_dot_z(p: MixedPolynomial, q: MixedPolynomial) -> MixedPolynomial:
+    """grad_z p . grad_z q = 2 sum_i (d_i p dbar_i q + dbar_i p d_i q)."""
+    out = MixedPolynomial.zero(p.n)
+    for i in range(1, p.n // 2 + 1):
+        out = out + (p.wirtinger(i) * q.wirtinger(i, conjugated=True) +
+                     p.wirtinger(i, conjugated=True) * q.wirtinger(i)) * 2
+    return out
+
+
+def evaluate_two_point(p: MixedPolynomial, z: Sequence[complex], w: Sequence[complex]) -> complex:
+    """p at the point pair (z, w)."""
+    u =[complex(a) - complex(b) for a, b in zip(z, w)]
+    return p.evaluate(u + [complex(b) for b in w])
+
+
+def segment_average(p: MixedPolynomial, j: int = 0) -> MixedPolynomial:
     """int_0^1 p(tau*(z-w) + w) tau^j dtau, exactly."""
-    return TwoPointPolynomial.from_single_point(p).tau_weighted(j)
+    return tau_weighted(from_single_point(p), j)

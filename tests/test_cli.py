@@ -1,6 +1,8 @@
+import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -298,3 +300,23 @@ print(spectral.torsion_sum_check(0.5, 0.5).passed, file=sys.stderr)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.split() == ["0"] * 6 + ["True"]
+
+
+def test_index_study_script_matches_index_report(tmp_path):
+    # the script seeds each t the way the index command does
+    args = ["--t", "0.5,1", "--samples", "20000"]
+    csv_path = tmp_path / "study.csv"
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_index_study.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--poly", "(1/2)*z1^2", *args, "--csv", str(csv_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    proc = run_cli("index", "(1/2)*z1^2", *args, "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["result"]["estimates"]
+    assert [(float(r["t"]), float(r["estimate"]), float(r["stderr"])) for r in rows] == [
+        (e["t"], e["estimate"]["value"], e["estimate"]["stderr"]) for e in report
+    ]

@@ -14,7 +14,6 @@ from singspect.clifford import (
     c_hat,
     contraction,
     full_clifford_monomial,
-    generator,
     number_operator,
     number_operator_clifford,
     supertrace_matrix,
@@ -53,9 +52,6 @@ def test_n1_matrix_action_of_c():
 
 
 def test_generator_lookup_and_range():
-    assert generator("chat", 1, 1) == c_hat(1, 1)
-    with pytest.raises(ValueError):
-        generator("nope", 1, 1)
     with pytest.raises(ValueError):
         c(3, 2)
 

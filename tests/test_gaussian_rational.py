@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from singspect.gaussian_rational import GaussianRational
+from singspect.poly import MixedPolynomial, parse
 
 fractions = st.fractions(max_denominator=50).filter(lambda x: abs(x.numerator) < 10 ** 6)
 gaussians = st.tuples(fractions, fractions)
@@ -104,6 +105,13 @@ def test_mixed_type_equality_and_unsupported_operands():
         GaussianRational(1) + 1.5
     with pytest.raises(TypeError):
         GaussianRational.from_value(1j)
+    # a float is never turned into its binary fraction, by any exact constructor
+    with pytest.raises(TypeError):
+        GaussianRational.from_value(0.1)
+    with pytest.raises(TypeError):
+        MixedPolynomial.constant(1, 0.1)
+    with pytest.raises(TypeError):
+        parse("z1", 1) * 0.1
 
 
 def test_division_by_zero_raises():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from singspect import parametrix
 from singspect.clifford import supertrace_matrix
 from singspect.oscillator import a1_diagonal_supertrace_flat
 from singspect.parametrix import (
@@ -18,9 +19,11 @@ from singspect.parametrix import (
 )
 from singspect.poly import (
     MixedPolynomial,
-    TwoPointPolynomial,
+    at_u_zero,
+    evaluate_two_point,
     grad_dot_z,
     hermitian_gradient_square,
+    laplacian_z,
     parse,
 )
 
@@ -32,14 +35,14 @@ TRIPLE = parse("z1^3 + z2^3 + z3^3", 3)
 
 def test_build_g_examples():
     g = build_g(hermitian_gradient_square(A1))
-    assert g.poly == parse(
+    assert g == parse(
         "1/3*z1*conj(z1) + 1/2*z1*conj(z2) + 1/2*z2*conj(z1) + z2*conj(z2)", 2
     )
     const = build_g(parse("5/7", 1))
-    assert const.poly == parse("5/7", 2)
+    assert const == parse("5/7", 2)
     # diagonal reproduces the potential
     V = hermitian_gradient_square(A2)
-    assert build_g(V).at_u_zero() == V
+    assert at_u_zero(build_g(V)) == V
 
 
 def test_build_g_rejects_non_real():
@@ -64,10 +67,10 @@ def test_U1_symmetry_and_defining_equation():
 def test_U2_satisfies_displayed_j1_identity():
     for f in (A1, A2):
         b = build_U(f, 2)
-        lap_g = b.g.laplacian_z()
+        lap_g = laplacian_z(b.g)
         lhs = b.U[2].scalar_mul(2) + b.U[2].u_euler()
         rhs = b.U[1].laplacian_z() - (b.B @ b.U[1]) \
-            - OperatorPolynomial.identity(f.n).poly_mul(lap_g)
+            - OperatorPolynomial.identity(f.n).scalar_mul(lap_g)
         assert (lhs - rhs).is_zero()
 
 
@@ -101,13 +104,13 @@ def test_remainder_groups_match_hand_expanded_formulas(f, k):
     # the two groups past the truncation, written out term by term
     b = build_U(f, k)
     g, U = b.g, b.U
-    grad_sq_g = TwoPointPolynomial.zero(f.n)
+    grad_sq_g = MixedPolynomial.zero(2 * f.n)
     for i in range(1, f.n + 1):
-        grad_sq_g = grad_sq_g + 4 * (g.dz(i) * g.dz(i, conjugated=True))
+        grad_sq_g = grad_sq_g + 4 * (g.wirtinger(i) * g.wirtinger(i, conjugated=True))
     assert grad_dot_z(g, g) == grad_sq_g
-    t_k1 = U[k].poly_mul(g.laplacian_z()) + U[k].grad_dot_with(g).scalar_mul(2) \
-        - U[k - 1].poly_mul(grad_sq_g)
-    t_k2 = U[k].poly_mul(grad_sq_g).scalar_mul(-1)
+    t_k1 = U[k].scalar_mul(laplacian_z(g)) + U[k].grad_dot_with(g).scalar_mul(2) \
+        - U[k - 1].scalar_mul(grad_sq_g)
+    t_k2 = U[k].scalar_mul(grad_sq_g).scalar_mul(-1)
     _, got_k1, got_k2 = residual_polynomials(b)
     assert not t_k1.is_zero() and not t_k2.is_zero()
     assert (got_k1 - t_k1).is_zero()
@@ -125,7 +128,7 @@ def test_supertrace_polynomials_n2():
     b = build_U(PROD, 6)
     for j in (1, 2, 3):
         assert b.U[j].diagonal_supertrace().is_zero()
-    str_L4 = (b.B @ b.B @ b.B @ b.B).supertrace().at_u_zero()
+    str_L4 = (b.B @ b.B @ b.B @ b.B).diagonal_supertrace()
     assert (b.U[4].diagonal_supertrace() * 24 - str_L4).is_zero()
     # and the closed form: (2n)! (-1)^n 4^n |det H|^2 with H = diag(6 z1, 6 z2)
     expected = parse("497664*z1*z2*conj(z1)*conj(z2)", 2)
@@ -136,7 +139,7 @@ def test_supertrace_polynomials_n3():
     b = build_U(TRIPLE, 6)
     for j in range(1, 6):
         assert b.U[j].diagonal_supertrace().is_zero()
-    str_L6 = (b.B @ b.B @ b.B @ b.B @ b.B @ b.B).supertrace().at_u_zero()
+    str_L6 = (b.B @ b.B @ b.B @ b.B @ b.B @ b.B).diagonal_supertrace()
     assert (b.U[6].diagonal_supertrace() * 720 - str_L6).is_zero()
     # (2n)! (-1)^n 4^n |det H|^2 with H = diag(6 z1, 6 z2, 6 z3)
     expected = parse("-2149908480*z1*z2*z3*conj(z1)*conj(z2)*conj(z3)", 3)
@@ -153,7 +156,7 @@ def test_evaluate_Pk_examples():
     P = evaluate_Pk(b0, z, w, t)
     d2 = abs(z[0] - w[0]) ** 2
     e0 = math.exp(-d2 / (4 * t)) / (4 * math.pi * t)
-    e1 = math.exp(-t * b0.g.evaluate(z, w).real)
+    e1 = math.exp(-t * evaluate_two_point(b0.g, z, w).real)
     assert np.allclose(P, e0 * e1 * np.eye(4))
     with pytest.raises(ValueError):
         evaluate_Pk(b0, z, w, -1.0)
@@ -180,6 +183,23 @@ def test_pk_supertrace_integral_is_minus_one():
     val = supertrace_matrix(evaluate_Pk(b, [0.0], [0.0], t)).real
     integral = val * math.pi / t  # Gaussian integral of e^{-t|z|^2}
     assert abs(integral + 1) < 1e-12
+
+
+def test_residual_groups_are_built_once_per_bundle(monkeypatch):
+    b = build_U(A2, 3)
+    orders = []
+    rhs = parametrix._recursion_rhs
+
+    def counted(bundle, U, j):
+        orders.append(j)
+        return rhs(bundle, U, j)
+
+    monkeypatch.setattr(parametrix, "_recursion_rhs", counted)
+    z, w = [0.3 + 0.1j], [-0.2 + 0.4j]
+    first = evaluate_residual(b, z, w, 0.05)
+    assert np.array_equal(evaluate_residual(b, z, w, 0.05), first)
+    residual_order_check(b, samples=1)
+    assert orders == [3, 4, 5]
 
 
 def test_residual_leading_exponent_a1_k2():

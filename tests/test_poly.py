@@ -8,12 +8,15 @@ from singspect.gaussian_rational import GaussianRational
 from singspect.poly import (
     MixedPolynomial,
     ParseError,
-    TwoPointPolynomial,
+    at_u_zero,
+    evaluate_two_point,
+    from_single_point,
     hermitian_gradient_square,
     hessian,
     hessian_determinant,
     parse,
     segment_average,
+    swap_points,
 )
 
 
@@ -127,39 +130,55 @@ def test_segment_average_examples():
     sa = segment_average(parse("z1", 1), 0)
     u = MixedPolynomial.variable(2, 1)
     w = MixedPolynomial.variable(2, 2)
-    assert sa.poly == w + u * Fraction(1, 2)
+    assert sa == w + u * Fraction(1, 2)
     # p = z zbar: (1/3)|u|^2 + cross + |w|^2
     g = segment_average(parse("z1*conj(z1)", 1), 0)
     expected = parse(
         "1/3*z1*conj(z1) + 1/2*z1*conj(z2) + 1/2*z2*conj(z1) + z2*conj(z2)", 2
     )
-    assert g.poly == expected
+    assert g == expected
     # constant with j = 2 integrates tau^2
-    assert segment_average(parse("1", 1), 2).poly == parse("1/3", 2)
+    assert segment_average(parse("1", 1), 2) == parse("1/3", 2)
 
 
 @settings(max_examples=40, deadline=None)
 @given(polys(2, max_terms=3, max_deg=2))
 def test_segment_average_degenerate_segment(p):
     # at u = 0 the j = 0 average returns p(w) exactly
-    assert segment_average(p, 0).at_u_zero() == p
+    assert at_u_zero(segment_average(p, 0)) == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(2), st.integers(0, 2),
+       st.lists(st.floats(-1.5, 1.5), min_size=8, max_size=8))
+def test_segment_average_matches_gauss_legendre(p, j, xs):
+    # tau^j p(tau (z - w) + w) has degree at most 14 in tau, so 8 nodes are exact
+    z = np.array([xs[0] + 1j * xs[1], xs[2] + 1j * xs[3]])
+    w = np.array([xs[4] + 1j * xs[5], xs[6] + 1j * xs[7]])
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    tau = (nodes + 1) / 2
+    vals = np.array([s ** j * p.evaluate(s * (z - w) + w) for s in tau])
+    ref = np.sum(weights * vals) / 2
+    scale = np.sum(weights * np.abs(vals)) / 2
+    got = evaluate_two_point(segment_average(p, j), z, w)
+    assert abs(got - ref) <= 1e-10 * max(scale, 1e-300)
 
 
 def test_two_point_substitution_is_consistent():
     rng = np.random.default_rng(1)
     p = parse("z1^2*conj(z2) + i*z2^3", 2)
-    tp = TwoPointPolynomial.from_single_point(p)
+    tp = from_single_point(p)
     for _ in range(20):
         z = rng.normal(size=2) + 1j * rng.normal(size=2)
         w = rng.normal(size=2) + 1j * rng.normal(size=2)
-        assert abs(tp.evaluate(z, w) - p.evaluate(z)) < 1e-10
-        assert abs(tp.swap_points().evaluate(z, w) - p.evaluate(w)) < 1e-10
+        assert abs(evaluate_two_point(tp, z, w) - p.evaluate(z)) < 1e-10
+        assert abs(evaluate_two_point(swap_points(tp), z, w) - p.evaluate(w)) < 1e-10
 
 
 def test_swap_points_involution():
     g = segment_average(parse("z1*conj(z1) + z1^2*conj(z1)^2", 1), 0)
-    assert g.swap_points().swap_points() == g
-    assert g.swap_points() == g  # mean value is symmetric in its endpoints
+    assert swap_points(swap_points(g)) == g
+    assert swap_points(g) == g  # mean value is symmetric in its endpoints
 
 
 @pytest.mark.parametrize("text,n", [
