@@ -18,7 +18,8 @@ generators are
 and their conjugates cbar_i, cbarhat_i; distinct generators anticommute.
 The supertrace is str A = sum over basis states of (-1)^degree A[s, s].
 
-The Hessian-coupling operator uses the standard-metric normalization
+The Hessian-coupling operator, whose one home is `hessian_coupling`, uses the
+standard-metric normalization
 
     L_f = -2 sum_{m,l} (H_{ml} contract(dbar_m) wedge(dz^l) + conjugate)
 
@@ -237,17 +238,9 @@ def wedge(n: int, gen: int) -> ExteriorOperator:
 
 
 def contraction(n: int, gen: int) -> ExteriorOperator:
-    """Contraction against generator index gen (adjoint of wedge)."""
-    if not 0 <= gen < 2 * n:
-        raise ValueError("generator index out of range")
-    one = GaussianRational(1)
-    entries: Dict[Entry, object] = {}
-    bit = 1 << gen
-    for mask in range(4 ** n):
-        if mask & bit:
-            continue
-        entries[(mask, mask | bit)] = one * _insertion_sign(mask, gen)
-    return ExteriorOperator._raw(n, entries)
+    """Contraction against generator index gen: the transpose of wedge."""
+    w = wedge(n, gen)
+    return ExteriorOperator._raw(n, {(c, r): v for (r, c), v in w.entries.items()})
 
 
 def _gen_index(i: int, n: int, conjugated: bool) -> int:
@@ -336,16 +329,29 @@ def hessian_atoms(n: int) -> Tuple[List[List[ExteriorOperator]], List[List[Exter
     return holo, anti
 
 
-def build_Lf(H: Sequence[Sequence[object]], n: int | None = None) -> ExteriorOperator:
-    """L_f for a symmetric Hessian H = d^2 f at a point, standard metric."""
-    rows = _validate_symmetric(H)
-    n = len(rows) if n is None else n
+def hessian_coupling(H: Sequence[Sequence[object]]) -> List[Tuple[ExteriorOperator, object]]:
+    """L_f as (atom, coefficient) pairs: -2 H_ml on holo_ml, -2 conj(H_ml) on anti_ml.
+
+    The entries of H may be GaussianRationals or polynomials; zero entries
+    give no pairs.
+    """
+    n = len(H)
     holo, anti = hessian_atoms(n)
-    out = ExteriorOperator.zero(n)
+    minus_two = GaussianRational(-2)
+    pairs = []
     for m in range(n):
         for l in range(n):
-            hv = GaussianRational.from_value(rows[m][l])
-            hc = hv.conjugate()
-            if hv:
-                out = out + holo[m][l].scale(hv * (-2)) + anti[m][l].scale(hc * (-2))
+            h = H[m][l]
+            if not h.is_zero():
+                pairs.append((holo[m][l], h * minus_two))
+                pairs.append((anti[m][l], h.conjugate() * minus_two))
+    return pairs
+
+
+def build_Lf(H: Sequence[Sequence[object]]) -> ExteriorOperator:
+    """L_f for a symmetric Hessian H = d^2 f at a point, standard metric."""
+    rows = [[GaussianRational.from_value(h) for h in row] for row in _validate_symmetric(H)]
+    out = ExteriorOperator.zero(len(rows))
+    for atom, coeff in hessian_coupling(rows):
+        out = out + atom.scale(coeff)
     return out

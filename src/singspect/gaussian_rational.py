@@ -135,6 +135,9 @@ class GaussianRational:
     def __bool__(self):
         return self._p != 0 or self._q != 0
 
+    def is_zero(self) -> bool:
+        return not self
+
     def __eq__(self, other):
         t = self._triple(other)
         if t is None:

@@ -27,10 +27,6 @@ from .poly import MixedPolynomial, gradient, hessian_determinant
 from .weights import NondegeneracyReport
 
 
-class BudgetTooSmall(RuntimeError):
-    """Standard error exceeded the requested tolerance."""
-
-
 class MissingTamenessReport(ValueError):
     """compute_index needs the non-degeneracy report for its sampling scale."""
 
@@ -60,13 +56,10 @@ class IndexEstimate:
 
 @dataclass(frozen=True)
 class IndexResult:
-    t_values: Tuple[float, ...]
     estimates: Tuple[IndexEstimate, ...]
     mu_pooled: float
     mu_rounded: int
     method: str
-    budget: int
-    seed: Optional[int]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -268,7 +261,6 @@ def compute_index(
     seed: int = 0,
     method: str = "mc",
     report: Optional[NondegeneracyReport] = None,
-    tol: Optional[float] = None,
 ) -> IndexEstimate:
     """One estimate of the index integral at time t.
 
@@ -286,8 +278,6 @@ def compute_index(
         est, err = _quadrature_estimate(comp, t, budget, report.fitted_C)
     else:
         raise ValueError("method must be 'mc' or 'quadrature'")
-    if tol is not None and err > tol:
-        raise BudgetTooSmall(f"standard error {err:.3g} exceeds tolerance {tol:.3g}")
     return IndexEstimate(t=t, estimate=est, std_error=err, method=method,
                          budget=budget, seed=seed)
 
@@ -329,11 +319,8 @@ def mckean_singer_check(
     # weights normalized before summing, so one point pools to its estimate exactly
     pooled = sum(w / norm * e.estimate for w, e in zip(wts, ests))
     return IndexResult(
-        t_values=tuple(float(t) for t in t_grid),
         estimates=tuple(ests),
         mu_pooled=pooled,
         mu_rounded=int(round(pooled)),
         method=method,
-        budget=budget,
-        seed=seed,
     )

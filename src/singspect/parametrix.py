@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .clifford import ExteriorOperator, hessian_atoms
+from .clifford import ExteriorOperator, hessian_coupling
 from .gaussian_rational import GaussianRational
 from .poly import (
     MixedPolynomial,
@@ -240,20 +240,9 @@ def build_g(V: MixedPolynomial) -> MixedPolynomial:
 
 def build_B(f: MixedPolynomial) -> OperatorPolynomial:
     """The Hessian coupling operator as a polynomial in z = u + w."""
-    n = f.n
-    holo, anti = hessian_atoms(n)
-    H = hessian(f)
-    out = OperatorPolynomial.zero(n)
-    minus_two = GaussianRational(-2)
-    for m in range(n):
-        for l in range(n):
-            h = H[m][l]
-            if h.is_zero():
-                continue
-            h2 = from_single_point(h) * minus_two
-            hc2 = from_single_point(h.conjugate()) * minus_two
-            out = out + OperatorPolynomial(n, {holo[m][l]: h2}) \
-                      + OperatorPolynomial(n, {anti[m][l]: hc2})
+    out = OperatorPolynomial.zero(f.n)
+    for atom, coeff in hessian_coupling(hessian(f)):
+        out = out + OperatorPolynomial(f.n, {atom: from_single_point(coeff)})
     return out
 
 

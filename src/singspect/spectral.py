@@ -22,7 +22,12 @@ s = 0 defines the torsion log T^i = -(Theta^i)'(0).  Two routes compute it:
     tail in closed form, the lower part fits the heat trace on the
     Wigner-Kirkwood exponents t^{(k-1)(1+1/r)}, with the two closed-form
     leading coefficients pinned, and the divergent terms are cancelled by
-    the renormalization.  The error bar is the spread over three splits.
+    the renormalization.
+
+The numeric torsion and the A_1 torsion sum rule renormalize through one
+driver, `_renormalize`: one window rule in units of 1/E that keeps clear of
+the spectrum's completeness edge, and an error bar that is the spread of
+log T over three splits.
 """
 
 from __future__ import annotations
@@ -357,10 +362,8 @@ class MellinResult:
     value_at_0: float
     derivative_at_0: float
     exponents: Tuple[float, ...]
-    coefficients: Tuple[float, ...]
     fit_condition: float
     fit_residual: float
-    split: float
 
 
 def _weighted_lstsq(ts: np.ndarray, vals: np.ndarray, exps: np.ndarray,
@@ -461,50 +464,64 @@ def mellin_derivative_at_zero(
         value_at_0=b0 / 2,
         derivative_at_0=(EULER_GAMMA * b0 + b0 * math.log(split) + h0) / 2,
         exponents=tuple(float(b) for b in exps),
-        coefficients=tuple(float(c) for c in coef),
         fit_condition=cond,
         fit_residual=resid,
-        split=split,
     )
 
 
 # -- torsion ------------------------------------------------------------------------
 
 
+def _renormalize(
+    F: Callable[[float], float],
+    upper: Callable[[float], float],
+    energy: float,
+    exponents: Sequence[float],
+    pinned: Sequence[Tuple[float, float]],
+    complete_below: float,
+    split: float = 1.0,
+) -> Tuple[MellinResult, float]:
+    """The renormalized Mellin transform of F at `split`, and its spread.
+
+    `split` and the fit window are in units of 1/E, which makes the result
+    covariant under rescaling the spectrum.  At each split s the window runs
+    from max(s/4, min(12 E / complete_below, 0.6 s)), which keeps its low
+    edge where truncating the spectrum is negligible, up to max(s, 1).
+    `upper(A)` returns int_A^inf F dt/t.  The spread is that of
+    log T = -Theta'(0) over split/2, split and 2 split.
+    """
+    edge = 12.0 * energy / complete_below
+    fits = []
+    for s in (split, split / 2, 2 * split):
+        lo = max(s / 4, min(edge, 0.6 * s))
+        A = s / energy
+        fits.append(mellin_derivative_at_zero(
+            F, exponents, upper(A), split=A,
+            fit_window=(lo / energy, max(s, 1.0) / energy), pinned=pinned,
+        ))
+    logs = [-r.derivative_at_0 for r in fits]
+    return fits[0], max(logs) - min(logs)
+
+
 @dataclass
 class ZetaResult:
-    i: int
-    path: str
     theta_at_0: float
-    derivative_at_0: float
     log_torsion: float
     torsion: float
     exponents: Tuple[float, ...] = ()
-    coefficients: Tuple[float, ...] = ()
     fit_condition: float = 0.0
     fit_unstable: bool = False
     error_bar: float = 0.0
 
 
-def torsion_exact_a1(tau: float, i: int = 2) -> ZetaResult:
+def torsion_exact_a1(tau: float) -> ZetaResult:
     """Closed-form A_1 torsion from Theta^2(s) = (2 tau)^{-s} zeta(s - 1).
 
     T^2 = (2 tau)^{-1/12} exp(-zeta'(-1)).
     """
-    if i != 2:
-        raise ValueError("the exact path covers i = 2")
-    a = abs(tau)
     z_m1, zp_m1 = zeta_and_derivative(-1.0)
-    deriv = -math.log(2 * a) * z_m1 + zp_m1
-    log_t = -deriv
-    return ZetaResult(
-        i=2, path="exact",
-        theta_at_0=z_m1,
-        derivative_at_0=deriv,
-        log_torsion=log_t,
-        torsion=math.exp(log_t),
-        exponents=(-2.0, 0.0, 2.0),
-    )
+    deriv = -math.log(2 * abs(tau)) * z_m1 + zp_m1
+    return ZetaResult(theta_at_0=z_m1, log_torsion=-deriv, torsion=math.exp(-deriv))
 
 
 # the Wigner-Kirkwood powers (k-1) p are fitted up to this one; raising it to 8
@@ -512,57 +529,36 @@ def torsion_exact_a1(tau: float, i: int = 2) -> ZetaResult:
 _MAX_EXPONENT = 4.0
 
 
-def renormalize_and_torsion(
-    spectrum: Spectrum,
-    data: ArData,
-    i: int = 2,
-    split: float = 1.0,
-) -> ZetaResult:
-    """Numeric-path torsion from a computed 0-form spectrum (n = 1).
+def renormalize_and_torsion(spectrum: Spectrum, data: ArData, split: float = 1.0) -> ZetaResult:
+    """Numeric-path torsion T^2 from a computed 0-form spectrum (n = 1).
 
-    The supertraced heat trace with number-operator weight i reduces to
-    (2^i - 2) Tr^0(t) for one variable, so the Mellin engine runs on that
-    scalar multiple of the 0-form trace.  Its t^{-p} and t^0 coefficients
-    are pinned to a_0 and a_1, and only the powers (k-1) p with k >= 2 are
-    fitted.  `split` and the fit window are in units of 1/E, which makes the
-    result covariant under rescaling f.  The value reported is the one at
+    For one variable the supertraced heat trace with number-operator weight
+    2 is twice the 0-form trace, so `_renormalize` runs on that.  Its t^{-p}
+    and t^0 coefficients are pinned to a_0 and a_1, and only the powers
+    (k-1) p with k >= 2 are fitted.  The value reported is the one at
     `split`; the error bar is the spread over split/2, split and 2 split.
     """
-    if i < 2:
-        raise ValueError("numeric path needs i >= 2 (Theta^1 vanishes identically)")
     p, a0, a1, energy = data.heat_expansion()
     tail = fit_weyl_tail(spectrum, data)
-    pref = 2 ** i - 2
 
     def F(t: float) -> float:
-        return pref * heat_trace(spectrum, tail, t)
+        return 2 * heat_trace(spectrum, tail, t)
+
+    def upper(A: float) -> float:
+        return 2 * (float(exp1(spectrum.eigenvalues * A).sum()) + tail.mellin_upper(A))
 
     exponents = [k * p for k in range(1, int(_MAX_EXPONENT / p + 1e-9) + 1)]
-    pinned = ((-p, pref * a0), (0.0, pref * a1))
-    # keep the window's low edge where spectrum truncation is negligible
-    edge = 12.0 * energy / spectrum.complete_below
-    fits = []
-    for s in (split, split / 2, 2 * split):
-        lo = max(s / 4, min(edge, 0.6 * s))
-        A = s / energy
-        upper = pref * (float(exp1(spectrum.eigenvalues * A).sum()) + tail.mellin_upper(A))
-        fits.append(mellin_derivative_at_zero(
-            F, exponents, upper, split=A,
-            fit_window=(lo / energy, max(s, 1.0) / energy), pinned=pinned,
-        ))
-    logs = [-r.derivative_at_0 for r in fits]
-    res = fits[0]
+    res, spread = _renormalize(F, upper, energy, exponents, ((-p, 2 * a0), (0.0, 2 * a1)),
+                               spectrum.complete_below, split)
+    log_t = -res.derivative_at_0
     return ZetaResult(
-        i=i, path="numeric",
         theta_at_0=res.value_at_0,
-        derivative_at_0=res.derivative_at_0,
-        log_torsion=logs[0],
-        torsion=math.exp(logs[0]),
+        log_torsion=log_t,
+        torsion=math.exp(log_t),
         exponents=res.exponents,
-        coefficients=res.coefficients,
         fit_condition=res.fit_condition,
         fit_unstable=res.fit_condition > 1e10 or res.fit_residual > 1e-3,
-        error_bar=max(logs) - min(logs),
+        error_bar=spread,
     )
 
 
@@ -575,36 +571,31 @@ def torsion_sum_rhs(mu1: int, n1: int, log_t1: float,
     return (-1) ** n1 * mu1 * log_t2 + (-1) ** n2 * mu2 * log_t1
 
 
+# |lhs - rhs| above which the A_1 sum rule fails
+_SUM_RULE_TOLERANCE = 2e-3
+
+
 @dataclass(frozen=True)
 class TorsionSumReport:
     log_lhs: float
     log_rhs: float
     difference: float
-    tolerance: float
+    error_bar: float
     passed: bool
 
 
-def torsion_sum_check(
-    tau1: float,
-    tau2: float,
-    log_t1: Optional[float] = None,
-    log_t2: Optional[float] = None,
-    tolerance: float = 2e-3,
-) -> TorsionSumReport:
+def torsion_sum_check(tau1: float, tau2: float) -> TorsionSumReport:
     """Verify log T^2(f1 (+) f2) = -mu2 log T^2(f1) - mu1 log T^2(f2) for A_1 pairs.
 
     The left side is computed from the product heat traces: per degree p the
     sum singularity has Tr^p = sum_{p1+p2=p} Tr^{p1}_1 Tr^{p2}_2 (factor
     traces in closed form), the harmonic projector sits in degree 2 with
-    rank mu1 mu2 = 1, and the Mellin engine renormalizes the alternating
-    p^2-weighted combination.  The right side uses the factor torsions.
+    rank mu1 mu2 = 1, and `_renormalize` fits the alternating p^2-weighted
+    combination on the exponents -4..4 with nothing pinned.  The right side
+    uses the exact factor torsions.  `error_bar` is the left side's spread
+    over three splits.
     """
     from .oscillator import OscillatorSpec, heat_trace_k_forms
-
-    if log_t1 is None:
-        log_t1 = torsion_exact_a1(tau1).log_torsion
-    if log_t2 is None:
-        log_t2 = torsion_exact_a1(tau2).log_torsion
 
     def factor_traces(tau: float, t: float) -> Tuple[float, float, float]:
         spec = OscillatorSpec(tau, t)
@@ -621,19 +612,18 @@ def torsion_sum_check(
                 total += (-1) ** p * p * p * tr1[p1] * tr2[p2]
         return total - 4.0  # degree-2 harmonic projector, p^2 = 4, rank 1
 
-    # the factor traces are functions of 2 tau t, so split and window scale
-    # with the larger energy unit E; F decays like e^{-2 min(tau) t}, so the
-    # part above 60 split is of order e^{-60 min(tau) / max(tau)}
-    energy = 2 * max(tau1, tau2)
-    split = 1.0 / energy
-    upper = _log_integral(F, split, 60 * split)
-    res = mellin_derivative_at_zero(F, (-4.0, -2.0, 0.0, 2.0, 4.0), upper, split=split,
-                                    fit_window=(0.25 * split, split))
+    # the factor traces are functions of 2 tau t, so the split and the window
+    # scale with the larger energy unit E; F decays like e^{-2 min(tau) t}, so
+    # the part above 60 A is of order e^{-60 min(tau) / max(tau)} at A = 1/E;
+    # the closed-form traces are complete, so no edge raises the window
+    res, spread = _renormalize(F, lambda A: _log_integral(F, A, 60 * A),
+                               2 * max(tau1, tau2), (-4.0, -2.0, 0.0, 2.0, 4.0), (),
+                               math.inf)
     log_lhs = -res.derivative_at_0
-    log_rhs = torsion_sum_rhs(1, 1, log_t1, 1, 1, log_t2)
+    log_rhs = torsion_sum_rhs(1, 1, torsion_exact_a1(tau1).log_torsion,
+                              1, 1, torsion_exact_a1(tau2).log_torsion)
     diff = abs(log_lhs - log_rhs)
     return TorsionSumReport(
-        log_lhs=log_lhs, log_rhs=log_rhs, difference=diff,
-        tolerance=tolerance, passed=diff <= tolerance,
+        log_lhs=log_lhs, log_rhs=log_rhs, difference=diff, error_bar=spread,
+        passed=diff <= _SUM_RULE_TOLERANCE,
     )
-

@@ -169,6 +169,13 @@ def test_wedge_contraction_adjointness():
             assert np.allclose(W.conj().T, C)
 
 
+def test_contraction_respects_exact_cap():
+    # above n = 6 neither builder allocates its 4^n-state table
+    for builder in (wedge, contraction):
+        with pytest.raises(ValueError, match="capped"):
+            builder(7, 0)
+
+
 def test_entries_are_exact():
     # numeric work goes through to_numpy and supertrace_matrix, not float entries
     with pytest.raises(TypeError):

@@ -5,7 +5,6 @@ import pytest
 
 from singspect import index_integral
 from singspect.index_integral import (
-    BudgetTooSmall,
     ConstancyViolated,
     IndexEstimate,
     MissingTamenessReport,
@@ -123,12 +122,6 @@ def test_t_grid_is_validated_before_any_estimate(monkeypatch):
     for grid in ((0.5, 0.0), (1.0, 2.0, float("nan")), (1.0, -1.0), (0.5, float("inf"))):
         with pytest.raises(ValueError, match="positive and finite"):
             mckean_singer_check(f, grid, report=rep)
-
-
-def test_budget_too_small():
-    f, wv, rep = prepared("z1^3", 1)
-    with pytest.raises(BudgetTooSmall):
-        compute_index(f, 1.0, budget=2000, seed=1, report=rep, tol=1e-5)
 
 
 def test_determinism_same_seed():

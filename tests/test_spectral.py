@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from singspect.oscillator import OscillatorSpec, heat_trace_0forms
+from singspect import spectral
 from singspect.poly import parse
 from singspect.spectral import (
     GalerkinConfig,
@@ -233,9 +234,29 @@ def test_torsion_sum_check():
     assert abs(rep.log_rhs - (-2 * logT)) < 1e-14
 
 
-@pytest.mark.parametrize("tau1,tau2", [(0.5, 1.0), (1.0, 2.0), (2.0, 3.0), (0.25, 0.5)])
+@pytest.mark.parametrize("tau1,tau2", [(0.5, 1.0), (1.0, 2.0), (2.0, 3.0), (0.25, 0.5),
+                                       (1.0, 1.0), (0.5, 3.0)])
 def test_torsion_sum_check_across_tau(tau1, tau2):
-    assert torsion_sum_check(tau1, tau2).passed
+    rep = torsion_sum_check(tau1, tau2)
+    assert rep.passed
+    # the spread over three splits covers the distance to the exact right side
+    assert rep.difference <= rep.error_bar
+
+
+def test_torsion_paths_share_one_driver(monkeypatch, a1_big):
+    # both paths renormalize at split/2, split and 2 split through one driver
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["split"])
+        return mellin_derivative_at_zero(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "mellin_derivative_at_zero", counting)
+    renormalize_and_torsion(a1_big, ar_data(A1))  # E = 1
+    assert calls == [1.0, 0.5, 2.0]
+    calls.clear()
+    torsion_sum_check(0.5, 1.0)  # E = 2 max(tau) = 2
+    assert calls == [0.5, 0.25, 1.0]
 
 
 def test_torsion_sum_scale_covariance():
