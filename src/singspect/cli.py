@@ -16,9 +16,10 @@ reports, such as an unknown command or `--samples abc`; an `index --csv`
 path that cannot be written, checked before any estimate without emptying
 an existing file; a polynomial outside the weight system, such as one with
 a conjugate variable; a t that is not positive and finite, `index` or
-`weights` `--samples` below 1, a rejected quadrature node count, or a
-`--basis` or `--sectors` the Galerkin solver rejects).  0 is success, and 5 a failed `verify` check (the report is
-still written to stdout).
+`weights` `--samples` below 1, a rejected quadrature node count, a
+`--basis` or `--sectors` the Galerkin solver rejects, or a degree whose
+Galerkin matrices overflow).  0 is success, and 5 a failed `verify` check
+(the report is still written to stdout).
 """
 
 from __future__ import annotations
@@ -44,11 +45,7 @@ from .spectral import (
 from .weights import (
     WITNESS_SAMPLES,
     BilinearMonomialPresent,
-    GradientVanishesAwayFromOrigin,
-    NonIntegerMilnor,
-    NotQuasiHomogeneous,
-    WeightOutOfRange,
-    WeightsNotUnique,
+    DegenerateSingularity,
     has_bilinear_monomial,
     milnor_brute_force,
     milnor_oracle,
@@ -68,12 +65,7 @@ EXIT_VERIFY = 5
 # ParseError and the degeneracy errors are ValueErrors, so the order matters
 _EXIT_CODES = (
     (ParseError, EXIT_PARSE),
-    (NotQuasiHomogeneous, EXIT_DEGENERATE),
-    (WeightsNotUnique, EXIT_DEGENERATE),
-    (WeightOutOfRange, EXIT_DEGENERATE),
-    (BilinearMonomialPresent, EXIT_DEGENERATE),
-    (GradientVanishesAwayFromOrigin, EXIT_DEGENERATE),
-    (NonIntegerMilnor, EXIT_DEGENERATE),
+    (DegenerateSingularity, EXIT_DEGENERATE),
     (ConstancyViolated, EXIT_CONSTANCY),
     (ValueError, EXIT_UNSUPPORTED),
 )

@@ -29,74 +29,41 @@ which the test suite enforces rather than trusting any transcription.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .gaussian_rational import GaussianRational
+from .gaussian_rational import GaussianRational, SparseMap
 
 Entry = Tuple[int, int]
 
 
-class ExteriorOperator:
-    """Sparse endomorphism of Lambda*(C^n)."""
+class ExteriorOperator(SparseMap):
+    """Sparse endomorphism of Lambda*(C^n): terms maps (row, col) to an entry."""
 
-    __slots__ = ("n", "entries", "_key")
+    __slots__ = ("_key",)  # canon_key's cache, set on first use
 
-    def __init__(self, n: int, entries: Dict[Entry, object] | None = None):
+    def __init__(self, n: int, terms: Dict[Entry, object] | None = None):
         self.n = n
+        self.terms = {}
         dim = 4 ** n
-        clean: Dict[Entry, object] = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < dim and 0 <= c < dim):
-                    raise ValueError("entry index out of range")
-                v = GaussianRational.from_value(v)
-                if v:
-                    clean[(r, c)] = v
-        self.entries = clean
-        self._key = None
-
-    @property
-    def dim(self) -> int:
-        return 4 ** self.n
+        for (r, c), v in (terms or {}).items():
+            if not (0 <= r < dim and 0 <= c < dim):
+                raise ValueError("entry index out of range")
+            self._put(self.terms, (r, c), GaussianRational.from_value(v))
 
     # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int) -> "ExteriorOperator":
-        return cls(n, {})
 
     @classmethod
     def identity(cls, n: int) -> "ExteriorOperator":
         one = GaussianRational(1)
         return cls(n, {(i, i): one for i in range(4 ** n)})
 
-    # -- algebra ----------------------------------------------------------------
-
-    def __add__(self, other: "ExteriorOperator") -> "ExteriorOperator":
-        self._check(other)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return ExteriorOperator._raw(self.n, out)
-
-    def __sub__(self, other: "ExteriorOperator") -> "ExteriorOperator":
-        return self + (-other)
-
-    def __neg__(self) -> "ExteriorOperator":
-        return ExteriorOperator._raw(self.n, {k: -v for k, v in self.entries.items()})
+    # -- algebra (sums and negation are SparseMap's) ----------------------------
 
     def scale(self, c) -> "ExteriorOperator":
-        c = GaussianRational.from_value(c)
-        if not c:
-            return ExteriorOperator.zero(self.n)
-        return ExteriorOperator._raw(self.n, {k: v * c for k, v in self.entries.items()})
+        return super().scale(GaussianRational.from_value(c))
 
     def __mul__(self, other):
         if isinstance(other, ExteriorOperator):
@@ -105,17 +72,14 @@ class ExteriorOperator:
 
     __rmul__ = scale
 
-    def __matmul__(self, other: "ExteriorOperator") -> "ExteriorOperator":
-        return self.matmul(other)
-
     def matmul(self, other: "ExteriorOperator") -> "ExteriorOperator":
         """Matrix product self @ other (apply other first)."""
-        self._check(other)
+        self._check_size(other)
         cols: Dict[int, List[Tuple[int, object]]] = {}
-        for (r, c), v in self.entries.items():
+        for (r, c), v in self.terms.items():
             cols.setdefault(c, []).append((r, v))
         out: Dict[Entry, object] = {}
-        for (r2, c2), v2 in other.entries.items():
+        for (r2, c2), v2 in other.terms.items():
             hits = cols.get(r2)
             if not hits:
                 continue
@@ -130,55 +94,27 @@ class ExteriorOperator:
                     del out[k]
         return ExteriorOperator._raw(self.n, out)
 
+    __matmul__ = matmul
+
     def power(self, m: int) -> "ExteriorOperator":
-        if m < 0:
-            raise ValueError("negative power")
-        out = ExteriorOperator.identity(self.n)
-        base = self
-        while m:
-            if m & 1:
-                out = out @ base
-            m >>= 1
-            if m:
-                base = base @ base
-        return out
-
-    @classmethod
-    def _raw(cls, n: int, entries: Dict[Entry, object]) -> "ExteriorOperator":
-        op = object.__new__(cls)
-        object.__setattr__(op, "n", n)
-        object.__setattr__(op, "entries", entries)
-        object.__setattr__(op, "_key", None)
-        return op
-
-    def _check(self, other: "ExteriorOperator") -> None:
-        if self.n != other.n:
-            raise ValueError("operator dimension mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, ExteriorOperator):
-            return NotImplemented
-        return self.n == other.n and self.entries == other.entries
+        return self._power(m, ExteriorOperator.identity(self.n), operator.matmul)
 
     def canon_key(self):
-        if self._key is None:
-            object.__setattr__(
-                self, "_key", (self.n, tuple(sorted(self.entries.items(), key=lambda kv: kv[0])))
-            )
-        return self._key
+        try:
+            return self._key
+        except AttributeError:
+            self._key = (self.n, tuple(self.sorted_terms()))
+            return self._key
 
     def __hash__(self):
         return hash(self.canon_key())
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     # -- traces -----------------------------------------------------------------
 
     def supertrace(self):
         """sum over basis states of (-1)^degree times the diagonal entry."""
         total = GaussianRational(0)
-        for (r, c), v in self.entries.items():
+        for (r, c), v in self.terms.items():
             if r == c:
                 if bin(r).count("1") % 2:
                     total = total - v
@@ -188,7 +124,7 @@ class ExteriorOperator:
 
     def trace(self):
         total = GaussianRational(0)
-        for (r, c), v in self.entries.items():
+        for (r, c), v in self.terms.items():
             if r == c:
                 total = total + v
         return total
@@ -196,17 +132,13 @@ class ExteriorOperator:
     # -- conversion ----------------------------------------------------------------
 
     def to_numpy(self) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for (r, c), v in self.entries.items():
+        m = np.zeros((4 ** self.n,) * 2, dtype=complex)
+        for (r, c), v in self.terms.items():
             m[r, c] = complex(v)
         return m
 
-    def triplets(self) -> List[Tuple[int, int, object]]:
-        """Sparse (row, col, value) list in sorted order, for debugging."""
-        return [(r, c, v) for (r, c), v in sorted(self.entries.items())]
-
     def __repr__(self):
-        return f"ExteriorOperator(n={self.n}, nnz={len(self.entries)})"
+        return f"ExteriorOperator(n={self.n}, nnz={len(self.terms)})"
 
 
 # -- wedge / contraction and the Clifford generators --------------------------
@@ -228,19 +160,19 @@ def wedge(n: int, gen: int) -> ExteriorOperator:
     if not 0 <= gen < 2 * n:
         raise ValueError("generator index out of range")
     one = GaussianRational(1)
-    entries: Dict[Entry, object] = {}
+    terms: Dict[Entry, object] = {}
     bit = 1 << gen
     for mask in range(4 ** n):
         if mask & bit:
             continue
-        entries[(mask | bit, mask)] = one * _insertion_sign(mask, gen)
-    return ExteriorOperator._raw(n, entries)
+        terms[(mask | bit, mask)] = one * _insertion_sign(mask, gen)
+    return ExteriorOperator._raw(n, terms)
 
 
 def contraction(n: int, gen: int) -> ExteriorOperator:
     """Contraction against generator index gen: the transpose of wedge."""
     w = wedge(n, gen)
-    return ExteriorOperator._raw(n, {(c, r): v for (r, c), v in w.entries.items()})
+    return ExteriorOperator._raw(n, {(c, r): v for (r, c), v in w.terms.items()})
 
 
 def _gen_index(i: int, n: int, conjugated: bool) -> int:
@@ -271,12 +203,12 @@ def c_bar_hat(i: int, n: int) -> ExteriorOperator:
 
 def number_operator(n: int) -> ExteriorOperator:
     """Grading operator: N alpha = (degree alpha) alpha."""
-    entries = {
+    terms = {
         (m, m): GaussianRational(bin(m).count("1"))
         for m in range(4 ** n)
         if m
     }
-    return ExteriorOperator._raw(n, entries)
+    return ExteriorOperator._raw(n, terms)
 
 
 def number_operator_clifford(n: int) -> ExteriorOperator:

@@ -9,6 +9,11 @@ A value is stored as three integers (p, q, d) meaning (p + q*i)/d, in the
 normal form d > 0 and gcd(p, q, d) = 1, so equal values have equal triples.
 Every operation normalizes its result once, with a single three-argument
 gcd; a sum with an int or with a coprime denominator needs none.
+
+`SparseMap` is the one sparse exact container: a size `n` and a dict of
+nonzero exact values, with zero sums dropped.  Polynomials (poly.py),
+exterior-algebra operators (clifford.py) and operator polynomials
+(parametrix.py) subclass it and keep only their own products and keys.
 """
 
 from __future__ import annotations
@@ -185,3 +190,89 @@ def _reduced(p: int, q: int, d: int) -> GaussianRational:
     if g != 1:
         p, q, d = p // g, q // g, d // g
     return _make(p, q, d)
+
+
+class SparseMap:
+    """A size n and a map of keys to nonzero values; a zero sum drops its key.
+
+    The values are GaussianRationals or other SparseMaps, so `bool(value)`
+    tells a zero value.  Subclasses set the meaning of n and the keys, and
+    may override `_put` to canonicalize a key before the accumulate.
+    """
+
+    __slots__ = ("n", "terms")
+
+    @classmethod
+    def _raw(cls, n: int, terms: dict):
+        """A map that takes `terms` as given: no copy, no zero check."""
+        m = _new(cls)
+        m.n = n
+        m.terms = terms
+        return m
+
+    @classmethod
+    def zero(cls, n: int):
+        return cls._raw(n, {})
+
+    def _put(self, out: dict, key, value) -> None:
+        """out[key] += value, dropping the key when the sum is zero."""
+        s = out.get(key)
+        s = value if s is None else s + value
+        if s:
+            out[key] = s
+        elif key in out:
+            del out[key]
+
+    def _check_size(self, other) -> None:
+        if self.n != other.n:
+            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
+
+    def __add__(self, other):
+        self._check_size(other)
+        out = dict(self.terms)
+        put = self._put
+        for k, v in other.terms.items():
+            put(out, k, v)
+        return self._raw(self.n, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._raw(self.n, {k: -v for k, v in self.terms.items()})
+
+    def scale(self, c):
+        """Every value times c (a number, or a value of the map's own kind)."""
+        out: dict = {}
+        put = self._put
+        for k, v in self.terms.items():
+            put(out, k, v * c)
+        return self._raw(self.n, out)
+
+    def _power(self, m: int, one, product):
+        """self^m by repeated squaring under `product`, starting from `one`."""
+        if m < 0:
+            raise ValueError("negative power")
+        out, base = one, self
+        while m:
+            if m & 1:
+                out = product(out, base)
+            m >>= 1
+            if m:
+                base = product(base, base)
+        return out
+
+    def sorted_terms(self) -> list:
+        """The (key, value) pairs in key order; the keys must compare."""
+        return sorted(self.terms.items(), key=lambda kv: kv[0])
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms

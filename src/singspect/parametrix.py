@@ -17,11 +17,12 @@ remainder of the truncated parametrix.  All real-gradient expressions are
 translated to Wirtinger form once: Delta = 4 sum d dbar,
 grad.grad = 2 sum (d (x) dbar + dbar (x) d), (grad g)^2 = 4 sum dg dbar g.
 
-An operator-valued polynomial is stored as a map from canonicalized
-ExteriorOperator symbols to scalar two-point polynomial coefficients (2n-slot
-MixedPolynomials in u = z - w and w, see poly.py), so all polynomial calculus
-stays in the scalar factors and matrix products happen once per distinct
-symbol pair (cached).
+An operator-valued polynomial is a SparseMap (gaussian_rational.py) from
+canonicalized ExteriorOperator symbols to scalar two-point polynomial
+coefficients (2n-slot MixedPolynomials in u = z - w and w, see poly.py), so
+all polynomial calculus stays in the scalar factors and matrix products
+happen once per distinct symbol pair (cached).  The map's sums, negation and
+scaling are SparseMap's; only the symbol canonicalization is its own.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .clifford import ExteriorOperator, hessian_coupling
-from .gaussian_rational import GaussianRational
+from .gaussian_rational import GaussianRational, SparseMap
 from .poly import (
     MixedPolynomial,
     at_u_zero,
@@ -61,97 +62,56 @@ def _cached_matmul(a: ExteriorOperator, b: ExteriorOperator) -> ExteriorOperator
     return out
 
 
-def _normalize_symbol(op: ExteriorOperator, poly: MixedPolynomial):
-    """Scale op so its first (sorted) entry is 1, folding the factor into poly."""
-    if op.is_zero() or poly.is_zero():
-        return None
-    k0 = min(op.entries)
-    c0 = op.entries[k0]
-    if c0 != GaussianRational(1):
-        op = op.scale(GaussianRational(1) / c0)
-        poly = poly * c0
-    return op, poly
+class OperatorPolynomial(SparseMap):
+    """Two-point polynomial with ExteriorOperator coefficients.
 
+    terms maps a symbol whose first (sorted) entry is 1 to its two-point
+    polynomial; `scale` multiplies every polynomial by an exact number or by
+    a two-point polynomial.
+    """
 
-class OperatorPolynomial:
-    """Two-point polynomial with ExteriorOperator coefficients."""
+    __slots__ = ()
 
-    __slots__ = ("n", "parts")
-
-    def __init__(self, n: int, parts: Dict[ExteriorOperator, MixedPolynomial] | None = None):
+    def __init__(self, n: int, terms: Dict[ExteriorOperator, MixedPolynomial] | None = None):
         self.n = n
-        self.parts: Dict[ExteriorOperator, MixedPolynomial] = {}
-        if parts:
-            for op, poly in parts.items():
-                self._accumulate(op, poly)
+        self.terms = {}
+        for op, poly in (terms or {}).items():
+            self._put(self.terms, op, poly)
 
-    def _accumulate(self, op: ExteriorOperator, poly: MixedPolynomial) -> None:
-        norm = _normalize_symbol(op, poly)
-        if norm is None:
+    def _put(self, out, op: ExteriorOperator, poly: MixedPolynomial) -> None:
+        """Scale op so its first (sorted) entry is 1, fold the factor into poly, accumulate."""
+        if not op or not poly:
             return
-        op, poly = norm
-        cur = self.parts.get(op)
-        s = poly if cur is None else cur + poly
-        if s.is_zero():
-            self.parts.pop(op, None)
-        else:
-            self.parts[op] = s
+        c0 = op.terms[min(op.terms)]
+        if c0 != 1:
+            op = op.scale(GaussianRational(1) / c0)
+            poly = poly * c0
+        super()._put(out, op, poly)
+
+    @property
+    def parts(self) -> Dict[ExteriorOperator, MixedPolynomial]:
+        """terms, under the name perfbench/child.py reads."""
+        return self.terms
 
     # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int) -> "OperatorPolynomial":
-        return cls(n, {})
 
     @classmethod
     def identity(cls, n: int) -> "OperatorPolynomial":
         return cls(n, {ExteriorOperator.identity(n): MixedPolynomial.constant(2 * n, 1)})
 
-    # -- linear structure ---------------------------------------------------
-
-    def __add__(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
-        out = OperatorPolynomial(self.n)
-        for op, poly in self.parts.items():
-            out._accumulate(op, poly)
-        for op, poly in other.parts.items():
-            out._accumulate(op, poly)
-        return out
-
-    def __sub__(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
-        return self + other.scalar_mul(-1)
-
-    def __neg__(self) -> "OperatorPolynomial":
-        return self.scalar_mul(-1)
-
-    def scalar_mul(self, c) -> "OperatorPolynomial":
-        """Multiply every coefficient by c, an exact number or a two-point polynomial."""
-        out = OperatorPolynomial(self.n)
-        for op, poly in self.parts.items():
-            out._accumulate(op, poly * c)
-        return out
+    # -- products (sums, negation and scaling are SparseMap's) ----------------
 
     def __matmul__(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
-        out = OperatorPolynomial(self.n)
-        for op1, p1 in self.parts.items():
-            for op2, p2 in other.parts.items():
-                out._accumulate(_cached_matmul(op1, op2), p1 * p2)
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def __eq__(self, other):
-        if not isinstance(other, OperatorPolynomial):
-            return NotImplemented
-        return self.n == other.n and self.parts == other.parts
+        out: Dict[ExteriorOperator, MixedPolynomial] = {}
+        for op1, p1 in self.terms.items():
+            for op2, p2 in other.terms.items():
+                self._put(out, _cached_matmul(op1, op2), p1 * p2)
+        return self._raw(self.n, out)
 
     # -- z-direction calculus, applied to the scalar factors -----------------
 
     def map_polys(self, fn) -> "OperatorPolynomial":
-        out = OperatorPolynomial(self.n)
-        for op, poly in self.parts.items():
-            out._accumulate(op, fn(poly))
-        return out
+        return OperatorPolynomial(self.n, {op: fn(poly) for op, poly in self.terms.items()})
 
     def laplacian_z(self) -> "OperatorPolynomial":
         return self.map_polys(laplacian_z)
@@ -170,7 +130,7 @@ class OperatorPolynomial:
 
     def supertrace(self) -> MixedPolynomial:
         out = MixedPolynomial.zero(2 * self.n)
-        for op, poly in self.parts.items():
+        for op, poly in self.terms.items():
             s = op.supertrace()
             if s:
                 out = out + poly * s
@@ -186,21 +146,21 @@ class OperatorPolynomial:
     def evaluate(self, z: Sequence[complex], w: Sequence[complex]) -> np.ndarray:
         dim = 4 ** self.n
         out = np.zeros((dim, dim), dtype=complex)
-        for op, poly in self.parts.items():
+        for op, poly in self.terms.items():
             out += evaluate_two_point(poly, z, w) * op.to_numpy()
         return out
 
     def dump(self) -> str:
-        """Canonical text dump: sorted symbols as triplets with their polys."""
+        """Canonical text dump: sorted symbols as (row,col)=entry lists with their polys."""
         lines = []
-        items = sorted(self.parts.items(), key=lambda kv: kv[0].canon_key())
+        items = sorted(self.terms.items(), key=lambda kv: kv[0].canon_key())
         for op, poly in items:
-            trip = "; ".join(f"({r},{c})={_fmt_coeff(v)}" for r, c, v in op.triplets())
+            trip = "; ".join(f"({r},{c})={_fmt_coeff(v)}" for (r, c), v in op.sorted_terms())
             lines.append(f"[{trip}] * ({poly})")
         return "\n".join(lines) if lines else "0"
 
     def __repr__(self):
-        return f"OperatorPolynomial(n={self.n}, symbols={len(self.parts)})"
+        return f"OperatorPolynomial(n={self.n}, symbols={len(self.terms)})"
 
 
 def _fmt_coeff(v: GaussianRational) -> str:
@@ -253,16 +213,16 @@ def _recursion_rhs(bundle: ParametrixBundle, U, j) -> OperatorPolynomial:
     """
     rhs = U[j].laplacian_z() - (bundle.B @ U[j])
     if j >= 1:
-        rhs = rhs - U[j - 1].scalar_mul(bundle.lap_g) \
-            - U[j - 1].grad_dot_with(bundle.g).scalar_mul(2)
+        rhs = rhs - U[j - 1].scale(bundle.lap_g) \
+            - U[j - 1].grad_dot_with(bundle.g).scale(2)
     if j >= 2:
-        rhs = rhs + U[j - 2].scalar_mul(bundle.grad_sq_g)
+        rhs = rhs + U[j - 2].scale(bundle.grad_sq_g)
     return rhs
 
 
 def _recursion_lhs(U, j) -> OperatorPolynomial:
     """(j+1) U_{j+1} + (z-w).grad_z U_{j+1}."""
-    return U[j + 1].scalar_mul(j + 1) + U[j + 1].u_euler()
+    return U[j + 1].scale(j + 1) + U[j + 1].u_euler()
 
 
 def build_U(f: MixedPolynomial, k: int) -> ParametrixBundle:

@@ -33,12 +33,13 @@ square (grad p)^2 is grad_dot p p = 4 sum_i d_i p dbar_i p.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .gaussian_rational import GaussianRational
+from .gaussian_rational import GaussianRational, SparseMap
 
 ExponentPair = Tuple[Tuple[int, ...], Tuple[int, ...]]
 Terms = Dict[ExponentPair, GaussianRational]
@@ -52,34 +53,26 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-class MixedPolynomial:
+class MixedPolynomial(SparseMap):
     """Sparse polynomial in z_1..z_n and conj(z_1)..conj(z_n)."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
     def __init__(self, n: int, terms: Terms | None = None):
         if n < 1:
             raise ValueError("need at least one variable")
-        clean: Terms = {}
-        if terms:
-            for (a, b), c in terms.items():
-                a = tuple(a)
-                b = tuple(b)
-                if len(a) != n or len(b) != n:
-                    raise ValueError("exponent tuple length mismatch")
-                if any(e < 0 or not isinstance(e, int) for e in a + b):
-                    raise ValueError("exponents must be non-negative integers")
-                c = GaussianRational.from_value(c)
-                if c:
-                    clean[(a, b)] = c
         self.n = n
-        self.terms = clean
+        self.terms = {}
+        for (a, b), c in (terms or {}).items():
+            a = tuple(a)
+            b = tuple(b)
+            if len(a) != n or len(b) != n:
+                raise ValueError("exponent tuple length mismatch")
+            if any(e < 0 or not isinstance(e, int) for e in a + b):
+                raise ValueError("exponents must be non-negative integers")
+            self._put(self.terms, (a, b), GaussianRational.from_value(c))
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int) -> "MixedPolynomial":
-        return cls(n, {})
 
     @classmethod
     def constant(cls, n: int, c) -> "MixedPolynomial":
@@ -95,29 +88,11 @@ class MixedPolynomial:
         a, b = ((0,) * n, tuple(e)) if conjugated else (tuple(e), (0,) * n)
         return cls(n, {(a, b): GaussianRational(1)})
 
-    # -- ring operations --------------------------------------------------
-
-    def __add__(self, other: "MixedPolynomial") -> "MixedPolynomial":
-        self._check_compat(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return MixedPolynomial._raw(self.n, out)
-
-    def __sub__(self, other: "MixedPolynomial") -> "MixedPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "MixedPolynomial":
-        return MixedPolynomial._raw(self.n, {k: -c for k, c in self.terms.items()})
+    # -- ring operations (sums, negation and scaling are SparseMap's) ------
 
     def __mul__(self, other):
         if isinstance(other, MixedPolynomial):
-            self._check_compat(other)
+            self._check_size(other)
             out: Terms = {}
             for (a1, b1), c1 in self.terms.items():
                 for (a2, b2), c2 in other.terms.items():
@@ -132,46 +107,15 @@ class MixedPolynomial:
                     elif k in out:
                         del out[k]
             return MixedPolynomial._raw(self.n, out)
-        c = GaussianRational.from_value(other)
-        if not c:
-            return MixedPolynomial.zero(self.n)
-        return MixedPolynomial._raw(self.n, {k: v * c for k, v in self.terms.items()})
+        return self.scale(GaussianRational.from_value(other))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "MixedPolynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        out = MixedPolynomial.constant(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
-    @classmethod
-    def _raw(cls, n: int, terms: Terms) -> "MixedPolynomial":
-        p = object.__new__(cls)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "terms", terms)
-        return p
-
-    def _check_compat(self, other: "MixedPolynomial") -> None:
-        if self.n != other.n:
-            raise ValueError("variable count mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, MixedPolynomial):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self._power(k, MixedPolynomial.constant(self.n, 1), operator.mul)
 
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- structure --------------------------------------------------------
 
@@ -191,9 +135,6 @@ class MixedPolynomial:
 
     def total_degree(self) -> int:
         return max((sum(a) + sum(b) for a, b in self.terms), default=0)
-
-    def sorted_terms(self) -> List[Tuple[ExponentPair, GaussianRational]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     # -- calculus ----------------------------------------------------------
 

@@ -45,8 +45,8 @@ from .spectrum import Spectrum, cluster_eigenvalues
 from .zeta import zeta_and_derivative
 
 
-class IllConditionedBasis(RuntimeError):
-    """Oscillator scale grossly mismatched to the potential."""
+class IllConditionedBasis(ValueError):
+    """The Galerkin matrices overflow: a degree or basis too large for floats."""
 
 
 class NonMonotoneRefinement(RuntimeError):
@@ -162,12 +162,22 @@ def _laguerre_s_matrix(size: int, alpha: int) -> np.ndarray:
     return T
 
 
+def _laguerre_s_power(size: int, alpha: int, r: int) -> np.ndarray:
+    """(T^r)[:size, :size] for the s matrix T; raises if it overflows."""
+    T = _laguerre_s_matrix(size + r, alpha)  # padding avoids truncated T^r rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        Tr = np.linalg.matrix_power(T, r)[:size, :size]
+    if not np.all(np.isfinite(Tr)):
+        raise IllConditionedBasis(f"s^{r} overflows in a basis of {size}; "
+                                  "lower the degree, --basis or --sectors")
+    return Tr
+
+
 def _sector_matrix(size: int, alpha: int, omega: float, v: float, r: int) -> np.ndarray:
     """H restricted to angular momentum |m| = alpha in the omega-scaled basis."""
     k = np.arange(size)
     diag_ref = omega / 2 * (2 * k + alpha + 1)
-    T = _laguerre_s_matrix(size + r, alpha)  # padding avoids truncated T^r rows
-    Tr = np.linalg.matrix_power(T, r)[:size, :size]
+    Tr = _laguerre_s_power(size, alpha, r)
     A = np.diag(diag_ref) - (omega / 4) * _laguerre_s_matrix(size, alpha) \
         + (v / omega ** r) * Tr
     if not np.all(np.isfinite(A)):
@@ -193,9 +203,12 @@ def choose_oscillator_scale(config: GalerkinConfig) -> float:
     for alpha in range(M + 1):
         mult = 1 if alpha == 0 else 2
         A += mult * size * (size + alpha) / 4  # sum_k (2k + alpha + 1) / 4
-        T = _laguerre_s_matrix(size + r, alpha)
-        B += mult * float(np.trace(np.linalg.matrix_power(T, r)[:size, :size]))
-    return (r * v * B / A) ** (1 / (r + 1))
+        B += mult * float(np.trace(_laguerre_s_power(size, alpha, r)))
+    omega = (r * v * B / A) ** (1 / (r + 1))
+    if not math.isfinite(omega):
+        raise IllConditionedBasis(f"the trace of s^{r} overflows over {M + 1} sectors; "
+                                  "lower the degree, --basis or --sectors")
+    return omega
 
 
 def eigensolve(config: GalerkinConfig) -> Spectrum:
@@ -399,7 +412,8 @@ def _log_integral(g: Callable[[float], float], lo: float, hi: float) -> float:
     """int_lo^hi g(t) dt/t by 32-node Gauss-Legendre in u = log t.
 
     The integrands here are smooth in u; on the torsion sum rule's
-    [A, 60 A] the rule agrees with an adaptive one to 1e-13.
+    [A, 60 A max(tau) / min(tau)] the rule agrees with an adaptive one to
+    2e-12 for every tau pair the tests use, up to [A, 360 A].
     """
     nodes, weights = _gauss_legendre()
     half = math.log(hi / lo) / 2
@@ -614,9 +628,11 @@ def torsion_sum_check(tau1: float, tau2: float) -> TorsionSumReport:
 
     # the factor traces are functions of 2 tau t, so the split and the window
     # scale with the larger energy unit E; F decays like e^{-2 min(tau) t}, so
-    # the part above 60 A is of order e^{-60 min(tau) / max(tau)} at A = 1/E;
+    # the upper integral runs to 60 A max(tau) / min(tau), where the part left
+    # out is of order e^{-60} at A = 1/E whatever the ratio of the taus;
     # the closed-form traces are complete, so no edge raises the window
-    res, spread = _renormalize(F, lambda A: _log_integral(F, A, 60 * A),
+    stretch = 60 * max(tau1, tau2) / min(tau1, tau2)
+    res, spread = _renormalize(F, lambda A: _log_integral(F, A, stretch * A),
                                2 * max(tau1, tau2), (-4.0, -2.0, 0.0, 2.0, 4.0), (),
                                math.inf)
     log_lhs = -res.derivative_at_0

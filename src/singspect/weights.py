@@ -28,23 +28,27 @@ from .gaussian_rational import GaussianRational
 from .poly import MixedPolynomial, gradient, hessian
 
 
-class NotQuasiHomogeneous(ValueError):
+class DegenerateSingularity(ValueError):
+    """f is not an isolated quasi-homogeneous singularity the package handles."""
+
+
+class NotQuasiHomogeneous(DegenerateSingularity):
     """The weight system b . q = 1 is inconsistent."""
 
 
-class WeightsNotUnique(ValueError):
+class WeightsNotUnique(DegenerateSingularity):
     """The weight system has rank < n; weights are not determined."""
 
 
-class WeightOutOfRange(ValueError):
+class WeightOutOfRange(DegenerateSingularity):
     """Some solved weight falls outside (0, 1/2]."""
 
 
-class BilinearMonomialPresent(ValueError):
+class BilinearMonomialPresent(DegenerateSingularity):
     """f contains a monomial z_i z_j with i != j."""
 
 
-class GradientVanishesAwayFromOrigin(ValueError):
+class GradientVanishesAwayFromOrigin(DegenerateSingularity):
     """A witness point z != 0 with grad f(z) = 0 was found."""
 
     def __init__(self, witness):
@@ -52,7 +56,7 @@ class GradientVanishesAwayFromOrigin(ValueError):
         self.witness = witness
 
 
-class NonIntegerMilnor(ValueError):
+class NonIntegerMilnor(DegenerateSingularity):
     """prod (1/q_i - 1) is not a positive integer."""
 
 

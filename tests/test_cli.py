@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,24 @@ def test_weights_single_variable():
     res = json.loads(proc.stdout)["result"]
     assert res["q"] == ["1/2"] and res["mu"]["value"] == 1
     assert res["mu_brute_force"]["value"] == 1
+
+
+@pytest.mark.parametrize("name", ["NotQuasiHomogeneous", "WeightsNotUnique", "WeightOutOfRange",
+                                  "BilinearMonomialPresent", "GradientVanishesAwayFromOrigin",
+                                  "NonIntegerMilnor"])
+def test_every_degeneracy_error_exits_2(name):
+    from singspect import cli, weights
+
+    cls = getattr(weights, name)
+    assert issubclass(cls, weights.DegenerateSingularity)
+    assert next(code for c, code in cli._EXIT_CODES if issubclass(cls, c)) == 2
+
+
+def test_degenerate_weights_keep_their_type_name(capsys):
+    from singspect import cli
+
+    assert cli.main(["weights", "z1^3 + z1^2"]) == 2  # 3 q = 1 and 2 q = 1
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "NotQuasiHomogeneous"
 
 
 def test_weights_bilinear_exit_code():
@@ -136,6 +155,7 @@ def test_index_single_t_gaussian_normalization():
     (["torsion", "z1^3", "--sectors", "2"], 4),
     (["torsion", "z1^3", "--basis", "100000"], 4),
     (["torsion", "z1^3", "--sectors", "4097"], 4),  # one above _MAX_SECTOR_CUTOFF
+    (["torsion", "z1^110", "--sectors", "222"], 4),  # the oscillator scale overflows
     (["weights", "z1^3", "--samples", "-5"], 4),
     (["weights", "z1^3", "--samples", "0"], 4),
     (["weights", "conj(z1)^3"], 4),  # outside the weight system: not holomorphic
@@ -146,13 +166,15 @@ def test_index_single_t_gaussian_normalization():
     (["nope"], 4),
 ], ids=["t-empty", "t-text", "t-gap", "t-zero", "t-negative", "t-nan", "t-inf",
         "samples-zero", "samples-negative", "basis-4", "sectors-2", "basis-100000",
-        "sectors-4097", "weights-samples-negative", "weights-samples-zero",
+        "sectors-4097", "torsion-overflow", "weights-samples-negative", "weights-samples-zero",
         "weights-conjugate", "index-conjugate", "csv-unwritable", "usage-samples-text",
         "usage-t-missing", "usage-unknown-command"])
 def test_bad_numeric_arguments_are_structured_errors(args, code, capsys):
     from singspect import cli
 
-    assert cli.main(args) == code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # stderr holds only the JSON error
+        assert cli.main(args) == code
     out, err = capsys.readouterr()
     assert out == ""
     payload = json.loads(err)

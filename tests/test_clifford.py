@@ -44,10 +44,10 @@ def test_generator_squares_and_anticommutation(n):
 def test_n1_matrix_action_of_c():
     # basis masks: 0 = 1, 1 = dz, 2 = dzbar, 3 = dz^dzbar
     op = c(1, 1)
-    assert op.entries[(1, 0)] == GR(1)      # 1 -> dz
-    assert op.entries[(0, 1)] == GR(-1)     # dz -> -1
-    assert op.entries[(3, 2)] == GR(1)      # dzbar -> dz^dzbar
-    assert op.entries[(2, 3)] == GR(-1)     # dz^dzbar -> -dzbar
+    assert op.terms[(1, 0)] == GR(1)      # 1 -> dz
+    assert op.terms[(0, 1)] == GR(-1)     # dz -> -1
+    assert op.terms[(3, 2)] == GR(1)      # dzbar -> dz^dzbar
+    assert op.terms[(2, 3)] == GR(-1)     # dz^dzbar -> -dzbar
     assert (op @ op) == ExteriorOperator.identity(1).scale(-1)
 
 
@@ -60,7 +60,7 @@ def test_generator_lookup_and_range():
 def test_number_operator(n):
     N = number_operator(n)
     assert N == number_operator_clifford(n)
-    eig = sorted(complex(v).real for (r, cc), v in N.entries.items() if r == cc)
+    eig = sorted(complex(v).real for (r, cc), v in N.terms.items() if r == cc)
     if n == 1:
         assert eig == [1.0, 1.0, 2.0]  # degree-0 entry is absent (zero)
     # trace N = sum_k k C(2n, k)

@@ -7,7 +7,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from singspect.clifford import ExteriorOperator
 from singspect.gaussian_rational import GaussianRational
+from singspect.parametrix import OperatorPolynomial
 from singspect.poly import MixedPolynomial, parse
 
 fractions = st.fractions(max_denominator=50).filter(lambda x: abs(x.numerator) < 10 ** 6)
@@ -122,3 +124,47 @@ def test_division_by_zero_raises():
         1 / GaussianRational(0)
     with pytest.raises(ZeroDivisionError):
         Fraction(1, 3) / GaussianRational(0)
+
+
+# -- SparseMap: the one sum, negation and scaling of the three sparse containers --
+
+small = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))  # zero included
+
+
+def polys(n):
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    return st.dictionaries(st.tuples(exps, exps), small, max_size=4).map(
+        lambda t: MixedPolynomial(n, t))
+
+
+def operators(n):
+    idx = st.integers(0, 4 ** n - 1)
+    return st.dictionaries(st.tuples(idx, idx), small, max_size=5).map(
+        lambda t: ExteriorOperator(n, t))
+
+
+def operator_polys(n):
+    # random symbols, so proportional ones merge under the canonicalizing _put
+    return st.dictionaries(operators(n), polys(2 * n), max_size=3).map(
+        lambda t: OperatorPolynomial(n, t))
+
+
+SPARSE_MAPS = {"MixedPolynomial": polys, "ExteriorOperator": operators,
+               "OperatorPolynomial": operator_polys}
+
+
+@pytest.mark.parametrize("kind", sorted(SPARSE_MAPS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sparse_map_ring_laws(kind, data):
+    maps = SPARSE_MAPS[kind]
+    a, b = data.draw(maps(1)), data.draw(maps(1))
+    assert type(a + b) is type(a)
+    assert a + b - b == a
+    assert (a - a).terms == {}
+    assert -(-a) == a
+    assert a.scale(0).is_zero()
+    for x in (a, b, a - a, a + b):
+        assert bool(x) == (not x.is_zero())
+    with pytest.raises(ValueError):
+        a + data.draw(maps(2))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -68,9 +69,9 @@ def test_U2_satisfies_displayed_j1_identity():
     for f in (A1, A2):
         b = build_U(f, 2)
         lap_g = laplacian_z(b.g)
-        lhs = b.U[2].scalar_mul(2) + b.U[2].u_euler()
+        lhs = b.U[2].scale(2) + b.U[2].u_euler()
         rhs = b.U[1].laplacian_z() - (b.B @ b.U[1]) \
-            - OperatorPolynomial.identity(f.n).scalar_mul(lap_g)
+            - OperatorPolynomial.identity(f.n).scale(lap_g)
         assert (lhs - rhs).is_zero()
 
 
@@ -108,9 +109,9 @@ def test_remainder_groups_match_hand_expanded_formulas(f, k):
     for i in range(1, f.n + 1):
         grad_sq_g = grad_sq_g + 4 * (g.wirtinger(i) * g.wirtinger(i, conjugated=True))
     assert grad_dot_z(g, g) == grad_sq_g
-    t_k1 = U[k].scalar_mul(laplacian_z(g)) + U[k].grad_dot_with(g).scalar_mul(2) \
-        - U[k - 1].scalar_mul(grad_sq_g)
-    t_k2 = U[k].scalar_mul(grad_sq_g).scalar_mul(-1)
+    t_k1 = U[k].scale(laplacian_z(g)) + U[k].grad_dot_with(g).scale(2) \
+        - U[k - 1].scale(grad_sq_g)
+    t_k2 = U[k].scale(grad_sq_g).scale(-1)
     _, got_k1, got_k2 = residual_polynomials(b)
     assert not t_k1.is_zero() and not t_k2.is_zero()
     assert (got_k1 - t_k1).is_zero()
@@ -248,3 +249,29 @@ def test_bundle_dump_stable():
     d2 = dump_bundle(build_U(A1, 2))
     assert d1 == d2
     assert "U_2" in d1 and "g =" in d1
+
+
+def test_operator_negation_makes_no_products(monkeypatch):
+    U2 = build_U(A2, 2).U[2]
+    calls = []
+    mul = MixedPolynomial.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(MixedPolynomial, "__mul__", counting)
+    difference, negated = U2 - U2, -U2
+    assert calls == []
+    assert difference.is_zero() and (negated + U2).is_zero()
+
+
+@pytest.mark.parametrize("text,digest", [
+    ("(1/2)*z1^2", "f48ac4d6cf163f7803aa2017b5450e6962df145931a7cb937073ab14b7527ede"),
+    ("z1^3", "dc2420a02454bb364212b9587232500f070bd7ad569a49b48fa0edc0fdec6960"),
+], ids=["A1", "A2"])
+def test_bundle_dump_is_pinned(text, digest):
+    # g, every U_j and the three remainder groups at k = 4, as exact text
+    b = build_U(parse(text, 1), 4)
+    dump = dump_bundle(b) + "\n".join(g.dump() for g in residual_polynomials(b))
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest

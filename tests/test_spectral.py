@@ -243,6 +243,14 @@ def test_torsion_sum_check_across_tau(tau1, tau2):
     assert rep.difference <= rep.error_bar
 
 
+def test_torsion_sum_upper_limit_follows_the_smaller_tau():
+    # F decays like e^{-2 min(tau) t}; an upper limit scaled to the larger
+    # tau cut the (0.5, 3) integral early and set a 1.15e-3 bar
+    rep = torsion_sum_check(0.5, 3.0)
+    assert rep.error_bar < 5e-4
+    assert rep.difference <= rep.error_bar
+
+
 def test_torsion_paths_share_one_driver(monkeypatch, a1_big):
     # both paths renormalize at split/2, split and 2 split through one driver
     calls = []
