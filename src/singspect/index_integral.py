@@ -19,16 +19,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .poly import MixedPolynomial, gradient, hessian_determinant
 from .weights import NondegeneracyReport
-
-
-class MissingTamenessReport(ValueError):
-    """compute_index needs the non-degeneracy report for its sampling scale."""
 
 
 class UnsupportedNodeCount(ValueError):
@@ -51,7 +47,6 @@ class IndexEstimate:
     std_error: float
     method: str
     budget: int
-    seed: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -98,8 +93,11 @@ def integrand(f: MixedPolynomial, z, t: float) -> np.ndarray:
     return float(vals[0]) if Z.ndim == 1 else vals
 
 
+_MC_STRATA = 64  # each stratum has its own stream; sums are reduced in stratum order
+
+
 def _mc_estimate(
-    comp: _Compiled, t: float, budget: int, seed: int, growth_c: float, strata: int = 64
+    comp: _Compiled, t: float, budget: int, seed: int, growth_c: float
 ) -> Tuple[float, float]:
     """Importance-sampled mean and standard error, reduced in stratum order."""
     if budget < 1:
@@ -107,8 +105,8 @@ def _mc_estimate(
     n = comp.n
     var_real = growth_c / (2 * t)        # per real coordinate; complex variance C/t
     sigma = math.sqrt(var_real)
-    per = budget // strata
-    counts = [per + (1 if i < budget - per * strata else 0) for i in range(strata)]
+    per = budget // _MC_STRATA
+    counts = [per + (1 if i < budget - per * _MC_STRATA else 0) for i in range(_MC_STRATA)]
     total = 0.0
     total_sq = 0.0
     log_norm = n * math.log(math.pi * 2 * var_real)  # log of proposal normalizer
@@ -260,16 +258,15 @@ def compute_index(
     budget: int = 10 ** 6,
     seed: int = 0,
     method: str = "mc",
-    report: Optional[NondegeneracyReport] = None,
+    *,
+    report: NondegeneracyReport,
 ) -> IndexEstimate:
     """One estimate of the index integral at time t.
 
-    `report` must be the weights-module non-degeneracy report; its fitted
+    `report` is the weights-module non-degeneracy report; its fitted
     growth constant sets the proposal scale.  `budget` is the sample count
     (Monte Carlo) or nodes per axis (quadrature).
     """
-    if report is None:
-        raise MissingTamenessReport("attach the non-degeneracy report (fitted growth scale)")
     _check_t(t)
     comp = _Compiled(f)
     if method == "mc":
@@ -278,8 +275,7 @@ def compute_index(
         est, err = _quadrature_estimate(comp, t, budget, report.fitted_C)
     else:
         raise ValueError("method must be 'mc' or 'quadrature'")
-    return IndexEstimate(t=t, estimate=est, std_error=err, method=method,
-                         budget=budget, seed=seed)
+    return IndexEstimate(t=t, estimate=est, std_error=err, method=method, budget=budget)
 
 
 def grid_seed(seed: int, i: int) -> int:
@@ -293,7 +289,8 @@ def mckean_singer_check(
     budget: int = 10 ** 6,
     seed: int = 0,
     method: str = "mc",
-    report: Optional[NondegeneracyReport] = None,
+    *,
+    report: NondegeneracyReport,
 ) -> IndexResult:
     """Estimates across the t-grid with pairwise 3-sigma constancy enforced.
 

@@ -123,9 +123,10 @@ def euclidean_heat_kernel(n: int, z, w, t: float) -> float:
     return (4 * math.pi * t) ** -n * math.exp(-d2 / (4 * t))
 
 
-def convolve_0form_kernel(
-    tau: complex, z: complex, w: complex, t: float, s: float, nodes: int = 64
-) -> float:
+_CONVOLUTION_NODES = 64  # Gauss-Hermite nodes per real axis of the tensor rule
+
+
+def convolve_0form_kernel(tau: complex, z: complex, w: complex, t: float, s: float) -> float:
     """int K(z, x, t) K(x, w, s) dx by shifted/scaled Gauss-Hermite."""
     a = abs(tau)
     # |x|^2 coefficient of the combined Gaussian exponent, for node scaling
@@ -133,7 +134,7 @@ def convolve_0form_kernel(
     beta_s = a / math.sinh(2 * a * s)
     coef = beta_t + beta_s + a * (math.tanh(a * t) + math.tanh(a * s))
     center = (beta_t * z + beta_s * w) / coef
-    xs, ws = np.polynomial.hermite.hermgauss(nodes)
+    xs, ws = np.polynomial.hermite.hermgauss(_CONVOLUTION_NODES)
     sigma = 1.0 / math.sqrt(coef)
     pts = center + sigma * (xs[:, None] + 1j * xs[None, :])
     wts = (ws * np.exp(xs ** 2))[:, None] * (ws * np.exp(xs ** 2))[None, :] * sigma ** 2
@@ -154,7 +155,7 @@ def convolve_0form_kernel(
 
 def heat_trace_0forms(spec: OscillatorSpec) -> float:
     """(1 / (2 sinh(|tau| t)))^2, from summing the stated 0-form spectrum."""
-    return (1.0 / (2 * math.sinh(spec.a * spec.t))) ** 2
+    return heat_trace_k_forms(spec, 0)
 
 
 def heat_trace_0forms_printed(t: float, n: int = 1) -> float:

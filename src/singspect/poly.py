@@ -164,24 +164,8 @@ class MixedPolynomial(SparseMap):
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, z: Sequence[complex]) -> complex:
-        if len(z) != self.n:
-            raise ValueError("point dimension mismatch")
-        zc = [complex(v) for v in z]
-        total = 0j
-        for (a, b), c in self.terms.items():
-            m = complex(c)
-            for x, e in zip(zc, a):
-                if e:
-                    m *= x ** e
-            for x, e in zip(zc, b):
-                if e:
-                    m *= x.conjugate() ** e
-            total += m
-        return total
-
     def evaluate_many(self, Z: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation at rows of a complex (m, n) array."""
+        """Values at the rows of a complex (m, n) array: the one float evaluator."""
         Z = np.asarray(Z, dtype=complex)
         if Z.ndim == 1:
             Z = Z[None, :]
@@ -279,7 +263,7 @@ class _Parser:
 
     def _expr(self) -> MixedPolynomial:
         sign = 1
-        if self._peek() in "+-":  # unary sign on the leading term
+        if self._peek() in ("+", "-"):  # unary sign; "" at the end of input is neither
             if self.text[self.pos] == "-":
                 sign = -1
             self.pos += 1
@@ -534,11 +518,11 @@ def grad_dot_z(p: MixedPolynomial, q: MixedPolynomial) -> MixedPolynomial:
 
 
 def evaluate_two_point(p: MixedPolynomial, z: Sequence[complex], w: Sequence[complex]) -> complex:
-    """p at the point pair (z, w)."""
-    u =[complex(a) - complex(b) for a, b in zip(z, w)]
-    return p.evaluate(u + [complex(b) for b in w])
+    """p at the point pair (z, w): the one row [z - w, w]."""
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    return complex(p.evaluate_many(np.concatenate([z - w, w]))[0])
 
 
-def segment_average(p: MixedPolynomial, j: int = 0) -> MixedPolynomial:
+def segment_average(p: MixedPolynomial, j: int) -> MixedPolynomial:
     """int_0^1 p(tau*(z-w) + w) tau^j dtau, exactly."""
     return tau_weighted(from_single_point(p), j)

@@ -138,7 +138,6 @@ class GalerkinConfig:
     f: MixedPolynomial
     basis_size: int = 40
     sector_cutoff: Optional[int] = None
-    oscillator_scale: Optional[float] = None
 
     def __post_init__(self):
         self.data = ar_data(self.f)
@@ -212,15 +211,19 @@ def choose_oscillator_scale(config: GalerkinConfig) -> float:
 
 
 def eigensolve(config: GalerkinConfig) -> Spectrum:
-    """Rayleigh-Ritz spectrum merged over angular sectors.
+    """Rayleigh-Ritz spectrum merged over angular sectors, at the chosen scale.
 
     Each returned eigenvalue is an upper bound.  The spectrum is truncated
     to the window where no sector (kept radial levels, or omitted angular
     sectors) can be missing an eigenvalue.
     """
+    return _eigensolve_at(config, choose_oscillator_scale(config))
+
+
+def _eigensolve_at(config: GalerkinConfig, omega: float) -> Spectrum:
+    """`eigensolve` in the basis of oscillator scale omega."""
     v, r = config.data.potential_scale, config.data.r
     size, M = config.basis_size, config.sector_cutoff
-    omega = config.oscillator_scale or choose_oscillator_scale(config)
 
     merged: List[float] = []
     reliable = math.inf
@@ -237,30 +240,26 @@ def eigensolve(config: GalerkinConfig) -> Spectrum:
         merged.extend([float(x) for x in kept for _ in range(mult)])
     merged.sort()
     levels = tuple(
-        (lam, m) for lam, m in cluster_eigenvalues(merged, rel_tol=1e-6) if lam <= reliable
+        (lam, m) for lam, m in cluster_eigenvalues(merged) if lam <= reliable
     )
     return Spectrum(levels=levels, complete_below=reliable)
 
 
 @dataclass(frozen=True)
 class RefinementReport:
-    sizes: Tuple[int, ...]
     spectra: Tuple[Spectrum, ...]
     max_increase: float
     truncation_errors: Tuple[float, ...]
 
 
-def eigensolve_refined(
-    config: GalerkinConfig, sizes: Sequence[int] = (20, 40, 60)
-) -> RefinementReport:
+def eigensolve_refined(config: GalerkinConfig, sizes: Sequence[int]) -> RefinementReport:
     """Solve at increasing basis sizes with one fixed scale; check monotonicity."""
-    omega = config.oscillator_scale or choose_oscillator_scale(config)
-    spectra = []
-    for size in sizes:
-        cfg = GalerkinConfig(config.f, basis_size=size,
-                             sector_cutoff=config.sector_cutoff,
-                             oscillator_scale=omega)
-        spectra.append(eigensolve(cfg))
+    omega = choose_oscillator_scale(config)
+    spectra = [
+        _eigensolve_at(GalerkinConfig(config.f, basis_size=size,
+                                      sector_cutoff=config.sector_cutoff), omega)
+        for size in sizes
+    ]
     bound = min(s.complete_below for s in spectra)
     tracked = min(s.count_below(bound) for s in spectra)
     arrays = [s.eigenvalues[:tracked] for s in spectra]
@@ -271,8 +270,7 @@ def eigensolve_refined(
         raise NonMonotoneRefinement(f"Ritz value increased by {max_inc:.2e}")
     errors = tuple(float(abs(a - b)) for a, b in zip(arrays[-1], arrays[-2]))
     return RefinementReport(
-        sizes=tuple(sizes), spectra=tuple(spectra),
-        max_increase=max_inc, truncation_errors=errors,
+        spectra=tuple(spectra), max_increase=max_inc, truncation_errors=errors,
     )
 
 
@@ -321,22 +319,17 @@ def fit_weyl_tail(spectrum: Spectrum, data: ArData) -> WeylTail:
     return WeylTail(p=p, lam0=lam0, cutoff=spectrum.levels[-1][0])
 
 
-def heat_trace(spectrum: Spectrum, tail: Optional[WeylTail], t: float) -> float:
+def heat_trace(spectrum: Spectrum, tail: WeylTail, t: float) -> float:
     """Trace sum over the kept spectrum plus the modeled tail."""
-    out = spectrum.heat_sum(t)
-    if tail is not None:
-        out += tail.heat_tail(t)
-    return out
+    return spectrum.heat_sum(t) + tail.heat_tail(t)
 
 
-def leading_heat_exponent(
-    spectrum: Spectrum,
-    tail: Optional[WeylTail],
-    window: Tuple[float, float] = (0.05, 0.4),
-    points: int = 25,
-) -> float:
-    """Log-log slope of the small-t heat trace over the window."""
-    ts = np.geomspace(window[0], window[1], points)
+_LEADING_WINDOW = (0.05, 0.4, 25)  # (lo, hi, points) of the log-log fit
+
+
+def leading_heat_exponent(spectrum: Spectrum, tail: WeylTail) -> float:
+    """Log-log slope of the small-t heat trace over a fixed small-t window."""
+    ts = np.geomspace(*_LEADING_WINDOW)
     vals = np.array([heat_trace(spectrum, tail, t) for t in ts])
     slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
     return float(slope)

@@ -44,11 +44,14 @@ class Spectrum:
         return float(self._mults @ np.exp(-t * self._values))
 
 
-def cluster_eigenvalues(values, rel_tol: float = 1e-7) -> List[Tuple[float, int]]:
+_CLUSTER_REL_TOL = 1e-6  # relative gap (absolute below 1) that joins two values
+
+
+def cluster_eigenvalues(values) -> List[Tuple[float, int]]:
     """Group a sorted float array into (value, multiplicity) clusters."""
     levels: List[Tuple[float, int]] = []
     for v in sorted(values):
-        if levels and abs(v - levels[-1][0]) <= rel_tol * max(1.0, abs(v)):
+        if levels and abs(v - levels[-1][0]) <= _CLUSTER_REL_TOL * max(1.0, abs(v)):
             lam, m = levels[-1]
             levels[-1] = ((lam * m + v) / (m + 1), m + 1)
         else:

@@ -4,7 +4,8 @@ Given a holomorphic polynomial f, the weight system is the exact rational
 solution q of b . q = 1 over all exponent vectors b of f.  The module also
 checks the two non-degeneracy conditions (no bilinear monomial; isolated
 critical point at the origin, verified heuristically by randomized witness
-sampling plus local descent), produces the tameness report with the gap
+sampling plus local descent, with each critical point found confirmed on the
+weighted unit sphere), produces the tameness report with the gap
 quantities
 
     delta  = (1 - 3(q_M - q_m)) / (3 (1 - q_M))
@@ -243,38 +244,39 @@ def has_bilinear_monomial(f: MixedPolynomial) -> bool:
     return False
 
 
-def _descend_to_critical(grads, hess, z0: np.ndarray, steps: int = 300) -> np.ndarray:
-    """Gradient descent on h = |grad f|^2 from z0 (heuristic witness search)."""
-    z = z0.copy()
+_DESCENT_STARTS = 8  # descents, from the witness points lowest in |grad f|^2 / |z|^2
+_DESCENT_STEPS = 300
 
-    def h(z):
-        return sum(abs(g.evaluate(z)) ** 2 for g in grads)
 
-    def dh_dzbar(z):
+def _descend_to_critical(grads, hess, Z: np.ndarray) -> np.ndarray:
+    """Gradient descent on h = |grad f|^2 from each row of Z (heuristic witness search).
+
+    Each row keeps its own step and stops as a lone descent would: at a flat
+    gradient, at h below 1e-24, or once its step falls below 1e-12.
+    """
+    def h(Z):
+        return sum(np.abs(g.evaluate_many(Z)) ** 2 for g in grads)
+
+    Z, val, step = Z.copy(), h(Z), np.full(len(Z), 0.1)
+    rows = np.arange(len(Z))  # the rows still descending
+    for _ in range(_DESCENT_STEPS):
+        z = Z[rows]
         # d h / d conj(z_k) = sum_i (d_i f)(z) * conj(d_k d_i f)(z)
-        gv = [g.evaluate(z) for g in grads]
-        return np.array([
-            sum(gv[i] * np.conj(hess[i][k].evaluate(z)) for i in range(len(grads)))
-            for k in range(len(grads))
-        ])
-
-    val = h(z)
-    step = 0.1
-    for _ in range(steps):
-        d = dh_dzbar(z)
-        nrm = np.linalg.norm(d)
-        if nrm < 1e-14 or val < 1e-24:
-            break
-        cand = z - step * d / max(nrm, 1e-30)
+        gv = [g.evaluate_many(z) for g in grads]
+        d = np.stack([sum(gi * np.conj(hi[k].evaluate_many(z)) for gi, hi in zip(gv, hess))
+                      for k in range(len(grads))], axis=1)
+        nrm = np.linalg.norm(d, axis=1)
+        go = (nrm >= 1e-14) & (val[rows] >= 1e-24)
+        rows, z, d, nrm = rows[go], z[go], d[go], nrm[go]
+        cand = z - (step[rows] / nrm)[:, None] * d
         cval = h(cand)
-        if cval < val:
-            z, val = cand, cval
-            step *= 1.3
-        else:
-            step *= 0.5
-            if step < 1e-12:
-                break
-    return z
+        better = cval < val[rows]
+        Z[rows[better]], val[rows[better]] = cand[better], cval[better]
+        step[rows] *= np.where(better, 1.3, 0.5)
+        rows = rows[step[rows] >= 1e-12]
+        if rows.size == 0:
+            break
+    return Z
 
 
 # witness points in total, split as evenly as possible over the sphere radii
@@ -293,9 +295,10 @@ def nondegeneracy_check(
     Condition (1), no bilinear monomial, is exact.  Condition (2), isolated
     critical point at the origin, is a randomized witness check: sample
     `samples` points in total on three spheres, descend from the worst to
-    hunt for off-origin critical points, and fit the quadratic growth floor
-    |grad f|^2 >= |z|^2 / C - 1.  Sound for rejection, heuristic for
-    acceptance.
+    hunt for off-origin critical points, confirm them on the weighted unit
+    sphere of `wv`, which needs no absolute scale, and fit the quadratic
+    growth floor |grad f|^2 >= |z|^2 / C - 1.  Sound for rejection,
+    heuristic for acceptance.
     """
     if has_bilinear_monomial(f):
         raise BilinearMonomialPresent("f contains a z_i*z_j monomial with i != j")
@@ -315,15 +318,21 @@ def nondegeneracy_check(
         grad_sq += np.abs(g.evaluate_many(Z)) ** 2
     min_grad = float(np.sqrt(grad_sq.min()))
 
-    # descend from the worst candidates: any off-origin critical point found
-    # this way is then confirmed by direct evaluation
+    # descend from the worst candidates, then move each end point off the
+    # origin along its real C* orbit (lambda . z)_i = lambda^(q_i) z_i onto
+    # the weighted unit sphere max_i |z_i|^(1/q_i) = 1: grad f scales by
+    # lambda^(1 - q_i), so a critical point stays one, while a descent that
+    # only crept towards the origin of a high-degree f, where |grad f| is
+    # tiny, lands where |grad f| is of order one
     order = np.argsort(grad_sq / (np.abs(Z) ** 2).sum(axis=1))
-    hess = hessian(f)
-    for idx in order[:8]:
-        zc = _descend_to_critical(grads, hess, Z[idx])
-        hval = sum(abs(g.evaluate(zc)) ** 2 for g in grads)
-        if hval < 1e-20 and np.linalg.norm(zc) > 0.05:
-            raise GradientVanishesAwayFromOrigin(tuple(zc))
+    ends = _descend_to_critical(grads, hessian(f), Z[order[:_DESCENT_STARTS]])
+    q = np.array([float(qi) for qi in wv.q])
+    rho = (np.abs(ends) ** (1 / q)).max(axis=1)
+    ends = ends[rho > 0] * rho[rho > 0, None] ** -q
+    hval = sum(np.abs(g.evaluate_many(ends)) ** 2 for g in grads)
+    for zc, hv in zip(ends, hval):
+        if hv < 1e-20:
+            raise GradientVanishesAwayFromOrigin(tuple(complex(v) for v in zc))
 
     # growth floor |grad f|^2 >= |z|^2/C - 1: C must dominate the max sample
     # ratio; the least-squares scale fit is also recorded.  A 1.5x margin

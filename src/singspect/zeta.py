@@ -28,14 +28,12 @@ _BERNOULLI = [
 _PRECISION = 50
 
 
-def zeta_and_derivative(s: float, n_terms: int = 50, corrections: int = 10) -> Tuple[float, float]:
-    """(zeta(s), zeta'(s)) for real s != 1, |s| <= 10."""
+def zeta_and_derivative(s: float, n_terms: int = 50) -> Tuple[float, float]:
+    """(zeta(s), zeta'(s)) for real s != 1, |s| <= 10, with every Bernoulli correction."""
     if abs(s - 1.0) < 1e-12:
         raise ValueError("zeta has a pole at s = 1")
     if abs(s) > 10 + 1e-9:
         raise ValueError("validated range is |s| <= 10")
-    if corrections > len(_BERNOULLI):
-        raise ValueError(f"at most {len(_BERNOULLI)} correction terms available")
 
     with localcontext() as ctx:
         ctx.prec = _PRECISION
@@ -63,8 +61,7 @@ def zeta_and_derivative(s: float, n_terms: int = 50, corrections: int = 10) -> T
         val += b / 2
         der -= logN * b / 2
 
-        for j in range(1, corrections + 1):
-            bern = _BERNOULLI[j - 1]
+        for j, bern in enumerate(_BERNOULLI, start=1):
             coeff = Decimal(bern.numerator) / Decimal(bern.denominator) \
                 / Decimal(math.factorial(2 * j))
             poch = one

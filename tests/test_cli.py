@@ -65,12 +65,21 @@ def test_weights_bilinear_exit_code():
 
 
 def test_parse_error_exit_code():
-    for args, offset in ((["weights", "z1 + % z2"], 5), (["index", "z1^3", "--t", "1,,2"], 2)):
+    for args, offset in ((["weights", "z1 + % z2"], 5), (["index", "z1^3", "--t", "1,,2"], 2),
+                         (["weights", ""], 0), (["weights", " "], 1), (["weights", "("], 1)):
         proc = run_cli(*args)
         assert proc.returncode == 1
+        assert proc.stdout == ""
         err = json.loads(proc.stderr)
         assert err["error"]["type"] == "ParseError"
         assert err["error"]["offset"] == offset
+
+
+def test_weights_of_a_high_degree_a_r(capsys):
+    from singspect import cli
+
+    assert cli.main(["weights", "z1^13"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["mu"]["value"] == 12
 
 
 def test_weights_witness_samples_is_the_budget_passed(capsys):

@@ -41,6 +41,10 @@ def test_parse_errors_carry_offset():
         parse("z1^", 1)
     with pytest.raises(ParseError):
         parse("conj(z1", 1)
+    for text, offset in (("", 0), (" ", 1), ("(", 1)):  # input that ends where an atom is due
+        with pytest.raises(ParseError) as err:
+            parse(text, 1)
+        assert err.value.offset == offset
 
 
 def test_parse_complex_and_conj():
@@ -157,7 +161,7 @@ def test_segment_average_matches_gauss_legendre(p, j, xs):
     w = np.array([xs[4] + 1j * xs[5], xs[6] + 1j * xs[7]])
     nodes, weights = np.polynomial.legendre.leggauss(8)
     tau = (nodes + 1) / 2
-    vals = np.array([s ** j * p.evaluate(s * (z - w) + w) for s in tau])
+    vals = np.array([s ** j * p.evaluate_many(s * (z - w) + w)[0] for s in tau])
     ref = np.sum(weights * vals) / 2
     scale = np.sum(weights * np.abs(vals)) / 2
     got = evaluate_two_point(segment_average(p, j), z, w)
@@ -171,8 +175,8 @@ def test_two_point_substitution_is_consistent():
     for _ in range(20):
         z = rng.normal(size=2) + 1j * rng.normal(size=2)
         w = rng.normal(size=2) + 1j * rng.normal(size=2)
-        assert abs(evaluate_two_point(tp, z, w) - p.evaluate(z)) < 1e-10
-        assert abs(evaluate_two_point(swap_points(tp), z, w) - p.evaluate(w)) < 1e-10
+        assert abs(evaluate_two_point(tp, z, w) - p.evaluate_many(z)[0]) < 1e-10
+        assert abs(evaluate_two_point(swap_points(tp), z, w) - p.evaluate_many(w)[0]) < 1e-10
 
 
 def test_swap_points_involution():

@@ -106,12 +106,10 @@ def test_rayleigh_ritz_monotonicity():
 
 
 def test_a2_spectrum_positive_and_stable():
-    base = GalerkinConfig(A2, basis_size=40)
-    omega = choose_oscillator_scale(base)
+    # one oscillator scale for all three sizes; eigensolve_refined also checks monotonicity
+    rep = eigensolve_refined(GalerkinConfig(A2, basis_size=40), sizes=(40, 60, 80))
     grounds = []
-    for size in (40, 60, 80):
-        cfg = GalerkinConfig(A2, basis_size=size, oscillator_scale=omega)
-        spec = eigensolve(cfg)
+    for spec in rep.spectra:
         assert np.all(spec.eigenvalues > 0)
         grounds.append(spec.eigenvalues[0])
     assert abs(grounds[-1] - grounds[0]) < 1e-4 * grounds[-1]

@@ -134,7 +134,42 @@ def test_nondegeneracy_check_paths():
                             WeightVector((Fraction(1, 4), Fraction(1, 2))), seed=3)
     w = err.value.witness
     g = parse("z1^2*z2", 2)
-    assert sum(abs(g.wirtinger(i).evaluate(w)) ** 2 for i in (1, 2)) < 1e-12
+    assert sum(abs(g.wirtinger(i).evaluate_many(w)[0]) ** 2 for i in (1, 2)) < 1e-12
+
+
+@pytest.mark.parametrize("text,n", [("z1^13", 1), ("z1^20", 1), ("z1^40", 1),
+                                    ("z1^7 + z2^13", 2), ("z1^13 + z2^2", 2)])
+def test_witness_accepts_isolated_high_degree_singularities(text, n):
+    # |grad f| is tiny near the origin of a high-degree f, so a descent that
+    # creeps towards the origin must not count as an off-origin critical point
+    f = parse(text, n)
+    assert nondegeneracy_check(f, solve_weights(f)).isolated_witness
+
+
+def test_batched_descent_matches_one_row_at_a_time():
+    # each row keeps its own step and stopping rule, so batching changes no row
+    import numpy as np
+    from singspect.poly import gradient, hessian
+    from singspect.weights import _descend_to_critical
+
+    f = parse("z1^2*z2 + z2^5", 2)
+    grads, hess = gradient(f), hessian(f)
+    rng = np.random.default_rng(4)
+    Z = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+    batch = _descend_to_critical(grads, hess, Z)
+    for i in range(len(Z)):
+        assert np.array_equal(batch[i:i + 1], _descend_to_critical(grads, hess, Z[i:i + 1]))
+
+
+def test_witness_is_plain_complex_on_the_weighted_unit_sphere():
+    f = parse("(z1+z2)^3", 2)  # critical along z1 = -z2, weights (1/3, 1/3)
+    with pytest.raises(GradientVanishesAwayFromOrigin) as err:
+        nondegeneracy_check(f, solve_weights(f))
+    w = err.value.witness
+    assert all(type(v) is complex for v in w)
+    assert "np." not in str(err.value)
+    assert max(abs(v) ** 3 for v in w) == pytest.approx(1.0)
+    assert sum(abs(f.wirtinger(i).evaluate_many(w)[0]) ** 2 for i in (1, 2)) < 1e-12
 
 
 @pytest.mark.parametrize("samples", [1, 2, 12000, 12001])
