@@ -128,7 +128,8 @@ def cmd_weights(args, f: MixedPolynomial):
         "k": list(wv.k),
         "mu": _exact(mu),
     }
-    result.update(tameness_report(wv, nd).to_json_dict())
+    result.update(tameness_report(wv).to_json_dict())
+    result.update(nd.to_json_dict())
     if f.n <= 2 and f.total_degree() <= 6:
         result["mu_brute_force"] = _exact(milnor_brute_force(f, wv))
     return {"witness_samples": nd.samples}, result

@@ -418,9 +418,9 @@ def mellin_derivative_at_zero(
     F: Callable[[float], float],
     exponents: Sequence[float],
     upper_integral: float,
-    split: float = 1.0,
-    fit_window: Tuple[float, float] = (0.25, 1.0),
-    pinned: Sequence[Tuple[float, float]] = (),
+    split: float,
+    fit_window: Tuple[float, float],
+    pinned: Sequence[Tuple[float, float]],
 ) -> MellinResult:
     """Renormalized value and derivative at s = 0 of (1/2Gamma(s)) Mellin[F].
 

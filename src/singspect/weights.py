@@ -4,9 +4,8 @@ Given a holomorphic polynomial f, the weight system is the exact rational
 solution q of b . q = 1 over all exponent vectors b of f.  The module also
 checks the two non-degeneracy conditions (no bilinear monomial; isolated
 critical point at the origin, verified heuristically by randomized witness
-sampling plus local descent, with each critical point found confirmed on the
-weighted unit sphere), produces the tameness report with the gap
-quantities
+sampling plus local descent on the weighted unit sphere), produces the
+tameness report with the gap quantities
 
     delta  = (1 - 3(q_M - q_m)) / (3 (1 - q_M))
     delta2 = (1 - 2(q_M - q_m)) / (2 (1 - q_M))
@@ -21,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -106,6 +105,19 @@ class NondegeneracyReport:
     fitted_C_lsq: float      # least-squares fit of |z|^2 ~ C (|grad f|^2 + 1)
     heuristic: bool = True
 
+    def to_json_dict(self) -> dict:
+        return {
+            "no_bilinear": self.no_bilinear,
+            "isolated_witness": {
+                "passed": self.isolated_witness,
+                "samples": self.samples,
+                "min_grad_norm": self.min_grad_norm,
+                "heuristic": self.heuristic,
+            },
+            "fitted_C": self.fitted_C,
+            "fitted_C_lsq": self.fitted_C_lsq,
+        }
+
 
 @dataclass(frozen=True)
 class TamenessReport:
@@ -116,10 +128,9 @@ class TamenessReport:
     delta2: Fraction
     delta3: Fraction
     condition_13: bool
-    nondegeneracy: Optional[NondegeneracyReport] = None
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "q_max": str(self.q_max),
             "q_min": str(self.q_min),
             "gap": str(self.gap),
@@ -128,18 +139,6 @@ class TamenessReport:
             "delta3": str(self.delta3),
             "condition_13": self.condition_13,
         }
-        if self.nondegeneracy is not None:
-            nd = self.nondegeneracy
-            out["no_bilinear"] = nd.no_bilinear
-            out["isolated_witness"] = {
-                "passed": nd.isolated_witness,
-                "samples": nd.samples,
-                "min_grad_norm": nd.min_grad_norm,
-                "heuristic": nd.heuristic,
-            }
-            out["fitted_C"] = nd.fitted_C
-            out["fitted_C_lsq"] = nd.fitted_C_lsq
-        return out
 
 
 # -- weight solving ----------------------------------------------------------
@@ -214,9 +213,7 @@ def weight_residuals(f: MixedPolynomial, wv: WeightVector) -> List[Fraction]:
 # -- tameness ---------------------------------------------------------------
 
 
-def tameness_report(
-    wv: WeightVector, nondegeneracy: Optional[NondegeneracyReport] = None
-) -> TamenessReport:
+def tameness_report(wv: WeightVector) -> TamenessReport:
     qM, qm = wv.q_max, wv.q_min
     gap = qM - qm
     one = Fraction(1)
@@ -228,7 +225,6 @@ def tameness_report(
         delta2=(one - 2 * gap) / (2 * (one - qM)),
         delta3=(one - 3 * gap) / (2 * (one - qM)),
         condition_13=gap < Fraction(1, 3),
-        nondegeneracy=nondegeneracy,
     )
 
 
@@ -244,20 +240,29 @@ def has_bilinear_monomial(f: MixedPolynomial) -> bool:
     return False
 
 
-_DESCENT_STARTS = 8  # descents, from the witness points lowest in |grad f|^2 / |z|^2
+_DESCENT_STARTS = 8  # descents, from the witness points lowest in |grad f|^2 on the sphere
 _DESCENT_STEPS = 300
 
 
-def _descend_to_critical(grads, hess, Z: np.ndarray) -> np.ndarray:
-    """Gradient descent on h = |grad f|^2 from each row of Z (heuristic witness search).
+def _grad_sq(grads, Z: np.ndarray) -> np.ndarray:
+    return sum(np.abs(g.evaluate_many(Z)) ** 2 for g in grads)
 
-    Each row keeps its own step and stops as a lone descent would: at a flat
-    gradient, at h below 1e-24, or once its step falls below 1e-12.
+
+def _to_weighted_sphere(Z: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Move each row of Z along (lambda . z)_i = lambda^(q_i) z_i onto max_i |z_i|^(1/q_i) = 1."""
+    rho = (np.abs(Z) ** (1 / q)).max(axis=1)
+    return Z * rho[:, None] ** -q
+
+
+def _descend_to_critical(grads, hess, q: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Gradient descent on h = |grad f|^2 from each row of Z, on the weighted unit sphere of q.
+
+    Each step is moved back onto the sphere, so no row creeps towards the
+    origin, where |grad f| is tiny for a high-degree f.  Each row keeps its
+    own step and stops at h below 1e-24 or once its step falls below 1e-12.
     """
-    def h(Z):
-        return sum(np.abs(g.evaluate_many(Z)) ** 2 for g in grads)
-
-    Z, val, step = Z.copy(), h(Z), np.full(len(Z), 0.1)
+    Z, step = Z.copy(), np.full(len(Z), 0.1)
+    val = _grad_sq(grads, Z)
     rows = np.arange(len(Z))  # the rows still descending
     for _ in range(_DESCENT_STEPS):
         z = Z[rows]
@@ -266,10 +271,10 @@ def _descend_to_critical(grads, hess, Z: np.ndarray) -> np.ndarray:
         d = np.stack([sum(gi * np.conj(hi[k].evaluate_many(z)) for gi, hi in zip(gv, hess))
                       for k in range(len(grads))], axis=1)
         nrm = np.linalg.norm(d, axis=1)
-        go = (nrm >= 1e-14) & (val[rows] >= 1e-24)
+        go = (nrm > 0) & (val[rows] >= 1e-24)
         rows, z, d, nrm = rows[go], z[go], d[go], nrm[go]
-        cand = z - (step[rows] / nrm)[:, None] * d
-        cval = h(cand)
+        cand = _to_weighted_sphere(z - (step[rows] / nrm)[:, None] * d, q)
+        cval = _grad_sq(grads, cand)
         better = cval < val[rows]
         Z[rows[better]], val[rows[better]] = cand[better], cval[better]
         step[rows] *= np.where(better, 1.3, 0.5)
@@ -294,11 +299,11 @@ def nondegeneracy_check(
 
     Condition (1), no bilinear monomial, is exact.  Condition (2), isolated
     critical point at the origin, is a randomized witness check: sample
-    `samples` points in total on three spheres, descend from the worst to
-    hunt for off-origin critical points, confirm them on the weighted unit
-    sphere of `wv`, which needs no absolute scale, and fit the quadratic
-    growth floor |grad f|^2 >= |z|^2 / C - 1.  Sound for rejection,
-    heuristic for acceptance.
+    `samples` points in total on three spheres, move them onto the weighted
+    unit sphere of `wv`, descend on that sphere from the lowest to hunt for
+    off-origin critical points, and fit the quadratic growth floor
+    |grad f|^2 >= |z|^2 / C - 1.  Sound for rejection, heuristic for
+    acceptance.
     """
     if has_bilinear_monomial(f):
         raise BilinearMonomialPresent("f contains a z_i*z_j monomial with i != j")
@@ -313,24 +318,17 @@ def nondegeneracy_check(
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         pts.append(r * (x[:, :n] + 1j * x[:, n:]))
     Z = np.concatenate(pts, axis=0)
-    grad_sq = np.zeros(Z.shape[0])
-    for g in grads:
-        grad_sq += np.abs(g.evaluate_many(Z)) ** 2
+    grad_sq = _grad_sq(grads, Z)
     min_grad = float(np.sqrt(grad_sq.min()))
 
-    # descend from the worst candidates, then move each end point off the
-    # origin along its real C* orbit (lambda . z)_i = lambda^(q_i) z_i onto
-    # the weighted unit sphere max_i |z_i|^(1/q_i) = 1: grad f scales by
-    # lambda^(1 - q_i), so a critical point stays one, while a descent that
-    # only crept towards the origin of a high-degree f, where |grad f| is
-    # tiny, lands where |grad f| is of order one
-    order = np.argsort(grad_sq / (np.abs(Z) ** 2).sum(axis=1))
-    ends = _descend_to_critical(grads, hessian(f), Z[order[:_DESCENT_STARTS]])
+    # an off-origin critical point has a whole C* orbit of them, so it meets
+    # the weighted unit sphere, where |grad f| of an isolated singularity is
+    # bounded away from zero whatever its degree: descend there
     q = np.array([float(qi) for qi in wv.q])
-    rho = (np.abs(ends) ** (1 / q)).max(axis=1)
-    ends = ends[rho > 0] * rho[rho > 0, None] ** -q
-    hval = sum(np.abs(g.evaluate_many(ends)) ** 2 for g in grads)
-    for zc, hv in zip(ends, hval):
+    S = _to_weighted_sphere(Z, q)
+    starts = S[np.argsort(_grad_sq(grads, S))[:_DESCENT_STARTS]]
+    ends = _descend_to_critical(grads, hessian(f), q, starts)
+    for zc, hv in zip(ends, _grad_sq(grads, ends)):
         if hv < 1e-20:
             raise GradientVanishesAwayFromOrigin(tuple(complex(v) for v in zc))
 

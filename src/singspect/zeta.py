@@ -26,9 +26,10 @@ _BERNOULLI = [
 ]
 
 _PRECISION = 50
+_N_TERMS = 50  # N, the direct terms
 
 
-def zeta_and_derivative(s: float, n_terms: int = 50) -> Tuple[float, float]:
+def zeta_and_derivative(s: float) -> Tuple[float, float]:
     """(zeta(s), zeta'(s)) for real s != 1, |s| <= 10, with every Bernoulli correction."""
     if abs(s - 1.0) < 1e-12:
         raise ValueError("zeta has a pole at s = 1")
@@ -39,7 +40,7 @@ def zeta_and_derivative(s: float, n_terms: int = 50) -> Tuple[float, float]:
         ctx.prec = _PRECISION
         sd = Decimal(repr(s))
         one = Decimal(1)
-        N = Decimal(n_terms)
+        N = Decimal(_N_TERMS)
         logN = N.ln()
 
         def powD(base: Decimal, expo: Decimal) -> Decimal:
@@ -47,7 +48,7 @@ def zeta_and_derivative(s: float, n_terms: int = 50) -> Tuple[float, float]:
 
         val = Decimal(0)
         der = Decimal(0)
-        for k in range(1, n_terms):
+        for k in range(1, _N_TERMS):
             kd = Decimal(k)
             p = powD(kd, -sd) if k > 1 else one
             val += p

@@ -150,15 +150,29 @@ def test_batched_descent_matches_one_row_at_a_time():
     # each row keeps its own step and stopping rule, so batching changes no row
     import numpy as np
     from singspect.poly import gradient, hessian
-    from singspect.weights import _descend_to_critical
+    from singspect.weights import _descend_to_critical, _to_weighted_sphere
 
     f = parse("z1^2*z2 + z2^5", 2)
     grads, hess = gradient(f), hessian(f)
+    q = np.array([float(qi) for qi in solve_weights(f).q])
     rng = np.random.default_rng(4)
-    Z = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
-    batch = _descend_to_critical(grads, hess, Z)
+    Z = _to_weighted_sphere(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)), q)
+    batch = _descend_to_critical(grads, hess, q, Z)
     for i in range(len(Z)):
-        assert np.array_equal(batch[i:i + 1], _descend_to_critical(grads, hess, Z[i:i + 1]))
+        assert np.array_equal(batch[i:i + 1], _descend_to_critical(grads, hess, q, Z[i:i + 1]))
+
+
+@pytest.mark.parametrize("text,n", [("(z1+z2)^3", 2), ("(z1+z2)^5", 2), ("(z1+z2)^7", 2),
+                                    ("(z1-2*z2)^7", 2), ("(z1+z2)^5 + z3^3", 3),
+                                    ("(z1^3+z2^5)^2", 2)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_witness_rejects_non_isolated_singularities_of_any_degree(text, n, seed):
+    # near a critical curve such as z1 = -z2 of (z1+z2)^d, |grad f|^2 falls
+    # like |z1 + z2|^(2d - 2): a descent that stops on an absolute flatness
+    # or measures h off the weighted unit sphere can miss it
+    f = parse(text, n)
+    with pytest.raises(GradientVanishesAwayFromOrigin):
+        nondegeneracy_check(f, solve_weights(f), seed=seed)
 
 
 def test_witness_is_plain_complex_on_the_weighted_unit_sphere():
