@@ -9,6 +9,8 @@ track the truncation order k.
 import argparse
 import sys
 
+import numpy as np
+
 from singspect.parametrix import build_U, residual_order_check
 from singspect.poly import infer_variable_count, parse
 
@@ -24,10 +26,13 @@ def main() -> int:
     orders = [int(k) for k in args.orders.split(",")]
     for text in cases:
         f = parse(text, infer_variable_count(text))
+        # per sample: Re z, Im z, Re w, Im w
+        x = np.random.default_rng(0).normal(scale=0.7, size=(args.samples, 4, f.n))
+        z, w = x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3]
         print(f"\n{text}")
         for k in orders:
             bundle = build_U(f, k)
-            rep = residual_order_check(bundle, samples=args.samples)
+            rep = residual_order_check(bundle, z, w)
             exps = ", ".join(f"{e:.3f}" for e in rep.fitted_exponents)
             print(f"  k = {k}: fitted t-exponents [{exps}]  (min {rep.min_exponent:.3f})")
     return 0

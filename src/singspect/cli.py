@@ -252,8 +252,6 @@ def _suite_parametrix(seed: int) -> list:
 
 
 def _suite_oscillator(seed: int) -> list:
-    import numpy as np
-
     from .oscillator import (
         OscillatorSpec, convolve_0form_kernel, heat_trace_0forms,
         heat_trace_k_forms, kernel_functions, spectrum_k_forms,

@@ -220,11 +220,14 @@ def number_operator_clifford(n: int) -> ExteriorOperator:
     return out
 
 
-def supertrace_matrix(m: np.ndarray) -> complex:
-    """Supertrace of a dense 4^n x 4^n matrix over the mask basis."""
-    dim = m.shape[0]
+def supertrace_matrix(m: np.ndarray) -> np.ndarray:
+    """Supertrace over the mask basis of the last two axes of a (..., 4^n, 4^n) array.
+
+    A stack of dense matrices gives a stack of supertraces.
+    """
+    dim = m.shape[-1]
     signs = np.array([-1 if bin(i).count("1") % 2 else 1 for i in range(dim)])
-    return complex((signs * np.diagonal(m)).sum())
+    return (signs * np.diagonal(m, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def full_clifford_monomial(n: int) -> ExteriorOperator:

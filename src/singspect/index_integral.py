@@ -10,7 +10,8 @@ from the fitted quadratic growth floor |grad f|^2 >= |z|^2 / C - 1, which
 keeps the weights bounded) or, for any n, by orbit-reduced quadrature: the
 weighted circle action of f leaves the integrand invariant, so z1 is taken
 real and radial (Gauss-Laguerre) and C^{n-1} gets a tensor Gauss-Hermite
-rule.  It checks the t-independence across a grid.
+rule.  It checks the t-independence across a grid.  The integrand is
+evaluated at the rows of a complex (m, n) array of points, one value per row.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .poly import MixedPolynomial, gradient, hessian_determinant
+from .poly import MixedPolynomial, gradient, gradient_square, hessian_determinant
 from .weights import NondegeneracyReport
 
 
@@ -79,18 +80,15 @@ class _Compiled:
         `log_factor` (a scalar or one value per row) is added inside the
         exponential, so an importance weight needs no second `exp`.
         """
-        grad_sq = sum(np.abs(g.evaluate_many(Z)) ** 2 for g in self.grads)
         return np.abs(self.det_hess.evaluate_many(Z)) ** 2 * np.exp(
-            self.n * math.log(t / math.pi) - t * grad_sq + log_factor)
+            self.n * math.log(t / math.pi) - t * gradient_square(self.grads, Z) + log_factor)
 
 
-def integrand(f: MixedPolynomial, z, t: float) -> np.ndarray:
-    """The index density, vectorized over points (a float for one point)."""
+def integrand(f: MixedPolynomial, Z, t: float) -> np.ndarray:
+    """The index density at the rows of a complex (m, n) array: one value per point."""
     if t <= 0:
         raise ValueError("t must be positive")
-    Z = np.asarray(z, dtype=complex)
-    vals = _Compiled(f).density(np.atleast_2d(Z), t)
-    return float(vals[0]) if Z.ndim == 1 else vals
+    return _Compiled(f).density(np.asarray(Z, dtype=complex), t)
 
 
 _MC_STRATA = 64  # each stratum has its own stream; sums are reduced in stratum order

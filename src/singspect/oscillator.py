@@ -21,6 +21,10 @@ The diagonal supertrace in the flat-parametrix normalization (operator
 -Delta + V + L_f with f = z^2/2) is obtained from this family by the
 documented conversion tau = 1/2, time doubled, unit-normalized form
 sectors; see `a1_diagonal_supertrace_flat`.
+
+The kernels work elementwise on arrays of points of C;
+`euclidean_heat_kernel` takes (m, n) arrays of points of C^n and returns
+one value per row.
 """
 
 from __future__ import annotations
@@ -87,26 +91,27 @@ class KernelValues:
     """Scalar kernel of 0/2-forms and the two 1-form sector coefficients.
 
     The 1-form kernel is scalar_minus * phi-(z) (x) phi-(w) plus the plus
-    sector, with the form factors phi-+ = (-+ tau/|tau| dz + dzbar).
+    sector, with the form factors phi-+ = (-+ tau/|tau| dz + dzbar).  Each
+    field has the broadcast shape of the points it was evaluated at.
     """
 
-    zero_form: float
-    one_form_minus: float
-    one_form_plus: float
+    zero_form: np.ndarray
+    one_form_minus: np.ndarray
+    one_form_plus: np.ndarray
 
 
-def kernel_functions(spec: OscillatorSpec, z: complex, w: complex) -> KernelValues:
+def kernel_functions(spec: OscillatorSpec, z, w) -> KernelValues:
+    """The kernels at the points z, w of C, elementwise over arrays of them."""
     a, t = spec.a, spec.t
     pref = (4 * math.pi * a * t) ** -1 * (2 * a * t / math.sinh(2 * a * t))
     common = (
-        -abs(z - w) ** 2 / (2 * t) * (2 * a * t / math.sinh(2 * a * t))
-        - a * (abs(z) ** 2 + abs(w) ** 2) * math.tanh(a * t)
+        -np.abs(z - w) ** 2 / (2 * t) * (2 * a * t / math.sinh(2 * a * t))
+        - a * (np.abs(z) ** 2 + np.abs(w) ** 2) * math.tanh(a * t)
     )
-    k0 = pref * math.exp(common)
     return KernelValues(
-        zero_form=k0,
-        one_form_minus=pref * math.exp(common + 2 * a * t),
-        one_form_plus=pref * math.exp(common - 2 * a * t),
+        zero_form=pref * np.exp(common),
+        one_form_minus=pref * np.exp(common + 2 * a * t),
+        one_form_plus=pref * np.exp(common - 2 * a * t),
     )
 
 
@@ -115,12 +120,13 @@ def kernel_normalization_factor(spec: OscillatorSpec) -> float:
     return 1.0 / (2 * spec.a)
 
 
-def euclidean_heat_kernel(n: int, z, w, t: float) -> float:
-    """(4 pi t)^{-n} exp(-|z - w|^2 / 4t) on C^n."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    w = np.atleast_1d(np.asarray(w, dtype=complex))
-    d2 = float((np.abs(z - w) ** 2).sum())
-    return (4 * math.pi * t) ** -n * math.exp(-d2 / (4 * t))
+def euclidean_heat_kernel(z, w, t: float) -> np.ndarray:
+    """(4 pi t)^{-n} exp(-|z - w|^2 / 4t) at the rows of two (m, n) arrays of points of C^n."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    d2 = (np.abs(z - w) ** 2).sum(axis=-1)
+    return (4 * math.pi * t) ** -z.shape[-1] * np.exp(-d2 / (4 * t))
 
 
 _CONVOLUTION_NODES = 64  # Gauss-Hermite nodes per real axis of the tensor rule
@@ -128,7 +134,8 @@ _CONVOLUTION_NODES = 64  # Gauss-Hermite nodes per real axis of the tensor rule
 
 def convolve_0form_kernel(tau: complex, z: complex, w: complex, t: float, s: float) -> float:
     """int K(z, x, t) K(x, w, s) dx by shifted/scaled Gauss-Hermite."""
-    a = abs(tau)
+    spec_t, spec_s = OscillatorSpec(tau, t), OscillatorSpec(tau, s)
+    a = spec_t.a
     # |x|^2 coefficient of the combined Gaussian exponent, for node scaling
     beta_t = a / math.sinh(2 * a * t)
     beta_s = a / math.sinh(2 * a * s)
@@ -136,18 +143,10 @@ def convolve_0form_kernel(tau: complex, z: complex, w: complex, t: float, s: flo
     center = (beta_t * z + beta_s * w) / coef
     xs, ws = np.polynomial.hermite.hermgauss(_CONVOLUTION_NODES)
     sigma = 1.0 / math.sqrt(coef)
-    pts = center + sigma * (xs[:, None] + 1j * xs[None, :])
+    pts = (center + sigma * (xs[:, None] + 1j * xs[None, :])).ravel()
     wts = (ws * np.exp(xs ** 2))[:, None] * (ws * np.exp(xs ** 2))[None, :] * sigma ** 2
-    total = 0.0
-    spec_t = OscillatorSpec(tau, t)
-    spec_s = OscillatorSpec(tau, s)
-    flat = pts.ravel()
-    vals = np.array([
-        kernel_functions(spec_t, z, x).zero_form * kernel_functions(spec_s, x, w).zero_form
-        for x in flat
-    ])
-    total = float((vals * wts.ravel()).sum())
-    return total
+    vals = kernel_functions(spec_t, z, pts).zero_form * kernel_functions(spec_s, pts, w).zero_form
+    return float((vals * wts.ravel()).sum())
 
 
 # -- heat traces ---------------------------------------------------------------
@@ -179,16 +178,16 @@ def heat_trace_k_forms(spec: OscillatorSpec, form_degree: int) -> float:
     raise ValueError("form degree must be 0, 1 or 2")
 
 
-def ground_state_limit_minus(spec: OscillatorSpec, z: complex, w: complex) -> float:
-    """t -> infinity limit of the E- 1-form scalar: (1/pi) e^{-|tau|(|z|^2+|w|^2)}."""
-    return math.exp(-spec.a * (abs(z) ** 2 + abs(w) ** 2)) / math.pi
+def ground_state_limit_minus(spec: OscillatorSpec, z, w):
+    """t -> infinity limit of the E- 1-form scalar: (1/pi) e^{-|tau|(|z|^2+|w|^2)}, elementwise."""
+    return np.exp(-spec.a * (np.abs(z) ** 2 + np.abs(w) ** 2)) / math.pi
 
 
 # -- flat-normalization diagonal supertrace for f = z^2/2 -----------------------
 
 
-def a1_diagonal_supertrace_flat(z: complex, t: float) -> float:
-    """Exact diagonal supertrace of exp(-t(-Delta + |z|^2 + L_f)), f = z^2/2.
+def a1_diagonal_supertrace_flat(z, t: float):
+    """Exact diagonal supertrace of exp(-t(-Delta + |z|^2 + L_f)), f = z^2/2, elementwise in z.
 
     Conversion from the oscillator family: that operator is twice the
     tau = 1/2 member, so its kernels are the tau = 1/2 kernels at time 2t

@@ -23,13 +23,17 @@ coefficients (2n-slot MixedPolynomials in u = z - w and w, see poly.py), so
 all polynomial calculus stays in the scalar factors and matrix products
 happen once per distinct symbol pair (cached).  The map's sums, negation and
 scaling are SparseMap's; only the symbol canonicalization is its own.
+
+Numeric evaluation takes the point pairs as two complex (m, n) arrays z and
+w and returns an (m, 4^n, 4^n) stack, one dense matrix per pair; the
+scalar factors go through poly.evaluate_two_point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -144,13 +148,11 @@ class OperatorPolynomial(SparseMap):
         return self.map_polys(swap_points)
 
     def evaluate(self, z, w) -> np.ndarray:
-        """The dense matrices at the point pairs (z[i], w[i]) of two (m, n) arrays."""
-        z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
-        rows = np.concatenate([z - w, w], axis=1)
+        """The (m, 4^n, 4^n) stack of dense matrices at the point pairs of two (m, n) arrays."""
         dim = 4 ** self.n
-        out = np.zeros((len(rows), dim, dim), dtype=complex)
+        out = np.zeros((len(z), dim, dim), dtype=complex)
         for op, poly in self.terms.items():
-            out += poly.evaluate_many(rows)[:, None, None] * op.to_numpy()
+            out += evaluate_two_point(poly, z, w)[:, None, None] * op.to_numpy()
         return out
 
     def dump(self) -> str:
@@ -271,29 +273,19 @@ def recursion_residual(bundle: ParametrixBundle, j: int) -> OperatorPolynomial:
 # -- evaluation -------------------------------------------------------------------
 
 
-def _as_point(z: Sequence[complex]) -> List[complex]:
-    return [complex(v) for v in np.atleast_1d(z)]
+def _gaussian(bundle: ParametrixBundle, z, w, t: float) -> np.ndarray:
+    """The prefactor E0 E1 = (4 pi t)^{-n} exp(-|z-w|^2 / 4t) exp(-t g(z, w)) of each pair."""
+    d2 = (np.abs(np.asarray(z) - np.asarray(w)) ** 2).sum(axis=1)
+    e0 = (4 * math.pi * t) ** (-bundle.f.n) * np.exp(-d2 / (4 * t))
+    return e0 * np.exp(-t * evaluate_two_point(bundle.g, z, w).real)
 
 
-def _gaussian(bundle: ParametrixBundle, z: List[complex], w: List[complex], t: float) -> float:
-    """The prefactor E0 E1 = (4 pi t)^{-n} exp(-|z-w|^2 / 4t) exp(-t g(z, w))."""
-    d2 = sum(abs(a - b) ** 2 for a, b in zip(z, w))
-    e0 = (4 * math.pi * t) ** (-bundle.f.n) * math.exp(-d2 / (4 * t))
-    return e0 * math.exp(-t * evaluate_two_point(bundle.g, z, w).real)
-
-
-def evaluate_Pk(
-    bundle: ParametrixBundle, z: Sequence[complex], w: Sequence[complex], t: float
-) -> np.ndarray:
-    """P_k(z, w, t) = E0 E1 sum t^j U_j as a dense complex matrix."""
+def evaluate_Pk(bundle: ParametrixBundle, z, w, t: float) -> np.ndarray:
+    """P_k(z, w, t) = E0 E1 sum t^j U_j as an (m, 4^n, 4^n) stack of dense matrices."""
     if t <= 0:
         raise ValueError("t must be positive")
-    z, w = _as_point(z), _as_point(w)
-    dim = 4 ** bundle.f.n
-    acc = np.zeros((dim, dim), dtype=complex)
-    for j, Uj in enumerate(bundle.U):
-        acc += t ** j * Uj.evaluate([z], [w])[0]
-    return _gaussian(bundle, z, w, t) * acc
+    acc = sum(t ** j * Uj.evaluate(z, w) for j, Uj in enumerate(bundle.U))
+    return _gaussian(bundle, z, w, t)[:, None, None] * acc
 
 
 # -- remainder ---------------------------------------------------------------------
@@ -319,25 +311,15 @@ def residual_polynomials(bundle: ParametrixBundle) -> Tuple[OperatorPolynomial, 
     return bundle.residual_groups
 
 
-def _remainder(mats: Sequence[np.ndarray], k: int, t: float) -> np.ndarray:
-    """sum_i t^{k+i} T_{k+i} from the groups evaluated at one point pair."""
-    return sum(t ** (k + i) * m for i, m in enumerate(mats))
+def evaluate_residual(bundle: ParametrixBundle, z, w, t) -> np.ndarray:
+    """R~(z, w, t) as an (m, 4^n, 4^n) stack of dense matrices.
 
-
-def evaluate_residual(
-    bundle: ParametrixBundle,
-    z: Sequence[complex],
-    w: Sequence[complex],
-    t: float,
-    include_gaussian: bool = False,
-) -> np.ndarray:
-    """R~(z, w, t) (or the full R when include_gaussian is set)."""
-    z, w = _as_point(z), _as_point(w)
-    mats = [grp.evaluate([z], [w])[0] for grp in residual_polynomials(bundle)]
-    acc = _remainder(mats, bundle.k, t)
-    if include_gaussian:
-        acc = acc * _gaussian(bundle, z, w, t)
-    return acc
+    t may also be an array of times, whose shape then leads the result's;
+    the remainder groups are evaluated once for all of them.
+    """
+    t = np.asarray(t, dtype=float)[..., None, None, None]
+    return sum(t ** (bundle.k + i) * grp.evaluate(z, w)
+               for i, grp in enumerate(residual_polynomials(bundle)))
 
 
 @dataclass(frozen=True)
@@ -349,35 +331,23 @@ class ResidualReport:
 _RESIDUAL_T_GRID = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05)  # of the log-log fit
 
 
-def residual_order_check(
-    bundle: ParametrixBundle, samples: int = 8, seed: int = 0
-) -> ResidualReport:
-    """Fit the leading t-exponent of |R~| at random points.
+def residual_order_check(bundle: ParametrixBundle, z, w) -> ResidualReport:
+    """Fit the leading t-exponent of |R~| at each point pair of two (m, n) arrays.
 
     The exponent is the log-log slope over the grid t = 0.001 .. 0.05; it
     should match the residual's leading group t^k (coefficients of the lower
-    groups vanish by the recursion identity).
+    groups vanish by the recursion identity).  A pair where |R~| vanishes
+    at some t of the grid has no exponent.
     """
     if bundle.k < 2:
         raise ValueError("residual check needs k >= 2")
-    # per sample: Re z, Im z, Re w, Im w; every group is evaluated at all pairs at once
-    x = np.random.default_rng(seed).normal(scale=0.7, size=(samples, 4, bundle.f.n))
-    z, w = x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3]
-    mats = [grp.evaluate(z, w) for grp in residual_polynomials(bundle)]
-    exps = []
-    for i in range(samples):
-        norms = np.array([
-            np.linalg.norm(_remainder([m[i] for m in mats], bundle.k, t))
-            for t in _RESIDUAL_T_GRID
-        ])
-        if np.any(norms == 0):
-            continue
-        lt = np.log(_RESIDUAL_T_GRID)
-        slope = np.polyfit(lt, np.log(norms), 1)[0]
-        exps.append(float(slope))
+    # (t, pair) matrix of Frobenius norms
+    norms = np.linalg.norm(evaluate_residual(bundle, z, w, _RESIDUAL_T_GRID), axis=(2, 3))
+    norms = norms[:, np.all(norms > 0, axis=0)]
+    exps = np.polyfit(np.log(_RESIDUAL_T_GRID), np.log(norms), 1)[0]
     return ResidualReport(
-        fitted_exponents=tuple(exps),
-        min_exponent=min(exps) if exps else float("nan"),
+        fitted_exponents=tuple(float(e) for e in exps),
+        min_exponent=float(exps.min()) if exps.size else float("nan"),
     )
 
 

@@ -29,6 +29,11 @@ calculus with the conventions
 
 which agree with the real 2n-dimensional gradient and Laplacian; the
 square (grad p)^2 is grad_dot p p = 4 sum_i d_i p dbar_i p.
+
+Numeric evaluation takes a complex (m, n) array of points and returns one
+value per row (`MixedPolynomial.evaluate_many`).  A polynomial in two points
+is evaluated at the pairs of two (m, n) arrays z and w by
+`evaluate_two_point`, the one place that builds the rows [z - w, w].
 """
 
 from __future__ import annotations
@@ -167,10 +172,8 @@ class MixedPolynomial(SparseMap):
     def evaluate_many(self, Z: np.ndarray) -> np.ndarray:
         """Values at the rows of a complex (m, n) array: the one float evaluator."""
         Z = np.asarray(Z, dtype=complex)
-        if Z.ndim == 1:
-            Z = Z[None, :]
-        if Z.shape[1] != self.n:
-            raise ValueError("point dimension mismatch")
+        if Z.ndim != 2 or Z.shape[1] != self.n:
+            raise ValueError(f"points must be an (m, {self.n}) array, not {Z.shape}")
         Zc = np.conj(Z)
         total = np.zeros(Z.shape[0], dtype=complex)
         for (a, b), c in self.terms.items():
@@ -382,6 +385,11 @@ def gradient(f: MixedPolynomial) -> List[MixedPolynomial]:
     return [f.wirtinger(i) for i in range(1, f.n + 1)]
 
 
+def gradient_square(grads: Sequence[MixedPolynomial], Z: np.ndarray) -> np.ndarray:
+    """|grad f|^2 = sum_i |d_i f|^2 at the rows of a complex (m, n) array, from gradient(f)."""
+    return sum(np.abs(g.evaluate_many(Z)) ** 2 for g in grads)
+
+
 def hessian(f: MixedPolynomial) -> List[List[MixedPolynomial]]:
     g = gradient(f)
     return [[gi.wirtinger(j) for j in range(1, f.n + 1)] for gi in g]
@@ -419,7 +427,9 @@ def hermitian_gradient_square(f: MixedPolynomial) -> MixedPolynomial:
 # A polynomial in two points (z, w) of C^n is a MixedPolynomial on 2n slots:
 # u = z - w in slots 1..n and w in slots n+1..2n.  Derivatives in z act on
 # the u slots only, so d/dz_i is wirtinger(i).  The functions below are the
-# only code that knows this layout; each reads n as p.n // 2.
+# only code that knows this layout; each reads n as p.n // 2.  Point pairs
+# come in as two (m, n) arrays, and evaluate_two_point is the one place that
+# builds their rows [z - w, w].
 
 
 def _u(n: int, j: int) -> MixedPolynomial:
@@ -517,10 +527,10 @@ def grad_dot_z(p: MixedPolynomial, q: MixedPolynomial) -> MixedPolynomial:
     return out
 
 
-def evaluate_two_point(p: MixedPolynomial, z: Sequence[complex], w: Sequence[complex]) -> complex:
-    """p at the point pair (z, w): the one row [z - w, w]."""
+def evaluate_two_point(p: MixedPolynomial, z, w) -> np.ndarray:
+    """p at the point pairs (z[i], w[i]) of two (m, n) arrays: one value per pair."""
     z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
-    return complex(p.evaluate_many(np.concatenate([z - w, w]))[0])
+    return p.evaluate_many(np.concatenate([z - w, w], axis=1))
 
 
 def segment_average(p: MixedPolynomial, j: int) -> MixedPolynomial:

@@ -25,7 +25,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .gaussian_rational import GaussianRational
-from .poly import MixedPolynomial, gradient, hessian
+from .poly import MixedPolynomial, gradient, gradient_square, hessian
 
 
 class DegenerateSingularity(ValueError):
@@ -244,10 +244,6 @@ _DESCENT_STARTS = 8  # descents, from the witness points lowest in |grad f|^2 on
 _DESCENT_STEPS = 300
 
 
-def _grad_sq(grads, Z: np.ndarray) -> np.ndarray:
-    return sum(np.abs(g.evaluate_many(Z)) ** 2 for g in grads)
-
-
 def _to_weighted_sphere(Z: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Move each row of Z along (lambda . z)_i = lambda^(q_i) z_i onto max_i |z_i|^(1/q_i) = 1."""
     rho = (np.abs(Z) ** (1 / q)).max(axis=1)
@@ -262,7 +258,7 @@ def _descend_to_critical(grads, hess, q: np.ndarray, Z: np.ndarray) -> np.ndarra
     own step and stops at h below 1e-24 or once its step falls below 1e-12.
     """
     Z, step = Z.copy(), np.full(len(Z), 0.1)
-    val = _grad_sq(grads, Z)
+    val = gradient_square(grads, Z)
     rows = np.arange(len(Z))  # the rows still descending
     for _ in range(_DESCENT_STEPS):
         z = Z[rows]
@@ -274,7 +270,7 @@ def _descend_to_critical(grads, hess, q: np.ndarray, Z: np.ndarray) -> np.ndarra
         go = (nrm > 0) & (val[rows] >= 1e-24)
         rows, z, d, nrm = rows[go], z[go], d[go], nrm[go]
         cand = _to_weighted_sphere(z - (step[rows] / nrm)[:, None] * d, q)
-        cval = _grad_sq(grads, cand)
+        cval = gradient_square(grads, cand)
         better = cval < val[rows]
         Z[rows[better]], val[rows[better]] = cand[better], cval[better]
         step[rows] *= np.where(better, 1.3, 0.5)
@@ -318,7 +314,7 @@ def nondegeneracy_check(
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         pts.append(r * (x[:, :n] + 1j * x[:, n:]))
     Z = np.concatenate(pts, axis=0)
-    grad_sq = _grad_sq(grads, Z)
+    grad_sq = gradient_square(grads, Z)
     min_grad = float(np.sqrt(grad_sq.min()))
 
     # an off-origin critical point has a whole C* orbit of them, so it meets
@@ -326,21 +322,24 @@ def nondegeneracy_check(
     # bounded away from zero whatever its degree: descend there
     q = np.array([float(qi) for qi in wv.q])
     S = _to_weighted_sphere(Z, q)
-    starts = S[np.argsort(_grad_sq(grads, S))[:_DESCENT_STARTS]]
+    starts = S[np.argsort(gradient_square(grads, S))[:_DESCENT_STARTS]]
     ends = _descend_to_critical(grads, hessian(f), q, starts)
-    for zc, hv in zip(ends, _grad_sq(grads, ends)):
+    for zc, hv in zip(ends, gradient_square(grads, ends)):
         if hv < 1e-20:
             raise GradientVanishesAwayFromOrigin(tuple(complex(v) for v in zc))
 
     # growth floor |grad f|^2 >= |z|^2/C - 1: C must dominate the max sample
-    # ratio; the least-squares scale fit is also recorded.  A 1.5x margin
-    # keeps downstream importance weights bounded when samples undershoot.
+    # ratio; the least-squares scale fit is also recorded.  It is the
+    # (|grad f|^2 + 1)^2-weighted mean of the same ratios, so it never
+    # exceeds their maximum (by more than rounding, with one sample) and
+    # takes no part in C.  A 1.5x margin keeps downstream importance
+    # weights bounded when samples undershoot.
     r2 = (np.abs(Z) ** 2).sum(axis=1)
     ratio = r2 / (grad_sq + 1.0)
     c_floor = float(ratio.max())
     denom = float(((grad_sq + 1.0) ** 2).sum())
     c_lsq = float((r2 * (grad_sq + 1.0)).sum() / denom)
-    fitted_C = 1.5 * max(c_floor, c_lsq)
+    fitted_C = 1.5 * c_floor
 
     return NondegeneracyReport(
         no_bilinear=True,

@@ -24,13 +24,13 @@ def prepared(text, n, seed=11):
 def test_integrand_examples():
     f = parse("(1/2)*z1^2", 1)
     for z in (0.3 + 0.1j, 1.0, -0.7j):
-        got = integrand(f, [z], 1.0)
+        got = integrand(f, [[z]], 1.0)[0]
         assert abs(got - math.exp(-abs(z) ** 2) / math.pi) < 1e-14
     f3 = parse("z1^3", 1)
-    assert integrand(f3, [0.0], 1.0) == 0.0  # Hessian 6z vanishes at 0
+    assert integrand(f3, [[0.0]], 1.0)[0] == 0.0  # Hessian 6z vanishes at 0
     z = 0.4 - 0.2j
     expected = (1 / math.pi) * math.exp(-9 * abs(z) ** 4) * 36 * abs(z) ** 2
-    assert abs(integrand(f3, [z], 1.0) - expected) < 1e-14
+    assert abs(integrand(f3, [[z]], 1.0)[0] - expected) < 1e-14
 
 
 def test_integrand_nonnegative():

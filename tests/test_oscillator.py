@@ -104,12 +104,42 @@ def test_semigroup_property():
     assert abs(conv - factor * ref) < 1e-8
 
 
+@pytest.mark.parametrize("tau,z,w,t,s,value", [
+    (0.5, 0.3 + 0.2j, -0.1 + 0.5j, 0.2, 0.3, 0.22907788512225774),
+    (0.5, 0.3 + 0.2j, -0.1 + 0.5j, 0.4, 0.7, 0.09842285384279346),
+    (0.5, 0.3 + 0.2j, -0.1 + 0.5j, 1.0, 0.5, 0.062273453241307675),
+    (1.0, 0.3, 0.2, 0.4, 0.7, 0.0160534384467556),
+])
+def test_convolution_values_are_pinned(tau, z, w, t, s, value):
+    # the semigroup cases above, as the one-node-at-a-time quadrature gave them
+    assert convolve_0form_kernel(tau, z, w, t, s) == value
+
+
+@pytest.mark.parametrize("tau,t,s,message", [
+    (0.5, 0.0, 0.3, "t must be positive"),
+    (0.5, 0.2, -1.0, "t must be positive"),
+    (0.5, 0.2, -0.1, "t must be positive"),
+    (0.0, 0.2, 0.3, "tau must be nonzero"),
+    (0.5, -0.3, 0.3, "t must be positive"),
+])
+def test_convolution_rejects_bad_spec(tau, t, s, message):
+    # the OscillatorSpec checks, before any kernel arithmetic
+    with pytest.raises(ValueError, match=message):
+        convolve_0form_kernel(tau, 0.3, 0.2, t, s)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0])
+def test_euclidean_heat_kernel_rejects_non_positive_time(t):
+    with pytest.raises(ValueError):
+        euclidean_heat_kernel([[0.0]], [[0.0]], t)
+
+
 def test_small_time_euclidean_limit():
     # documented conversion: K0 ~ (1/(2 tau)) * euclidean kernel at time t/2
     for tau in (0.5, 1.0, 2.0):
         t = 1e-4
         k0 = kernel_functions(OscillatorSpec(tau, t), 0.01, 0.0).zero_form
-        ref = euclidean_heat_kernel(1, 0.01, 0.0, t / 2) / (2 * tau)
+        ref = euclidean_heat_kernel([[0.01]], [[0.0]], t / 2)[0] / (2 * tau)
         assert abs(k0 / ref - 1) < 1e-6
 
 

@@ -34,6 +34,12 @@ PROD = parse("z1^3 + z2^3", 2)
 TRIPLE = parse("z1^3 + z2^3 + z3^3", 3)
 
 
+def random_pairs(samples, n, seed):
+    """Point pairs whose real and imaginary parts are normal with scale 0.7."""
+    x = np.random.default_rng(seed).normal(scale=0.7, size=(samples, 4, n))
+    return x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3]
+
+
 def test_build_g_examples():
     g = build_g(hermitian_gradient_square(A1))
     assert g == parse(
@@ -150,14 +156,14 @@ def test_supertrace_polynomials_n3():
 def test_evaluate_Pk_examples():
     b0 = build_U(A1, 0)
     # k = 0 diagonal at the origin: (4 pi t)^{-1} * Identity
-    P = evaluate_Pk(b0, [0.0], [0.0], 1.0)
+    P = evaluate_Pk(b0, [[0.0]], [[0.0]], 1.0)[0]
     assert np.allclose(P, np.eye(4) / (4 * math.pi))
     # off-diagonal k = 0: E0 E1 Identity
-    z, w, t = [0.5 + 0.1j], [-0.2j], 0.7
-    P = evaluate_Pk(b0, z, w, t)
-    d2 = abs(z[0] - w[0]) ** 2
+    z, w, t = [[0.5 + 0.1j]], [[-0.2j]], 0.7
+    P = evaluate_Pk(b0, z, w, t)[0]
+    d2 = abs(z[0][0] - w[0][0]) ** 2
     e0 = math.exp(-d2 / (4 * t)) / (4 * math.pi * t)
-    e1 = math.exp(-t * evaluate_two_point(b0.g, z, w).real)
+    e1 = math.exp(-t * evaluate_two_point(b0.g, z, w)[0].real)
     assert np.allclose(P, e0 * e1 * np.eye(4))
     with pytest.raises(ValueError):
         evaluate_Pk(b0, z, w, -1.0)
@@ -167,13 +173,11 @@ def test_diagonal_Pk_supertrace_matches_exact_kernel():
     # criterion-6 comparison in miniature: str P_2(z, z, t) vs the exact
     # diagonal supertrace of the flat-normalization oscillator
     b = build_U(A1, 2)
+    Z = np.linspace(0, 2, 9)[:, None]
     for t in (0.005, 0.01, 0.02):
-        devs = []
-        for z in np.linspace(0, 2, 9):
-            got = supertrace_matrix(evaluate_Pk(b, [z], [z], t)).real
-            ref = a1_diagonal_supertrace_flat(z, t)
-            devs.append(abs(got - ref) / abs(ref))
-        assert max(devs) < 1e-3
+        got = supertrace_matrix(evaluate_Pk(b, Z, Z, t)).real
+        ref = a1_diagonal_supertrace_flat(Z[:, 0], t)
+        assert max(abs(got - ref) / abs(ref)) < 1e-3
 
 
 def test_pk_supertrace_integral_is_minus_one():
@@ -181,9 +185,31 @@ def test_pk_supertrace_integral_is_minus_one():
     # whose integral is exactly -1 = (-1)^n mu
     b = build_U(A1, 2)
     t = 0.3
-    val = supertrace_matrix(evaluate_Pk(b, [0.0], [0.0], t)).real
+    val = supertrace_matrix(evaluate_Pk(b, [[0.0]], [[0.0]], t)[0]).real
     integral = val * math.pi / t  # Gaussian integral of e^{-t|z|^2}
     assert abs(integral + 1) < 1e-12
+
+
+@pytest.mark.parametrize("f", [A1, A2, PROD], ids=["A1", "A2", "PROD"])
+def test_batched_evaluation_matches_row_by_row(f):
+    # one (m, n) array of point pairs gives, row for row, the same numbers as
+    # each of its (1, n) rows on its own
+    b = build_U(f, 3)
+    z, w = random_pairs(7, f.n, seed=3)
+    t = 0.05
+    for evaluate in (
+        lambda z, w: evaluate_two_point(b.g, z, w),
+        lambda z, w: b.U[2].evaluate(z, w),
+        lambda z, w: evaluate_Pk(b, z, w, t),
+        lambda z, w: evaluate_residual(b, z, w, t),
+    ):
+        batch = evaluate(z, w)
+        assert batch.shape[0] == len(z)
+        rows = np.concatenate([evaluate(z[i:i + 1], w[i:i + 1]) for i in range(len(z))])
+        assert np.array_equal(batch, rows)
+    # a grid of times leads the shape, one time at a time
+    on_grid = evaluate_residual(b, z, w, [0.01, t])
+    assert np.array_equal(on_grid[1], evaluate_residual(b, z, w, t))
 
 
 def test_residual_groups_are_built_once_per_bundle(monkeypatch):
@@ -196,16 +222,16 @@ def test_residual_groups_are_built_once_per_bundle(monkeypatch):
         return rhs(bundle, U, j)
 
     monkeypatch.setattr(parametrix, "_recursion_rhs", counted)
-    z, w = [0.3 + 0.1j], [-0.2 + 0.4j]
+    z, w = [[0.3 + 0.1j]], [[-0.2 + 0.4j]]
     first = evaluate_residual(b, z, w, 0.05)
     assert np.array_equal(evaluate_residual(b, z, w, 0.05), first)
-    residual_order_check(b, samples=1)
+    residual_order_check(b, *random_pairs(1, 1, seed=0))
     assert orders == [3, 4, 5]
 
 
 def test_residual_leading_exponent_a1_k2():
     b = build_U(A1, 2)
-    rep = residual_order_check(b, samples=6, seed=1)
+    rep = residual_order_check(b, *random_pairs(6, 1, seed=1))
     assert all(abs(e - 2) < 0.15 for e in rep.fitted_exponents)
     t_k, t_k1, t_k2 = residual_polynomials(b)
     assert not t_k.is_zero()
@@ -214,8 +240,8 @@ def test_residual_leading_exponent_a1_k2():
 def test_residual_exponent_increases_with_k():
     b2 = build_U(A1, 2)
     b3 = build_U(A1, 3)
-    r2 = residual_order_check(b2, samples=5, seed=2)
-    r3 = residual_order_check(b3, samples=5, seed=2)
+    r2 = residual_order_check(b2, *random_pairs(5, 1, seed=2))
+    r3 = residual_order_check(b3, *random_pairs(5, 1, seed=2))
     assert r3.min_exponent >= r2.min_exponent + 0.85
 
 
@@ -223,7 +249,7 @@ def test_residual_diagonal_scaled_limit():
     # R~(z, z, t) t^{-(k-1)} -> 0 along the grid (leading group is t^k)
     for f in (A1, A2):
         b = build_U(f, 2)
-        z = [0.4 + 0.3j] * f.n
+        z = [[0.4 + 0.3j] * f.n]
         vals = [
             np.linalg.norm(evaluate_residual(b, z, z, t)) * t ** (1 - b.k)
             for t in (0.1, 0.05, 0.01, 0.001)
@@ -233,10 +259,11 @@ def test_residual_diagonal_scaled_limit():
 
 
 def test_residual_off_diagonal_full_remainder_vanishes():
-    b = build_U(A2, 2)
-    z, w = [1.1], [0.2 + 0.4j]
+    b, b0 = build_U(A2, 2), build_U(A2, 0)
+    z, w = [[1.1]], [[0.2 + 0.4j]]
+    # the full remainder R = E0 E1 R~, with E0 E1 the k = 0 parametrix P_0 = E0 E1 I
     vals = [
-        np.linalg.norm(evaluate_residual(b, z, w, t, include_gaussian=True))
+        np.linalg.norm(evaluate_residual(b, z, w, t) * evaluate_Pk(b0, z, w, t)[0, 0, 0].real)
         * t ** (1 - b.k)
         for t in (0.1, 0.02, 0.005)
     ]

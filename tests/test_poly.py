@@ -161,11 +161,22 @@ def test_segment_average_matches_gauss_legendre(p, j, xs):
     w = np.array([xs[4] + 1j * xs[5], xs[6] + 1j * xs[7]])
     nodes, weights = np.polynomial.legendre.leggauss(8)
     tau = (nodes + 1) / 2
-    vals = np.array([s ** j * p.evaluate_many(s * (z - w) + w)[0] for s in tau])
+    vals = np.array([s ** j * p.evaluate_many([s * (z - w) + w])[0] for s in tau])
     ref = np.sum(weights * vals) / 2
     scale = np.sum(weights * np.abs(vals)) / 2
-    got = evaluate_two_point(segment_average(p, j), z, w)
+    got = evaluate_two_point(segment_average(p, j), z[None], w[None])[0]
     assert abs(got - ref) <= 1e-10 * max(scale, 1e-300)
+
+
+def test_evaluation_takes_arrays_of_points():
+    p = parse("z1*conj(z2)", 2)
+    assert p.evaluate_many([[1.0, 2j]]).shape == (1,)
+    # one point is a (1, n) array, not an (n,) vector, and n must match
+    for bad in ([1.0, 2j], [[1.0, 2j, 3.0]]):
+        with pytest.raises(ValueError, match="points must be an"):
+            p.evaluate_many(bad)
+    with pytest.raises(ValueError):
+        evaluate_two_point(from_single_point(p), [1.0, 2j], [0.0, 1.0])
 
 
 def test_two_point_substitution_is_consistent():
@@ -175,8 +186,9 @@ def test_two_point_substitution_is_consistent():
     for _ in range(20):
         z = rng.normal(size=2) + 1j * rng.normal(size=2)
         w = rng.normal(size=2) + 1j * rng.normal(size=2)
-        assert abs(evaluate_two_point(tp, z, w) - p.evaluate_many(z)[0]) < 1e-10
-        assert abs(evaluate_two_point(swap_points(tp), z, w) - p.evaluate_many(w)[0]) < 1e-10
+        assert abs(evaluate_two_point(tp, z[None], w[None])[0] - p.evaluate_many([z])[0]) < 1e-10
+        assert abs(evaluate_two_point(swap_points(tp), z[None], w[None])[0]
+                   - p.evaluate_many([w])[0]) < 1e-10
 
 
 def test_swap_points_involution():

@@ -134,7 +134,7 @@ def test_nondegeneracy_check_paths():
                             WeightVector((Fraction(1, 4), Fraction(1, 2))), seed=3)
     w = err.value.witness
     g = parse("z1^2*z2", 2)
-    assert sum(abs(g.wirtinger(i).evaluate_many(w)[0]) ** 2 for i in (1, 2)) < 1e-12
+    assert sum(abs(g.wirtinger(i).evaluate_many([w])[0]) ** 2 for i in (1, 2)) < 1e-12
 
 
 @pytest.mark.parametrize("text,n", [("z1^13", 1), ("z1^20", 1), ("z1^40", 1),
@@ -183,13 +183,25 @@ def test_witness_is_plain_complex_on_the_weighted_unit_sphere():
     assert all(type(v) is complex for v in w)
     assert "np." not in str(err.value)
     assert max(abs(v) ** 3 for v in w) == pytest.approx(1.0)
-    assert sum(abs(f.wirtinger(i).evaluate_many(w)[0]) ** 2 for i in (1, 2)) < 1e-12
+    assert sum(abs(f.wirtinger(i).evaluate_many([w])[0]) ** 2 for i in (1, 2)) < 1e-12
 
 
 @pytest.mark.parametrize("samples", [1, 2, 12000, 12001])
 def test_witness_budget_is_the_budget_passed(samples):
     f = parse("z1^3 + z2^4", 2)
     assert nondegeneracy_check(f, solve_weights(f), samples=samples).samples == samples
+
+
+@pytest.mark.parametrize("text,n", [("z1^3", 1), ("z1^4", 1), ("z1^3 + z2^3", 2),
+                                    ("z1^3 + z2^4", 2)])
+def test_least_squares_scale_stays_below_the_floor(text, n):
+    # fitted_C_lsq is a weighted mean of the sample ratios whose maximum,
+    # with its 1.5x margin, is fitted_C
+    f = parse(text, n)
+    wv = solve_weights(f)
+    for seed in range(4):
+        rep = nondegeneracy_check(f, wv, seed=seed)
+        assert rep.fitted_C_lsq <= rep.fitted_C / 1.5
 
 
 def test_fitted_constant_bounds_growth_floor():
