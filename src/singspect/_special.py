@@ -6,7 +6,10 @@
 Each is a power series below a crossover and the continued fraction of
 Gamma(p, x) above it (Abramowitz & Stegun 5.1.11 and 5.1.22 for E1, 6.5.29
 and 6.5.31 for the incomplete gamma function), each summed until its
-terms change the result by less than 1e-15 relative.
+terms change the result by less than 1e-15 relative.  Both take an array
+of x and return one value per entry, as a function of time takes an array
+of times and returns one value per time; each entry stops at its own
+convergence, so an array gives what each entry gives alone.
 """
 
 from __future__ import annotations
@@ -40,29 +43,30 @@ def exp1(x) -> np.ndarray:
     return out
 
 
-def upper_gamma(p: float, x: float) -> float:
-    """Gamma(p, x) at one point, in float arithmetic.
-
-    The heat-trace tail calls it once per time sample, where the fixed cost
-    of a numpy call would exceed the arithmetic.
-    """
-    if not (p > 0 and x > 0):
+def upper_gamma(p: float, x) -> np.ndarray:
+    """Gamma(p, x) at every entry of the array x > 0."""
+    x = np.asarray(x, dtype=float)
+    if not (p > 0 and np.all(x > 0)):
         raise ValueError("Gamma(p, x) needs p > 0 and x > 0")
-    prefactor = math.exp(p * math.log(x) - x)
-    if x >= p + 1:
-        return prefactor * _upper_gamma_fraction(p, x)
+    out = np.exp(p * np.log(x) - x, out=np.empty_like(x))  # x^p e^{-x}, an array for any x
+    hi = x >= p + 1
+    out[hi] *= _upper_gamma_fraction(p, x[hi])
     # Gamma(p) minus the lower function's series x^p e^{-x} sum x^k / (p)_{k+1}
-    term = acc = 1.0 / p
+    s = x[~hi]
+    term, acc = np.full_like(s, 1.0 / p), np.full_like(s, 1.0 / p)
+    active = np.ones_like(s, dtype=bool)
     for k in range(1, _MAX_TERMS):
-        term *= x / (p + k)
-        acc += term
-        if term < acc * _TOL:
-            return math.gamma(p) - prefactor * acc
-    raise ArithmeticError(f"the Gamma({p}, x) series did not converge at x = {x}")
+        term *= s / (p + k)
+        acc += np.where(active, term, 0.0)
+        active &= term >= acc * _TOL
+        if not active.any():
+            out[~hi] = math.gamma(p) - out[~hi] * acc
+            return out
+    raise ArithmeticError(f"the Gamma({p}, x) series did not converge")
 
 
-def _upper_gamma_fraction(p: float, x):
-    """e^x x^{-p} Gamma(p, x) for x >= p + 1, a float or an array.
+def _upper_gamma_fraction(p: float, x: np.ndarray) -> np.ndarray:
+    """e^x x^{-p} Gamma(p, x) at every entry of the array x >= p + 1.
 
     The continued fraction 1/(x+1-p - 1(1-p)/(x+3-p - 2(2-p)/(x+5-p - ...)))
     by the modified Lentz iteration.  Its partial denominators a d + b stay
@@ -73,14 +77,15 @@ def _upper_gamma_fraction(p: float, x):
     d = 1.0 / b
     c = math.inf
     h = d
+    active = np.ones_like(x, dtype=bool)
     for i in range(1, _MAX_TERMS):
         a = -i * (i - p)
         b = b + 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
         delta = c * d
-        h = h * delta
-        err = abs(delta - 1.0)  # a float keeps the scalar path free of numpy calls
-        if (err if isinstance(err, float) else err.max(initial=0.0)) <= _TOL:
+        h *= np.where(active, delta, 1.0)
+        active &= np.abs(delta - 1.0) > _TOL
+        if not active.any():
             return h
     raise ArithmeticError(f"the Gamma({p}, x) continued fraction did not converge")

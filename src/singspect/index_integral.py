@@ -86,7 +86,7 @@ class _Compiled:
 
 def integrand(f: MixedPolynomial, Z, t: float) -> np.ndarray:
     """The index density at the rows of a complex (m, n) array: one value per point."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     return _Compiled(f).density(np.asarray(Z, dtype=complex), t)
 

@@ -24,7 +24,9 @@ sectors; see `a1_diagonal_supertrace_flat`.
 
 The kernels work elementwise on arrays of points of C;
 `euclidean_heat_kernel` takes (m, n) arrays of points of C^n and returns
-one value per row.
+one value per row.  A function of time takes an array of times and returns
+one value per time: the heat traces work elementwise in t, for which
+`OscillatorSpec.t` may be an array of positive times.
 """
 
 from __future__ import annotations
@@ -38,15 +40,15 @@ from .spectrum import Spectrum
 
 @dataclass(frozen=True)
 class OscillatorSpec:
-    """Parameters of the oscillator f = (tau/2) z^2 at time t."""
+    """Parameters of the oscillator f = (tau/2) z^2 at time t (an array, for the heat traces)."""
 
     tau: complex
-    t: float
+    t: float | np.ndarray
 
     def __post_init__(self):
-        if abs(self.tau) == 0:
+        if not abs(self.tau) > 0:
             raise ValueError("tau must be nonzero")
-        if self.t <= 0:
+        if not np.all(self.t > 0):
             raise ValueError("t must be positive")
 
     @property
@@ -122,7 +124,7 @@ def kernel_normalization_factor(spec: OscillatorSpec) -> float:
 
 def euclidean_heat_kernel(z, w, t: float) -> np.ndarray:
     """(4 pi t)^{-n} exp(-|z - w|^2 / 4t) at the rows of two (m, n) arrays of points of C^n."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
     d2 = (np.abs(z - w) ** 2).sum(axis=-1)
@@ -152,25 +154,25 @@ def convolve_0form_kernel(tau: complex, z: complex, w: complex, t: float, s: flo
 # -- heat traces ---------------------------------------------------------------
 
 
-def heat_trace_0forms(spec: OscillatorSpec) -> float:
-    """(1 / (2 sinh(|tau| t)))^2, from summing the stated 0-form spectrum."""
+def heat_trace_0forms(spec: OscillatorSpec):
+    """(1 / (2 sinh(|tau| t)))^2, from summing the stated 0-form spectrum; elementwise in t."""
     return heat_trace_k_forms(spec, 0)
 
 
-def heat_trace_0forms_printed(t: float, n: int = 1) -> float:
-    """The tau-free printed form (1 / (2 sinh(t/2)))^{2n}."""
-    if t <= 0:
+def heat_trace_0forms_printed(t):
+    """The tau-free printed form (1 / (2 sinh(t/2)))^2, elementwise in t."""
+    if not np.all(t > 0):
         raise ValueError("t must be positive")
-    return (1.0 / (2 * math.sinh(t / 2))) ** (2 * n)
+    return (1.0 / (2 * np.sinh(t / 2))) ** 2
 
 
-def heat_trace_k_forms(spec: OscillatorSpec, form_degree: int) -> float:
-    """Closed-form degree-k heat trace (geometric sums of the spectra).
+def heat_trace_k_forms(spec: OscillatorSpec, form_degree: int):
+    """Closed-form degree-k heat trace (geometric sums of the spectra), elementwise in t.
 
     The 1-form trace includes the zero mode; the 0/2-form sectors have none.
     """
     a, t = spec.a, spec.t
-    x = math.exp(-2 * a * t)
+    x = np.exp(-2 * a * t)
     if form_degree in (0, 2):
         return x / (1 - x) ** 2  # sum (m) x^m = (1/(2 sinh a t))^2
     if form_degree == 1:
@@ -195,7 +197,7 @@ def a1_diagonal_supertrace_flat(z, t: float):
     2 k(z, z), the 1-form sectors (e^{2t} + e^{-2t}) k(z, z), giving
     -(tanh t / pi) exp(-|z|^2 tanh t).
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     spec = OscillatorSpec(0.5, 2 * t)
     kv = kernel_functions(spec, z, z)

@@ -282,7 +282,7 @@ def _gaussian(bundle: ParametrixBundle, z, w, t: float) -> np.ndarray:
 
 def evaluate_Pk(bundle: ParametrixBundle, z, w, t: float) -> np.ndarray:
     """P_k(z, w, t) = E0 E1 sum t^j U_j as an (m, 4^n, 4^n) stack of dense matrices."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     acc = sum(t ** j * Uj.evaluate(z, w) for j, Uj in enumerate(bundle.U))
     return _gaussian(bundle, z, w, t)[:, None, None] * acc

@@ -27,7 +27,8 @@ s = 0 defines the torsion log T^i = -(Theta^i)'(0).  Two routes compute it:
 The numeric torsion and the A_1 torsion sum rule renormalize through one
 driver, `_renormalize`: one window rule in units of 1/E that keeps clear of
 the spectrum's completeness edge, and an error bar that is the spread of
-log T over three splits.
+log T over three splits.  A function of time takes an array of times and
+returns one value per time, so each time grid is one call.
 """
 
 from __future__ import annotations
@@ -279,48 +280,46 @@ def eigensolve_refined(config: GalerkinConfig, sizes: Sequence[int]) -> Refineme
 
 @dataclass(frozen=True)
 class WeylTail:
-    """Power-law counting model N(lambda) = (lambda / lam0)^p above Lambda."""
+    """Weyl counting model N(lambda) = a0 lambda^p / Gamma(p + 1) above Lambda = cutoff."""
 
     p: float
-    lam0: float
+    a0: float
     cutoff: float
 
-    def heat_tail(self, t: float) -> float:
-        """int_cutoff^inf e^{-t lam} dN(lam)."""
-        a = self.p / self.lam0 ** self.p
-        return a * upper_gamma(self.p, self.cutoff * t) / t ** self.p
+    def heat_tail(self, t):
+        """int_cutoff^inf e^{-t lam} dN(lam), elementwise in t."""
+        return self.a0 / math.gamma(self.p) * upper_gamma(self.p, self.cutoff * t) / t ** self.p
 
     def mellin_upper(self, split: float) -> float:
         """int_split^inf heat_tail(t) dt/t in closed form.
 
-        With a = p / lam0^p and x = split * cutoff, exchanging the two
-        integrals and integrating E1 by parts gives
+        With x = split * cutoff, exchanging the two integrals and
+        integrating E1 by parts gives
 
-            (a/p) split^{-p} [Gamma(p, x) - x^p E1(x)].
+            a0 / Gamma(p + 1) split^{-p} [Gamma(p, x) - x^p E1(x)].
         """
         p, x = self.p, split * self.cutoff
-        a = p / self.lam0 ** p
-        return (a / p) * split ** (-p) * (upper_gamma(p, x) - x ** p * float(exp1(x)))
+        return float(self.a0 / math.gamma(p + 1) * split ** (-p)
+                     * (upper_gamma(p, x) - x ** p * exp1(x)))
 
     def zeta_tail(self, s: float) -> float:
         if s <= self.p + 0.25:
             raise TailDominates(f"need Re s > {self.p + 0.25:.2f} for the tail model")
-        return (self.p / self.lam0 ** self.p) * self.cutoff ** (self.p - s) / (s - self.p)
+        return self.a0 / math.gamma(self.p) * self.cutoff ** (self.p - s) / (s - self.p)
 
 
 def fit_weyl_tail(spectrum: Spectrum, data: ArData) -> WeylTail:
     """Weyl counting law above the last kept eigenvalue.
 
-    The exponent is the exact p = 1 + 1/r, and lam0 follows from the Weyl
-    coefficient: N(lambda) ~ a_0 lambda^p / Gamma(p + 1).
+    The exponent is the exact p = 1 + 1/r and the coefficient the closed-form
+    Weyl term a_0 of the small-t heat trace.
     """
     p, a0, _, _ = data.heat_expansion()
-    lam0 = (math.gamma(p + 1) / a0) ** (1 / p)
-    return WeylTail(p=p, lam0=lam0, cutoff=spectrum.levels[-1][0])
+    return WeylTail(p=p, a0=a0, cutoff=spectrum.levels[-1][0])
 
 
-def heat_trace(spectrum: Spectrum, tail: WeylTail, t: float) -> float:
-    """Trace sum over the kept spectrum plus the modeled tail."""
+def heat_trace(spectrum: Spectrum, tail: WeylTail, t):
+    """Trace sum over the kept spectrum plus the modeled tail, elementwise in t."""
     return spectrum.heat_sum(t) + tail.heat_tail(t)
 
 
@@ -330,9 +329,7 @@ _LEADING_WINDOW = (0.05, 0.4, 25)  # (lo, hi, points) of the log-log fit
 def leading_heat_exponent(spectrum: Spectrum, tail: WeylTail) -> float:
     """Log-log slope of the small-t heat trace over a fixed small-t window."""
     ts = np.geomspace(*_LEADING_WINDOW)
-    vals = np.array([heat_trace(spectrum, tail, t) for t in ts])
-    slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
-    return float(slope)
+    return float(np.polyfit(np.log(ts), np.log(heat_trace(spectrum, tail, ts)), 1)[0])
 
 
 # -- zeta functions --------------------------------------------------------------
@@ -401,7 +398,7 @@ def _gauss_legendre() -> Tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(32)
 
 
-def _log_integral(g: Callable[[float], float], lo: float, hi: float) -> float:
+def _log_integral(g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
     """int_lo^hi g(t) dt/t by 32-node Gauss-Legendre in u = log t.
 
     The integrands here are smooth in u; on the torsion sum rule's
@@ -411,11 +408,11 @@ def _log_integral(g: Callable[[float], float], lo: float, hi: float) -> float:
     nodes, weights = _gauss_legendre()
     half = math.log(hi / lo) / 2
     ts = lo * np.exp(half * (nodes + 1))
-    return half * float(sum(w * g(t) for t, w in zip(ts, weights)))
+    return half * float(weights @ g(ts))
 
 
 def mellin_derivative_at_zero(
-    F: Callable[[float], float],
+    F: Callable[[np.ndarray], np.ndarray],
     exponents: Sequence[float],
     upper_integral: float,
     split: float,
@@ -424,9 +421,10 @@ def mellin_derivative_at_zero(
 ) -> MellinResult:
     """Renormalized value and derivative at s = 0 of (1/2Gamma(s)) Mellin[F].
 
-    F(t) must be the supertraced, projector-subtracted heat trace.  Writing
-    F ~ sum b_j t^{beta_j} near 0 and splitting the Mellin integral at
-    `split` = A,
+    F(t) must be the supertraced, projector-subtracted heat trace, elementwise
+    in t: it is called once on the fit grid and once on the quadrature nodes.
+    Writing F ~ sum b_j t^{beta_j} near 0 and splitting the Mellin integral
+    at `split` = A,
 
         Theta(0)  = b_0 / 2
         Theta'(0) = (gamma b_0 + b_0 log A + H(0)) / 2,
@@ -450,11 +448,10 @@ def mellin_derivative_at_zero(
     if not exponents:
         raise ValueError("need exponents to fit")
     ts = np.geomspace(lo, hi, _FIT_POINTS)
-    vals = np.array([F(t) for t in ts])
     exps = np.array([b for b, _ in pinned] + list(exponents), dtype=float)
     coef = np.array([c for _, c in pinned], dtype=float)
     known = (ts[:, None] ** exps[None, :coef.size]) @ coef
-    fitted, resid, cond = _weighted_lstsq(ts, vals, exps[coef.size:], known)
+    fitted, resid, cond = _weighted_lstsq(ts, F(ts), exps[coef.size:], known)
     coef = np.concatenate([coef, fitted])
     order = np.argsort(exps)
     exps, coef = exps[order], coef[order]
@@ -464,7 +461,7 @@ def mellin_derivative_at_zero(
     h0 = float((coef[~zero] * split ** exps[~zero] / exps[~zero]).sum())
     # int_0^A (F - fit) dt/t, numerically over [lo, A]; the fit is trusted
     # below lo where the data cannot reach
-    h0 += _log_integral(lambda t: F(t) - float(coef @ t ** exps), lo, split)
+    h0 += _log_integral(lambda t: F(t) - (t[:, None] ** exps) @ coef, lo, split)
     h0 += upper_integral
 
     return MellinResult(
@@ -480,7 +477,7 @@ def mellin_derivative_at_zero(
 
 
 def _renormalize(
-    F: Callable[[float], float],
+    F: Callable[[np.ndarray], np.ndarray],
     upper: Callable[[float], float],
     energy: float,
     exponents: Sequence[float],
@@ -548,7 +545,7 @@ def renormalize_and_torsion(spectrum: Spectrum, data: ArData, split: float = 1.0
     p, a0, a1, energy = data.heat_expansion()
     tail = fit_weyl_tail(spectrum, data)
 
-    def F(t: float) -> float:
+    def F(t: np.ndarray) -> np.ndarray:
         return 2 * heat_trace(spectrum, tail, t)
 
     def upper(A: float) -> float:
@@ -604,12 +601,12 @@ def torsion_sum_check(tau1: float, tau2: float) -> TorsionSumReport:
     """
     from .oscillator import OscillatorSpec, heat_trace_k_forms
 
-    def factor_traces(tau: float, t: float) -> Tuple[float, float, float]:
+    def factor_traces(tau: float, t: np.ndarray) -> Tuple[np.ndarray, ...]:
         spec = OscillatorSpec(tau, t)
         t0 = heat_trace_k_forms(spec, 0)
         return t0, heat_trace_k_forms(spec, 1), t0
 
-    def F(t: float) -> float:
+    def F(t: np.ndarray) -> np.ndarray:
         tr1 = factor_traces(tau1, t)
         tr2 = factor_traces(tau2, t)
         total = 0.0

@@ -1,4 +1,5 @@
-"""Sorted eigenvalue lists with multiplicities and a completeness bound."""
+"""Sorted eigenvalue lists with multiplicities and a completeness bound; a
+function of time takes an array of times and returns one value per time."""
 
 from __future__ import annotations
 
@@ -39,9 +40,11 @@ class Spectrum:
     def count_below(self, bound: float) -> int:
         return int(self._mults[self._values < bound].sum())
 
-    def heat_sum(self, t: float) -> float:
-        """sum of multiplicity * exp(-t*lambda) over the stored levels."""
-        return float(self._mults @ np.exp(-t * self._values))
+    def heat_sum(self, t):
+        """sum of multiplicity * exp(-t*lambda) over the stored levels, elementwise in t."""
+        # in place; a row sum adds each time's terms in the order a lone time does
+        x = np.multiply.outer(t, -self._values)
+        return np.multiply(np.exp(x, out=x), self._mults, out=x).sum(axis=-1)
 
 
 _CLUSTER_REL_TOL = 1e-6  # relative gap (absolute below 1) that joins two values

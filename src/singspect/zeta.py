@@ -75,11 +75,3 @@ def zeta_and_derivative(s: float) -> Tuple[float, float]:
             der += coeff * npow * (dpoch - poch * logN)
 
         return float(val), float(der)
-
-
-def zeta(s: float) -> float:
-    return zeta_and_derivative(s)[0]
-
-
-def zeta_derivative(s: float) -> float:
-    return zeta_and_derivative(s)[1]

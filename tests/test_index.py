@@ -28,6 +28,8 @@ def test_integrand_examples():
         assert abs(got - math.exp(-abs(z) ** 2) / math.pi) < 1e-14
     f3 = parse("z1^3", 1)
     assert integrand(f3, [[0.0]], 1.0)[0] == 0.0  # Hessian 6z vanishes at 0
+    with pytest.raises(ValueError):
+        integrand(f, [[0.3]], math.nan)
     z = 0.4 - 0.2j
     expected = (1 / math.pi) * math.exp(-9 * abs(z) ** 4) * 36 * abs(z) ** 2
     assert abs(integrand(f3, [[z]], 1.0)[0] - expected) < 1e-14

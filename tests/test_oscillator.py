@@ -24,6 +24,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         OscillatorSpec(1.0, -1.0)
     with pytest.raises(ValueError):
+        OscillatorSpec(0.5, math.nan)
+    with pytest.raises(ValueError):
+        OscillatorSpec(math.nan, 1.0)
+    with pytest.raises(ValueError):
         spectrum_k_forms(OscillatorSpec(1.0, 1.0), 3, 5)
 
 
@@ -62,12 +66,23 @@ def test_heat_trace_values():
         assert abs(t ** 2 * heat_trace_0forms_printed(t) - 1) < 1e-5
     # strictly decreasing, positive
     ts = np.linspace(0.1, 3, 40)
-    vals = [heat_trace_0forms_printed(t) for t in ts]
+    vals = heat_trace_0forms_printed(ts)
     assert all(v > 0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    # n-fold product form
-    assert abs(heat_trace_0forms_printed(1.0, n=3)
-               - heat_trace_0forms_printed(1.0) ** 3) < 1e-15
+    with pytest.raises(ValueError):
+        heat_trace_0forms_printed(math.nan)
+
+
+def test_heat_traces_take_arrays_of_times():
+    # one call on a time grid gives what one call per time gives
+    ts = np.geomspace(0.01, 10, 37)
+    for tau in (0.5, 1.0, 0.7):
+        for k in (0, 1, 2):
+            one_by_one = [heat_trace_k_forms(OscillatorSpec(tau, t), k) for t in ts]
+            np.testing.assert_allclose(heat_trace_k_forms(OscillatorSpec(tau, ts), k),
+                                       one_by_one, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(heat_trace_0forms_printed(ts),
+                               [heat_trace_0forms_printed(t) for t in ts], rtol=1e-15, atol=0)
 
 
 def test_printed_vs_spectral_trace_normalizations():
@@ -128,7 +143,7 @@ def test_convolution_rejects_bad_spec(tau, t, s, message):
         convolve_0form_kernel(tau, 0.3, 0.2, t, s)
 
 
-@pytest.mark.parametrize("t", [0.0, -1.0])
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
 def test_euclidean_heat_kernel_rejects_non_positive_time(t):
     with pytest.raises(ValueError):
         euclidean_heat_kernel([[0.0]], [[0.0]], t)
@@ -162,3 +177,5 @@ def test_flat_diagonal_supertrace_closed_form():
     # integrates to the index -1 over the plane: int = -(tanh/pi)*(pi/tanh)
     t = 0.3
     assert abs(a1_diagonal_supertrace_flat(0, t) * math.pi / math.tanh(t) + 1) < 1e-12
+    with pytest.raises(ValueError):
+        a1_diagonal_supertrace_flat(0.8, math.nan)

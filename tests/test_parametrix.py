@@ -167,6 +167,8 @@ def test_evaluate_Pk_examples():
     assert np.allclose(P, e0 * e1 * np.eye(4))
     with pytest.raises(ValueError):
         evaluate_Pk(b0, z, w, -1.0)
+    with pytest.raises(ValueError):
+        evaluate_Pk(b0, z, w, math.nan)
 
 
 def test_diagonal_Pk_supertrace_matches_exact_kernel():

@@ -16,10 +16,18 @@ def test_exp1_matches_scipy():
 
 
 def test_upper_gamma_matches_scipy():
+    x = np.geomspace(0.05, 600, 200)
     for p in np.linspace(1.05, 3.0, 40):
-        for x in np.geomspace(0.05, 600, 200):
-            ref = special.gamma(p) * special.gammaincc(p, x)
-            assert upper_gamma(p, x) == pytest.approx(ref, rel=1e-13, abs=0)
+        ref = special.gamma(p) * special.gammaincc(p, x)
+        np.testing.assert_allclose(upper_gamma(p, x), ref, rtol=1e-13, atol=0)
+
+
+def test_upper_gamma_on_an_array_equals_each_entry():
+    # the grid crosses x = p + 1, so one call runs both the series and the fraction
+    x = np.geomspace(0.05, 600, 200)
+    for p in (1.05, 1.5, 2.0, 3.0):
+        np.testing.assert_allclose(upper_gamma(p, x), [upper_gamma(p, xi) for xi in x],
+                                   rtol=1e-15, atol=0)
 
 
 def test_special_functions_reject_nonpositive_arguments():

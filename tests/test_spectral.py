@@ -136,6 +136,29 @@ def test_weyl_tail_upper_mellin_closed_form():
             assert abs(tail.mellin_upper(split) - ref) <= 1e-12 * ref
 
 
+@pytest.mark.parametrize("poly", ["(1/2)*z1^2", "z1^3"])
+def test_time_functions_take_arrays_of_times(poly):
+    # one call on a time grid gives what one call per time gives
+    spectrum, data = spectrum_and_data(poly)
+    tail = fit_weyl_tail(spectrum, data)
+    ts = np.geomspace(0.01, 10, 37)
+    for fn in (spectrum.heat_sum, tail.heat_tail, functools.partial(heat_trace, spectrum, tail)):
+        np.testing.assert_allclose(fn(ts), [fn(t) for t in ts], rtol=1e-15, atol=0)
+
+
+def test_mellin_fit_calls_F_once_per_time_grid(a1_big):
+    tail = fit_weyl_tail(a1_big, ar_data(A1))
+    sizes = []
+
+    def F(t):
+        sizes.append(np.size(t))
+        return 2 * heat_trace(a1_big, tail, t)
+
+    mellin_derivative_at_zero(F, [2.0, 4.0], 0.0, split=1.0, fit_window=(0.25, 1.0),
+                              pinned=[(-2.0, 2.0), (0.0, -1 / 6)])
+    assert sizes == [60, 32]  # the fit grid, then the Gauss-Legendre nodes
+
+
 def test_leading_heat_exponent(a1_big):
     tail = fit_weyl_tail(a1_big, ar_data(A1))
     slope = leading_heat_exponent(a1_big, tail)
