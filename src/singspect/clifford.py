@@ -46,12 +46,13 @@ class ExteriorOperator(SparseMap):
 
     def __init__(self, n: int, terms: Dict[Entry, object] | None = None):
         self.n = n
-        self.terms = {}
         dim = 4 ** n
+        out: Dict[Entry, object] = {}
         for (r, c), v in (terms or {}).items():
             if not (0 <= r < dim and 0 <= c < dim):
                 raise ValueError("entry index out of range")
-            self._put(self.terms, (r, c), GaussianRational.from_value(v))
+            out[(r, c)] = GaussianRational.from_value(v)
+        self.terms = self._nonzero(out)
 
     # -- constructors ---------------------------------------------------------
 
@@ -85,14 +86,8 @@ class ExteriorOperator(SparseMap):
                 continue
             for r1, v1 in hits:
                 k = (r1, c2)
-                s = out.get(k)
-                p = v1 * v2
-                s = p if s is None else s + p
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-        return ExteriorOperator._raw(self.n, out)
+                out[k] = out[k] + v1 * v2 if k in out else v1 * v2
+        return ExteriorOperator._raw(self.n, self._nonzero(out))
 
     __matmul__ = matmul
 

@@ -11,9 +11,11 @@ Every operation normalizes its result once, with a single three-argument
 gcd; a sum with an int or with a coprime denominator needs none.
 
 `SparseMap` is the one sparse exact container: a size `n` and a dict of
-nonzero exact values, with zero sums dropped.  Polynomials (poly.py),
-exterior-algebra operators (clifford.py) and operator polynomials
-(parametrix.py) subclass it and keep only their own products and keys.
+nonzero exact values.  Every constructor and operation accumulates into a
+plain dict and then drops its zero values in one place, `SparseMap._nonzero`.
+Polynomials (poly.py), exterior-algebra operators (clifford.py) and operator
+polynomials (parametrix.py) subclass it and keep only their own products and
+keys.
 """
 
 from __future__ import annotations
@@ -193,11 +195,11 @@ def _reduced(p: int, q: int, d: int) -> GaussianRational:
 
 
 class SparseMap:
-    """A size n and a map of keys to nonzero values; a zero sum drops its key.
+    """A size n and a map of keys to nonzero values.
 
     The values are GaussianRationals or other SparseMaps, so `bool(value)`
-    tells a zero value.  Subclasses set the meaning of n and the keys, and
-    may override `_put` to canonicalize a key before the accumulate.
+    tells a zero value; `_nonzero` is the one place that tests it.
+    Subclasses set the meaning of n and the keys.
     """
 
     __slots__ = ("n", "terms")
@@ -210,18 +212,16 @@ class SparseMap:
         m.terms = terms
         return m
 
+    @staticmethod
+    def _nonzero(terms: dict) -> dict:
+        """`terms`, a dict the caller owns, with its zero values deleted in place."""
+        for k in [k for k, v in terms.items() if not v]:
+            del terms[k]
+        return terms
+
     @classmethod
     def zero(cls, n: int):
         return cls._raw(n, {})
-
-    def _put(self, out: dict, key, value) -> None:
-        """out[key] += value, dropping the key when the sum is zero."""
-        s = out.get(key)
-        s = value if s is None else s + value
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
 
     def _check_size(self, other) -> None:
         if self.n != other.n:
@@ -230,10 +230,9 @@ class SparseMap:
     def __add__(self, other):
         self._check_size(other)
         out = dict(self.terms)
-        put = self._put
         for k, v in other.terms.items():
-            put(out, k, v)
-        return self._raw(self.n, out)
+            out[k] = out[k] + v if k in out else v
+        return self._raw(self.n, self._nonzero(out))
 
     def __sub__(self, other):
         return self + (-other)
@@ -243,11 +242,7 @@ class SparseMap:
 
     def scale(self, c):
         """Every value times c (a number, or a value of the map's own kind)."""
-        out: dict = {}
-        put = self._put
-        for k, v in self.terms.items():
-            put(out, k, v * c)
-        return self._raw(self.n, out)
+        return self._raw(self.n, self._nonzero({k: v * c for k, v in self.terms.items()}))
 
     def _power(self, m: int, one, product):
         """self^m by repeated squaring under `product`, starting from `one`."""

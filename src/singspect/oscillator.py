@@ -103,12 +103,12 @@ class KernelValues:
 
 
 def kernel_functions(spec: OscillatorSpec, z, w) -> KernelValues:
-    """The kernels at the points z, w of C, elementwise over arrays of them."""
+    """The kernels at the points z, w of C and the spec's times, elementwise over arrays."""
     a, t = spec.a, spec.t
-    pref = (4 * math.pi * a * t) ** -1 * (2 * a * t / math.sinh(2 * a * t))
+    pref = (4 * math.pi * a * t) ** -1 * (2 * a * t / np.sinh(2 * a * t))
     common = (
-        -np.abs(z - w) ** 2 / (2 * t) * (2 * a * t / math.sinh(2 * a * t))
-        - a * (np.abs(z) ** 2 + np.abs(w) ** 2) * math.tanh(a * t)
+        -np.abs(z - w) ** 2 / (2 * t) * (2 * a * t / np.sinh(2 * a * t))
+        - a * (np.abs(z) ** 2 + np.abs(w) ** 2) * np.tanh(a * t)
     )
     return KernelValues(
         zero_form=pref * np.exp(common),
@@ -139,9 +139,9 @@ def convolve_0form_kernel(tau: complex, z: complex, w: complex, t: float, s: flo
     spec_t, spec_s = OscillatorSpec(tau, t), OscillatorSpec(tau, s)
     a = spec_t.a
     # |x|^2 coefficient of the combined Gaussian exponent, for node scaling
-    beta_t = a / math.sinh(2 * a * t)
-    beta_s = a / math.sinh(2 * a * s)
-    coef = beta_t + beta_s + a * (math.tanh(a * t) + math.tanh(a * s))
+    beta_t = a / np.sinh(2 * a * t)
+    beta_s = a / np.sinh(2 * a * s)
+    coef = beta_t + beta_s + a * (np.tanh(a * t) + np.tanh(a * s))
     center = (beta_t * z + beta_s * w) / coef
     xs, ws = np.polynomial.hermite.hermgauss(_CONVOLUTION_NODES)
     sigma = 1.0 / math.sqrt(coef)
@@ -188,17 +188,16 @@ def ground_state_limit_minus(spec: OscillatorSpec, z, w):
 # -- flat-normalization diagonal supertrace for f = z^2/2 -----------------------
 
 
-def a1_diagonal_supertrace_flat(z, t: float):
+def a1_diagonal_supertrace_flat(z, t):
     """Exact diagonal supertrace of exp(-t(-Delta + |z|^2 + L_f)), f = z^2/2, elementwise in z.
 
     Conversion from the oscillator family: that operator is twice the
     tau = 1/2 member, so its kernels are the tau = 1/2 kernels at time 2t
     with unit-normalized form sectors.  The 0/2-form sectors contribute
     2 k(z, z), the 1-form sectors (e^{2t} + e^{-2t}) k(z, z), giving
-    -(tanh t / pi) exp(-|z|^2 tanh t).
+    -(tanh t / pi) exp(-|z|^2 tanh t).  An array of times needs z to
+    broadcast against it.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
     spec = OscillatorSpec(0.5, 2 * t)
     kv = kernel_functions(spec, z, z)
     return 2 * kv.zero_form - (kv.one_form_minus + kv.one_form_plus)

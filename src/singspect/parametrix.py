@@ -22,7 +22,8 @@ canonicalized ExteriorOperator symbols to scalar two-point polynomial
 coefficients (2n-slot MixedPolynomials in u = z - w and w, see poly.py), so
 all polynomial calculus stays in the scalar factors and matrix products
 happen once per distinct symbol pair (cached).  The map's sums, negation and
-scaling are SparseMap's; only the symbol canonicalization is its own.
+scaling are SparseMap's, since they keep symbols canonical; the constructor
+and the product canonicalize each symbol in `_by_symbol` before they sum.
 
 Numeric evaluation takes the point pairs as two complex (m, n) arrays z and
 w and returns an (m, 4^n, 4^n) stack, one dense matrix per pair; the
@@ -66,6 +67,22 @@ def _cached_matmul(a: ExteriorOperator, b: ExteriorOperator) -> ExteriorOperator
     return out
 
 
+def _by_symbol(pairs) -> Dict[ExteriorOperator, MixedPolynomial]:
+    """The (symbol, poly) pairs summed by canonical symbol, zero sums dropped.
+
+    A symbol is scaled so its first (sorted) entry is 1 and the factor is
+    folded into its poly; a zero symbol contributes nothing.
+    """
+    out: Dict[ExteriorOperator, MixedPolynomial] = {}
+    for op, poly in pairs:
+        if op:
+            c0 = op.terms[min(op.terms)]
+            if c0 != 1:
+                op, poly = op.scale(GaussianRational(1) / c0), poly * c0
+            out[op] = out[op] + poly if op in out else poly
+    return SparseMap._nonzero(out)
+
+
 class OperatorPolynomial(SparseMap):
     """Two-point polynomial with ExteriorOperator coefficients.
 
@@ -78,19 +95,7 @@ class OperatorPolynomial(SparseMap):
 
     def __init__(self, n: int, terms: Dict[ExteriorOperator, MixedPolynomial] | None = None):
         self.n = n
-        self.terms = {}
-        for op, poly in (terms or {}).items():
-            self._put(self.terms, op, poly)
-
-    def _put(self, out, op: ExteriorOperator, poly: MixedPolynomial) -> None:
-        """Scale op so its first (sorted) entry is 1, fold the factor into poly, accumulate."""
-        if not op or not poly:
-            return
-        c0 = op.terms[min(op.terms)]
-        if c0 != 1:
-            op = op.scale(GaussianRational(1) / c0)
-            poly = poly * c0
-        super()._put(out, op, poly)
+        self.terms = _by_symbol((terms or {}).items())
 
     @property
     def parts(self) -> Dict[ExteriorOperator, MixedPolynomial]:
@@ -106,11 +111,10 @@ class OperatorPolynomial(SparseMap):
     # -- products (sums, negation and scaling are SparseMap's) ----------------
 
     def __matmul__(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
-        out: Dict[ExteriorOperator, MixedPolynomial] = {}
-        for op1, p1 in self.terms.items():
-            for op2, p2 in other.terms.items():
-                self._put(out, _cached_matmul(op1, op2), p1 * p2)
-        return self._raw(self.n, out)
+        return self._raw(self.n, _by_symbol(
+            (_cached_matmul(op1, op2), p1 * p2)
+            for op1, p1 in self.terms.items() for op2, p2 in other.terms.items()
+        ))
 
     # -- z-direction calculus, applied to the scalar factors -----------------
 

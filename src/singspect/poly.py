@@ -67,7 +67,7 @@ class MixedPolynomial(SparseMap):
         if n < 1:
             raise ValueError("need at least one variable")
         self.n = n
-        self.terms = {}
+        out: Terms = {}
         for (a, b), c in (terms or {}).items():
             a = tuple(a)
             b = tuple(b)
@@ -75,7 +75,8 @@ class MixedPolynomial(SparseMap):
                 raise ValueError("exponent tuple length mismatch")
             if any(e < 0 or not isinstance(e, int) for e in a + b):
                 raise ValueError("exponents must be non-negative integers")
-            self._put(self.terms, (a, b), GaussianRational.from_value(c))
+            out[(a, b)] = GaussianRational.from_value(c)
+        self.terms = self._nonzero(out)
 
     # -- constructors ---------------------------------------------------
 
@@ -105,13 +106,8 @@ class MixedPolynomial(SparseMap):
                         tuple(x + y for x, y in zip(a1, a2)),
                         tuple(x + y for x, y in zip(b1, b2)),
                     )
-                    s = out.get(k)
-                    s = c1 * c2 if s is None else s + c1 * c2
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
-            return MixedPolynomial._raw(self.n, out)
+                    out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+            return MixedPolynomial._raw(self.n, self._nonzero(out))
         return self.scale(GaussianRational.from_value(other))
 
     __rmul__ = __mul__
@@ -144,27 +140,22 @@ class MixedPolynomial(SparseMap):
     # -- calculus ----------------------------------------------------------
 
     def wirtinger(self, i: int, conjugated: bool = False) -> "MixedPolynomial":
-        """Formal d/dz_i (or d/dconj(z_i)) derivative."""
+        """Formal d/dz_i (or d/dconj(z_i)) derivative.
+
+        Lowering one exponent maps distinct keys to distinct keys, and c * e
+        is nonzero, so nothing accumulates and no value is zero.
+        """
         if not 1 <= i <= self.n:
             raise ValueError(f"variable index {i} out of range 1..{self.n}")
         j = i - 1
         out: Terms = {}
         for (a, b), c in self.terms.items():
             e = b[j] if conjugated else a[j]
-            if e == 0:
-                continue
-            if conjugated:
-                nb = b[:j] + (e - 1,) + b[j + 1:]
-                k = (a, nb)
-            else:
-                na = a[:j] + (e - 1,) + a[j + 1:]
-                k = (na, b)
-            s = out.get(k)
-            s = c * e if s is None else s + c * e
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
+            if e:
+                if conjugated:
+                    out[(a, b[:j] + (e - 1,) + b[j + 1:])] = c * e
+                else:
+                    out[(a[:j] + (e - 1,) + a[j + 1:], b)] = c * e
         return MixedPolynomial._raw(self.n, out)
 
     # -- evaluation ----------------------------------------------------------

@@ -128,7 +128,7 @@ def ar_data(f: MixedPolynomial) -> ArData:
 _MAX_BASIS_SIZE = 1024
 
 # cap on sector_cutoff: each sector costs one eigensolve and keeps
-# max(basis_size // 2, 4) levels, twice over, as Python floats; at basis 60,
+# basis_size // 2 levels, twice over, as Python floats; at basis 60,
 # 4096 sectors take 2.7 s and 55 MB on 2 vCPUs (20000 took 12 s and 139 MB),
 # while the callers here use at most 90
 _MAX_SECTOR_CUTOFF = 4096
@@ -225,6 +225,7 @@ def _eigensolve_at(config: GalerkinConfig, omega: float) -> Spectrum:
     """`eigensolve` in the basis of oscillator scale omega."""
     v, r = config.data.potential_scale, config.data.r
     size, M = config.basis_size, config.sector_cutoff
+    keep = size // 2  # basis_size >= 8 leaves levels above the kept ones
 
     merged: List[float] = []
     reliable = math.inf
@@ -235,11 +236,9 @@ def _eigensolve_at(config: GalerkinConfig, omega: float) -> Spectrum:
             # this sector is excluded; its ground state bounds completeness
             reliable = min(reliable, float(vals[0]))
             break
-        kept = vals[: max(size // 2, 4)]
-        reliable = min(reliable, float(vals[min(len(vals) - 1, max(size // 2, 4))]))
+        reliable = min(reliable, float(vals[keep]))
         mult = 1 if alpha == 0 else 2
-        merged.extend([float(x) for x in kept for _ in range(mult)])
-    merged.sort()
+        merged.extend([float(x) for x in vals[:keep] for _ in range(mult)])
     levels = tuple(
         (lam, m) for lam, m in cluster_eigenvalues(merged) if lam <= reliable
     )

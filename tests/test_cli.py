@@ -291,6 +291,23 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert res["pass"] is False
 
 
+def test_constancy_violation_fails_its_own_verify_check(monkeypatch, capsys):
+    from singspect import cli
+    from singspect.index_integral import ConstancyViolated
+
+    def violated(*args, **kwargs):
+        raise ConstancyViolated(0.5, 1.0, 4.2)
+
+    monkeypatch.setattr(cli, "mckean_singer_check", violated)
+    assert cli.main(["verify", "index-mckean-singer"]) == cli.EXIT_VERIFY == 5
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["checks"] == [
+        {"suite": "index-mckean-singer", "check": "McKean-Singer constancy z1^3", "passed": False},
+        {"suite": "index-mckean-singer", "check": "index rounds to mu", "passed": False},
+    ]
+    assert res["pass"] is False
+
+
 def test_cli_import_leaves_scipy_special_unloaded():
     # scipy.special would cost about half of the CLI's import time
     code = "import sys, singspect.cli; print('scipy.special' in sys.modules)"

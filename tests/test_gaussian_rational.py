@@ -1,6 +1,7 @@
 """GaussianRational against a reference built from (Fraction, Fraction) pairs."""
 
 import math
+import operator
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from singspect.clifford import ExteriorOperator
-from singspect.gaussian_rational import GaussianRational
+from singspect.gaussian_rational import GaussianRational, SparseMap
 from singspect.parametrix import OperatorPolynomial
 from singspect.poly import MixedPolynomial, parse
 
@@ -144,21 +145,34 @@ def operators(n):
 
 
 def operator_polys(n):
-    # random symbols, so proportional ones merge under the canonicalizing _put
+    # random symbols, so proportional ones merge when the constructor canonicalizes them
     return st.dictionaries(operators(n), polys(2 * n), max_size=3).map(
         lambda t: OperatorPolynomial(n, t))
 
 
 SPARSE_MAPS = {"MixedPolynomial": polys, "ExteriorOperator": operators,
                "OperatorPolynomial": operator_polys}
+PRODUCTS = {"MixedPolynomial": operator.mul, "ExteriorOperator": operator.matmul,
+            "OperatorPolynomial": operator.matmul}
+
+
+def assert_normal(x):
+    """No stored value is zero, at any depth, and every symbol's first sorted entry is 1."""
+    for k, v in x.terms.items():
+        assert v
+        if isinstance(v, SparseMap):
+            assert_normal(v)
+        if isinstance(x, OperatorPolynomial):
+            assert k.terms[min(k.terms)] == 1
+            assert_normal(k)
 
 
 @pytest.mark.parametrize("kind", sorted(SPARSE_MAPS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_sparse_map_ring_laws(kind, data):
-    maps = SPARSE_MAPS[kind]
-    a, b = data.draw(maps(1)), data.draw(maps(1))
+    maps, mul = SPARSE_MAPS[kind], PRODUCTS[kind]
+    a, b, c = data.draw(maps(1)), data.draw(maps(1)), data.draw(maps(1))
     assert type(a + b) is type(a)
     assert a + b - b == a
     assert (a - a).terms == {}
@@ -166,5 +180,34 @@ def test_sparse_map_ring_laws(kind, data):
     assert a.scale(0).is_zero()
     for x in (a, b, a - a, a + b):
         assert bool(x) == (not x.is_zero())
+    # products cancel inside their sums: b - b, and b + c against a*b + a*c
+    assert mul(a, b + c) == mul(a, b) + mul(a, c)
+    assert mul(a, b - b).is_zero()
+    assert mul(a, b - c) == mul(a, b) - mul(a, c)
+    for x in (a, b, c, a + b, a - a, -a, a.scale(0), mul(a, b), mul(a, b + c),
+              mul(a, b) + mul(a, c), mul(a, b - c)):
+        assert_normal(x)
     with pytest.raises(ValueError):
         a + data.draw(maps(2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=operators(1).filter(bool), p=polys(2).filter(bool))
+def test_proportional_symbols_merge_to_zero(a, p):
+    x = OperatorPolynomial(1, {a.scale(2): p, a: p * -2})
+    assert x.is_zero() and x.terms == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=polys(2), i=st.integers(1, 2), conjugated=st.booleans())
+def test_wirtinger_is_the_term_by_term_derivative(p, i, conjugated):
+    ref = MixedPolynomial.zero(2)
+    for (a, b), c in p.terms.items():
+        e = list(b if conjugated else a)
+        if e[i - 1]:
+            e[i - 1] -= 1
+            key = (a, tuple(e)) if conjugated else (tuple(e), b)
+            ref = ref + MixedPolynomial(2, {key: c * (e[i - 1] + 1)})
+    d = p.wirtinger(i, conjugated)
+    assert d == ref
+    assert_normal(d)

@@ -179,3 +179,20 @@ def test_flat_diagonal_supertrace_closed_form():
     assert abs(a1_diagonal_supertrace_flat(0, t) * math.pi / math.tanh(t) + 1) < 1e-12
     with pytest.raises(ValueError):
         a1_diagonal_supertrace_flat(0.8, math.nan)
+
+
+def test_kernels_take_arrays_of_times():
+    # an array of times gives, entry by entry, exactly what each lone time gives
+    ts = np.array([0.05, 0.5, 1.0, 3.0])
+    for tau, z, w in ((0.5, 0.3 + 0.2j, -0.1 + 0.5j), (1.0, 0.3, 0.2), (2.0, 0.0, 0.0)):
+        kv = kernel_functions(OscillatorSpec(tau, ts), z, w)
+        for i, t in enumerate(ts):
+            one = kernel_functions(OscillatorSpec(tau, t), z, w)
+            assert kv.zero_form[i] == one.zero_form
+            assert kv.one_form_minus[i] == one.one_form_minus
+            assert kv.one_form_plus[i] == one.one_form_plus
+    for z in (0.0, 0.8, 1.5 + 0.5j):
+        got = a1_diagonal_supertrace_flat(z, ts)
+        assert got.tolist() == [a1_diagonal_supertrace_flat(z, t) for t in ts]
+    with pytest.raises(ValueError, match="t must be positive"):
+        a1_diagonal_supertrace_flat(0.8, np.array([0.5, -1.0]))
