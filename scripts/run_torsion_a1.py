@@ -32,7 +32,7 @@ def main() -> int:
     for basis in (int(b) for b in args.bases.split(",")):
         spec = eigensolve(GalerkinConfig(f, basis_size=basis,
                                          sector_cutoff=basis + 10))
-        line = [f"basis {basis:3d} (levels {len(spec.levels):3d}):"]
+        line = [f"basis {basis:3d} (levels {spec.values.size:3d}):"]
         for split in (float(s) for s in args.splits.split(",")):
             res = renormalize_and_torsion(spec, ar_data(f), split=split)
             line.append(f"split {split:g}: dlog {res.log_torsion - exact.log_torsion:+.2e}")

@@ -17,9 +17,9 @@ path that cannot be written, checked before any estimate without emptying
 an existing file; a polynomial outside the weight system, such as one with
 a conjugate variable; a t that is not positive and finite, `index` or
 `weights` `--samples` below 1, a rejected quadrature node count, a
-`--basis` or `--sectors` the Galerkin solver rejects, or a degree whose
-Galerkin matrices overflow).  0 is success, and 5 a failed `verify` check
-(the report is still written to stdout).
+`--basis` or `--sectors` the Galerkin solver rejects, or a float overflow,
+in the Galerkin matrices or from a coefficient outside the float range).
+0 is success, and 5 a failed `verify` check (its report is still written).
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ _EXIT_CODES = (
     (DegenerateSingularity, EXIT_DEGENERATE),
     (ConstancyViolated, EXIT_CONSTANCY),
     (ValueError, EXIT_UNSUPPORTED),
+    (OverflowError, EXIT_UNSUPPORTED),
 )
 
 
@@ -184,7 +185,7 @@ def cmd_torsion(args, f: MixedPolynomial):
         result["path"] = "numeric" if exact_res is None else "both"
         result["T2"] = _with_err(numeric.torsion, numeric.error_bar * numeric.torsion)
         result["log_T2"] = _with_err(numeric.log_torsion, numeric.error_bar)
-        result["spectrum_levels"] = len(spec.levels)
+        result["spectrum_levels"] = spec.values.size
         result["fit_exponents"] = list(numeric.exponents)
         result["fit_condition"] = numeric.fit_condition
         result["fit_unstable"] = numeric.fit_unstable

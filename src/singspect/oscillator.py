@@ -7,8 +7,10 @@ a = |tau|, the spectra are
     1-forms, E- :    lambda_{k,l} = 2a (k + l)      (ground state at 0)
     1-forms, E+ :    lambda_{k,l} = 2a (k + l + 2)
 
-and the kernels are Mehler-type Gaussians in a fixed normalization.  Two
-quirks of that normalization are exposed side by side instead of resolved:
+so the levels 2a m and their lattice-count multiplicities are closed forms
+in m, which `spectrum_k_forms` returns as arrays.  The kernels are
+Mehler-type Gaussians in a fixed normalization.  Two quirks of that
+normalization are exposed side by side instead of resolved:
 
   * the closed-form 0-form heat trace (1 / (2 sinh(t/2)))^2 is tau-free,
     while summing the spectrum above gives (1 / (2 sinh(a t)))^2; both are
@@ -56,33 +58,21 @@ class OscillatorSpec:
         return abs(self.tau)
 
 
-def _multiplicity(shift_sum: int) -> int:
-    """Number of (k, l) lattice points with k + l = shift_sum."""
-    return shift_sum + 1 if shift_sum >= 0 else 0
-
-
 def spectrum_k_forms(spec: OscillatorSpec, form_degree: int, count: int) -> Spectrum:
-    """First `count` distinct eigenvalues of the degree-k sector.
+    """First `count` distinct eigenvalues 2|tau| m of the degree-k sector, in closed form.
 
-    Eigenvalues are 2|tau| m; the multiplicity at fixed shift s is the
-    lattice count of k + l = m - s.
+    The multiplicity of 2|tau| m is the count of lattice points (k, l) with
+    k + l = m - 1 on 0/2-forms, m from 1; on 1-forms it adds the E- count
+    k + l = m to the E+ count k + l = m - 2, which is 2m, or 1 at m = 0.
     """
     if form_degree not in (0, 1, 2):
         raise ValueError("form degree must be 0, 1 or 2")
     if count < 1:
         raise ValueError("count must be at least 1")
     a = spec.a
-    levels = []
-    m = 0 if form_degree == 1 else 1
-    while len(levels) < count:
-        if form_degree == 1:
-            mult = _multiplicity(m) + _multiplicity(m - 2)
-        else:
-            mult = _multiplicity(m - 1)
-        if mult:
-            levels.append((2 * a * m, mult))
-        m += 1
-    return Spectrum(tuple(levels), complete_below=2 * a * m)
+    m = np.arange(count) + (form_degree != 1)
+    mults = np.maximum(2 * m, 1) if form_degree == 1 else m
+    return Spectrum(2 * a * m, mults, complete_below=float(2 * a * (m[-1] + 1)))
 
 
 # -- kernels ------------------------------------------------------------------

@@ -1,62 +1,66 @@
-"""Sorted eigenvalue lists with multiplicities and a completeness bound; a
-function of time takes an array of times and returns one value per time."""
+"""A spectrum: sorted distinct eigenvalues and their multiplicities as two
+arrays; a function of time takes an array of times, one value per time."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues with multiplicities, complete below `complete_below`.
+    """Sorted eigenvalues `values` with integer multiplicities `mults` (same shape).
 
-    `levels` is sorted by eigenvalue.  `complete_below` bounds the region in
-    which no eigenvalue is missing; sums over the spectrum should either stay
-    below it or correct for the tail.  The level values and multiplicities
-    are also held as arrays, built once, for the sums below.
+    `complete_below` bounds the region in which no eigenvalue is missing;
+    sums over the spectrum should either stay below it or correct for the tail.
     """
 
-    levels: Tuple[Tuple[float, int], ...]
+    values: np.ndarray
+    mults: np.ndarray
     complete_below: float
-    _values: np.ndarray = field(init=False, repr=False, compare=False)
-    _mults: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = np.array([lam for lam, _ in self.levels], dtype=float)
-        if np.any(np.diff(values) < 0):
-            raise ValueError("levels must be sorted by eigenvalue")
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_mults",
-                           np.array([m for _, m in self.levels], dtype=np.int64))
+        if self.values.shape != self.mults.shape:
+            raise ValueError("values and mults must have equal shapes")
+        if np.any(np.diff(self.values) < 0):
+            raise ValueError("values must be sorted")
+
+    @property
+    def levels(self) -> Tuple[Tuple[float, int], ...]:
+        """(value, multiplicity) pairs as Python floats and ints."""
+        return tuple(zip(self.values.tolist(), self.mults.tolist()))
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues repeated by multiplicity."""
-        return np.repeat(self._values, self._mults)
+        return np.repeat(self.values, self.mults)
 
     def count_below(self, bound: float) -> int:
-        return int(self._mults[self._values < bound].sum())
+        return int(self.mults[self.values < bound].sum())
 
     def heat_sum(self, t):
         """sum of multiplicity * exp(-t*lambda) over the stored levels, elementwise in t."""
         # in place; a row sum adds each time's terms in the order a lone time does
-        x = np.multiply.outer(t, -self._values)
-        return np.multiply(np.exp(x, out=x), self._mults, out=x).sum(axis=-1)
+        x = np.multiply.outer(t, -self.values)
+        return np.multiply(np.exp(x, out=x), self.mults, out=x).sum(axis=-1)
 
 
 _CLUSTER_REL_TOL = 1e-6  # relative gap (absolute below 1) that joins two values
 
 
-def cluster_eigenvalues(values) -> List[Tuple[float, int]]:
-    """Group a sorted float array into (value, multiplicity) clusters."""
-    levels: List[Tuple[float, int]] = []
-    for v in sorted(values):
-        if levels and abs(v - levels[-1][0]) <= _CLUSTER_REL_TOL * max(1.0, abs(v)):
-            lam, m = levels[-1]
-            levels[-1] = ((lam * m + v) / (m + 1), m + 1)
-        else:
-            levels.append((float(v), 1))
-    return levels
+def cluster_eigenvalues(values: np.ndarray, mults: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Join values with multiplicities into sorted distinct levels.
+
+    After one stable sort, a level starts wherever the gap to the previous
+    value exceeds the tolerance; it holds the multiplicity-weighted mean of
+    its values and the sum of their multiplicities.
+    """
+    order = np.argsort(values, kind="stable")
+    v, m = values[order], mults[order]
+    new = np.ones(v.size, dtype=bool)
+    new[1:] = np.diff(v) > _CLUSTER_REL_TOL * np.maximum(1.0, np.abs(v[1:]))
+    starts = np.flatnonzero(new)
+    total = np.add.reduceat(m, starts)
+    return np.add.reduceat(v * m, starts) / total, total

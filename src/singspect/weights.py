@@ -188,10 +188,8 @@ def solve_weights(f: MixedPolynomial) -> WeightVector:
     rows = [[Fraction(e) for e in a] + [Fraction(1)] for (a, _b) in f.terms]
     mat, pivots = _rref(rows)
     rank = len(pivots)
-    # inconsistency: a zero row with nonzero rhs
-    for row in mat[rank:]:
-        if row[-1] != 0:
-            raise NotQuasiHomogeneous("weight system is inconsistent")
+    # _rref pivots on the right-hand side too: an inconsistent system has a
+    # pivot in column n, from a row 0 = 1
     if n in pivots:
         raise NotQuasiHomogeneous("weight system is inconsistent")
     if rank < n:
@@ -250,12 +248,12 @@ def _to_weighted_sphere(Z: np.ndarray, q: np.ndarray) -> np.ndarray:
     return Z * rho[:, None] ** -q
 
 
-def _descend_to_critical(grads, hess, q: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def _descend_to_critical(grads, hess, q: np.ndarray, Z: np.ndarray, h_scale: float) -> np.ndarray:
     """Gradient descent on h = |grad f|^2 from each row of Z, on the weighted unit sphere of q.
 
     Each step is moved back onto the sphere, so no row creeps towards the
     origin, where |grad f| is tiny for a high-degree f.  Each row keeps its
-    own step and stops at h below 1e-24 or once its step falls below 1e-12.
+    own step and stops at h below 1e-24 h_scale or at a step below 1e-12.
     """
     Z, step = Z.copy(), np.full(len(Z), 0.1)
     val = gradient_square(grads, Z)
@@ -267,7 +265,7 @@ def _descend_to_critical(grads, hess, q: np.ndarray, Z: np.ndarray) -> np.ndarra
         d = np.stack([sum(gi * np.conj(hi[k].evaluate_many(z)) for gi, hi in zip(gv, hess))
                       for k in range(len(grads))], axis=1)
         nrm = np.linalg.norm(d, axis=1)
-        go = (nrm > 0) & (val[rows] >= 1e-24)
+        go = (nrm > 0) & (val[rows] >= 1e-24 * h_scale)
         rows, z, d, nrm = rows[go], z[go], d[go], nrm[go]
         cand = _to_weighted_sphere(z - (step[rows] / nrm)[:, None] * d, q)
         cval = gradient_square(grads, cand)
@@ -314,18 +312,24 @@ def nondegeneracy_check(
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         pts.append(r * (x[:, :n] + 1j * x[:, n:]))
     Z = np.concatenate(pts, axis=0)
-    grad_sq = gradient_square(grads, Z)
+    q = np.array([float(qi) for qi in wv.q])
+    with np.errstate(over="ignore"):  # h_scale below rejects an h that overflows
+        grad_sq = gradient_square(grads, Z)
+        S = _to_weighted_sphere(Z, q)
+        h = gradient_square(grads, S)
     min_grad = float(np.sqrt(grad_sq.min()))
 
     # an off-origin critical point has a whole C* orbit of them, so it meets
     # the weighted unit sphere, where |grad f| of an isolated singularity is
-    # bounded away from zero whatever its degree: descend there
-    q = np.array([float(qi) for qi in wv.q])
-    S = _to_weighted_sphere(Z, q)
-    starts = S[np.argsort(gradient_square(grads, S))[:_DESCENT_STARTS]]
-    ends = _descend_to_critical(grads, hessian(f), q, starts)
+    # bounded away from zero whatever its degree: descend there.  h scales
+    # with |c|^2 for c f, so its thresholds are relative to its largest value
+    h_scale = float(h.max())
+    if not 0 < h_scale < math.inf:
+        raise ValueError(f"a coefficient is outside the float range: |grad f|^2 = {h_scale}")
+    starts = S[np.argsort(h)[:_DESCENT_STARTS]]
+    ends = _descend_to_critical(grads, hessian(f), q, starts, h_scale)
     for zc, hv in zip(ends, gradient_square(grads, ends)):
-        if hv < 1e-20:
+        if hv < 1e-20 * h_scale:
             raise GradientVanishesAwayFromOrigin(tuple(complex(v) for v in zc))
 
     # growth floor |grad f|^2 >= |z|^2/C - 1: C must dominate the max sample

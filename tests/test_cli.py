@@ -173,11 +173,21 @@ def test_index_single_t_gaussian_normalization():
     (["index", "z1^3", "--samples", "abc"], 4),  # argparse usage errors
     (["index", "z1^3", "--t"], 4),
     (["nope"], 4),
+    # coefficients outside the float range
+    (["weights", "10^400*z1^2"], 4),
+    (["index", "10^400*z1^2"], 4),
+    (["torsion", "10^400*z1^2"], 4),
+    (["torsion", "10^200*z1^3"], 4),
+    (["torsion", "(1/10^200)*z1^2"], 4),
+    (["weights", "(1/10^200)*z1^3"], 4),
+    (["weights", "10^200*z1^3"], 4),
 ], ids=["t-empty", "t-text", "t-gap", "t-zero", "t-negative", "t-nan", "t-inf",
         "samples-zero", "samples-negative", "basis-4", "sectors-2", "basis-100000",
         "sectors-4097", "torsion-overflow", "weights-samples-negative", "weights-samples-zero",
         "weights-conjugate", "index-conjugate", "csv-unwritable", "usage-samples-text",
-        "usage-t-missing", "usage-unknown-command"])
+        "usage-t-missing", "usage-unknown-command", "weights-coefficient-overflow",
+        "index-coefficient-overflow", "torsion-coefficient-overflow", "torsion-scale-overflow",
+        "torsion-scale-underflow", "weights-gradient-underflow", "weights-gradient-overflow"])
 def test_bad_numeric_arguments_are_structured_errors(args, code, capsys):
     from singspect import cli
 

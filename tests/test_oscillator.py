@@ -45,6 +45,25 @@ def test_zero_form_spectrum_examples():
     assert levels[4.0] == 2  # lattice pairs (0,1), (1,0)
 
 
+@pytest.mark.parametrize("tau", [0.5, 1.7 - 0.4j])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_spectrum_matches_lattice_count(tau, k):
+    # count the eigenvalues 2|tau| (k + l + shift) of each sector directly
+    a = abs(tau)
+    shifts = (0, 2) if k == 1 else (1,)
+    for count in range(1, 61):
+        lattice = {}
+        for shift in shifts:
+            for kk in range(count + 2):
+                for ll in range(count + 2):
+                    m = kk + ll + shift
+                    lattice[m] = lattice.get(m, 0) + 1
+        ms = sorted(lattice)[:count]
+        s = spectrum_k_forms(OscillatorSpec(tau, 1.0), k, count)
+        assert s.levels == tuple((2 * a * m, lattice[m]) for m in ms)
+        assert s.complete_below == 2 * a * (ms[-1] + 1)
+
+
 def test_kernel_diagonal_formula():
     spec = OscillatorSpec(0.5, 1.0)
     kv = kernel_functions(spec, 0.0, 0.0)

@@ -62,6 +62,16 @@ def test_ar_extraction():
         ar_data(parse("z1^2 + z1^3", 1))
 
 
+@pytest.mark.parametrize("text,error", [("(1/10^200)*z1^2", UnsupportedSingularity),
+                                        ("10^154*z1^3", UnsupportedSingularity),
+                                        ("10^200*z1^3", OverflowError)])
+def test_potential_scale_outside_the_float_range_is_rejected(text, error):
+    # v = |c|^2 (r+1)^2 underflows to 0, overflows to inf in the product, or
+    # overflows in |c|^2; the CLI exits 4 on each
+    with pytest.raises(error):
+        ar_data(parse(text, 1))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GalerkinConfig(A1, basis_size=4)
@@ -97,6 +107,18 @@ def test_a1_eigenvalues(a1_spectrum):
     # multiplicity of eigenvalue m is m
     for lamval, mult in a1_spectrum.levels[:8]:
         assert mult == int(round(lamval))
+
+
+@pytest.mark.parametrize("poly,levels,fours", [("z1^3", 1018, 1), ("z1^4", 1054, 0),
+                                                ("z1^5", 995, 2)])
+def test_eigensolve_level_counts_are_pinned(poly, levels, fours):
+    # sector 0 has multiplicity 1, every other sector pair 2, and a level
+    # shared by two sector pairs 4
+    spec = spectrum_and_data(poly)[0]
+    mults = [m for _, m in spec.levels]
+    assert len(mults) == levels
+    assert mults.count(4) == fours
+    assert mults.count(1) + mults.count(2) + fours == levels
 
 
 def test_rayleigh_ritz_monotonicity():

@@ -138,10 +138,14 @@ def test_nondegeneracy_check_paths():
 
 
 @pytest.mark.parametrize("text,n", [("z1^13", 1), ("z1^20", 1), ("z1^40", 1),
-                                    ("z1^7 + z2^13", 2), ("z1^13 + z2^2", 2)])
+                                    ("z1^7 + z2^13", 2), ("z1^13 + z2^2", 2),
+                                    ("(1/10^12)*z1^3", 1), ("10^12*z1^3", 1),
+                                    ("(1/10^12)*(z1^7 + z2^13)", 2),
+                                    ("10^12*(z1^7 + z2^13)", 2)])
 def test_witness_accepts_isolated_high_degree_singularities(text, n):
     # |grad f| is tiny near the origin of a high-degree f, so a descent that
-    # creeps towards the origin must not count as an off-origin critical point
+    # creeps towards the origin must not count as an off-origin critical point;
+    # c f has the critical points of f, so neither may a small c
     f = parse(text, n)
     assert nondegeneracy_check(f, solve_weights(f)).isolated_witness
 
@@ -157,19 +161,24 @@ def test_batched_descent_matches_one_row_at_a_time():
     q = np.array([float(qi) for qi in solve_weights(f).q])
     rng = np.random.default_rng(4)
     Z = _to_weighted_sphere(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)), q)
-    batch = _descend_to_critical(grads, hess, q, Z)
+    batch = _descend_to_critical(grads, hess, q, Z, 1.0)
     for i in range(len(Z)):
-        assert np.array_equal(batch[i:i + 1], _descend_to_critical(grads, hess, q, Z[i:i + 1]))
+        assert np.array_equal(batch[i:i + 1],
+                              _descend_to_critical(grads, hess, q, Z[i:i + 1], 1.0))
 
 
 @pytest.mark.parametrize("text,n", [("(z1+z2)^3", 2), ("(z1+z2)^5", 2), ("(z1+z2)^7", 2),
                                     ("(z1-2*z2)^7", 2), ("(z1+z2)^5 + z3^3", 3),
-                                    ("(z1^3+z2^5)^2", 2)])
+                                    ("(z1^3+z2^5)^2", 2), ("(1/10^12)*(z1+z2)^3", 2),
+                                    ("10^12*(z1+z2)^5", 2), ("10^12*(z1+z2)^7", 2),
+                                    ("(1/10^12)*(z1^3+z2^5)^2", 2),
+                                    ("10^12*(z1^3+z2^5)^2", 2)])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_witness_rejects_non_isolated_singularities_of_any_degree(text, n, seed):
     # near a critical curve such as z1 = -z2 of (z1+z2)^d, |grad f|^2 falls
     # like |z1 + z2|^(2d - 2): a descent that stops on an absolute flatness
-    # or measures h off the weighted unit sphere can miss it
+    # (one that ignores the scale of f) or measures h off the weighted unit
+    # sphere can miss it
     f = parse(text, n)
     with pytest.raises(GradientVanishesAwayFromOrigin):
         nondegeneracy_check(f, solve_weights(f), seed=seed)
