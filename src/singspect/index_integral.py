@@ -11,7 +11,9 @@ keeps the weights bounded) or, for any n, by orbit-reduced quadrature: the
 weighted circle action of f leaves the integrand invariant, so z1 is taken
 real and radial (Gauss-Laguerre) and C^{n-1} gets a tensor Gauss-Hermite
 rule.  It checks the t-independence across a grid.  The integrand is
-evaluated at the rows of a complex (m, n) array of points, one value per row.
+evaluated at the rows of a complex (m, n) array of points, one value per row;
+both methods evaluate it in blocks of at most _BLOCK_ROWS = 4096 points, so
+the temporaries of one evaluation stay small whatever the sample or node count.
 """
 
 from __future__ import annotations
@@ -80,8 +82,14 @@ class _Compiled:
         `log_factor` (a scalar or one value per row) is added inside the
         exponential, so an importance weight needs no second `exp`.
         """
-        return np.abs(self.det_hess.evaluate_many(Z)) ** 2 * np.exp(
-            self.n * math.log(t / math.pi) - t * gradient_square(self.grads, Z) + log_factor)
+        arg = gradient_square(self.grads, Z)
+        arg *= -t
+        arg += self.n * math.log(t / math.pi)
+        arg += log_factor
+        np.exp(arg, out=arg)
+        d = self.det_hess.evaluate_many(Z)
+        arg *= d.real * d.real + d.imag * d.imag
+        return arg
 
 
 def integrand(f: MixedPolynomial, Z, t: float) -> np.ndarray:
@@ -92,12 +100,21 @@ def integrand(f: MixedPolynomial, Z, t: float) -> np.ndarray:
 
 
 _MC_STRATA = 64  # each stratum has its own stream; sums are reduced in stratum order
+# rows of points per density evaluation, for Monte Carlo and quadrature alike:
+# a block's temporaries (64 KB complex) stay in cache and below malloc's mmap
+# threshold, so they are reused from the heap rather than faulted in afresh
+_BLOCK_ROWS = 4096
 
 
 def _mc_estimate(
     comp: _Compiled, t: float, budget: int, seed: int, growth_c: float
 ) -> Tuple[float, float]:
-    """Importance-sampled mean and standard error, reduced in stratum order."""
+    """Importance-sampled mean and standard error, reduced in stratum order.
+
+    Stratum idx draws X then Y from SeedSequence([seed, idx]) into buffers
+    shared by all strata; its weights are evaluated in blocks of _BLOCK_ROWS
+    rows into one vector, whose sum and sum of squares are the stratum's.
+    """
     if budget < 1:
         raise ValueError(f"the Monte Carlo budget must be at least 1 sample, not {budget}")
     n = comp.n
@@ -108,14 +125,26 @@ def _mc_estimate(
     total = 0.0
     total_sq = 0.0
     log_norm = n * math.log(math.pi * 2 * var_real)  # log of proposal normalizer
+    X = np.empty((counts[0], n))
+    Y = np.empty((counts[0], n))
+    Z = np.empty((min(counts[0], _BLOCK_ROWS), n), dtype=complex)
+    W = np.empty(counts[0])
     for idx, m in enumerate(counts):
         if m == 0:
             continue
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        X = rng.normal(scale=sigma, size=(m, n))
-        Y = rng.normal(scale=sigma, size=(m, n))
-        log_p = -(X * X + Y * Y).sum(axis=1) / (2 * var_real) - log_norm
-        w = comp.density(X + 1j * Y, t, -log_p)  # density / proposal
+        x, y, w = X[:m], Y[:m], W[:m]
+        rng.standard_normal(out=x)  # the same stream as normal(scale=sigma)
+        x *= sigma
+        rng.standard_normal(out=y)
+        y *= sigma
+        for lo in range(0, m, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, m)
+            xb, yb, zb = x[lo:hi], y[lo:hi], Z[:hi - lo]
+            zb.real = xb
+            zb.imag = yb
+            neg_log_p = (xb * xb + yb * yb).sum(axis=1) / (2 * var_real) + log_norm
+            w[lo:hi] = comp.density(zb, t, neg_log_p)  # density / proposal
         total += float(w.sum())
         total_sq += float((w * w).sum())
     mean = total / budget
@@ -125,8 +154,6 @@ def _mc_estimate(
 
 # cap on quadrature points: the size of a 128-node tensor Gauss-Hermite rule on C^2
 _MAX_QUADRATURE_POINTS = 128 ** 4
-# rows of the C^{n-1} grid evaluated at once; bounds memory at any n and node count
-_QUADRATURE_BLOCK_ROWS = 2 ** 16
 
 
 def _gauss_laguerre(nodes: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -209,8 +236,9 @@ def _quadrature_estimate(
     The radial integral is Gauss-Laguerre in s = r^2 / sigma^2 and C^{n-1}
     carries the tensor Gauss-Hermite rule with nodes sigma x, sigma^2 = C / t:
     nodes^(2n-1) points, evaluated one radial node at a time in blocks of at
-    most _QUADRATURE_BLOCK_ROWS grid rows.  The reported error is the
-    difference against a reference rule with half the nodes, but at least 8.
+    most _BLOCK_ROWS grid rows, which also bounds memory at any n and node
+    count.  The reported error is the difference against a reference rule
+    with half the nodes, but at least 8.
     At exactly 8 nodes that floor would compare the rule with itself, so the
     reference there is the 4-node rule: like every coarser reference it
     overstates the error, where a finer 16-node reference can understate it.
@@ -228,8 +256,8 @@ def _quadrature_estimate(
         radial = list(zip(sigma * np.sqrt(s), math.pi * sigma ** 2 * ws))
         size = npts ** axes
         total = 0.0
-        for lo in range(0, size, _QUADRATURE_BLOCK_ROWS):
-            rows = np.arange(lo, min(lo + _QUADRATURE_BLOCK_ROWS, size))
+        for lo in range(0, size, _BLOCK_ROWS):
+            rows = np.arange(lo, min(lo + _BLOCK_ROWS, size))
             # row-major digits of each row number: its tensor-grid multi-index
             idx = np.array([rows // npts ** (axes - 1 - a) % npts for a in range(axes)],
                            dtype=np.intp).reshape(axes, rows.size)

@@ -161,21 +161,37 @@ class MixedPolynomial(SparseMap):
     # -- evaluation ----------------------------------------------------------
 
     def evaluate_many(self, Z: np.ndarray) -> np.ndarray:
-        """Values at the rows of a complex (m, n) array: the one float evaluator."""
+        """Values at the rows of a complex (m, n) array: the one float evaluator.
+
+        Each column power z_j^e and conj(z_j)^e that the terms need is built
+        once per call, on a contiguous column, as one product with the power
+        below it; a term is its coefficient times a product of those powers.
+        """
         Z = np.asarray(Z, dtype=complex)
         if Z.ndim != 2 or Z.shape[1] != self.n:
             raise ValueError(f"points must be an (m, {self.n}) array, not {Z.shape}")
-        Zc = np.conj(Z)
+        n = self.n
+        # (k, e) -> column k to the power e, for z_1..z_n then conj(z_1)..conj(z_n);
+        # every product is a new array: numpy can round an in-place product of
+        # one row apart from the same row in a longer array
+        powers: Dict[Tuple[int, int], np.ndarray] = {}
         total = np.zeros(Z.shape[0], dtype=complex)
         for (a, b), c in self.terms.items():
-            m = np.full(Z.shape[0], complex(c))
-            for j, e in enumerate(a):
-                if e:
-                    m = m * Z[:, j] ** e
-            for j, e in enumerate(b):
-                if e:
-                    m = m * Zc[:, j] ** e
-            total += m
+            term = complex(c)
+            for k, e in enumerate(a + b):
+                if not e:
+                    continue
+                if (k, e) not in powers:
+                    for j in range(1, e + 1):
+                        if (k, j) in powers:
+                            continue
+                        if j > 1:
+                            powers[k, j] = powers[k, j - 1] * powers[k, 1]
+                        else:
+                            col = Z[:, k] if k < n else np.conj(Z[:, k - n])
+                            powers[k, 1] = np.ascontiguousarray(col)
+                term = powers[k, e] * term
+            total += term
         return total
 
     # -- printing and parsing ---------------------------------------------
@@ -378,7 +394,11 @@ def gradient(f: MixedPolynomial) -> List[MixedPolynomial]:
 
 def gradient_square(grads: Sequence[MixedPolynomial], Z: np.ndarray) -> np.ndarray:
     """|grad f|^2 = sum_i |d_i f|^2 at the rows of a complex (m, n) array, from gradient(f)."""
-    return sum(np.abs(g.evaluate_many(Z)) ** 2 for g in grads)
+    total = 0.0
+    for g in grads:
+        v = g.evaluate_many(Z)
+        total = total + (v.real * v.real + v.imag * v.imag)
+    return total
 
 
 def hessian(f: MixedPolynomial) -> List[List[MixedPolynomial]]:

@@ -264,6 +264,11 @@ def _descend_to_critical(grads, hess, q: np.ndarray, Z: np.ndarray, h_scale: flo
         gv = [g.evaluate_many(z) for g in grads]
         d = np.stack([sum(gi * np.conj(hi[k].evaluate_many(z)) for gi, hi in zip(gv, hess))
                       for k in range(len(grads))], axis=1)
+        # d scales with |c|^2 for c f: a power of two per row brings it near 1,
+        # so its norm neither overflows nor underflows, and the step
+        # (step / nrm) d is the same to the bit
+        _, e = np.frexp(np.abs(d).max(axis=1))
+        d *= np.ldexp(1.0, np.minimum(-e, 1023))[:, None]
         nrm = np.linalg.norm(d, axis=1)
         go = (nrm > 0) & (val[rows] >= 1e-24 * h_scale)
         rows, z, d, nrm = rows[go], z[go], d[go], nrm[go]
@@ -322,10 +327,13 @@ def nondegeneracy_check(
     # an off-origin critical point has a whole C* orbit of them, so it meets
     # the weighted unit sphere, where |grad f| of an isolated singularity is
     # bounded away from zero whatever its degree: descend there.  h scales
-    # with |c|^2 for c f, so its thresholds are relative to its largest value
+    # with |c|^2 for c f, so its thresholds are relative to its largest value.
+    # The raw samples reach radius 10, where |grad f|^2 can overflow while h
+    # does not, and the growth fit below needs them finite too
     h_scale = float(h.max())
-    if not 0 < h_scale < math.inf:
-        raise ValueError(f"a coefficient is outside the float range: |grad f|^2 = {h_scale}")
+    for value in (h_scale, float(grad_sq.max())):
+        if not 0 < value < math.inf:
+            raise ValueError(f"a coefficient is outside the float range: |grad f|^2 = {value}")
     starts = S[np.argsort(h)[:_DESCENT_STARTS]]
     ends = _descend_to_critical(grads, hessian(f), q, starts, h_scale)
     for zc, hv in zip(ends, gradient_square(grads, ends)):
@@ -337,12 +345,18 @@ def nondegeneracy_check(
     # (|grad f|^2 + 1)^2-weighted mean of the same ratios, so it never
     # exceeds their maximum (by more than rounding, with one sample) and
     # takes no part in C.  A 1.5x margin keeps downstream importance
-    # weights bounded when samples undershoot.
+    # weights bounded when samples undershoot.  The factors g are divided by
+    # the power of two 2^e just above their maximum before they are squared,
+    # so no sum overflows, and the fit is multiplied back by 2^-e.  Both are
+    # powers of two, which round nothing unless a scaled term falls below the
+    # normal range.
     r2 = (np.abs(Z) ** 2).sum(axis=1)
-    ratio = r2 / (grad_sq + 1.0)
+    g = grad_sq + 1.0
+    ratio = r2 / g
     c_floor = float(ratio.max())
-    denom = float(((grad_sq + 1.0) ** 2).sum())
-    c_lsq = float((r2 * (grad_sq + 1.0)).sum() / denom)
+    e = math.frexp(float(g.max()))[1]
+    g = np.ldexp(g, -e)
+    c_lsq = math.ldexp(float((r2 * g).sum() / (g * g).sum()), -e)
     fitted_C = 1.5 * c_floor
 
     return NondegeneracyReport(

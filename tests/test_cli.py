@@ -82,6 +82,19 @@ def test_weights_of_a_high_degree_a_r(capsys):
     assert json.loads(capsys.readouterr().out)["result"]["mu"]["value"] == 12
 
 
+def test_weights_of_a_large_coefficient_is_strict_json():
+    # (|grad f|^2 + 1)^2 of 10^150 z1^3 overflows a float on the radius-10
+    # samples, and so does the squared norm of the descent direction
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    proc = run_cli("weights", "10^150*z1^3")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    res = json.loads(proc.stdout, parse_constant=reject)["result"]
+    assert 0 < res["fitted_C_lsq"] <= res["fitted_C"]
+
+
 def test_weights_witness_samples_is_the_budget_passed(capsys):
     from singspect import cli
 
@@ -181,13 +194,15 @@ def test_index_single_t_gaussian_normalization():
     (["torsion", "(1/10^200)*z1^2"], 4),
     (["weights", "(1/10^200)*z1^3"], 4),
     (["weights", "10^200*z1^3"], 4),
+    (["weights", "10^152*z1^3"], 4),  # finite on the unit sphere, not at radius 10
 ], ids=["t-empty", "t-text", "t-gap", "t-zero", "t-negative", "t-nan", "t-inf",
         "samples-zero", "samples-negative", "basis-4", "sectors-2", "basis-100000",
         "sectors-4097", "torsion-overflow", "weights-samples-negative", "weights-samples-zero",
         "weights-conjugate", "index-conjugate", "csv-unwritable", "usage-samples-text",
         "usage-t-missing", "usage-unknown-command", "weights-coefficient-overflow",
         "index-coefficient-overflow", "torsion-coefficient-overflow", "torsion-scale-overflow",
-        "torsion-scale-underflow", "weights-gradient-underflow", "weights-gradient-overflow"])
+        "torsion-scale-underflow", "weights-gradient-underflow", "weights-gradient-overflow",
+        "weights-sample-gradient-overflow"])
 def test_bad_numeric_arguments_are_structured_errors(args, code, capsys):
     from singspect import cli
 

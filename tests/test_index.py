@@ -67,14 +67,15 @@ def test_quadrature_path_is_sharp():
 
 
 def test_quadrature_blocks_do_not_change_the_estimate(monkeypatch):
-    # 10^4 and 8^4 grid rows per radial node, in ragged blocks of 97 rows
+    # 10^4 and 8^4 grid rows per radial node, in blocks of 4096 rows and in
+    # ragged blocks of 97 rows
     f, _, rep = prepared("z1^3 + z2^3 + z3^3", 3)
-    whole = compute_index(f, 1.0, budget=10, method="quadrature", report=rep)
-    monkeypatch.setattr(index_integral, "_QUADRATURE_BLOCK_ROWS", 97)
+    default = compute_index(f, 1.0, budget=10, method="quadrature", report=rep)
+    monkeypatch.setattr(index_integral, "_BLOCK_ROWS", 97)
     blocked = compute_index(f, 1.0, budget=10, method="quadrature", report=rep)
-    assert blocked.estimate == pytest.approx(whole.estimate, rel=1e-12)
-    assert blocked.std_error == pytest.approx(whole.std_error, rel=1e-12)
-    assert whole.std_error > 0
+    assert blocked.estimate == pytest.approx(default.estimate, rel=1e-12)
+    assert blocked.std_error == pytest.approx(default.std_error, rel=1e-12)
+    assert default.std_error > 0
 
 
 def test_quadrature_error_at_eight_nodes():
@@ -225,3 +226,62 @@ def test_mc_coverage_of_exact_value():
         if abs(est.estimate - 2.0) <= 3 * est.std_error:
             hits += 1
     assert hits >= int(0.9 * runs)
+
+
+def _reference_mc(f, t, budget, seed, growth_c):
+    """_mc_estimate as one unblocked evaluation per stratum, with normal(scale=sigma) draws."""
+    from singspect.poly import hessian_determinant
+
+    n = f.n
+    var_real = growth_c / (2 * t)
+    sigma = math.sqrt(var_real)
+    per = budget // index_integral._MC_STRATA
+    total = total_sq = 0.0
+    for idx in range(index_integral._MC_STRATA):
+        m = per + (1 if idx < budget - per * index_integral._MC_STRATA else 0)
+        if m == 0:
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
+        X = rng.normal(scale=sigma, size=(m, n))
+        Y = rng.normal(scale=sigma, size=(m, n))
+        Z = X + 1j * Y
+        log_p = -(X * X + Y * Y).sum(axis=1) / (2 * var_real) \
+            - n * math.log(math.pi * 2 * var_real)
+        grad_sq = sum(np.abs(g.evaluate_many(Z)) ** 2 for g in gradient(f))
+        det_sq = np.abs(hessian_determinant(f).evaluate_many(Z)) ** 2
+        w = (t / math.pi) ** n * np.exp(-t * grad_sq) * det_sq / np.exp(log_p)
+        total += float(w.sum())
+        total_sq += float((w * w).sum())
+    mean = total / budget
+    return mean, math.sqrt(max(total_sq / budget - mean * mean, 0.0) / budget)
+
+
+@pytest.mark.parametrize("budget", [1, 63, 64, 64 * 4097 + 5])
+def test_blocked_mc_matches_an_unblocked_reference(budget):
+    # 1 and 63 leave strata without samples; 64 * 4097 + 5 gives strata of
+    # 4098 rows, which straddle the 4096-row block boundary
+    assert index_integral._BLOCK_ROWS == 4096
+    f, _, rep = prepared("z1^3 + z2^4", 2)
+    est = compute_index(f, 0.7, budget=budget, seed=5, report=rep)
+    ref, ref_err = _reference_mc(f, 0.7, budget, 5, rep.fitted_C)
+    assert est.estimate == pytest.approx(ref, rel=1e-12)
+    assert est.std_error == pytest.approx(ref_err, rel=1e-12, abs=1e-12 * abs(ref))
+
+
+def test_mc_estimate_keeps_no_stratum_arrays_alive():
+    # temporaries are freed by reference counting alone: with the cyclic
+    # collector off, a reference cycle holding a stratum's arrays would keep
+    # all 64 strata alive and the traced peak would grow with the budget
+    import gc
+    import tracemalloc
+
+    f, _, rep = prepared("z1^3 + z2^4", 2)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        compute_index(f, 1.0, budget=10 ** 6, report=rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak < 8 * 2 ** 20

@@ -214,3 +214,40 @@ def test_hessian_determinant_matches_numeric_det(text, n):
     ref = np.linalg.det(H)
     got = hessian_determinant(f).evaluate_many(Z)
     assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
+def _random_mixed_polynomial(rng, n, terms=6, max_exp=13):
+    """A constant term, one z_1^max_exp conj(z_n)^max_exp term and random mixed terms."""
+    zero = (0,) * n
+    top = (max_exp,) + (0,) * (n - 1), (0,) * (n - 1) + (max_exp,)
+    poly = {(zero, zero): GaussianRational(Fraction(3, 7), Fraction(-1, 2)), top: 2}
+    for _ in range(terms):
+        a = tuple(int(e) for e in rng.integers(0, max_exp + 1, size=n) * (rng.random(n) < 0.6))
+        b = tuple(int(e) for e in rng.integers(0, max_exp + 1, size=n) * (rng.random(n) < 0.4))
+        poly[(a, b)] = GaussianRational(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))),
+                                        Fraction(int(rng.integers(-9, 10)), 3))
+    return MixedPolynomial(n, poly)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 5000])
+def test_evaluate_many_matches_the_per_term_formula(n, rows):
+    # each term c prod_j z_j^a_j conj(z_j)^b_j evaluated on its own, with
+    # numpy's own powers, against the shared column powers of evaluate_many
+    rng = np.random.default_rng(10 * n + rows)
+    p = _random_mixed_polynomial(rng, n)
+    assert not p.is_holomorphic() and max(max(a + b) for a, b in p.terms) == 13
+    Z = 0.6 * (rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n)))
+    terms = []
+    for (a, b), c in p.terms.items():
+        v = np.full(rows, complex(c))
+        for j in range(n):
+            v = v * Z[:, j] ** a[j] * np.conj(Z[:, j]) ** b[j]
+        terms.append(v)
+    ref = np.sum(terms, axis=0)
+    scale = np.sum(np.abs(terms), axis=0)  # the size of the largest cancellation
+    got = p.evaluate_many(Z)
+    assert got.shape == (rows,)
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+    # a row is evaluated the same on its own as inside a longer array
+    assert np.array_equal(p.evaluate_many(Z[:1]), got[:1])

@@ -172,13 +172,15 @@ def test_batched_descent_matches_one_row_at_a_time():
                                     ("(z1^3+z2^5)^2", 2), ("(1/10^12)*(z1+z2)^3", 2),
                                     ("10^12*(z1+z2)^5", 2), ("10^12*(z1+z2)^7", 2),
                                     ("(1/10^12)*(z1^3+z2^5)^2", 2),
-                                    ("10^12*(z1^3+z2^5)^2", 2)])
+                                    ("10^12*(z1^3+z2^5)^2", 2),
+                                    ("10^100*(z1+z2)^3", 2), ("(1/10^100)*(z1+z2)^3", 2)])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_witness_rejects_non_isolated_singularities_of_any_degree(text, n, seed):
     # near a critical curve such as z1 = -z2 of (z1+z2)^d, |grad f|^2 falls
     # like |z1 + z2|^(2d - 2): a descent that stops on an absolute flatness
-    # (one that ignores the scale of f) or measures h off the weighted unit
-    # sphere can miss it
+    # (one that ignores the scale of f), measures h off the weighted unit
+    # sphere or takes a norm that overflows or underflows at the scale of f
+    # can miss it
     f = parse(text, n)
     with pytest.raises(GradientVanishesAwayFromOrigin):
         nondegeneracy_check(f, solve_weights(f), seed=seed)
