@@ -7,9 +7,9 @@ symmetric, and the A_1 normalization is fixed so that f = z^2/2 has spectrum
     H = -d_z d_zbar + |f'(z)|^2 .
 
 Eigenvalues come from a Rayleigh-Ritz discretization per angular-momentum
-sector in a scaled 2-d oscillator radial basis; the potential rho^{2r} is
-a banded matrix there, with entries given exactly by the Laguerre
-three-term recurrence (Gamma-function ratios, no quadrature).
+sector in a scaled 2-d oscillator radial basis, where s = omega rho^2 is the
+tridiagonal Laguerre matrix T (exact from the three-term recurrence, no
+quadrature) and the sector Hamiltonian is (omega/4)|T| + (v/omega^r) T^r.
 
 The second zeta function of the spectrum {lambda_i} is
 Theta^i(s) = (2^{i-1} - 1) sum lambda_i^{-s}; its renormalized derivative at
@@ -154,43 +154,29 @@ class GalerkinConfig:
                              f"not {self.sector_cutoff}")
 
 
-def _laguerre_s_matrix(size: int, alpha: int) -> np.ndarray:
-    """Multiplication by s = omega rho^2 in the normalized Laguerre basis."""
-    k = np.arange(size)
+def _sector(size: int, alpha: int, r: int) -> Tuple[np.ndarray, np.ndarray]:
+    """T and T^r, cut to size, in sector |m| = alpha; raises if T^r overflows.
+
+    T is multiplication by s = omega rho^2 in the normalized Laguerre basis.
+    """
+    k = np.arange(size + r)  # padding avoids truncated T^r rows
     T = np.diag(2.0 * k + alpha + 1)
     off = -np.sqrt((k[:-1] + 1) * (k[:-1] + alpha + 1))
     T += np.diag(off, 1) + np.diag(off, -1)
-    return T
-
-
-def _laguerre_s_power(size: int, alpha: int, r: int) -> np.ndarray:
-    """(T^r)[:size, :size] for the s matrix T; raises if it overflows."""
-    T = _laguerre_s_matrix(size + r, alpha)  # padding avoids truncated T^r rows
     with np.errstate(over="ignore", invalid="ignore"):
         Tr = np.linalg.matrix_power(T, r)[:size, :size]
     if not np.all(np.isfinite(Tr)):
         raise IllConditionedBasis(f"s^{r} overflows in a basis of {size}; "
                                   "lower the degree, --basis or --sectors")
-    return Tr
-
-
-def _sector_matrix(size: int, alpha: int, omega: float, v: float, r: int) -> np.ndarray:
-    """H restricted to angular momentum |m| = alpha in the omega-scaled basis."""
-    k = np.arange(size)
-    diag_ref = omega / 2 * (2 * k + alpha + 1)
-    Tr = _laguerre_s_power(size, alpha, r)
-    A = np.diag(diag_ref) - (omega / 4) * _laguerre_s_matrix(size, alpha) \
-        + (v / omega ** r) * Tr
-    if not np.all(np.isfinite(A)):
-        raise IllConditionedBasis("non-finite sector matrix; rescale omega")
-    return A
+    return T[:size, :size], Tr
 
 
 def choose_oscillator_scale(config: GalerkinConfig) -> float:
     """The omega minimizing the trace of the truncated Rayleigh quotient.
 
-    Summed over sectors alpha = 0..M with multiplicity m_alpha (1 for
-    alpha = 0, else 2), the trace of `_sector_matrix` is exactly
+    The sector Hamiltonian is (omega/4)|T| + (v/omega^r) T^r for the
+    matrices of `_sector`.  Summed over sectors alpha = 0..M with
+    multiplicity m_alpha (1 for alpha = 0, else 2), its trace is exactly
     omega A + v B omega^{-r} with
 
         A = sum_alpha m_alpha sum_k (2k + alpha + 1) / 4,
@@ -204,7 +190,7 @@ def choose_oscillator_scale(config: GalerkinConfig) -> float:
     for alpha in range(M + 1):
         mult = 1 if alpha == 0 else 2
         A += mult * size * (size + alpha) / 4  # sum_k (2k + alpha + 1) / 4
-        B += mult * float(np.trace(_laguerre_s_power(size, alpha, r)))
+        B += mult * float(np.trace(_sector(size, alpha, r)[1]))
     omega = (r * v * B / A) ** (1 / (r + 1))
     if not math.isfinite(omega):
         raise IllConditionedBasis(f"the trace of s^{r} overflows over {M + 1} sectors; "
@@ -231,8 +217,13 @@ def _eigensolve_at(config: GalerkinConfig, omega: float) -> Spectrum:
     values, mults = [], []
     reliable = math.inf
     for alpha in range(M + 2):
-        A = _sector_matrix(size, alpha, omega, v, r)
-        vals = np.linalg.eigvalsh(A)
+        # T has a positive diagonal and a negative off-diagonal, so (omega/4)|T|
+        # is the oscillator part diag(omega/2 (2k + alpha + 1)) - (omega/4) T
+        T, Tr = _sector(size, alpha, r)
+        H = (omega / 4) * np.abs(T) + (v / omega ** r) * Tr
+        if not np.all(np.isfinite(H)):
+            raise IllConditionedBasis("non-finite sector matrix; rescale omega")
+        vals = np.linalg.eigvalsh(H)
         if alpha == M + 1:
             # this sector is excluded; its ground state bounds completeness
             reliable = min(reliable, float(vals[0]))

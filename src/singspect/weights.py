@@ -334,6 +334,10 @@ def nondegeneracy_check(
     for value in (h_scale, float(grad_sq.max())):
         if not 0 < value < math.inf:
             raise ValueError(f"a coefficient is outside the float range: |grad f|^2 = {value}")
+    # the thresholds 1e-24 h_scale and 1e-20 h_scale must stay normal floats,
+    # or they reach 0 and nothing can be rejected
+    if 1e-24 * h_scale < np.finfo(float).tiny:
+        raise ValueError(f"a coefficient is outside the float range: h_scale = {h_scale}")
     starts = S[np.argsort(h)[:_DESCENT_STARTS]]
     ends = _descend_to_critical(grads, hessian(f), q, starts, h_scale)
     for zc, hv in zip(ends, gradient_square(grads, ends)):

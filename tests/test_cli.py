@@ -195,6 +195,11 @@ def test_index_single_t_gaussian_normalization():
     (["weights", "(1/10^200)*z1^3"], 4),
     (["weights", "10^200*z1^3"], 4),
     (["weights", "10^152*z1^3"], 4),  # finite on the unit sphere, not at radius 10
+    # |grad f|^2 so small on the weighted unit sphere that the witness
+    # thresholds relative to it underflow
+    (["weights", "(1/10^154)*(z1+z2)^3"], 4),
+    (["weights", "(1/10^155)*(z1+z2)^3"], 4),
+    (["weights", "(1/10^160)*(z1^3+z2^4)"], 4),
 ], ids=["t-empty", "t-text", "t-gap", "t-zero", "t-negative", "t-nan", "t-inf",
         "samples-zero", "samples-negative", "basis-4", "sectors-2", "basis-100000",
         "sectors-4097", "torsion-overflow", "weights-samples-negative", "weights-samples-zero",
@@ -202,7 +207,8 @@ def test_index_single_t_gaussian_normalization():
         "usage-t-missing", "usage-unknown-command", "weights-coefficient-overflow",
         "index-coefficient-overflow", "torsion-coefficient-overflow", "torsion-scale-overflow",
         "torsion-scale-underflow", "weights-gradient-underflow", "weights-gradient-overflow",
-        "weights-sample-gradient-overflow"])
+        "weights-sample-gradient-overflow", "weights-witness-underflow-154",
+        "weights-witness-underflow-155", "weights-witness-underflow-160"])
 def test_bad_numeric_arguments_are_structured_errors(args, code, capsys):
     from singspect import cli
 

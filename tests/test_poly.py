@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from singspect.gaussian_rational import GaussianRational
@@ -155,15 +155,22 @@ def test_segment_average_degenerate_segment(p):
 @settings(max_examples=60, deadline=None)
 @given(polys(2), st.integers(0, 2),
        st.lists(st.floats(-1.5, 1.5), min_size=8, max_size=8))
+# the terms cancel at every node, so the result is 0 up to rounding
+@example(parse("z2*conj(z1)*conj(z2)^2 + z1*z2^2*conj(z2)", 2), 0, [0, 0, 0, 0, 0, 1, 1, 0])
 def test_segment_average_matches_gauss_legendre(p, j, xs):
-    # tau^j p(tau (z - w) + w) has degree at most 14 in tau, so 8 nodes are exact
+    # tau^j p(tau (z - w) + w) has degree at most 14 in tau, so 8 nodes are exact;
+    # rounding is bounded by the same sum over the sizes |c| |x|^(a+b) of p's terms
     z = np.array([xs[0] + 1j * xs[1], xs[2] + 1j * xs[3]])
     w = np.array([xs[4] + 1j * xs[5], xs[6] + 1j * xs[7]])
     nodes, weights = np.polynomial.legendre.leggauss(8)
     tau = (nodes + 1) / 2
-    vals = np.array([s ** j * p.evaluate_many([s * (z - w) + w])[0] for s in tau])
+    points = [s * (z - w) + w for s in tau]
+    vals = np.array([s ** j * p.evaluate_many([x])[0] for s, x in zip(tau, points)])
+    sizes = np.array([s ** j * sum(abs(complex(c)) * np.prod(np.abs(x) ** np.add(a, b))
+                                   for (a, b), c in p.terms.items())
+                      for s, x in zip(tau, points)])
     ref = np.sum(weights * vals) / 2
-    scale = np.sum(weights * np.abs(vals)) / 2
+    scale = np.sum(weights * sizes) / 2
     got = evaluate_two_point(segment_average(p, j), z[None], w[None])[0]
     assert abs(got - ref) <= 1e-10 * max(scale, 1e-300)
 

@@ -11,7 +11,7 @@ from singspect.spectral import (
     GalerkinConfig,
     TailDominates,
     UnsupportedSingularity,
-    _sector_matrix,
+    _sector,
     ar_data,
     choose_oscillator_scale,
     eigensolve,
@@ -91,13 +91,46 @@ def test_oscillator_scale_minimizes_trace():
         v, r = config.data.potential_scale, config.data.r
 
         def trace_of(omega):
-            return sum((1 if alpha == 0 else 2)
-                       * np.trace(_sector_matrix(40, alpha, omega, v, r))
-                       for alpha in range(config.sector_cutoff + 1))
+            total = 0.0
+            for alpha in range(config.sector_cutoff + 1):
+                T, Tr = _sector(40, alpha, r)
+                H = (omega / 4) * np.abs(T) + (v / omega ** r) * Tr
+                total += (1 if alpha == 0 else 2) * np.trace(H)
+            return total
 
         omega = choose_oscillator_scale(config)
         for step in (1e-3, -1e-3):
             assert trace_of(omega * math.exp(step)) >= trace_of(omega)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 7, 70])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_sector_hamiltonian_is_bit_identical_to_the_oscillator_form(alpha, r):
+    # (omega/4)|T| against the oscillator diagonal minus (omega/4) T: the
+    # diagonal of T is positive and its off-diagonal negative, and omega/2,
+    # omega/4 are power-of-two scalings, so every entry agrees to the bit
+    size = 30
+    k = np.arange(size)
+    T, Tr = _sector(size, alpha, r)
+    for omega in (0.37, 1.0, 2.0, 5.5, 123.4):
+        for v in (1e-6, 0.25, 1.0, 9.0, 3.3e4):
+            ref = (np.diag(omega / 2 * (2 * k + alpha + 1)) - (omega / 4) * T
+                   + (v / omega ** r) * Tr)
+            H = (omega / 4) * np.abs(T) + (v / omega ** r) * Tr
+            assert np.array_equal(H, ref)
+
+
+def test_a1_sector_is_exactly_diagonal_at_omega_two():
+    # f = z^2/2 has v = 1, r = 1; at omega = 2, (1/2)|T| + (1/2) T is
+    # diag(2k + alpha + 1), the exact oscillator levels
+    data = ar_data(A1)
+    v, r, omega = data.potential_scale, data.r, 2.0
+    assert (v, r) == (1.0, 1)
+    k = np.arange(24)
+    for alpha in (0, 1, 5, 30):
+        T, Tr = _sector(24, alpha, r)
+        H = (omega / 4) * np.abs(T) + (v / omega ** r) * Tr
+        assert np.array_equal(H, np.diag(2.0 * k + alpha + 1))
 
 
 def test_a1_eigenvalues(a1_spectrum):
