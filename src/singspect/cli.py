@@ -20,6 +20,10 @@ a conjugate variable; a t that is not positive and finite, `index` or
 `--basis` or `--sectors` the Galerkin solver rejects, or a float overflow,
 in the Galerkin matrices or from a coefficient outside the float range).
 0 is success, and 5 a failed `verify` check (its report is still written).
+
+The variable count n is the largest k of a `zk` in the polynomial's text.
+`torsion --sectors` defaults to 70, or to the Galerkin solver's floor
+2r + 2 for f = c z^(r+1) when that is larger.
 """
 
 from __future__ import annotations
@@ -168,6 +172,7 @@ def cmd_index(args, f: MixedPolynomial):
 
 def cmd_torsion(args, f: MixedPolynomial):
     data = ar_data(f)
+    sectors = max(70, 2 * data.r + 2) if args.sectors is None else args.sectors
     result: dict = {"r": data.r}
     exact_res = None
     if data.r == 1:
@@ -180,7 +185,7 @@ def cmd_torsion(args, f: MixedPolynomial):
         result["T2"] = _exact(exact_res.torsion)
         result["log_T2"] = _exact(exact_res.log_torsion)
     else:
-        spec = eigensolve(GalerkinConfig(f, basis_size=args.basis, sector_cutoff=args.sectors))
+        spec = eigensolve(GalerkinConfig(f, basis_size=args.basis, sector_cutoff=sectors))
         numeric = renormalize_and_torsion(spec, data)
         result["path"] = "numeric" if exact_res is None else "both"
         result["T2"] = _with_err(numeric.torsion, numeric.error_bar * numeric.torsion)
@@ -193,7 +198,7 @@ def cmd_torsion(args, f: MixedPolynomial):
             result["T2_exact"] = _exact(exact_res.torsion)
             result["log_T2_exact"] = _exact(exact_res.log_torsion)
             result["log_difference"] = abs(numeric.log_torsion - exact_res.log_torsion)
-    return {"basis": args.basis, "sectors": args.sectors, "exact": bool(args.exact)}, result
+    return {"basis": args.basis, "sectors": sectors, "exact": bool(args.exact)}, result
 
 
 # -- verify suites ----------------------------------------------------------------
@@ -331,7 +336,13 @@ class UsageError(ValueError):
 
 
 class _ArgParser(argparse.ArgumentParser):
-    """Raises UsageError instead of printing usage and exiting 2 (subparsers inherit it)."""
+    """Raises UsageError instead of exiting 2; takes no abbreviation (subparsers inherit both).
+
+    Without abbreviations, `index --n 1` is a usage error, not `--nodes 1`.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
@@ -346,14 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("weights", help="weight system, tameness and Milnor number")
     w.add_argument("polynomial")
-    w.add_argument("--n", type=int, default=None)
     w.add_argument("--seed", type=int, default=0)
     w.add_argument("--samples", type=int, default=WITNESS_SAMPLES)
     w.set_defaults(func=cmd_weights)
 
     ix = sub.add_parser("index", help="Gaussian index integral across a t-grid")
     ix.add_argument("polynomial")
-    ix.add_argument("--n", type=int, default=None)
     ix.add_argument("--t", default="0.5,1,2")
     ix.add_argument("--samples", type=int, default=10 ** 6)
     ix.add_argument("--nodes", type=int, default=128)
@@ -364,10 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("torsion", help="torsion invariant of a 1-variable singularity")
     tr.add_argument("polynomial")
-    tr.add_argument("--n", type=int, default=None)
     tr.add_argument("--exact", action="store_true")
     tr.add_argument("--basis", type=int, default=60)
-    tr.add_argument("--sectors", type=int, default=70)
+    tr.add_argument("--sectors", type=int, default=None)
     tr.add_argument("--seed", type=int, default=0)
     tr.set_defaults(func=cmd_torsion)
 
@@ -384,8 +392,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.command != "verify":
-            n = infer_variable_count(args.polynomial) if args.n is None else args.n
-            f = parse(args.polynomial, n)
+            f = parse(args.polynomial, infer_variable_count(args.polynomial))
         budgets, result = args.func(args, f)
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         return _emit_error(exc, next(code for cls, code in _EXIT_CODES if isinstance(exc, cls)))

@@ -95,27 +95,27 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class NondegeneracyReport:
-    """Result of the heuristic non-degeneracy witness sampling."""
+    """What a passed witness measured: `nondegeneracy_check` raises on every failure.
 
-    no_bilinear: bool
-    isolated_witness: bool
+    `min_grad_norm`, the least |grad f| over the raw samples, is a diagnostic
+    that can underflow to 0.0; `fitted_C` is the scale C of the growth floor
+    |grad f|^2 >= |z|^2 / C - 1, exported for importance sampling.
+    """
+
     samples: int
     min_grad_norm: float
-    fitted_C: float          # scale exported for importance sampling
-    fitted_C_lsq: float      # least-squares fit of |z|^2 ~ C (|grad f|^2 + 1)
-    heuristic: bool = True
+    fitted_C: float
 
     def to_json_dict(self) -> dict:
         return {
-            "no_bilinear": self.no_bilinear,
+            "no_bilinear": True,
             "isolated_witness": {
-                "passed": self.isolated_witness,
+                "passed": True,
                 "samples": self.samples,
                 "min_grad_norm": self.min_grad_norm,
-                "heuristic": self.heuristic,
+                "heuristic": True,
             },
             "fitted_C": self.fitted_C,
-            "fitted_C_lsq": self.fitted_C_lsq,
         }
 
 
@@ -322,14 +322,13 @@ def nondegeneracy_check(
         grad_sq = gradient_square(grads, Z)
         S = _to_weighted_sphere(Z, q)
         h = gradient_square(grads, S)
-    min_grad = float(np.sqrt(grad_sq.min()))
 
     # an off-origin critical point has a whole C* orbit of them, so it meets
     # the weighted unit sphere, where |grad f| of an isolated singularity is
     # bounded away from zero whatever its degree: descend there.  h scales
     # with |c|^2 for c f, so its thresholds are relative to its largest value.
     # The raw samples reach radius 10, where |grad f|^2 can overflow while h
-    # does not, and the growth fit below needs them finite too
+    # does not, and the growth floor below needs them finite too
     h_scale = float(h.max())
     for value in (h_scale, float(grad_sq.max())):
         if not 0 < value < math.inf:
@@ -345,31 +344,13 @@ def nondegeneracy_check(
             raise GradientVanishesAwayFromOrigin(tuple(complex(v) for v in zc))
 
     # growth floor |grad f|^2 >= |z|^2/C - 1: C must dominate the max sample
-    # ratio; the least-squares scale fit is also recorded.  It is the
-    # (|grad f|^2 + 1)^2-weighted mean of the same ratios, so it never
-    # exceeds their maximum (by more than rounding, with one sample) and
-    # takes no part in C.  A 1.5x margin keeps downstream importance
-    # weights bounded when samples undershoot.  The factors g are divided by
-    # the power of two 2^e just above their maximum before they are squared,
-    # so no sum overflows, and the fit is multiplied back by 2^-e.  Both are
-    # powers of two, which round nothing unless a scaled term falls below the
-    # normal range.
-    r2 = (np.abs(Z) ** 2).sum(axis=1)
-    g = grad_sq + 1.0
-    ratio = r2 / g
-    c_floor = float(ratio.max())
-    e = math.frexp(float(g.max()))[1]
-    g = np.ldexp(g, -e)
-    c_lsq = math.ldexp(float((r2 * g).sum() / (g * g).sum()), -e)
-    fitted_C = 1.5 * c_floor
-
+    # ratio.  A 1.5x margin keeps downstream importance weights bounded when
+    # samples undershoot
+    ratio = (np.abs(Z) ** 2).sum(axis=1) / (grad_sq + 1.0)
     return NondegeneracyReport(
-        no_bilinear=True,
-        isolated_witness=min_grad > 0.0,
         samples=int(Z.shape[0]),
-        min_grad_norm=min_grad,
-        fitted_C=fitted_C,
-        fitted_C_lsq=c_lsq,
+        min_grad_norm=float(np.sqrt(grad_sq.min())),
+        fitted_C=1.5 * float(ratio.max()),
     )
 
 

@@ -125,7 +125,9 @@ def test_nondegeneracy_check_paths():
         nondegeneracy_check(parse("z1*z2", 2), WeightVector((Fraction(1, 2),) * 2))
     f = parse("z1^2", 1)
     rep = nondegeneracy_check(f, solve_weights(f), seed=3)
-    assert rep.isolated_witness and rep.no_bilinear and rep.heuristic
+    # a returned report is a pass: the check raises on every failed condition
+    js = rep.to_json_dict()
+    assert js["no_bilinear"] and js["isolated_witness"]["passed"]
     assert rep.samples >= 10 ** 4
     assert rep.fitted_C > 0
     # z1^2 z2 has critical points all along z1 = 0
@@ -141,13 +143,14 @@ def test_nondegeneracy_check_paths():
                                     ("z1^7 + z2^13", 2), ("z1^13 + z2^2", 2),
                                     ("(1/10^12)*z1^3", 1), ("10^12*z1^3", 1),
                                     ("(1/10^12)*(z1^7 + z2^13)", 2),
-                                    ("10^12*(z1^7 + z2^13)", 2)])
+                                    ("10^12*(z1^7 + z2^13)", 2), ("(1/10^100)*z1^80", 1)])
 def test_witness_accepts_isolated_high_degree_singularities(text, n):
     # |grad f| is tiny near the origin of a high-degree f, so a descent that
     # creeps towards the origin must not count as an off-origin critical point;
-    # c f has the critical points of f, so neither may a small c
+    # c f has the critical points of f, so neither may a small c.  The report
+    # says passed even where min_grad_norm, over the raw samples, underflows
     f = parse(text, n)
-    assert nondegeneracy_check(f, solve_weights(f)).isolated_witness
+    assert nondegeneracy_check(f, solve_weights(f)).to_json_dict()["isolated_witness"]["passed"]
 
 
 def test_batched_descent_matches_one_row_at_a_time():
@@ -201,18 +204,6 @@ def test_witness_is_plain_complex_on_the_weighted_unit_sphere():
 def test_witness_budget_is_the_budget_passed(samples):
     f = parse("z1^3 + z2^4", 2)
     assert nondegeneracy_check(f, solve_weights(f), samples=samples).samples == samples
-
-
-@pytest.mark.parametrize("text,n", [("z1^3", 1), ("z1^4", 1), ("z1^3 + z2^3", 2),
-                                    ("z1^3 + z2^4", 2)])
-def test_least_squares_scale_stays_below_the_floor(text, n):
-    # fitted_C_lsq is a weighted mean of the sample ratios whose maximum,
-    # with its 1.5x margin, is fitted_C
-    f = parse(text, n)
-    wv = solve_weights(f)
-    for seed in range(4):
-        rep = nondegeneracy_check(f, wv, seed=seed)
-        assert rep.fitted_C_lsq <= rep.fitted_C / 1.5
 
 
 def test_fitted_constant_bounds_growth_floor():
