@@ -14,41 +14,46 @@ not a number; both carry an offset), 2 degenerate input, 3 McKean-Singer
 constancy violated, 4 any other rejected input (a usage error argparse
 reports, such as an unknown command or `--samples abc`; an `index --csv`
 path that cannot be written, checked before any estimate without emptying
-an existing file; a polynomial outside the weight system, such as one with
-a conjugate variable; a t that is not positive and finite, `index` or
-`weights` `--samples` below 1, a rejected quadrature node count, a
-`--basis` or `--sectors` the Galerkin solver rejects, or a float overflow,
-in the Galerkin matrices or from a coefficient outside the float range).
+an existing file or leaving a new one; a polynomial outside the weight
+system, such as one with a conjugate variable; a t that is not positive and
+finite, `index` or `weights` `--samples` below 1, a rejected quadrature
+node count, a `--basis` or `--sectors` the Galerkin solver rejects, or a
+float overflow, in the Galerkin matrices or from a coefficient outside the
+float range).
 0 is success, and 5 a failed `verify` check (its report is still written).
 
 The variable count n is the largest k of a `zk` in the polynomial's text.
 `torsion --sectors` defaults to 70, or to the Galerkin solver's floor
-2r + 2 for f = c z^(r+1) when that is larger.
+2r + 2 for f = c z^(r+1) when that is larger; `torsion --exact` uses and
+records neither `--basis` nor `--sectors`.
+
+This module imports only the exact, numpy-free layers (poly, weights).  Each
+command imports the modules it computes with when it runs, listed in
+`_MODULES`; `main` imports them right after parsing the command line and
+leaves that import out of the report's timer, so `timing` times the command
+and not its imports.  `weights` and `index` load numpy but not the spectral
+layer, `torsion` loads the spectral layer but not the index integral, and
+the exact suites `verify clifford-identities` and `verify
+parametrix-identities` load no numpy at all.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__
-from .index_integral import ConstancyViolated, mckean_singer_check
 from .poly import MixedPolynomial, ParseError, infer_variable_count, parse
-from .spectral import (
-    GalerkinConfig,
-    UnsupportedSingularity,
-    ar_data,
-    eigensolve,
-    renormalize_and_torsion,
-    torsion_exact_a1,
-)
 from .weights import (
     WITNESS_SAMPLES,
     BilinearMonomialPresent,
+    ConstancyViolated,
     DegenerateSingularity,
     has_bilinear_monomial,
     milnor_brute_force,
@@ -140,13 +145,28 @@ def cmd_weights(args, f: MixedPolynomial):
     return {"witness_samples": nd.samples}, result
 
 
+def _check_writable(path: str) -> None:
+    """Fail before the estimate if `path` cannot be written, and leave it as it was.
+
+    "a" keeps an existing file; a new one is made and removed again, so a
+    run that fails later leaves no file behind.
+    """
+    try:
+        if os.path.exists(path):
+            open(path, "a").close()
+        else:
+            open(path, "x").close()
+            os.remove(path)
+    except OSError as exc:
+        raise ValueError(f"cannot write --csv {path!r}: {exc.strerror}") from None
+
+
 def cmd_index(args, f: MixedPolynomial):
+    from .index_integral import mckean_singer_check
+
     t_grid = _t_grid(args.t)
-    if args.csv:  # fail before the estimate, not after it; "a" keeps an old file
-        try:
-            open(args.csv, "a").close()
-        except OSError as exc:
-            raise ValueError(f"cannot write --csv {args.csv!r}: {exc.strerror}") from None
+    if args.csv:
+        _check_writable(args.csv)
     _, nd, mu_oracle = _weight_system(f, args.seed)
     budget = args.samples if args.method == "mc" else args.nodes
     res = mckean_singer_check(f, t_grid, budget=budget, seed=args.seed,
@@ -171,34 +191,39 @@ def cmd_index(args, f: MixedPolynomial):
 
 
 def cmd_torsion(args, f: MixedPolynomial):
+    from .spectral import (
+        GalerkinConfig, UnsupportedSingularity, ar_data, eigensolve,
+        renormalize_and_torsion, torsion_exact_a1,
+    )
+
     data = ar_data(f)
-    sectors = max(70, 2 * data.r + 2) if args.sectors is None else args.sectors
     result: dict = {"r": data.r}
     exact_res = None
     if data.r == 1:
         exact_res = torsion_exact_a1(data.tau_effective)
         result["tau"] = data.tau_effective
-    if args.exact:
+    if args.exact:  # the closed form reads neither --basis nor --sectors
         if exact_res is None:
             raise UnsupportedSingularity("closed form exists for A_1 only")
         result["path"] = "exact"
         result["T2"] = _exact(exact_res.torsion)
         result["log_T2"] = _exact(exact_res.log_torsion)
-    else:
-        spec = eigensolve(GalerkinConfig(f, basis_size=args.basis, sector_cutoff=sectors))
-        numeric = renormalize_and_torsion(spec, data)
-        result["path"] = "numeric" if exact_res is None else "both"
-        result["T2"] = _with_err(numeric.torsion, numeric.error_bar * numeric.torsion)
-        result["log_T2"] = _with_err(numeric.log_torsion, numeric.error_bar)
-        result["spectrum_levels"] = spec.values.size
-        result["fit_exponents"] = list(numeric.exponents)
-        result["fit_condition"] = numeric.fit_condition
-        result["fit_unstable"] = numeric.fit_unstable
-        if exact_res is not None:
-            result["T2_exact"] = _exact(exact_res.torsion)
-            result["log_T2_exact"] = _exact(exact_res.log_torsion)
-            result["log_difference"] = abs(numeric.log_torsion - exact_res.log_torsion)
-    return {"basis": args.basis, "sectors": sectors, "exact": bool(args.exact)}, result
+        return {"exact": True}, result
+    sectors = max(70, 2 * data.r + 2) if args.sectors is None else args.sectors
+    spec = eigensolve(GalerkinConfig(f, basis_size=args.basis, sector_cutoff=sectors))
+    numeric = renormalize_and_torsion(spec, data)
+    result["path"] = "numeric" if exact_res is None else "both"
+    result["T2"] = _with_err(numeric.torsion, numeric.error_bar * numeric.torsion)
+    result["log_T2"] = _with_err(numeric.log_torsion, numeric.error_bar)
+    result["spectrum_levels"] = spec.values.size
+    result["fit_exponents"] = list(numeric.exponents)
+    result["fit_condition"] = numeric.fit_condition
+    result["fit_unstable"] = numeric.fit_unstable
+    if exact_res is not None:
+        result["T2_exact"] = _exact(exact_res.torsion)
+        result["log_T2_exact"] = _exact(exact_res.log_torsion)
+        result["log_difference"] = abs(numeric.log_torsion - exact_res.log_torsion)
+    return {"basis": args.basis, "sectors": sectors, "exact": False}, result
 
 
 # -- verify suites ----------------------------------------------------------------
@@ -279,6 +304,8 @@ def _suite_oscillator(seed: int) -> list:
 
 
 def _suite_index(seed: int) -> list:
+    from .index_integral import mckean_singer_check
+
     f = parse("z1^3", 1)
     _, nd, mu = _weight_system(f, seed)
     try:
@@ -291,6 +318,10 @@ def _suite_index(seed: int) -> list:
 
 def _suite_spectral(seed: int) -> list:
     import numpy as np
+
+    from .spectral import (
+        GalerkinConfig, ar_data, eigensolve, renormalize_and_torsion, torsion_exact_a1,
+    )
 
     checks = []
     f = parse("(1/2)*z1^2", 1)
@@ -317,8 +348,12 @@ _SUITES = {
 }
 
 
+def _suite_names(suite: str) -> list:
+    return list(_SUITES) if suite == "all" else [suite]
+
+
 def cmd_verify(args, _f):
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    names = _suite_names(args.suite)
     if any(name not in _SUITES for name in names):
         raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(_SUITES)} or 'all'")
     all_checks = []
@@ -329,6 +364,28 @@ def cmd_verify(args, _f):
 
 
 # -- entry point --------------------------------------------------------------------
+
+
+# the modules a command (for verify, a suite) computes with beyond poly and
+# weights, which this module imports; main imports them outside the report's
+# timer, and no command imports another's
+_MODULES = {
+    "weights": ("numpy",),
+    "index": ("singspect.index_integral",),
+    "torsion": ("singspect.spectral",),
+    "clifford-identities": ("singspect.clifford",),
+    "parametrix-identities": ("singspect.parametrix",),
+    "oscillator-consistency": ("singspect.oscillator",),
+    "index-mckean-singer": ("singspect.index_integral",),
+    "spectral-a1": ("singspect.spectral",),
+}
+
+
+def _import_modules(args) -> None:
+    keys = _suite_names(args.suite) if args.command == "verify" else [args.command]
+    for key in keys:
+        for name in _MODULES.get(key, ()):  # an unknown suite: cmd_verify rejects it
+            importlib.import_module(name)
 
 
 class UsageError(ValueError):
@@ -391,6 +448,9 @@ def main(argv=None) -> int:
     f = None
     try:
         args = build_parser().parse_args(argv)
+        importing = time.perf_counter()
+        _import_modules(args)
+        started += time.perf_counter() - importing  # the timer leaves the imports out
         if args.command != "verify":
             f = parse(args.polynomial, infer_variable_count(args.polynomial))
         budgets, result = args.func(args, f)

@@ -9,7 +9,8 @@ order dz^1 < ... < dz^n < dzbar^1 < ... < dzbar^n, and contraction is the
 (signed) adjoint.
 
 Operators are sparse matrices over this basis with exact Gaussian-rational
-entries; numeric work converts them with `to_numpy`.  The Clifford
+entries; numeric work converts them with `to_numpy`, which with
+`supertrace_matrix` is all that imports numpy.  The Clifford
 generators are
 
     c_i    = dz^i ^ - contract(d/dz_i)        c_i^2 = -1
@@ -31,8 +32,6 @@ from __future__ import annotations
 
 import operator
 from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
 
 from .gaussian_rational import GaussianRational, SparseMap
 
@@ -127,6 +126,8 @@ class ExteriorOperator(SparseMap):
     # -- conversion ----------------------------------------------------------------
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
+
         m = np.zeros((4 ** self.n,) * 2, dtype=complex)
         for (r, c), v in self.terms.items():
             m[r, c] = complex(v)
@@ -220,6 +221,8 @@ def supertrace_matrix(m: np.ndarray) -> np.ndarray:
 
     A stack of dense matrices gives a stack of supertraces.
     """
+    import numpy as np
+
     dim = m.shape[-1]
     signs = np.array([-1 if bin(i).count("1") % 2 else 1 for i in range(dim)])
     return (signs * np.diagonal(m, axis1=-2, axis2=-1)).sum(axis=-1)

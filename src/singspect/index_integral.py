@@ -27,20 +27,11 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .poly import MixedPolynomial, gradient, gradient_square, hessian_determinant
-from .weights import NondegeneracyReport
+from .weights import ConstancyViolated, NondegeneracyReport
 
 
 class UnsupportedNodeCount(ValueError):
     """A quadrature node count too large to run or with non-finite Gauss weights."""
-
-
-class ConstancyViolated(RuntimeError):
-    """Two estimates on the t-grid disagree beyond 3 combined sigma."""
-
-    def __init__(self, t1, t2, zscore):
-        super().__init__(f"estimates at t={t1} and t={t2} differ at z={zscore:.2f}")
-        self.pair = (t1, t2)
-        self.zscore = zscore
 
 
 @dataclass(frozen=True)

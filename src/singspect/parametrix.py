@@ -27,7 +27,8 @@ and the product canonicalize each symbol in `_by_symbol` before they sum.
 
 Numeric evaluation takes the point pairs as two complex (m, n) arrays z and
 w and returns an (m, 4^n, 4^n) stack, one dense matrix per pair; the
-scalar factors go through poly.evaluate_two_point.
+scalar factors go through poly.evaluate_two_point.  Only the evaluators
+import numpy: building and checking the parametrix is numpy-free.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from .clifford import ExteriorOperator, hessian_coupling
 from .gaussian_rational import GaussianRational, SparseMap
@@ -153,6 +152,8 @@ class OperatorPolynomial(SparseMap):
 
     def evaluate(self, z, w) -> np.ndarray:
         """The (m, 4^n, 4^n) stack of dense matrices at the point pairs of two (m, n) arrays."""
+        import numpy as np
+
         dim = 4 ** self.n
         out = np.zeros((len(z), dim, dim), dtype=complex)
         for op, poly in self.terms.items():
@@ -279,6 +280,8 @@ def recursion_residual(bundle: ParametrixBundle, j: int) -> OperatorPolynomial:
 
 def _gaussian(bundle: ParametrixBundle, z, w, t: float) -> np.ndarray:
     """The prefactor E0 E1 = (4 pi t)^{-n} exp(-|z-w|^2 / 4t) exp(-t g(z, w)) of each pair."""
+    import numpy as np
+
     d2 = (np.abs(np.asarray(z) - np.asarray(w)) ** 2).sum(axis=1)
     e0 = (4 * math.pi * t) ** (-bundle.f.n) * np.exp(-d2 / (4 * t))
     return e0 * np.exp(-t * evaluate_two_point(bundle.g, z, w).real)
@@ -321,6 +324,8 @@ def evaluate_residual(bundle: ParametrixBundle, z, w, t) -> np.ndarray:
     t may also be an array of times, whose shape then leads the result's;
     the remainder groups are evaluated once for all of them.
     """
+    import numpy as np
+
     t = np.asarray(t, dtype=float)[..., None, None, None]
     return sum(t ** (bundle.k + i) * grp.evaluate(z, w)
                for i, grp in enumerate(residual_polynomials(bundle)))
@@ -343,6 +348,8 @@ def residual_order_check(bundle: ParametrixBundle, z, w) -> ResidualReport:
     groups vanish by the recursion identity).  A pair where |R~| vanishes
     at some t of the grid has no exponent.
     """
+    import numpy as np
+
     if bundle.k < 2:
         raise ValueError("residual check needs k >= 2")
     # (t, pair) matrix of Frobenius norms

@@ -33,7 +33,8 @@ square (grad p)^2 is grad_dot p p = 4 sum_i d_i p dbar_i p.
 Numeric evaluation takes a complex (m, n) array of points and returns one
 value per row (`MixedPolynomial.evaluate_many`).  A polynomial in two points
 is evaluated at the pairs of two (m, n) arrays z and w by
-`evaluate_two_point`, the one place that builds the rows [z - w, w].
+`evaluate_two_point`, the one place that builds the rows [z - w, w].  The
+algebra is exact and numpy-free; only these float evaluators import numpy.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
 
 from .gaussian_rational import GaussianRational, SparseMap
 
@@ -167,6 +166,8 @@ class MixedPolynomial(SparseMap):
         once per call, on a contiguous column, as one product with the power
         below it; a term is its coefficient times a product of those powers.
         """
+        import numpy as np
+
         Z = np.asarray(Z, dtype=complex)
         if Z.ndim != 2 or Z.shape[1] != self.n:
             raise ValueError(f"points must be an (m, {self.n}) array, not {Z.shape}")
@@ -540,6 +541,8 @@ def grad_dot_z(p: MixedPolynomial, q: MixedPolynomial) -> MixedPolynomial:
 
 def evaluate_two_point(p: MixedPolynomial, z, w) -> np.ndarray:
     """p at the point pairs (z[i], w[i]) of two (m, n) arrays: one value per pair."""
+    import numpy as np
+
     z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
     return p.evaluate_many(np.concatenate([z - w, w], axis=1))
 

@@ -12,7 +12,8 @@ tameness report with the gap quantities
     delta3 = (1 - 3(q_M - q_m)) / (2 (1 - q_M))
 
 and computes the Milnor number mu = prod_i (1/q_i - 1), cross-checked for
-small cases against the brute-force Jacobian-ring dimension.
+small cases against the brute-force Jacobian-ring dimension.  Everything but
+the witness check is exact, and only the witness functions import numpy.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
-
-import numpy as np
 
 from .gaussian_rational import GaussianRational
 from .poly import MixedPolynomial, gradient, gradient_square, hessian
@@ -58,6 +57,19 @@ class GradientVanishesAwayFromOrigin(DegenerateSingularity):
 
 class NonIntegerMilnor(DegenerateSingularity):
     """prod (1/q_i - 1) is not a positive integer."""
+
+
+class ConstancyViolated(RuntimeError):
+    """Two index estimates on the t-grid disagree beyond 3 combined sigma.
+
+    Raised by `index_integral.mckean_singer_check`, which re-exports it; it
+    lives here so that the CLI's exit codes need no numeric module.
+    """
+
+    def __init__(self, t1, t2, zscore):
+        super().__init__(f"estimates at t={t1} and t={t2} differ at z={zscore:.2f}")
+        self.pair = (t1, t2)
+        self.zscore = zscore
 
 
 @dataclass(frozen=True)
@@ -244,6 +256,8 @@ _DESCENT_STEPS = 300
 
 def _to_weighted_sphere(Z: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Move each row of Z along (lambda . z)_i = lambda^(q_i) z_i onto max_i |z_i|^(1/q_i) = 1."""
+    import numpy as np
+
     rho = (np.abs(Z) ** (1 / q)).max(axis=1)
     return Z * rho[:, None] ** -q
 
@@ -255,6 +269,8 @@ def _descend_to_critical(grads, hess, q: np.ndarray, Z: np.ndarray, h_scale: flo
     origin, where |grad f| is tiny for a high-degree f.  Each row keeps its
     own step and stops at h below 1e-24 h_scale or at a step below 1e-12.
     """
+    import numpy as np
+
     Z, step = Z.copy(), np.full(len(Z), 0.1)
     val = gradient_square(grads, Z)
     rows = np.arange(len(Z))  # the rows still descending
@@ -304,6 +320,8 @@ def nondegeneracy_check(
     |grad f|^2 >= |z|^2 / C - 1.  Sound for rejection, heuristic for
     acceptance.
     """
+    import numpy as np
+
     if has_bilinear_monomial(f):
         raise BilinearMonomialPresent("f contains a z_i*z_j monomial with i != j")
     grads = gradient(f)

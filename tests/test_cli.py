@@ -106,13 +106,13 @@ def test_weights_witness_samples_is_the_budget_passed(capsys):
 
 
 def test_index_constancy_violation_exit_code(monkeypatch, capsys):
-    from singspect import cli
+    from singspect import cli, index_integral
     from singspect.index_integral import ConstancyViolated
 
     def violated(*args, **kwargs):
         raise ConstancyViolated(0.5, 1.0, 4.2)
 
-    monkeypatch.setattr(cli, "mckean_singer_check", violated)
+    monkeypatch.setattr(index_integral, "mckean_singer_check", violated)
     assert cli.main(["index", "z1^3", "--t", "0.5,1"]) == cli.EXIT_CONSTANCY == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -224,12 +224,12 @@ def test_bad_numeric_arguments_are_structured_errors(args, code, capsys):
 
 
 def test_unwritable_csv_fails_before_the_estimate(monkeypatch, capsys):
-    from singspect import cli
+    from singspect import cli, index_integral
 
     def no_estimate(*args, **kwargs):
         raise AssertionError("the estimate ran before --csv was checked")
 
-    monkeypatch.setattr(cli, "mckean_singer_check", no_estimate)
+    monkeypatch.setattr(index_integral, "mckean_singer_check", no_estimate)
     assert cli.main(["index", "z1^3", "--t", "1", "--csv", "/nonexistent/x.csv"]) == 4
     out, err = capsys.readouterr()
     assert out == ""
@@ -239,18 +239,29 @@ def test_unwritable_csv_fails_before_the_estimate(monkeypatch, capsys):
 @pytest.mark.parametrize("polynomial,code", [("z1*z2", 2), ("z1^3", 3)],
                          ids=["degenerate", "constancy-violated"])
 def test_failed_index_keeps_an_existing_csv(polynomial, code, monkeypatch, tmp_path, capsys):
-    from singspect import cli
+    from singspect import cli, index_integral
     from singspect.index_integral import ConstancyViolated
 
     def violated(*args, **kwargs):
         raise ConstancyViolated(0.5, 1.0, 4.2)
 
-    monkeypatch.setattr(cli, "mckean_singer_check", violated)
+    monkeypatch.setattr(index_integral, "mckean_singer_check", violated)
     csv_path = tmp_path / "old.csv"
     csv_path.write_text("earlier,report\n")
     assert cli.main(["index", polynomial, "--t", "1", "--csv", str(csv_path)]) == code
     assert capsys.readouterr().out == ""
     assert csv_path.read_text() == "earlier,report\n"
+
+
+@pytest.mark.parametrize("polynomial,t,code", [("z1*z2", "1", 2), ("z1^3", "0.5,-1", 4)],
+                         ids=["degenerate", "bad-t"])
+def test_failed_index_leaves_no_new_csv(polynomial, t, code, tmp_path, capsys):
+    from singspect import cli
+
+    csv_path = tmp_path / "new.csv"
+    assert cli.main(["index", polynomial, "--t", t, "--csv", str(csv_path)]) == code
+    assert capsys.readouterr().out == ""
+    assert not csv_path.exists()
 
 
 def test_help_still_exits_zero(capsys):
@@ -268,6 +279,19 @@ def test_torsion_exact():
     res = json.loads(proc.stdout)["result"]
     assert res["path"] == "exact"
     assert abs(res["T2"]["value"] - 1.1798899172981459) < 1e-12
+
+
+def test_torsion_exact_report_ignores_basis_and_sectors(capsys):
+    from singspect import cli
+
+    reports = []
+    for extra in ([], ["--basis", "20", "--sectors", "30"], ["--basis", "200", "--sectors", "2"]):
+        assert cli.main(["torsion", "(1/2)*z1^2", "--exact", *extra]) == 0
+        report = json.loads(capsys.readouterr().out)
+        report.pop("timing")
+        reports.append(report)
+    assert reports[0]["manifest"]["budgets"] == {"exact": True}
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 def test_torsion_numeric_close_to_exact():
@@ -337,13 +361,13 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 
 def test_constancy_violation_fails_its_own_verify_check(monkeypatch, capsys):
-    from singspect import cli
+    from singspect import cli, index_integral
     from singspect.index_integral import ConstancyViolated
 
     def violated(*args, **kwargs):
         raise ConstancyViolated(0.5, 1.0, 4.2)
 
-    monkeypatch.setattr(cli, "mckean_singer_check", violated)
+    monkeypatch.setattr(index_integral, "mckean_singer_check", violated)
     assert cli.main(["verify", "index-mckean-singer"]) == cli.EXIT_VERIFY == 5
     res = json.loads(capsys.readouterr().out)["result"]
     assert res["checks"] == [
@@ -359,6 +383,31 @@ def test_cli_import_leaves_scipy_special_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("call,unloaded", [
+    ("cli.main(['verify', 'clifford-identities'])", "numpy"),
+    ("cli.main(['verify', 'parametrix-identities'])", "numpy"),
+    ("build_U(parse('z1^3', 1), 4) and 0", "numpy"),
+    ("cli.main(['weights', 'z1^3 + z2^4'])", "singspect.spectral"),
+    ("cli.main(['index', 'z1^3', '--t', '1', '--samples', '1000'])", "singspect.spectral"),
+    ("cli.main(['torsion', 'z1^3', '--basis', '20', '--sectors', '24'])",
+     "singspect.index_integral"),
+    ("cli.main(['torsion', '(1/2)*z1^2', '--exact'])", "singspect.index_integral"),
+], ids=["verify-clifford", "verify-parametrix", "build_U", "weights", "index", "torsion",
+        "torsion-exact"])
+def test_each_command_imports_only_what_it_runs(call, unloaded):
+    # a module-level numpy import in an exact module would undo the saving
+    code = ("import contextlib, io, sys\n"
+            "from singspect import cli\n"
+            "from singspect.parametrix import build_U\n"
+            "from singspect.poly import parse\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = {call}\n"
+            f"print(code, {unloaded!r} in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 def test_numeric_torsion_leaves_scipy_integrate_unloaded():
