@@ -7,13 +7,15 @@ For a non-degenerate quasi-homogeneous f,
 independent of t > 0.  The module evaluates the integral either by
 importance-sampled Monte Carlo (complex Gaussian proposal whose scale comes
 from the fitted quadratic growth floor |grad f|^2 >= |z|^2 / C - 1, which
-keeps the weights bounded) or, for any n, by orbit-reduced quadrature: the
-weighted circle action of f leaves the integrand invariant, so z1 is taken
-real and radial (Gauss-Laguerre) and C^{n-1} gets a tensor Gauss-Hermite
-rule.  It checks the t-independence across a grid.  The integrand is
-evaluated at the rows of a complex (m, n) array of points, one value per row;
-both methods evaluate it in blocks of at most _BLOCK_ROWS = 4096 points, so
-the temporaries of one evaluation stay small whatever the sample or node count.
+keeps the weights bounded) or, for any n, by quadrature in weighted polar
+coordinates z_j = lam^{q_j} zeta_j: quasi-homogeneity turns the integral
+into a smooth integral over the unit sphere (Gauss-Legendre on the simplex
+of the |zeta_j|^2, trapezoid in the angles, one angle fixed by the circle
+action) times a one-dimensional radial integral (trapezoid in log lam).
+It checks the t-independence across a grid.  The integrand is evaluated at
+the rows of a complex (m, n) array of points, one value per row; both
+methods evaluate f's derivatives in blocks of at most _BLOCK_ROWS = 4096
+points, so their temporaries stay small whatever the sample or node count.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .poly import MixedPolynomial, gradient, gradient_square, hessian_determinant
-from .weights import ConstancyViolated, NondegeneracyReport
+from .weights import ConstancyViolated, NondegeneracyReport, solve_weights
 
 
 class UnsupportedNodeCount(ValueError):
-    """A quadrature node count too large to run or with non-finite Gauss weights."""
+    """A quadrature node count below 2 or whose rule is too large to run."""
 
 
 @dataclass(frozen=True)
@@ -143,125 +145,116 @@ def _mc_estimate(
     return mean, math.sqrt(var / budget)
 
 
-# cap on quadrature points: the size of a 128-node tensor Gauss-Hermite rule on C^2
+# cap on quadrature work, the size of a 128-node tensor rule on C^2: sphere
+# points times radial nodes, or nodes^3 for the dense Legendre eigensolve
 _MAX_QUADRATURE_POINTS = 128 ** 4
 
 
-def _gauss_laguerre(nodes: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss-Laguerre nodes s and unweighted weights w e^s.
+def _polar_rule(nodes: int):
+    """Gauss-Legendre nodes and weights on [0, 1] (N = `nodes`) and the
+    4N-point trapezoid in x - x0 = log lam - x0 on [-30, 8]."""
+    u, wu = np.polynomial.legendre.leggauss(nodes)
+    x, h = np.linspace(-30.0, 8.0, 4 * nodes, retstep=True)  # not x[1] - x[0], off by 5e-14
+    wx = np.full(x.size, h)
+    wx[[0, -1]] /= 2
+    return (u + 1) / 2, wu / 2, x, wx
 
-    The nodes are the eigenvalues of the Jacobi matrix of the Laguerre
-    recurrence (diagonal 2k + 1, off-diagonal k; Golub & Welsch, Math. Comp.
-    23, 1969), polished by two Newton steps.  The weights come from
-    w = s / (N L_{N-1}(s))^2 in log space, not from eigenvector components,
-    which lose all relative accuracy once w falls below 1e-16 although w e^s
-    stays of order one.  L_k runs through
-    the difference recurrence d_{k+1} = (k d_k - s L_k) / (k + 1),
-    L_{k+1} = L_k + d_{k+1}, which keeps small nodes accurate, with both
-    terms rescaled by a power of two at each step so they never overflow.
+
+def _sphere_block(rows: np.ndarray, u: np.ndarray, wu: np.ndarray, q: np.ndarray):
+    """Points zeta at rows of the sphere rule, and weights times sum_j q_j s_j.
+
+    Row r holds n - 1 simplex digits in base N, least significant first, then
+    n - 1 angle digits in base 2N; theta_n = 0.  The simplex of the s_j =
+    |zeta_j|^2 is collapsed as s_k = u_k prod_{i<k} (1 - u_i), with Jacobian
+    prod_k prod_{i<k} (1 - u_i).
     """
-    k = np.arange(1, nodes, dtype=float)
-    s = np.linalg.eigvalsh(np.diag(2.0 * np.arange(nodes) + 1) + np.diag(k, 1)
-                           + np.diag(k, -1))
-
-    def recurrence(s: np.ndarray):
-        """(L_N, L_N - L_{N-1}) divided by 2^e, and the exponent e."""
-        p, d = 1.0 - s, -s
-        e = np.zeros(s.shape, dtype=int)
-        for j in range(1, nodes):
-            d = (j * d - s * p) / (j + 1)
-            p = p + d
-            _, ej = np.frexp(p)
-            p, d, e = np.ldexp(p, -ej), np.ldexp(d, -ej), e + ej
-        return p, d, e
-
-    for _ in range(2):
-        p, d, _ = recurrence(s)
-        s = s - s * p / (nodes * d)  # L_N' = N (L_N - L_{N-1}) / s
-    p, d, e = recurrence(s)
-    log_w = s + np.log(s) - 2 * (math.log(nodes) + np.log(np.abs(p - d)) + e * math.log(2))
-    return s, np.exp(log_w)
-
-
-def _gauss_rules(nodes: int, n: int):
-    """Gauss-Laguerre nodes/weights in s and Gauss-Hermite nodes/weights in x.
-
-    Both weights are returned unweighted (multiplied by e^s and e^{x^2}), so
-    the rules integrate plain functions on [0, inf) and on R.  Raises
-    UnsupportedNodeCount, before any integrand is evaluated, for a rule
-    larger than _MAX_QUADRATURE_POINTS or one whose weights are not finite.
-    """
-    # each rule is a dense O(nodes^3) eigensolve, which dominates at n = 1
-    points = max(nodes ** (2 * n - 1), nodes ** 3)
-    if nodes < 1 or points > _MAX_QUADRATURE_POINTS:
-        raise UnsupportedNodeCount(
-            f"{nodes} nodes in {n} variables need {points} quadrature points; "
-            f"nodes must be positive and points at most {_MAX_QUADRATURE_POINTS}")
-
-    def finite(w: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(w)):
-            raise UnsupportedNodeCount(f"the {nodes}-node Gauss rule has non-finite weights")
-        return w
-
-    # the Laguerre weights stay finite up to the point cap (645 nodes); the
-    # Hermite weights w e^{x^2} overflow from 372 nodes, so counts from 372
-    # to 645 are rejected after both rules are built
-    with np.errstate(all="ignore"):
-        s, ws = _gauss_laguerre(nodes)
-        ws = finite(ws)
-        x, wx = np.polynomial.hermite.hermgauss(nodes)
-        wx = finite(wx * np.exp(x * x))
-    return s, ws, x, wx
+    n = q.size
+    angles = 2 * u.size
+    s = np.empty((rows.size, n))
+    w = np.full(rows.size, (2 * math.pi / angles) ** (n - 1))
+    left = np.ones(rows.size)  # prod_{i<k} (1 - u_i)
+    for k in range(n - 1):
+        rows, digit = np.divmod(rows, u.size)
+        w *= wu[digit] * left
+        s[:, k] = u[digit] * left
+        left *= 1 - u[digit]
+    s[:, -1] = left
+    Z = np.zeros((rows.size, n), dtype=complex)
+    np.sqrt(s, out=Z.real)
+    for k in range(n - 1):
+        rows, digit = np.divmod(rows, angles)
+        Z[:, k] *= np.exp(2j * math.pi / angles * digit)
+    return Z, w * (s @ q)
 
 
 def _quadrature_estimate(
-    comp: _Compiled, t: float, nodes: int, growth_c: float
+    comp: _Compiled, t: float, nodes: int, q: Sequence
 ) -> Tuple[float, float]:
-    """Orbit-reduced Gauss quadrature after the Gaussian change of variables.
+    """The index integral in weighted polar coordinates z_j = lam^{q_j} zeta_j.
 
-    The integrand is invariant under the circle action z_j -> e^{i theta q_j} z_j
-    of a quasi-homogeneous f, so rotating z1 onto the positive real axis gives
+    With |zeta| = 1, s_j = |zeta_j|^2 and a_j = 2(1 - q_j), the weight of
+    |d_j f|^2 (|det d^2 f|^2 has weight 2n - 4|q|, d^{2n} z = lam^{2|q|-1}
+    (sum_j q_j s_j) dlam dsigma and dsigma = 2^{1-n} ds dtheta, Archimedes):
 
-        int_{C^n} F = 2 pi int_0^inf r dr int_{C^{n-1}} F(r, z') dz'.
+        mu = (t/pi)^n 2pi 2^{1-n} int (sum_j q_j s_j) |det d^2 f(zeta)|^2 R(zeta) ds dtheta',
+        R(zeta) = int_0^inf lam^{p-1} exp(-t sum_j lam^{a_j} |d_j f(zeta)|^2) dlam,
 
-    The radial integral is Gauss-Laguerre in s = r^2 / sigma^2 and C^{n-1}
-    carries the tensor Gauss-Hermite rule with nodes sigma x, sigma^2 = C / t:
-    nodes^(2n-1) points, evaluated one radial node at a time in blocks of at
-    most _BLOCK_ROWS grid rows, which also bounds memory at any n and node
-    count.  The reported error is the difference against a reference rule
-    with half the nodes, but at least 8.
-    At exactly 8 nodes that floor would compare the rule with itself, so the
-    reference there is the 4-node rule: like every coarser reference it
-    overstates the error, where a finer 16-node reference can understate it.
+    p = sum_j a_j, where the circle action z_j -> e^{i phi q_j} z_j fixes
+    theta_n = 0.  The simplex takes N-point Gauss-Legendre on each collapsed
+    axis, each other angle a 2N-point trapezoid and R a 4N-point trapezoid in
+    x = log lam on x0 + [-30, 8], x0 = -log(t max_j |d_j f(zeta)|^2) / min_j a_j.
+    t and a constant factor c of f enter only through x0, so the rule is
+    covariant under c f and, for equal weights, t-independent to rounding.
+    Sphere points come in blocks of _BLOCK_ROWS rows, each with one pass over
+    the radial nodes.  The error is |Q_N - Q_{N/2}|, at least 1e3 eps |Q_N|.
+    Raises UnsupportedNodeCount, before any rule is built, for N < 2 or when
+    (2N^2)^(n-1) sphere points times 4N radial nodes, or N^3, exceed
+    _MAX_QUADRATURE_POINTS.
     """
     n = comp.n
-    sigma = math.sqrt(growth_c / t)
-    ref = max(nodes // 2, 8)
-    if ref == nodes:
-        ref = nodes // 2
-    rules = {npts: _gauss_rules(npts, n) for npts in (nodes, ref)}
-    axes = 2 * n - 2  # real axes of C^{n-1}; the grid is one point when n = 1
+    points = max((2 * nodes * nodes) ** (n - 1) * 4 * nodes, nodes ** 3)
+    if nodes < 2 or points > _MAX_QUADRATURE_POINTS:
+        raise UnsupportedNodeCount(
+            f"{nodes} nodes in {n} variables need {points} quadrature points; "
+            f"nodes must be at least 2 and points at most {_MAX_QUADRATURE_POINTS}")
+    a = [2 * (1 - qj) for qj in q]  # exact, so equal weights give ratios of exactly 1
+    # the powers of t max_j |d_j f|^2 = e^{-min_j a_j x0} in t e^{a_j x0} and e^{p x0}
+    r = np.array([float(aj / min(a)) for aj in a])
+    rp = float(sum(a) / min(a))
+    af = np.array([float(aj) for aj in a])
+    qf = np.array([float(qj) for qj in q])
+    rules = {npts: _polar_rule(npts) for npts in (nodes, nodes // 2)}
+
+    def block(Z: np.ndarray, w: np.ndarray, lam_a, log_wx) -> float:
+        d = comp.det_hess.evaluate_many(Z)
+        w *= d.real * d.real + d.imag * d.imag
+        b = np.empty((len(w), n))  # t |d_j f|^2 e^{a_j x0}
+        for j, gj in enumerate(comp.grads):
+            v = gj.evaluate_many(Z)
+            b[:, j] = v.real * v.real + v.imag * v.imag
+        gmax = b.max(axis=1)
+        log_tg = math.log(t) + np.log(gmax)
+        b /= gmax[:, None]
+        b *= np.exp(np.outer(log_tg, 1 - r))
+        w *= np.exp(n * math.log(t) - rp * log_tg)  # t^n e^{p x0}
+        acc = np.zeros(len(w))
+        for k in range(len(log_wx)):
+            arg = b @ lam_a[k]
+            np.subtract(log_wx[k], arg, out=arg)
+            acc += np.exp(arg, out=arg)
+        return float(w @ acc)
 
     def run(npts: int) -> float:
-        s, ws, x, wx = rules[npts]
-        radial = list(zip(sigma * np.sqrt(s), math.pi * sigma ** 2 * ws))
-        size = npts ** axes
-        total = 0.0
-        for lo in range(0, size, _BLOCK_ROWS):
-            rows = np.arange(lo, min(lo + _BLOCK_ROWS, size))
-            # row-major digits of each row number: its tensor-grid multi-index
-            idx = np.array([rows // npts ** (axes - 1 - a) % npts for a in range(axes)],
-                           dtype=np.intp).reshape(axes, rows.size)
-            wts = np.prod(sigma * wx[idx], axis=0)
-            Z = np.empty((rows.size, n), dtype=complex)
-            Z[:, 1:] = sigma * (x[idx[0::2]] + 1j * x[idx[1::2]]).T
-            for r, wr in radial:
-                Z[:, 0] = r
-                total += wr * float(comp.density(Z, t) @ wts)
-        return total
+        u, wu, x, wx = rules[npts]
+        lam_a = np.exp(np.outer(x, af))  # lam^{a_j} e^{-a_j x0}
+        log_wx = np.log(wx) + af.sum() * x  # lam^p dx = lam^{p-1} dlam
+        size = (2 * npts * npts) ** (n - 1)
+        total = sum(block(*_sphere_block(np.arange(lo, min(lo + _BLOCK_ROWS, size)), u, wu, qf),
+                          lam_a, log_wx) for lo in range(0, size, _BLOCK_ROWS))
+        return 2 * math.pi * 2.0 ** (1 - n) / math.pi ** n * total
 
     full = run(nodes)
-    return full, abs(full - run(ref))
+    return full, max(abs(full - run(nodes // 2)), 1e3 * np.finfo(float).eps * abs(full))
 
 
 def _check_t(t: float) -> None:
@@ -281,15 +274,16 @@ def compute_index(
     """One estimate of the index integral at time t.
 
     `report` is the weights-module non-degeneracy report; its fitted
-    growth constant sets the proposal scale.  `budget` is the sample count
-    (Monte Carlo) or nodes per axis (quadrature).
+    growth constant sets the Monte Carlo proposal scale and nothing else.
+    `budget` is the sample count (Monte Carlo) or the node count N of the
+    weighted-polar rule (quadrature), whose weights come from solve_weights.
     """
     _check_t(t)
     comp = _Compiled(f)
     if method == "mc":
         est, err = _mc_estimate(comp, t, budget, seed, report.fitted_C)
     elif method == "quadrature":
-        est, err = _quadrature_estimate(comp, t, budget, report.fitted_C)
+        est, err = _quadrature_estimate(comp, t, budget, solve_weights(f).q)
     else:
         raise ValueError("method must be 'mc' or 'quadrature'")
     return IndexEstimate(t=t, estimate=est, std_error=err, method=method, budget=budget)

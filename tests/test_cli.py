@@ -144,9 +144,21 @@ def test_index_quadrature_product():
     assert len(res["estimates"]) == 1
 
 
+def test_index_quadrature_with_unequal_weights():
+    # E7: the t-grid check compares three radial windows, each within its bar
+    proc = run_cli("index", "z1^3 + z1*z2^3", "--t", "0.5,1,2", "--method", "quadrature",
+                   "--nodes", "32")
+    assert proc.returncode == 0
+    res = json.loads(proc.stdout)["result"]
+    assert res["mu_rounded"]["value"] == 7 and res["pass"] is True
+    assert [e["t"] for e in res["estimates"]] == [0.5, 1.0, 2.0]
+    for e in res["estimates"]:
+        assert abs(e["estimate"]["value"] - 7) <= e["estimate"]["stderr"]
+
+
 def test_index_quadrature_rejects_node_counts():
-    # 20000 nodes exceed the point budget; from 372 nodes the Gauss weights overflow
-    for nodes in ("20000", "400"):
+    # 20000 and 400 nodes exceed the point cap; 1 node has no half-node rule
+    for nodes in ("20000", "400", "1"):
         proc = run_cli("index", "z1^3 + z2^3", "--t", "1", "--method", "quadrature",
                        "--nodes", nodes)
         assert proc.returncode == 4

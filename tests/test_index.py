@@ -90,22 +90,65 @@ def test_quadrature_rejects_unsupported_node_counts():
     f, _, rep = prepared("z1^3", 1)
     with pytest.raises(ValueError):
         compute_index(f, 1.0, method="quadrature", report=rep)  # default budget 10^6
-    with pytest.raises(ValueError):
-        compute_index(f, 1.0, budget=400, method="quadrature", report=rep)
+    for nodes in (646, 1):  # above the point cap, and no half-node rule to compare
+        with pytest.raises(ValueError):
+            compute_index(f, 1.0, budget=nodes, method="quadrature", report=rep)
     f33, _, rep33 = prepared("z1^3 + z2^3", 2)
     with pytest.raises(ValueError):
         compute_index(f33, 1.0, method="quadrature", report=rep33)
 
 
 def test_quadrature_node_cap_precedes_any_rule_build(monkeypatch):
-    # a 1-D rule is a dense nodes x nodes eigensolve, counted as nodes^3 points
+    # the cap counts sphere points times radial nodes, or nodes^3 for the
+    # dense Legendre eigensolve; the largest counts under it reach the builder
     def build(nodes):
         raise AssertionError(f"built a {nodes}-node rule")
 
-    monkeypatch.setattr(index_integral, "_gauss_laguerre", build)
-    for nodes, n in ((646, 1), (16384, 1), (646, 2), (64, 3)):
+    monkeypatch.setattr(index_integral, "_polar_rule", build)
+    polys = {1: prepared("z1^3", 1), 2: prepared("z1^3 + z2^3", 2),
+             3: prepared("z1^3 + z2^3 + z3^3", 3)}
+    for nodes, n in ((646, 1), (16384, 1), (323, 2), (28, 3), (1, 1), (0, 2)):
+        f, _, rep = polys[n]
         with pytest.raises(index_integral.UnsupportedNodeCount):
-            index_integral._gauss_rules(nodes, n)
+            compute_index(f, 1.0, budget=nodes, method="quadrature", report=rep)
+    for nodes, n in ((645, 1), (322, 2), (27, 3)):
+        f, _, rep = polys[n]
+        with pytest.raises(AssertionError, match=f"built a {nodes}-node rule"):
+            compute_index(f, 1.0, budget=nodes, method="quadrature", report=rep)
+
+
+# (1/10^6)*(...) and 10^6*(...) take the rule far from |c| = 1
+COVERAGE_POLYS = ("z1^3", "z1^5", "z1^3 + z2^3", "z1^3 + z2^4", "z1^4 + z2^5",
+                  "z1^2*z2 + z2^3", "z1^2*z2 + z2^4", "z1^3 + z1*z2^3",
+                  "(1/10^6)*(z1^3 + z2^4)", "10^6*(z1^2*z2 + z2^4)", "z1^3 + z2^3 + z3^4")
+
+
+@pytest.mark.parametrize("text", COVERAGE_POLYS)
+def test_quadrature_error_bar_covers_the_error(text):
+    n = 3 if "z3" in text else 2 if "z2" in text else 1
+    f, wv, rep = prepared(text, n)
+    mu = milnor_oracle(wv)
+    # at 128 nodes one variable is converged at both rules, so the floor of the bar counts
+    for nodes in {1: (8, 16, 32, 64, 128), 2: (8, 16, 32, 64), 3: (12,)}[n]:
+        for t in (0.5, 1.0, 2.0):
+            est = compute_index(f, t, budget=nodes, method="quadrature", report=rep)
+            assert abs(est.estimate - mu) <= est.std_error, (nodes, t, est)
+
+
+def test_quadrature_depends_on_t_and_scale_only_through_the_radial_window():
+    # equal weights: the rule is t-independent to rounding, although 16 nodes
+    # are 4e-4 from mu; a factor c of f is the time t |c|^2 for any weights
+    f, _, rep = prepared("z1^3 + z2^3", 2)
+    ests = [compute_index(f, t, budget=16, method="quadrature", report=rep).estimate
+            for t in (0.5, 1.0, 2.0)]
+    assert abs(ests[0] - 4.0) > 1e-4
+    assert max(ests) - min(ests) <= 1e-13
+    f5, _, rep5 = prepared("z1^2*z2 + z2^4", 2)
+    c5, _, crep5 = prepared("10^3*(z1^2*z2 + z2^4)", 2)
+    scaled = compute_index(c5, 1.0, budget=16, method="quadrature", report=crep5)
+    slow = compute_index(f5, 1e6, budget=16, method="quadrature", report=rep5)
+    assert scaled.estimate == pytest.approx(slow.estimate, rel=1e-12)
+    assert scaled.std_error == pytest.approx(slow.std_error, rel=1e-9)
 
 
 def test_t_grid_is_validated_before_any_estimate(monkeypatch):

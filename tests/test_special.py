@@ -1,11 +1,10 @@
-"""The numpy special functions and Gauss-Laguerre rule against scipy."""
+"""The numpy special functions against scipy."""
 
 import numpy as np
 import pytest
 from scipy import special
 
 from singspect._special import exp1, upper_gamma
-from singspect.index_integral import _gauss_laguerre
 
 
 def test_exp1_matches_scipy():
@@ -38,18 +37,3 @@ def test_special_functions_reject_nonpositive_arguments():
     with pytest.raises(ValueError):
         upper_gamma(0.0, 1.0)
 
-
-@pytest.mark.parametrize("nodes", [4, 8, 16, 32, 64, 128])
-def test_gauss_laguerre_matches_scipy(nodes):
-    s, w = _gauss_laguerre(nodes)
-    s_ref, w_ref = special.roots_laguerre(nodes)
-    w_ref = np.exp(np.log(w_ref) + s_ref)  # unweighted, as the rule returns them
-    assert np.max(np.abs(s / s_ref - 1)) <= 1e-13
-    assert np.max(np.abs(w / w_ref - 1)) <= 1e-10
-
-
-def test_gauss_laguerre_weights_stay_finite():
-    # scipy's weights are not finite from 364 nodes
-    s, w = _gauss_laguerre(363)
-    assert np.all(np.isfinite(w)) and np.all(w > 0)
-    assert np.sum(w * np.exp(-s)) == pytest.approx(1.0, rel=1e-13)
