@@ -13,9 +13,14 @@ into a smooth integral over the unit sphere (Gauss-Legendre on the simplex
 of the |zeta_j|^2, trapezoid in the angles, one angle fixed by the circle
 action) times a one-dimensional radial integral (trapezoid in log lam).
 It checks the t-independence across a grid.  The integrand is evaluated at
-the rows of a complex (m, n) array of points, one value per row; both
-methods evaluate f's derivatives in blocks of at most _BLOCK_ROWS = 4096
-points, so their temporaries stay small whatever the sample or node count.
+the rows of a complex (m, n) array of points, one value per row.  Both
+methods evaluate d_1 f .. d_n f and det d^2 f together, with one
+`poly.evaluate_joint` call and so one table of column powers per block of
+at most _BLOCK_ROWS = 4096 points, and their temporaries stay small
+whatever the sample or node count.  Monte Carlo writes each block of
+samples into one reused complex buffer whose columns are contiguous.  The
+quadrature takes at least 8 nodes: with fewer, its half-node error bar
+falls short of the error.
 """
 
 from __future__ import annotations
@@ -28,12 +33,12 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .poly import MixedPolynomial, gradient, gradient_square, hessian_determinant
+from .poly import MixedPolynomial, evaluate_joint, gradient, hessian_determinant, square_sum
 from .weights import ConstancyViolated, NondegeneracyReport, solve_weights
 
 
 class UnsupportedNodeCount(ValueError):
-    """A quadrature node count below 2 or whose rule is too large to run."""
+    """A quadrature node count below _MIN_QUADRATURE_NODES or whose rule is too large to run."""
 
 
 @dataclass(frozen=True)
@@ -62,12 +67,12 @@ class IndexResult:
 
 
 class _Compiled:
-    """Gradient and exact Hessian determinant of f for vectorized evaluation."""
+    """Gradient and exact Hessian determinant of f, evaluated together at the same points."""
 
     def __init__(self, f: MixedPolynomial):
         self.n = f.n
-        self.grads = gradient(f)
-        self.det_hess = hessian_determinant(f)
+        # d_1 f .. d_n f, then det d^2 f: one evaluate_joint call reads them all
+        self.derivatives = gradient(f) + [hessian_determinant(f)]
 
     def density(self, Z: np.ndarray, t: float, log_factor=0.0) -> np.ndarray:
         """(t^n / pi^n) exp(-t |grad f|^2) |det d^2 f|^2 at the rows of Z.
@@ -75,12 +80,12 @@ class _Compiled:
         `log_factor` (a scalar or one value per row) is added inside the
         exponential, so an importance weight needs no second `exp`.
         """
-        arg = gradient_square(self.grads, Z)
+        *grads, d = evaluate_joint(self.derivatives, Z)
+        arg = square_sum(grads)
         arg *= -t
         arg += self.n * math.log(t / math.pi)
         arg += log_factor
         np.exp(arg, out=arg)
-        d = self.det_hess.evaluate_many(Z)
         arg *= d.real * d.real + d.imag * d.imag
         return arg
 
@@ -107,6 +112,8 @@ def _mc_estimate(
     Stratum idx draws X then Y from SeedSequence([seed, idx]) into buffers
     shared by all strata; its weights are evaluated in blocks of _BLOCK_ROWS
     rows into one vector, whose sum and sum of squares are the stratum's.
+    Each block's points go into a complex buffer whose columns are
+    contiguous, so the density reads them without a copy.
     """
     if budget < 1:
         raise ValueError(f"the Monte Carlo budget must be at least 1 sample, not {budget}")
@@ -120,7 +127,7 @@ def _mc_estimate(
     log_norm = n * math.log(math.pi * 2 * var_real)  # log of proposal normalizer
     X = np.empty((counts[0], n))
     Y = np.empty((counts[0], n))
-    Z = np.empty((min(counts[0], _BLOCK_ROWS), n), dtype=complex)
+    Z = np.empty((n, min(counts[0], _BLOCK_ROWS)), dtype=complex).T
     W = np.empty(counts[0])
     for idx, m in enumerate(counts):
         if m == 0:
@@ -136,7 +143,13 @@ def _mc_estimate(
             xb, yb, zb = x[lo:hi], y[lo:hi], Z[:hi - lo]
             zb.real = xb
             zb.imag = yb
-            neg_log_p = (xb * xb + yb * yb).sum(axis=1) / (2 * var_real) + log_norm
+            # |x|^2 + |y|^2 added column by column: the order in which numpy's row
+            # sum adds fewer than 8 columns (from 8 on it adds them pairwise)
+            neg_log_p = xb[:, 0] * xb[:, 0] + yb[:, 0] * yb[:, 0]
+            for j in range(1, n):
+                neg_log_p += xb[:, j] * xb[:, j] + yb[:, j] * yb[:, j]
+            neg_log_p /= 2 * var_real
+            neg_log_p += log_norm
             w[lo:hi] = comp.density(zb, t, neg_log_p)  # density / proposal
         total += float(w.sum())
         total_sq += float((w * w).sum())
@@ -148,6 +161,9 @@ def _mc_estimate(
 # cap on quadrature work, the size of a 128-node tensor rule on C^2: sphere
 # points times radial nodes, or nodes^3 for the dense Legendre eigensolve
 _MAX_QUADRATURE_POINTS = 128 ** 4
+# below 7 nodes neither the N- nor the N/2-node rule is resolved, and the
+# error bar |Q_N - Q_{N/2}| falls short of the error
+_MIN_QUADRATURE_NODES = 8
 
 
 def _polar_rule(nodes: int):
@@ -207,16 +223,17 @@ def _quadrature_estimate(
     covariant under c f and, for equal weights, t-independent to rounding.
     Sphere points come in blocks of _BLOCK_ROWS rows, each with one pass over
     the radial nodes.  The error is |Q_N - Q_{N/2}|, at least 1e3 eps |Q_N|.
-    Raises UnsupportedNodeCount, before any rule is built, for N < 2 or when
+    Raises UnsupportedNodeCount, before any rule is built, for N < 8 or when
     (2N^2)^(n-1) sphere points times 4N radial nodes, or N^3, exceed
     _MAX_QUADRATURE_POINTS.
     """
     n = comp.n
     points = max((2 * nodes * nodes) ** (n - 1) * 4 * nodes, nodes ** 3)
-    if nodes < 2 or points > _MAX_QUADRATURE_POINTS:
+    if nodes < _MIN_QUADRATURE_NODES or points > _MAX_QUADRATURE_POINTS:
         raise UnsupportedNodeCount(
             f"{nodes} nodes in {n} variables need {points} quadrature points; "
-            f"nodes must be at least 2 and points at most {_MAX_QUADRATURE_POINTS}")
+            f"nodes must be at least {_MIN_QUADRATURE_NODES} and points at most "
+            f"{_MAX_QUADRATURE_POINTS}")
     a = [2 * (1 - qj) for qj in q]  # exact, so equal weights give ratios of exactly 1
     # the powers of t max_j |d_j f|^2 = e^{-min_j a_j x0} in t e^{a_j x0} and e^{p x0}
     r = np.array([float(aj / min(a)) for aj in a])
@@ -226,11 +243,10 @@ def _quadrature_estimate(
     rules = {npts: _polar_rule(npts) for npts in (nodes, nodes // 2)}
 
     def block(Z: np.ndarray, w: np.ndarray, lam_a, log_wx) -> float:
-        d = comp.det_hess.evaluate_many(Z)
+        *grads, d = evaluate_joint(comp.derivatives, Z)
         w *= d.real * d.real + d.imag * d.imag
         b = np.empty((len(w), n))  # t |d_j f|^2 e^{a_j x0}
-        for j, gj in enumerate(comp.grads):
-            v = gj.evaluate_many(Z)
+        for j, v in enumerate(grads):
             b[:, j] = v.real * v.real + v.imag * v.imag
         gmax = b.max(axis=1)
         log_tg = math.log(t) + np.log(gmax)

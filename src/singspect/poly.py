@@ -31,7 +31,9 @@ which agree with the real 2n-dimensional gradient and Laplacian; the
 square (grad p)^2 is grad_dot p p = 4 sum_i d_i p dbar_i p.
 
 Numeric evaluation takes a complex (m, n) array of points and returns one
-value per row (`MixedPolynomial.evaluate_many`).  A polynomial in two points
+value per row (`MixedPolynomial.evaluate_many`); `evaluate_joint` evaluates
+several polynomials at the same points from one table of column powers, and
+`evaluate_many` is that evaluator on one polynomial.  A polynomial in two points
 is evaluated at the pairs of two (m, n) arrays z and w by
 `evaluate_two_point`, the one place that builds the rows [z - w, w].  The
 algebra is exact and numpy-free; only these float evaluators import numpy.
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .gaussian_rational import GaussianRational, SparseMap
 
@@ -160,40 +162,9 @@ class MixedPolynomial(SparseMap):
     # -- evaluation ----------------------------------------------------------
 
     def evaluate_many(self, Z: np.ndarray) -> np.ndarray:
-        """Values at the rows of a complex (m, n) array: the one float evaluator.
-
-        Each column power z_j^e and conj(z_j)^e that the terms need is built
-        once per call, on a contiguous column, as one product with the power
-        below it; a term is its coefficient times a product of those powers.
-        """
-        import numpy as np
-
-        Z = np.asarray(Z, dtype=complex)
-        if Z.ndim != 2 or Z.shape[1] != self.n:
-            raise ValueError(f"points must be an (m, {self.n}) array, not {Z.shape}")
-        n = self.n
-        # (k, e) -> column k to the power e, for z_1..z_n then conj(z_1)..conj(z_n);
-        # every product is a new array: numpy can round an in-place product of
-        # one row apart from the same row in a longer array
-        powers: Dict[Tuple[int, int], np.ndarray] = {}
-        total = np.zeros(Z.shape[0], dtype=complex)
-        for (a, b), c in self.terms.items():
-            term = complex(c)
-            for k, e in enumerate(a + b):
-                if not e:
-                    continue
-                if (k, e) not in powers:
-                    for j in range(1, e + 1):
-                        if (k, j) in powers:
-                            continue
-                        if j > 1:
-                            powers[k, j] = powers[k, j - 1] * powers[k, 1]
-                        else:
-                            col = Z[:, k] if k < n else np.conj(Z[:, k - n])
-                            powers[k, 1] = np.ascontiguousarray(col)
-                term = powers[k, e] * term
-            total += term
-        return total
+        """Values at the rows of a complex (m, n) array: `evaluate_joint` on this one polynomial."""
+        (values,) = evaluate_joint([self], Z)
+        return values
 
     # -- printing and parsing ---------------------------------------------
 
@@ -370,6 +341,58 @@ class _Parser:
 parse = MixedPolynomial.parse
 
 
+def evaluate_joint(polys: Sequence[MixedPolynomial], Z) -> Iterator[np.ndarray]:
+    """Each polynomial's values at the rows of a complex (m, n) array, in turn: the float evaluator.
+
+    All the polynomials share one table of column powers: each z_j^e and
+    conj(z_j)^e that any term needs is built once per call, on a contiguous
+    column, as one product with the power below it.  A term is its
+    coefficient times a product of those powers, and each polynomial sums
+    its own terms in its own order, so its values do not depend on the
+    polynomials evaluated beside it.  A column that is already contiguous,
+    as in an (m, n) array in Fortran order, is read without a copy.  The
+    values come one polynomial at a time, so a caller that reduces each as
+    it comes holds one, and a column's powers are dropped after the last
+    polynomial that needs them.
+    """
+    import numpy as np
+
+    Z = np.asarray(Z, dtype=complex)
+    n = polys[0].n
+    if any(p.n != n for p in polys):
+        raise ValueError("polynomials evaluated together must share their variable count")
+    if Z.ndim != 2 or Z.shape[1] != n:
+        raise ValueError(f"points must be an (m, {n}) array, not {Z.shape}")
+    # (k, e) -> column k to the power e, for z_1..z_n then conj(z_1)..conj(z_n);
+    # every product is a new array: numpy can round an in-place product of
+    # one row apart from the same row in a longer array
+    powers: Dict[Tuple[int, int], np.ndarray] = {}
+    # column k -> the last polynomial that needs a power of it
+    last = {k: i for i, p in enumerate(polys) for a, b in p.terms
+            for k, e in enumerate(a + b) if e}
+    for i, p in enumerate(polys):
+        total = np.zeros(Z.shape[0], dtype=complex)
+        for (a, b), c in p.terms.items():
+            term = complex(c)
+            for k, e in enumerate(a + b):
+                if not e:
+                    continue
+                if (k, e) not in powers:
+                    for j in range(1, e + 1):
+                        if (k, j) in powers:
+                            continue
+                        if j > 1:
+                            powers[k, j] = powers[k, j - 1] * powers[k, 1]
+                        else:
+                            col = Z[:, k] if k < n else np.conj(Z[:, k - n])
+                            powers[k, 1] = np.ascontiguousarray(col)
+                term = powers[k, e] * term
+            total += term
+        for key in [key for key in powers if last[key[0]] == i]:
+            del powers[key]
+        yield total
+
+
 def infer_variable_count(text: str) -> int:
     """Largest variable index mentioned in the text (at least 1)."""
     best = 1
@@ -393,13 +416,17 @@ def gradient(f: MixedPolynomial) -> List[MixedPolynomial]:
     return [f.wirtinger(i) for i in range(1, f.n + 1)]
 
 
-def gradient_square(grads: Sequence[MixedPolynomial], Z: np.ndarray) -> np.ndarray:
-    """|grad f|^2 = sum_i |d_i f|^2 at the rows of a complex (m, n) array, from gradient(f)."""
+def square_sum(values: Iterable[np.ndarray]) -> np.ndarray:
+    """sum_i |v_i|^2 of complex arrays, added in order."""
     total = 0.0
-    for g in grads:
-        v = g.evaluate_many(Z)
+    for v in values:
         total = total + (v.real * v.real + v.imag * v.imag)
     return total
+
+
+def gradient_square(grads: Sequence[MixedPolynomial], Z: np.ndarray) -> np.ndarray:
+    """|grad f|^2 = sum_i |d_i f|^2 at the rows of a complex (m, n) array, from gradient(f)."""
+    return square_sum(evaluate_joint(grads, Z))
 
 
 def hessian(f: MixedPolynomial) -> List[List[MixedPolynomial]]:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .gaussian_rational import GaussianRational
-from .poly import MixedPolynomial, gradient, gradient_square, hessian
+from .poly import MixedPolynomial, evaluate_joint, gradient, gradient_square, hessian
 
 
 class DegenerateSingularity(ValueError):
@@ -271,15 +271,18 @@ def _descend_to_critical(grads, hess, q: np.ndarray, Z: np.ndarray, h_scale: flo
     """
     import numpy as np
 
+    n = len(grads)
     Z, step = Z.copy(), np.full(len(Z), 0.1)
     val = gradient_square(grads, Z)
     rows = np.arange(len(Z))  # the rows still descending
     for _ in range(_DESCENT_STEPS):
         z = Z[rows]
+        # d_i f, then the Hessian rows d_i d_k f, from one table of column powers
+        vals = list(evaluate_joint(grads + [h for row in hess for h in row], z))
+        gv, hv = vals[:n], [vals[n * (i + 1):n * (i + 2)] for i in range(n)]
         # d h / d conj(z_k) = sum_i (d_i f)(z) * conj(d_k d_i f)(z)
-        gv = [g.evaluate_many(z) for g in grads]
-        d = np.stack([sum(gi * np.conj(hi[k].evaluate_many(z)) for gi, hi in zip(gv, hess))
-                      for k in range(len(grads))], axis=1)
+        d = np.stack([sum(gi * np.conj(hi[k]) for gi, hi in zip(gv, hv))
+                      for k in range(n)], axis=1)
         # d scales with |c|^2 for c f: a power of two per row brings it near 1,
         # so its norm neither overflows nor underflows, and the step
         # (step / nrm) d is the same to the bit

@@ -157,8 +157,9 @@ def test_index_quadrature_with_unequal_weights():
 
 
 def test_index_quadrature_rejects_node_counts():
-    # 20000 and 400 nodes exceed the point cap; 1 node has no half-node rule
-    for nodes in ("20000", "400", "1"):
+    # 20000 and 400 nodes exceed the point cap; 1 node has no half-node rule,
+    # and below 8 nodes the half-node error bar falls short of the error
+    for nodes in ("20000", "400", "1", "2", "3", "4", "5", "6", "7"):
         proc = run_cli("index", "z1^3 + z2^3", "--t", "1", "--method", "quadrature",
                        "--nodes", nodes)
         assert proc.returncode == 4

@@ -90,7 +90,9 @@ def test_quadrature_rejects_unsupported_node_counts():
     f, _, rep = prepared("z1^3", 1)
     with pytest.raises(ValueError):
         compute_index(f, 1.0, method="quadrature", report=rep)  # default budget 10^6
-    for nodes in (646, 1):  # above the point cap, and no half-node rule to compare
+    # above the point cap, no half-node rule to compare, and a half-node rule
+    # too coarse for the bar to cover the error
+    for nodes in (646, 1, 2, 3, 4, 5, 6, 7):
         with pytest.raises(ValueError):
             compute_index(f, 1.0, budget=nodes, method="quadrature", report=rep)
     f33, _, rep33 = prepared("z1^3 + z2^3", 2)
@@ -100,18 +102,20 @@ def test_quadrature_rejects_unsupported_node_counts():
 
 def test_quadrature_node_cap_precedes_any_rule_build(monkeypatch):
     # the cap counts sphere points times radial nodes, or nodes^3 for the
-    # dense Legendre eigensolve; the largest counts under it reach the builder
+    # dense Legendre eigensolve; the largest counts under it, and the floor
+    # of 8 nodes, reach the builder
     def build(nodes):
         raise AssertionError(f"built a {nodes}-node rule")
 
     monkeypatch.setattr(index_integral, "_polar_rule", build)
     polys = {1: prepared("z1^3", 1), 2: prepared("z1^3 + z2^3", 2),
              3: prepared("z1^3 + z2^3 + z3^3", 3)}
-    for nodes, n in ((646, 1), (16384, 1), (323, 2), (28, 3), (1, 1), (0, 2)):
+    below_floor = [(nodes, n) for nodes in range(2, 8) for n in (1, 2, 3)]
+    for nodes, n in [(646, 1), (16384, 1), (323, 2), (28, 3), (1, 1), (0, 2)] + below_floor:
         f, _, rep = polys[n]
         with pytest.raises(index_integral.UnsupportedNodeCount):
             compute_index(f, 1.0, budget=nodes, method="quadrature", report=rep)
-    for nodes, n in ((645, 1), (322, 2), (27, 3)):
+    for nodes, n in ((645, 1), (322, 2), (27, 3), (8, 1), (8, 2), (8, 3)):
         f, _, rep = polys[n]
         with pytest.raises(AssertionError, match=f"built a {nodes}-node rule"):
             compute_index(f, 1.0, budget=nodes, method="quadrature", report=rep)
@@ -328,3 +332,64 @@ def test_mc_estimate_keeps_no_stratum_arrays_alive():
         tracemalloc.stop()
         gc.enable()
     assert peak < 8 * 2 ** 20
+
+
+def _per_polynomial_mc(f, t, budget, seed, growth_c):
+    """_mc_estimate with each derivative of f evaluated on its own, as one
+    evaluate_many call per polynomial, on row-major blocks of 4096 points, and
+    the proposal's |x|^2 + |y|^2 as a row sum: the same arithmetic in the
+    same order, so the result must be equal to the bit."""
+    from singspect.poly import hessian_determinant
+
+    n, rows = f.n, 4096
+    grads, det = gradient(f), hessian_determinant(f)
+    var_real = growth_c / (2 * t)
+    sigma = math.sqrt(var_real)
+    log_norm = n * math.log(math.pi * 2 * var_real)
+    per = budget // index_integral._MC_STRATA
+    total = total_sq = 0.0
+    for idx in range(index_integral._MC_STRATA):
+        m = per + (1 if idx < budget - per * index_integral._MC_STRATA else 0)
+        if m == 0:
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
+        x = rng.standard_normal(size=(m, n)) * sigma
+        y = rng.standard_normal(size=(m, n)) * sigma
+        w = np.empty(m)
+        for lo in range(0, m, rows):
+            xb, yb = x[lo:lo + rows], y[lo:lo + rows]
+            Z = xb + 1j * yb
+            arg = 0.0
+            for g in grads:
+                v = g.evaluate_many(Z)
+                arg = arg + (v.real * v.real + v.imag * v.imag)
+            arg *= -t
+            arg += n * math.log(t / math.pi)
+            arg += (xb * xb + yb * yb).sum(axis=1) / (2 * var_real) + log_norm
+            np.exp(arg, out=arg)
+            d = det.evaluate_many(Z)
+            w[lo:lo + rows] = arg * (d.real * d.real + d.imag * d.imag)
+        total += float(w.sum())
+        total_sq += float((w * w).sum())
+    mean = total / budget
+    return mean, math.sqrt(max(total_sq / budget - mean * mean, 0.0) / budget)
+
+
+@pytest.mark.parametrize("text,n", [("z1^3", 1), ("z1^3 + z2^4", 2),
+                                    ("z1^2*z2 + z2^3 + z3^4", 3)])
+@pytest.mark.parametrize("budget", [1, 63, 64 * 4097 + 5])
+def test_joint_mc_equals_a_per_polynomial_reference(text, n, budget):
+    # strata without samples, and strata of 4098 rows that straddle a block
+    f, _, rep = prepared(text, n)
+    got = index_integral._mc_estimate(index_integral._Compiled(f), 0.7, budget, 5, rep.fitted_C)
+    assert got == _per_polynomial_mc(f, 0.7, budget, 5, rep.fitted_C)
+
+
+@pytest.mark.parametrize("text,n,nodes", [("z1^3", 1, 128), ("z1^3 + z2^4", 2, 64)])
+def test_joint_quadrature_equals_a_per_polynomial_reference(monkeypatch, text, n, nodes):
+    f, _, rep = prepared(text, n)
+    joint = compute_index(f, 1.0, budget=nodes, method="quadrature", report=rep)
+    monkeypatch.setattr(index_integral, "evaluate_joint",
+                        lambda polys, Z: [p.evaluate_many(Z) for p in polys])
+    alone = compute_index(f, 1.0, budget=nodes, method="quadrature", report=rep)
+    assert (joint.estimate, joint.std_error) == (alone.estimate, alone.std_error)

@@ -9,8 +9,10 @@ from singspect.poly import (
     MixedPolynomial,
     ParseError,
     at_u_zero,
+    evaluate_joint,
     evaluate_two_point,
     from_single_point,
+    gradient,
     hermitian_gradient_square,
     hessian,
     hessian_determinant,
@@ -258,3 +260,33 @@ def test_evaluate_many_matches_the_per_term_formula(n, rows):
     assert np.all(np.abs(got - ref) <= 1e-13 * scale)
     # a row is evaluated the same on its own as inside a longer array
     assert np.array_equal(p.evaluate_many(Z[:1]), got[:1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 5000])
+def test_evaluate_joint_matches_one_polynomial_at_a_time(n, rows):
+    # one table of column powers for all the polynomials gives each of them,
+    # to the bit, the values of its own evaluate_many
+    rng = np.random.default_rng(100 * n + rows)
+    f = parse(" + ".join(f"z{j}^{j + 2}" for j in range(1, n + 1)) + " + z1*conj(z1)^2", n)
+    unit = hessian_determinant(parse("(1/2)*(" + " + ".join(f"z{j}^2" for j in range(1, n + 1))
+                                     + ")", n))
+    assert unit == MixedPolynomial.constant(n, 1)
+    # z1 alone and conj(zn) alone share no column; the rest share z1 or more
+    apart = [parse("z1^5 - 2*z1^2", n), parse(f"conj(z{n})^4 + i*conj(z{n})", n)]
+    polys = (gradient(f) + [hessian_determinant(f), unit] + apart
+             + [_random_mixed_polynomial(rng, n) for _ in range(2)] + [MixedPolynomial.zero(n)])
+    assert any(any(b) for p in polys for (_, b) in p.terms)  # conjugate exponents
+    Z = 0.6 * (rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n)))
+    one_at_a_time = [p.evaluate_many(Z) for p in polys]
+    # in any order, and from an (m, n) array whose columns are contiguous
+    for order in (polys, polys[::-1]):
+        for points in (Z, np.asfortranarray(Z)):
+            got = list(evaluate_joint(order, points))
+            assert len(got) == len(order)
+            for p, v in zip(order, got):
+                assert v.shape == (rows,)
+                assert np.array_equal(v, one_at_a_time[polys.index(p)])
+    assert np.all(next(evaluate_joint([unit], Z)) == 1)
+    with pytest.raises(ValueError, match="share their variable count"):
+        list(evaluate_joint([f, parse("z1", n + 1)], Z))

@@ -170,6 +170,30 @@ def test_batched_descent_matches_one_row_at_a_time():
                               _descend_to_critical(grads, hess, q, Z[i:i + 1], 1.0))
 
 
+def test_joint_descent_equals_a_per_polynomial_reference(monkeypatch):
+    # the gradient and Hessian rows come from one table of column powers; each
+    # evaluated on its own gives the same descent to the bit
+    import numpy as np
+    from singspect import poly, weights
+    from singspect.poly import gradient, hessian
+    from singspect.weights import _descend_to_critical, _to_weighted_sphere
+
+    f = parse("z1^2*z2 + z2^5 + z3^3", 3)
+    grads, hess = gradient(f), hessian(f)
+    q = np.array([float(qi) for qi in solve_weights(f).q])
+    rng = np.random.default_rng(4)
+    Z = _to_weighted_sphere(rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)), q)
+    joint = _descend_to_critical(grads, hess, q, Z, 1.0)
+    joint_evaluator = poly.evaluate_joint
+
+    def alone(polys, Z):
+        return [next(joint_evaluator([p], Z)) for p in polys]
+
+    monkeypatch.setattr(weights, "evaluate_joint", alone)
+    monkeypatch.setattr(poly, "evaluate_joint", alone)  # inside gradient_square
+    assert np.array_equal(joint, _descend_to_critical(grads, hess, q, Z, 1.0))
+
+
 @pytest.mark.parametrize("text,n", [("(z1+z2)^3", 2), ("(z1+z2)^5", 2), ("(z1+z2)^7", 2),
                                     ("(z1-2*z2)^7", 2), ("(z1+z2)^5 + z3^3", 3),
                                     ("(z1^3+z2^5)^2", 2), ("(1/10^12)*(z1+z2)^3", 2),
