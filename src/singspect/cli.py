@@ -33,8 +33,19 @@ command imports the modules it computes with when it runs, listed in
 leaves that import out of the report's timer, so `timing` times the command
 and not its imports.  `weights` and `index` load numpy but not the spectral
 layer, `torsion` loads the spectral layer but not the index integral, and
-the exact suites `verify clifford-identities` and `verify
-parametrix-identities` load no numpy at all.
+`torsion --exact` (the A_1 closed form in `zeta`) and the exact suites
+`verify clifford-identities` and `verify parametrix-identities` load no
+numpy at all.
+
+A CLI process runs one BLAS thread: importing this module sets
+OPENBLAS_NUM_THREADS=1 unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS is already set.  numpy's bundled OpenBLAS otherwise starts
+a pool of worker threads at `import numpy` that busy-wait on other cores,
+and the matrices here (a few hundred rows at most) are too small for them
+to pay.  OpenBLAS reads the variable when numpy is first imported, so the
+default takes effect only where this module is imported before numpy, as in
+`singspect` and `python -m singspect.cli`; the library modules leave the
+BLAS of a program that imports numpy first as it is.
 """
 
 from __future__ import annotations
@@ -47,6 +58,13 @@ import os
 import sys
 import time
 from fractions import Fraction
+
+# one BLAS thread unless the user chose a count (see the module docstring):
+# with OpenBLAS's idle pool, a bare `import numpy` (numpy 2.4.6, OpenBLAS
+# 0.3.31, 2 vCPUs of a Xeon) took 0.35 s CPU in 0.22 s wall, and 0.22 s CPU
+# with one thread
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import __version__
 from .poly import MixedPolynomial, ParseError, infer_variable_count, parse
@@ -191,10 +209,7 @@ def cmd_index(args, f: MixedPolynomial):
 
 
 def cmd_torsion(args, f: MixedPolynomial):
-    from .spectral import (
-        GalerkinConfig, UnsupportedSingularity, ar_data, eigensolve,
-        renormalize_and_torsion, torsion_exact_a1,
-    )
+    from .zeta import UnsupportedSingularity, ar_data, torsion_exact_a1
 
     data = ar_data(f)
     result: dict = {"r": data.r}
@@ -209,6 +224,8 @@ def cmd_torsion(args, f: MixedPolynomial):
         result["T2"] = _exact(exact_res.torsion)
         result["log_T2"] = _exact(exact_res.log_torsion)
         return {"exact": True}, result
+    from .spectral import GalerkinConfig, eigensolve, renormalize_and_torsion
+
     sectors = max(70, 2 * data.r + 2) if args.sectors is None else args.sectors
     spec = eigensolve(GalerkinConfig(f, basis_size=args.basis, sector_cutoff=sectors))
     numeric = renormalize_and_torsion(spec, data)
@@ -366,13 +383,14 @@ def cmd_verify(args, _f):
 # -- entry point --------------------------------------------------------------------
 
 
-# the modules a command (for verify, a suite) computes with beyond poly and
-# weights, which this module imports; main imports them outside the report's
-# timer, and no command imports another's
+# the modules a command (for verify, a suite; torsion --exact has its own
+# row) computes with beyond poly and weights, which this module imports; main
+# imports them outside the report's timer, and no command imports another's
 _MODULES = {
     "weights": ("numpy",),
     "index": ("singspect.index_integral",),
     "torsion": ("singspect.spectral",),
+    "torsion --exact": ("singspect.zeta",),
     "clifford-identities": ("singspect.clifford",),
     "parametrix-identities": ("singspect.parametrix",),
     "oscillator-consistency": ("singspect.oscillator",),
@@ -382,7 +400,12 @@ _MODULES = {
 
 
 def _import_modules(args) -> None:
-    keys = _suite_names(args.suite) if args.command == "verify" else [args.command]
+    if args.command == "verify":
+        keys = _suite_names(args.suite)
+    elif args.command == "torsion" and args.exact:
+        keys = ["torsion --exact"]
+    else:
+        keys = [args.command]
     for key in keys:
         for name in _MODULES.get(key, ()):  # an unknown suite: cmd_verify rejects it
             importlib.import_module(name)

@@ -17,6 +17,8 @@ s = 0 defines the torsion log T^i = -(Theta^i)'(0).  Two routes compute it:
 
   * exact (A_1): Theta^2(s) = (2 tau)^{-s} zeta(s - 1), so
     T^2 = (2 tau)^{-1/12} exp(-zeta'(-1)) with the Euler-Maclaurin oracle;
+    this route and the extraction of c and r from f (`ar_data`) live in the
+    numpy-free `zeta` module and are re-exported here;
   * numeric: Mellin split at t = 1/E, with E = v^{1/(r+1)} the energy unit;
     the upper part sums exponential integrals termwise and takes the Weyl
     tail in closed form, the lower part fits the heat trace on the
@@ -36,14 +38,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._special import EULER_GAMMA, exp1, upper_gamma
 from .poly import MixedPolynomial
 from .spectrum import Spectrum, cluster_eigenvalues
-from .zeta import zeta_and_derivative
+from .zeta import (  # noqa: F401  (the A_1 closed form, re-exported)
+    ArData, HeatExpansion, UnsupportedSingularity, ZetaResult, ar_data, torsion_exact_a1,
+)
 
 
 class IllConditionedBasis(ValueError):
@@ -56,69 +60,6 @@ class NonMonotoneRefinement(RuntimeError):
 
 class TailDominates(RuntimeError):
     """Truncated spectrum too short for the requested zeta argument."""
-
-
-class UnsupportedSingularity(ValueError):
-    """The spectral pipeline handles one-variable monomial singularities."""
-
-
-# -- problem extraction -------------------------------------------------------
-
-
-class HeatExpansion(NamedTuple):
-    p: float
-    a0: float
-    a1: float
-    energy: float
-
-
-@dataclass(frozen=True)
-class ArData:
-    """One-variable monomial singularity f = c z^{r+1}."""
-
-    coeff: complex
-    r: int
-
-    @property
-    def potential_scale(self) -> float:
-        """v with |f'|^2 = v rho^{2r}."""
-        return abs(self.coeff) ** 2 * (self.r + 1) ** 2
-
-    @property
-    def tau_effective(self) -> float:
-        """Oscillator parameter of the A_1 case (spectrum 2 tau (k+l+1))."""
-        if self.r != 1:
-            raise ValueError("tau_effective is an A_1 quantity")
-        return math.sqrt(self.potential_scale) / 2
-
-    def heat_expansion(self) -> HeatExpansion:
-        """Exponents, two coefficients and energy unit of the small-t heat trace.
-
-        Tr e^{-tH} ~ sum_k a_k t^{(k-1) p} with p = 1 + 1/r (Wigner, Phys.
-        Rev. 40, 749, 1932; Kirkwood, Phys. Rev. 44, 31, 1933).  The Weyl
-        term is a_0 = Gamma(1 + 1/r) v^{-1/r}; a_1 = -r/12, independent of v,
-        is the hbar^2 term -(t^3/12) int e^{-tV} |grad V|^2 after an
-        integration by parts (zeta(-1) at r = 1).  Rescaling z makes every
-        eigenvalue proportional to E = v^{1/(r+1)}.
-        """
-        r, v = self.r, self.potential_scale
-        return HeatExpansion(p=1 + 1 / r, a0=math.gamma(1 + 1 / r) * v ** (-1 / r),
-                             a1=-r / 12, energy=v ** (1 / (r + 1)))
-
-
-def ar_data(f: MixedPolynomial) -> ArData:
-    if f.n != 1:
-        raise UnsupportedSingularity("spectral pipeline supports n = 1 only")
-    if not f.is_holomorphic() or len(f.terms) != 1:
-        raise UnsupportedSingularity("need a single monomial c * z^(r+1)")
-    ((a, _b),) = f.terms.keys()
-    r = a[0] - 1
-    if r < 1:
-        raise UnsupportedSingularity("need degree >= 2")
-    data = ArData(coeff=complex(next(iter(f.terms.values()))), r=r)
-    if not 0 < data.potential_scale < math.inf:  # |c|^2 itself may raise OverflowError
-        raise UnsupportedSingularity("the potential scale |c (r+1)|^2 is outside the float range")
-    return data
 
 
 # -- Galerkin discretization ------------------------------------------------------
@@ -495,27 +436,6 @@ def _renormalize(
         ))
     logs = [-r.derivative_at_0 for r in fits]
     return fits[0], max(logs) - min(logs)
-
-
-@dataclass
-class ZetaResult:
-    theta_at_0: float
-    log_torsion: float
-    torsion: float
-    exponents: Tuple[float, ...] = ()
-    fit_condition: float = 0.0
-    fit_unstable: bool = False
-    error_bar: float = 0.0
-
-
-def torsion_exact_a1(tau: float) -> ZetaResult:
-    """Closed-form A_1 torsion from Theta^2(s) = (2 tau)^{-s} zeta(s - 1).
-
-    T^2 = (2 tau)^{-1/12} exp(-zeta'(-1)).
-    """
-    z_m1, zp_m1 = zeta_and_derivative(-1.0)
-    deriv = -math.log(2 * abs(tau)) * z_m1 + zp_m1
-    return ZetaResult(theta_at_0=z_m1, log_torsion=-deriv, torsion=math.exp(-deriv))
 
 
 # the Wigner-Kirkwood powers (k-1) p are fitted up to this one; raising it to 8

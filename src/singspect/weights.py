@@ -272,16 +272,21 @@ def _descend_to_critical(grads, hess, q: np.ndarray, Z: np.ndarray, h_scale: flo
     import numpy as np
 
     n = len(grads)
+    # d_i d_k f and d_k d_i f are both built from f's terms in f's order, so
+    # the entries with i <= k hold the whole symmetric Hessian, to the bit
+    assert all(list(hess[i][k].terms.items()) == list(hess[k][i].terms.items())
+               for i in range(n) for k in range(i))
+    upper = [(i, k) for i in range(n) for k in range(i, n)]
     Z, step = Z.copy(), np.full(len(Z), 0.1)
     val = gradient_square(grads, Z)
     rows = np.arange(len(Z))  # the rows still descending
     for _ in range(_DESCENT_STEPS):
         z = Z[rows]
-        # d_i f, then the Hessian rows d_i d_k f, from one table of column powers
-        vals = list(evaluate_joint(grads + [h for row in hess for h in row], z))
-        gv, hv = vals[:n], [vals[n * (i + 1):n * (i + 2)] for i in range(n)]
+        # d_i f, then d_i d_k f for i <= k, from one table of column powers
+        vals = list(evaluate_joint(grads + [hess[i][k] for i, k in upper], z))
+        gv, hv = vals[:n], dict(zip(upper, vals[n:]))
         # d h / d conj(z_k) = sum_i (d_i f)(z) * conj(d_k d_i f)(z)
-        d = np.stack([sum(gi * np.conj(hi[k]) for gi, hi in zip(gv, hv))
+        d = np.stack([sum(gi * np.conj(hv[min(i, k), max(i, k)]) for i, gi in enumerate(gv))
                       for k in range(n)], axis=1)
         # d scales with |c|^2 for c f: a power of two per row brings it near 1,
         # so its norm neither overflows nor underflows, and the step

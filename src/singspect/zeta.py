@@ -10,14 +10,22 @@ terms and J = 10 corrections the truncation error is negligible for real
 term reaches ~1e18 near s = -10, so the evaluation runs in 50-digit decimal
 arithmetic internally and rounds to float at the end.  Absolute error of
 both value and derivative is well below 1e-12 on the validated range.
+
+The A_1 torsion needs nothing but zeta'(-1), so its closed form lives here
+too, with the extraction of c and r from f = c z^{r+1} (`ar_data`) that
+both torsion paths start from.  The module imports no numpy, so `torsion
+--exact` runs without it; `spectral` re-exports these names.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
+
+from .poly import MixedPolynomial
 
 _BERNOULLI = [
     Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
@@ -75,3 +83,87 @@ def zeta_and_derivative(s: float) -> Tuple[float, float]:
             der += coeff * npow * (dpoch - poch * logN)
 
         return float(val), float(der)
+
+
+# -- the A_1 closed form ------------------------------------------------------------
+
+
+class UnsupportedSingularity(ValueError):
+    """The spectral pipeline handles one-variable monomial singularities."""
+
+
+class HeatExpansion(NamedTuple):
+    p: float
+    a0: float
+    a1: float
+    energy: float
+
+
+@dataclass(frozen=True)
+class ArData:
+    """One-variable monomial singularity f = c z^{r+1}."""
+
+    coeff: complex
+    r: int
+
+    @property
+    def potential_scale(self) -> float:
+        """v with |f'|^2 = v rho^{2r}."""
+        return abs(self.coeff) ** 2 * (self.r + 1) ** 2
+
+    @property
+    def tau_effective(self) -> float:
+        """Oscillator parameter of the A_1 case (spectrum 2 tau (k+l+1))."""
+        if self.r != 1:
+            raise ValueError("tau_effective is an A_1 quantity")
+        return math.sqrt(self.potential_scale) / 2
+
+    def heat_expansion(self) -> HeatExpansion:
+        """Exponents, two coefficients and energy unit of the small-t heat trace.
+
+        Tr e^{-tH} ~ sum_k a_k t^{(k-1) p} with p = 1 + 1/r (Wigner, Phys.
+        Rev. 40, 749, 1932; Kirkwood, Phys. Rev. 44, 31, 1933).  The Weyl
+        term is a_0 = Gamma(1 + 1/r) v^{-1/r}; a_1 = -r/12, independent of v,
+        is the hbar^2 term -(t^3/12) int e^{-tV} |grad V|^2 after an
+        integration by parts (zeta(-1) at r = 1).  Rescaling z makes every
+        eigenvalue proportional to E = v^{1/(r+1)}.
+        """
+        r, v = self.r, self.potential_scale
+        return HeatExpansion(p=1 + 1 / r, a0=math.gamma(1 + 1 / r) * v ** (-1 / r),
+                             a1=-r / 12, energy=v ** (1 / (r + 1)))
+
+
+def ar_data(f: MixedPolynomial) -> ArData:
+    if f.n != 1:
+        raise UnsupportedSingularity("spectral pipeline supports n = 1 only")
+    if not f.is_holomorphic() or len(f.terms) != 1:
+        raise UnsupportedSingularity("need a single monomial c * z^(r+1)")
+    ((a, _b),) = f.terms.keys()
+    r = a[0] - 1
+    if r < 1:
+        raise UnsupportedSingularity("need degree >= 2")
+    data = ArData(coeff=complex(next(iter(f.terms.values()))), r=r)
+    if not 0 < data.potential_scale < math.inf:  # |c|^2 itself may raise OverflowError
+        raise UnsupportedSingularity("the potential scale |c (r+1)|^2 is outside the float range")
+    return data
+
+
+@dataclass
+class ZetaResult:
+    theta_at_0: float
+    log_torsion: float
+    torsion: float
+    exponents: Tuple[float, ...] = ()
+    fit_condition: float = 0.0
+    fit_unstable: bool = False
+    error_bar: float = 0.0
+
+
+def torsion_exact_a1(tau: float) -> ZetaResult:
+    """Closed-form A_1 torsion from Theta^2(s) = (2 tau)^{-s} zeta(s - 1).
+
+    T^2 = (2 tau)^{-1/12} exp(-zeta'(-1)).
+    """
+    z_m1, zp_m1 = zeta_and_derivative(-1.0)
+    deriv = -math.log(2 * abs(tau)) * z_m1 + zp_m1
+    return ZetaResult(theta_at_0=z_m1, log_torsion=-deriv, torsion=math.exp(-deriv))

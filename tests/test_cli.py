@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -398,6 +399,44 @@ def test_cli_import_leaves_scipy_special_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def _env_without_blas_threads(**extra):
+    # importing singspect.cli in this process has set OPENBLAS_NUM_THREADS here
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    return {**env, **extra}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("extra,threads", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2)],
+                         ids=["default", "user-set"])
+def test_cli_runs_one_blas_thread_unless_the_user_chose(extra, threads):
+    # OpenBLAS caps its pool at the CPUs it may use, so 2 threads need 2 CPUs
+    if threads > len(os.sched_getaffinity(0)):
+        pytest.skip("needs 2 CPUs")
+    code = "import os, singspect.cli, numpy; print(len(os.listdir('/proc/self/task')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_env_without_blas_threads(**extra))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(threads)
+
+
+@pytest.mark.parametrize("args", [
+    ("torsion", "z1^3", "--basis", "60", "--sectors", "70"),
+    ("index", "z1^3 + z2^4", "--method", "quadrature", "--t", "1", "--nodes", "64"),
+], ids=["torsion", "index-quadrature"])
+def test_blas_thread_count_leaves_reports_unchanged(args):
+    reports = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        proc = subprocess.run([sys.executable, "-m", "singspect.cli", *args],
+                              capture_output=True, text=True,
+                              env=_env_without_blas_threads(**extra))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        del report["timing"]
+        reports.append(json.dumps(report, sort_keys=True))
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("call,unloaded", [
     ("cli.main(['verify', 'clifford-identities'])", "numpy"),
     ("cli.main(['verify', 'parametrix-identities'])", "numpy"),
@@ -407,8 +446,9 @@ def test_cli_import_leaves_scipy_special_unloaded():
     ("cli.main(['torsion', 'z1^3', '--basis', '20', '--sectors', '24'])",
      "singspect.index_integral"),
     ("cli.main(['torsion', '(1/2)*z1^2', '--exact'])", "singspect.index_integral"),
+    ("cli.main(['torsion', '(1/2)*z1^2', '--exact'])", "numpy"),
 ], ids=["verify-clifford", "verify-parametrix", "build_U", "weights", "index", "torsion",
-        "torsion-exact"])
+        "torsion-exact", "torsion-exact-numpy"])
 def test_each_command_imports_only_what_it_runs(call, unloaded):
     # a module-level numpy import in an exact module would undo the saving
     code = ("import contextlib, io, sys\n"
