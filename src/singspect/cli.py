@@ -69,6 +69,7 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.envi
 from . import __version__
 from .poly import MixedPolynomial, ParseError, infer_variable_count, parse
 from .weights import (
+    BRUTE_FORCE_MAX_MU,
     WITNESS_SAMPLES,
     BilinearMonomialPresent,
     ConstancyViolated,
@@ -158,7 +159,7 @@ def cmd_weights(args, f: MixedPolynomial):
     }
     result.update(tameness_report(wv).to_json_dict())
     result.update(nd.to_json_dict())
-    if f.n <= 2 and f.total_degree() <= 6:
+    if mu <= BRUTE_FORCE_MAX_MU:
         result["mu_brute_force"] = _exact(milnor_brute_force(f, wv))
     return {"witness_samples": nd.samples}, result
 

@@ -273,6 +273,10 @@ def _quadrature_estimate(
     return full, max(abs(full - run(nodes // 2)), 1e3 * np.finfo(float).eps * abs(full))
 
 
+# a budget of None means the method's default, as in the CLI's `index`
+_DEFAULT_BUDGETS = {"mc": 10 ** 6, "quadrature": 128}
+
+
 def _check_t(t: float) -> None:
     if not 0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, not {t}")
@@ -281,7 +285,7 @@ def _check_t(t: float) -> None:
 def compute_index(
     f: MixedPolynomial,
     t: float,
-    budget: int = 10 ** 6,
+    budget: int | None = None,
     seed: int = 0,
     method: str = "mc",
     *,
@@ -292,9 +296,12 @@ def compute_index(
     `report` is the weights-module non-degeneracy report; its fitted
     growth constant sets the Monte Carlo proposal scale and nothing else.
     `budget` is the sample count (Monte Carlo) or the node count N of the
-    weighted-polar rule (quadrature), whose weights come from solve_weights.
+    weighted-polar rule (quadrature), whose weights come from solve_weights;
+    None means 10^6 samples or 128 nodes.
     """
     _check_t(t)
+    if budget is None:
+        budget = _DEFAULT_BUDGETS.get(method)
     comp = _Compiled(f)
     if method == "mc":
         est, err = _mc_estimate(comp, t, budget, seed, report.fitted_C)
@@ -313,7 +320,7 @@ def grid_seed(seed: int, i: int) -> int:
 def mckean_singer_check(
     f: MixedPolynomial,
     t_grid: Sequence[float] = (0.5, 1.0, 2.0),
-    budget: int = 10 ** 6,
+    budget: int | None = None,
     seed: int = 0,
     method: str = "mc",
     *,

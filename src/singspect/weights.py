@@ -2,29 +2,31 @@
 
 Given a holomorphic polynomial f, the weight system is the exact rational
 solution q of b . q = 1 over all exponent vectors b of f.  The module also
-checks the two non-degeneracy conditions (no bilinear monomial; isolated
-critical point at the origin, verified heuristically by randomized witness
-sampling plus local descent on the weighted unit sphere), produces the
-tameness report with the gap quantities
+checks the two non-degeneracy conditions exactly (no bilinear monomial;
+isolated critical point at the origin, decided from the weighted-graded
+Jacobian ring), produces the tameness report with the gap quantities
 
     delta  = (1 - 3(q_M - q_m)) / (3 (1 - q_M))
     delta2 = (1 - 2(q_M - q_m)) / (2 (1 - q_M))
     delta3 = (1 - 3(q_M - q_m)) / (2 (1 - q_M))
 
-and computes the Milnor number mu = prod_i (1/q_i - 1), cross-checked for
-small cases against the brute-force Jacobian-ring dimension.  Everything but
-the witness check is exact, and only the witness functions import numpy.
+and computes the Milnor number mu = prod_i (1/q_i - 1) and, as its
+cross-check, the brute-force Jacobian-ring dimension from the same graded
+pieces (the CLI reports it for mu <= BRUTE_FORCE_MAX_MU).  The
+non-degeneracy check also draws random witness points, whose only outputs
+are floats: the Monte Carlo growth-floor scale `fitted_C`, the diagnostic
+`min_grad_norm` and the float-range guards; only they import numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from fractions import Fraction
 from typing import List, Tuple
 
-from .gaussian_rational import GaussianRational
-from .poly import MixedPolynomial, evaluate_joint, gradient, gradient_square, hessian
+from .poly import MixedPolynomial, _monomial_str, gradient, gradient_square
 
 
 class DegenerateSingularity(ValueError):
@@ -48,11 +50,18 @@ class BilinearMonomialPresent(DegenerateSingularity):
 
 
 class GradientVanishesAwayFromOrigin(DegenerateSingularity):
-    """A witness point z != 0 with grad f(z) = 0 was found."""
+    """grad f vanishes on a curve through 0: the Jacobian ring is infinite-dimensional.
 
-    def __init__(self, witness):
-        super().__init__(f"gradient vanishes near {witness}")
-        self.witness = witness
+    The certificate is a monomial of weighted degree `degree`, above the top
+    degree sum_i (1 - 2 q_i) of an isolated singularity, that lies outside
+    the Jacobian ideal (d_1 f, ..., d_n f).
+    """
+
+    def __init__(self, degree: Fraction, monomial: Tuple[int, ...]):
+        super().__init__(f"grad f vanishes away from the origin: {_monomial_str(monomial, ())} "
+                         f"of weighted degree {degree} is outside the Jacobian ideal")
+        self.degree = degree
+        self.monomial = monomial
 
 
 class NonIntegerMilnor(DegenerateSingularity):
@@ -107,7 +116,7 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class NondegeneracyReport:
-    """What a passed witness measured: `nondegeneracy_check` raises on every failure.
+    """What a passed check measured: `nondegeneracy_check` raises on every failure.
 
     `min_grad_norm`, the least |grad f| over the raw samples, is a diagnostic
     that can underflow to 0.0; `fitted_C` is the scale C of the growth floor
@@ -125,7 +134,7 @@ class NondegeneracyReport:
                 "passed": True,
                 "samples": self.samples,
                 "min_grad_norm": self.min_grad_norm,
-                "heuristic": True,
+                "heuristic": False,
             },
             "fitted_C": self.fitted_C,
         }
@@ -250,10 +259,6 @@ def has_bilinear_monomial(f: MixedPolynomial) -> bool:
     return False
 
 
-_DESCENT_STARTS = 8  # descents, from the witness points lowest in |grad f|^2 on the sphere
-_DESCENT_STEPS = 300
-
-
 def _to_weighted_sphere(Z: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Move each row of Z along (lambda . z)_i = lambda^(q_i) z_i onto max_i |z_i|^(1/q_i) = 1."""
     import numpy as np
@@ -262,49 +267,54 @@ def _to_weighted_sphere(Z: np.ndarray, q: np.ndarray) -> np.ndarray:
     return Z * rho[:, None] ** -q
 
 
-def _descend_to_critical(grads, hess, q: np.ndarray, Z: np.ndarray, h_scale: float) -> np.ndarray:
-    """Gradient descent on h = |grad f|^2 from each row of Z, on the weighted unit sphere of q.
+def _monomials(k: Tuple[int, ...], delta: int) -> List[Tuple[int, ...]]:
+    """The exponent tuples e with sum_j e_j k_j = delta, in increasing order."""
+    if delta < 0:
+        return []
+    heads = [((), delta)]  # exponents of the first variables, and the degree left
+    for kj in k[:-1]:
+        heads = [(e + (i,), left - i * kj) for e, left in heads for i in range(left // kj + 1)]
+    return [e + (left // k[-1],) for e, left in heads if left % k[-1] == 0]
 
-    Each step is moved back onto the sphere, so no row creeps towards the
-    origin, where |grad f| is tiny for a high-degree f.  Each row keeps its
-    own step and stops at h below 1e-24 h_scale or at a step below 1e-12.
+
+def _top_degree(d: int, k: Tuple[int, ...]) -> int:
+    """c = d sum_i (1 - 2 q_i), the top weighted degree of an isolated f's Jacobian ring."""
+    return sum(d - 2 * kj for kj in k)
+
+
+def _jacobian_piece(grads: List[MixedPolynomial], d: int, k: Tuple[int, ...],
+                    delta: int) -> Tuple[int, Tuple[int, ...] | None]:
+    """dim A_delta of A = C[z]/(d_1 f, ..., d_n f), and a monomial spanning part of it.
+
+    delta counts weighted degree in units of 1/d, so deg z_j = k_j and d_j f
+    has degree d - k_j (d and k from `WeightVector`).  The rows m * d_j f of
+    degree delta, each a dict from exponent tuple to coefficient, are
+    reduced by sparse exact elimination that pivots on a row's largest
+    monomial.  The monomials of degree delta that no row pivots on are a
+    basis of A_delta; the first of them is returned, or None when A_delta = 0.
     """
-    import numpy as np
-
-    n = len(grads)
-    # d_i d_k f and d_k d_i f are both built from f's terms in f's order, so
-    # the entries with i <= k hold the whole symmetric Hessian, to the bit
-    assert all(list(hess[i][k].terms.items()) == list(hess[k][i].terms.items())
-               for i in range(n) for k in range(i))
-    upper = [(i, k) for i in range(n) for k in range(i, n)]
-    Z, step = Z.copy(), np.full(len(Z), 0.1)
-    val = gradient_square(grads, Z)
-    rows = np.arange(len(Z))  # the rows still descending
-    for _ in range(_DESCENT_STEPS):
-        z = Z[rows]
-        # d_i f, then d_i d_k f for i <= k, from one table of column powers
-        vals = list(evaluate_joint(grads + [hess[i][k] for i, k in upper], z))
-        gv, hv = vals[:n], dict(zip(upper, vals[n:]))
-        # d h / d conj(z_k) = sum_i (d_i f)(z) * conj(d_k d_i f)(z)
-        d = np.stack([sum(gi * np.conj(hv[min(i, k), max(i, k)]) for i, gi in enumerate(gv))
-                      for k in range(n)], axis=1)
-        # d scales with |c|^2 for c f: a power of two per row brings it near 1,
-        # so its norm neither overflows nor underflows, and the step
-        # (step / nrm) d is the same to the bit
-        _, e = np.frexp(np.abs(d).max(axis=1))
-        d *= np.ldexp(1.0, np.minimum(-e, 1023))[:, None]
-        nrm = np.linalg.norm(d, axis=1)
-        go = (nrm > 0) & (val[rows] >= 1e-24 * h_scale)
-        rows, z, d, nrm = rows[go], z[go], d[go], nrm[go]
-        cand = _to_weighted_sphere(z - (step[rows] / nrm)[:, None] * d, q)
-        cval = gradient_square(grads, cand)
-        better = cval < val[rows]
-        Z[rows[better]], val[rows[better]] = cand[better], cval[better]
-        step[rows] *= np.where(better, 1.3, 0.5)
-        rows = rows[step[rows] >= 1e-12]
-        if rows.size == 0:
-            break
-    return Z
+    basis = _monomials(k, delta)
+    if not basis:  # then no row has degree delta either
+        return 0, None
+    pivots: dict = {}  # leading monomial -> its row
+    for j, g in enumerate(grads):
+        for m in _monomials(k, delta - (d - k[j])):
+            row = {tuple(map(add, a, m)): c for (a, _b), c in g.terms.items()}
+            while row:
+                lead = max(row)
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    pivots[lead] = row
+                    break
+                c = row[lead] / pivot[lead]
+                for e, v in pivot.items():
+                    x = row[e] - c * v if e in row else -(c * v)
+                    if x:
+                        row[e] = x
+                    else:
+                        del row[e]
+    free = [m for m in basis if m not in pivots]
+    return len(free), (free[0] if free else None)
 
 
 # witness points in total, split as evenly as possible over the sphere radii
@@ -318,15 +328,22 @@ def nondegeneracy_check(
     samples: int = WITNESS_SAMPLES,
     seed: int = 0,
 ) -> NondegeneracyReport:
-    """Check the two non-degeneracy conditions.
+    """Check the two non-degeneracy conditions exactly, and fit the growth floor.
 
-    Condition (1), no bilinear monomial, is exact.  Condition (2), isolated
-    critical point at the origin, is a randomized witness check: sample
-    `samples` points in total on three spheres, move them onto the weighted
-    unit sphere of `wv`, descend on that sphere from the lowest to hunt for
-    off-origin critical points, and fit the quadratic growth floor
-    |grad f|^2 >= |z|^2 / C - 1.  Sound for rejection, heuristic for
-    acceptance.
+    Condition (1), no bilinear monomial, is read off f.  Condition (2),
+    isolated critical point at the origin, holds iff the Jacobian ring
+    A = C[z]/(grad f) is finite-dimensional.  An isolated f has A_delta = 0
+    above its top degree c = sum_i (1 - 2 q_i) (Milnor & Orlik, Topology 9
+    (1970) 385), and every monomial of degree above c + max_i q_i is z_j
+    times one of degree above c, so A is finite iff A_delta = 0 for every
+    delta in (c, c + max_i q_i]; otherwise a monomial of such a degree
+    outside the Jacobian ideal is raised as the certificate.
+
+    `samples` random points in total on three spheres feed only the floats:
+    the diagnostic `min_grad_norm`, the float-range guards and the scale C
+    of the growth floor |grad f|^2 >= |z|^2 / C - 1.  The guards run before
+    the exact verdict, so a coefficient outside the float range fails as
+    such even where f is also degenerate.
     """
     import numpy as np
 
@@ -349,25 +366,25 @@ def nondegeneracy_check(
         S = _to_weighted_sphere(Z, q)
         h = gradient_square(grads, S)
 
-    # an off-origin critical point has a whole C* orbit of them, so it meets
-    # the weighted unit sphere, where |grad f| of an isolated singularity is
-    # bounded away from zero whatever its degree: descend there.  h scales
-    # with |c|^2 for c f, so its thresholds are relative to its largest value.
-    # The raw samples reach radius 10, where |grad f|^2 can overflow while h
-    # does not, and the growth floor below needs them finite too
+    # the largest |grad f|^2 on the weighted unit sphere, where it is bounded
+    # away from zero for an isolated f whatever its degree, measures the
+    # float range of f's coefficients.  The raw samples reach radius 10,
+    # where |grad f|^2 can overflow while h does not, and the growth floor
+    # below needs them finite too
     h_scale = float(h.max())
     for value in (h_scale, float(grad_sq.max())):
         if not 0 < value < math.inf:
             raise ValueError(f"a coefficient is outside the float range: |grad f|^2 = {value}")
-    # the thresholds 1e-24 h_scale and 1e-20 h_scale must stay normal floats,
-    # or they reach 0 and nothing can be rejected
+    # so is an h_scale within a factor 1e24 of the subnormal range
     if 1e-24 * h_scale < np.finfo(float).tiny:
         raise ValueError(f"a coefficient is outside the float range: h_scale = {h_scale}")
-    starts = S[np.argsort(h)[:_DESCENT_STARTS]]
-    ends = _descend_to_critical(grads, hessian(f), q, starts, h_scale)
-    for zc, hv in zip(ends, gradient_square(grads, ends)):
-        if hv < 1e-20 * h_scale:
-            raise GradientVanishesAwayFromOrigin(tuple(complex(v) for v in zc))
+
+    d, k = wv.d, wv.k
+    c_top = _top_degree(d, k)
+    for delta in range(c_top + 1, c_top + max(k) + 1):
+        dim, monomial = _jacobian_piece(grads, d, k, delta)
+        if dim:
+            raise GradientVanishesAwayFromOrigin(Fraction(delta, d), monomial)
 
     # growth floor |grad f|^2 >= |z|^2/C - 1: C must dominate the max sample
     # ratio.  A 1.5x margin keeps downstream importance weights bounded when
@@ -383,6 +400,11 @@ def nondegeneracy_check(
 # -- Milnor number ------------------------------------------------------------
 
 
+# the CLI's `weights` reports milnor_brute_force for mu up to this: about 30 ms
+# in-process (Python 3.11, 2 vCPUs of a Xeon)
+BRUTE_FORCE_MAX_MU = 1000
+
+
 def milnor_oracle(wv: WeightVector) -> int:
     """mu = prod_i (1/q_i - 1); raises NonIntegerMilnor if not an integer."""
     mu = Fraction(1)
@@ -394,46 +416,11 @@ def milnor_oracle(wv: WeightVector) -> int:
 
 
 def milnor_brute_force(f: MixedPolynomial, wv: WeightVector) -> int:
-    """dim C[z]/(grad f) by exact linear algebra on the weighted-graded pieces.
+    """dim C[z]/(grad f), summed over the weighted-graded pieces of degree <= c.
 
     For a weighted-homogeneous isolated singularity the Jacobian ring lives
-    in weighted degrees <= c = sum_i (1 - 2 q_i), so counting monomials of
-    weighted degree <= c modulo the relations m * d_i f of weighted degree
-    <= c gives the exact dimension.  Intended for n <= 2, degree <= 6.
+    in weighted degrees <= c = sum_i (1 - 2 q_i) (see `nondegeneracy_check`),
+    so this is its exact dimension, mu.
     """
-    n = f.n
-    q = wv.q
-    c_top = sum((1 - 2 * qi for qi in q), Fraction(0))
-
-    def monomials_up_to(bound: Fraction) -> List[Tuple[int, ...]]:
-        out: List[Tuple[int, ...]] = []
-
-        def rec(prefix: List[int], j: int, left: Fraction):
-            if j == n:
-                out.append(tuple(prefix))
-                return
-            e = 0
-            while e * q[j] <= left:
-                rec(prefix + [e], j + 1, left - e * q[j])
-                e += 1
-
-        rec([], 0, bound)
-        return sorted(out)
-
-    basis = monomials_up_to(c_top)
-    index = {m: i for i, m in enumerate(basis)}
-    rows: List[List[GaussianRational]] = []
-    zero = GaussianRational(0)
-    for i, gi in enumerate(gradient(f)):
-        wdeg_gi = Fraction(1) - q[i]
-        for m in monomials_up_to(c_top - wdeg_gi):
-            row = [zero] * len(basis)
-            filled = False
-            for (a, _b), coeff in gi.terms.items():
-                e = tuple(x + y for x, y in zip(a, m))
-                if e in index:
-                    row[index[e]] = row[index[e]] + coeff
-                    filled = True
-            if filled:
-                rows.append(row)
-    return len(basis) - len(_rref(rows)[1])
+    grads, d, k = gradient(f), wv.d, wv.k
+    return sum(_jacobian_piece(grads, d, k, delta)[0] for delta in range(_top_degree(d, k) + 1))

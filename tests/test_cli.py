@@ -84,9 +84,24 @@ def test_weights_of_a_high_degree_a_r(capsys):
     assert json.loads(capsys.readouterr().out)["result"]["mu"]["value"] == 12
 
 
+def test_weights_brute_force_is_bounded_by_mu_not_by_n(capsys):
+    # one rule for every n: the graded count runs for mu <= BRUTE_FORCE_MAX_MU
+    from singspect import cli
+    from singspect.weights import BRUTE_FORCE_MAX_MU
+
+    assert cli.main(["weights", "z1^2 + z1*z2^3 + z2*z3^3"]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["mu_brute_force"] == res["mu"] == {"tag": "exact", "value": 13}
+    assert res["isolated_witness"]["heuristic"] is False
+    assert cli.main(["weights", "z1^40*z2 + z2^41"]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
+    assert res["mu"]["value"] == 1600 > BRUTE_FORCE_MAX_MU
+    assert "mu_brute_force" not in res
+
+
 def test_weights_of_a_large_coefficient_is_strict_json():
     # (|grad f|^2 + 1)^2 of 10^150 z1^3 overflows a float on the radius-10
-    # samples, and so does the squared norm of the descent direction
+    # samples
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
 

@@ -89,7 +89,7 @@ def test_quadrature_error_at_eight_nodes():
 def test_quadrature_rejects_unsupported_node_counts():
     f, _, rep = prepared("z1^3", 1)
     with pytest.raises(ValueError):
-        compute_index(f, 1.0, method="quadrature", report=rep)  # default budget 10^6
+        compute_index(f, 1.0, budget=10 ** 6, method="quadrature", report=rep)
     # above the point cap, no half-node rule to compare, and a half-node rule
     # too coarse for the bar to cover the error
     for nodes in (646, 1, 2, 3, 4, 5, 6, 7):
@@ -97,7 +97,7 @@ def test_quadrature_rejects_unsupported_node_counts():
             compute_index(f, 1.0, budget=nodes, method="quadrature", report=rep)
     f33, _, rep33 = prepared("z1^3 + z2^3", 2)
     with pytest.raises(ValueError):
-        compute_index(f33, 1.0, method="quadrature", report=rep33)
+        compute_index(f33, 1.0, budget=10 ** 6, method="quadrature", report=rep33)
 
 
 def test_quadrature_node_cap_precedes_any_rule_build(monkeypatch):
@@ -187,6 +187,16 @@ def test_mckean_singer_check():
     assert "t,estimate,stderr" in res3.to_csv()
     one = mckean_singer_check(f3, (1.0,), budget=20000, seed=9, report=rep3)
     assert one.mu_pooled == one.estimates[0].estimate  # no pairs, weight exactly 1
+
+
+def test_default_budget_follows_the_method():
+    # budget=None is 128 nodes for the quadrature, whose rule at the Monte
+    # Carlo default of 10^6 would be far too large to run
+    f, wv, rep = prepared("z1^3", 1)
+    est = compute_index(f, 1.0, method="quadrature", report=rep)
+    assert est.budget == 128 and abs(est.estimate - 2.0) <= est.std_error + 1e-9
+    res = mckean_singer_check(f, method="quadrature", report=rep)
+    assert [e.budget for e in res.estimates] == [128] * 3 and res.mu_rounded == 2
 
 
 def test_index_with_off_diagonal_hessian():

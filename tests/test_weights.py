@@ -1,10 +1,14 @@
-import pytest
+import itertools
 from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from singspect.poly import parse
+from singspect.gaussian_rational import GaussianRational
+from singspect.poly import gradient, infer_variable_count, parse
 from singspect.weights import (
+    BRUTE_FORCE_MAX_MU,
     BilinearMonomialPresent,
     GradientVanishesAwayFromOrigin,
     NonIntegerMilnor,
@@ -12,6 +16,7 @@ from singspect.weights import (
     WeightOutOfRange,
     WeightVector,
     WeightsNotUnique,
+    _rref,
     milnor_brute_force,
     milnor_oracle,
     nondegeneracy_check,
@@ -120,6 +125,50 @@ def test_milnor_brute_force_agreement():
         assert milnor_brute_force(f, wv) == milnor_oracle(wv), text
 
 
+def assert_certificate(exc, f, wv):
+    # an exact certificate: a monomial of the stated weighted degree, above
+    # the top degree sum_i (1 - 2 q_i), that no combination of the products
+    # m * d_j f of that degree reaches, by a dense reference elimination
+    def deg(e):
+        return sum(ei * qi for ei, qi in zip(e, wv.q))
+
+    assert exc.degree > sum(1 - 2 * qi for qi in wv.q)
+    assert deg(exc.monomial) == exc.degree
+    exps = list(itertools.product(*(range(int(exc.degree / qi) + 1) for qi in wv.q)))
+    products = [{tuple(x + y for x, y in zip(a, m)): c for (a, _b), c in g.terms.items()}
+                for g, qj in zip(gradient(f), wv.q) for m in exps
+                if deg(m) == exc.degree - (1 - qj)]
+    cols = sorted({e for p in products for e in p} | {exc.monomial})
+    rows = [[p.get(e, GaussianRational(0)) for e in cols] for p in products]
+    mono = [GaussianRational(int(e == exc.monomial)) for e in cols]
+    assert len(_rref(rows + [mono])[1]) == len(_rref(rows)[1]) + 1
+
+
+@pytest.mark.parametrize("text", [
+    "z1^2", "z1^3", "z1^13", "z1^3 + z2^4", "z1^7 + z2^13", "z1^3 + z2^3 + z3^3",
+    "z1^2 + z2^3 + z3^5 + z4^7", "z1^10 + z1*z2^9 + z2*z3^9", "z1^2 + z1*z2^3 + z2*z3^3",
+    "z1^2*z2 + z2^2*z3 + z3^2*z1", "z1^3 + z1*z2^3", "z1^2*z2 + z2^4", "z1^40*z2 + z2^41",
+    "(1/10^12)*(z1^7 + z2^13)", "10^12*(z1^3 + z1*z2^3)", "(1/10^100)*z1^80",
+    "(3/7)*(z1^2*z2 + z2^2*z3 + z3^2*z1)"])
+def test_exact_verdict_accepts_isolated_singularities(text):
+    f = parse(text, infer_variable_count(text))
+    wv = solve_weights(f)
+    js = nondegeneracy_check(f, wv).to_json_dict()
+    assert js["isolated_witness"]["passed"] and js["isolated_witness"]["heuristic"] is False
+    if milnor_oracle(wv) <= BRUTE_FORCE_MAX_MU:
+        assert milnor_brute_force(f, wv) == milnor_oracle(wv)
+
+
+@pytest.mark.parametrize("text", ["(z1+z2)^3", "(z1+z2)^5", "(z1+z2)^7", "(z1-2*z2)^7",
+                                  "(z1^3+z2^5)^2", "(z1+z2)^5 + z3^5", "(z1+z2)^20 + z3^3"])
+def test_exact_verdict_rejects_with_a_certificate(text):
+    f = parse(text, infer_variable_count(text))
+    wv = solve_weights(f)
+    with pytest.raises(GradientVanishesAwayFromOrigin) as err:
+        nondegeneracy_check(f, wv)
+    assert_certificate(err.value, f, wv)
+
+
 def test_nondegeneracy_check_paths():
     with pytest.raises(BilinearMonomialPresent):
         nondegeneracy_check(parse("z1*z2", 2), WeightVector((Fraction(1, 2),) * 2))
@@ -131,12 +180,12 @@ def test_nondegeneracy_check_paths():
     assert rep.samples >= 10 ** 4
     assert rep.fitted_C > 0
     # z1^2 z2 has critical points all along z1 = 0
+    g, wv = parse("z1^2*z2", 2), WeightVector((Fraction(1, 4), Fraction(1, 2)))
     with pytest.raises(GradientVanishesAwayFromOrigin) as err:
-        nondegeneracy_check(parse("z1^2*z2", 2),
-                            WeightVector((Fraction(1, 4), Fraction(1, 2))), seed=3)
-    w = err.value.witness
-    g = parse("z1^2*z2", 2)
-    assert sum(abs(g.wirtinger(i).evaluate_many([w])[0]) ** 2 for i in (1, 2)) < 1e-12
+        nondegeneracy_check(g, wv, seed=3)
+    assert_certificate(err.value, g, wv)
+    # (2 z1 z2, z1^2) holds every monomial of degree 3/4 and all but z2^2 of degree 1
+    assert (err.value.degree, err.value.monomial) == (1, (0, 2))
 
 
 @pytest.mark.parametrize("text,n", [("z1^13", 1), ("z1^20", 1), ("z1^40", 1),
@@ -145,53 +194,12 @@ def test_nondegeneracy_check_paths():
                                     ("(1/10^12)*(z1^7 + z2^13)", 2),
                                     ("10^12*(z1^7 + z2^13)", 2), ("(1/10^100)*z1^80", 1)])
 def test_witness_accepts_isolated_high_degree_singularities(text, n):
-    # |grad f| is tiny near the origin of a high-degree f, so a descent that
-    # creeps towards the origin must not count as an off-origin critical point;
-    # c f has the critical points of f, so neither may a small c.  The report
-    # says passed even where min_grad_norm, over the raw samples, underflows
+    # |grad f| is tiny near the origin of a high-degree f, and c f has the
+    # Jacobian ideal of f, so neither a high degree nor a small c may fail
+    # the check.  The report says passed even where min_grad_norm, over the
+    # raw samples, underflows
     f = parse(text, n)
     assert nondegeneracy_check(f, solve_weights(f)).to_json_dict()["isolated_witness"]["passed"]
-
-
-def test_batched_descent_matches_one_row_at_a_time():
-    # each row keeps its own step and stopping rule, so batching changes no row
-    import numpy as np
-    from singspect.poly import gradient, hessian
-    from singspect.weights import _descend_to_critical, _to_weighted_sphere
-
-    f = parse("z1^2*z2 + z2^5", 2)
-    grads, hess = gradient(f), hessian(f)
-    q = np.array([float(qi) for qi in solve_weights(f).q])
-    rng = np.random.default_rng(4)
-    Z = _to_weighted_sphere(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)), q)
-    batch = _descend_to_critical(grads, hess, q, Z, 1.0)
-    for i in range(len(Z)):
-        assert np.array_equal(batch[i:i + 1],
-                              _descend_to_critical(grads, hess, q, Z[i:i + 1], 1.0))
-
-
-def test_joint_descent_equals_a_per_polynomial_reference(monkeypatch):
-    # the gradient and Hessian rows come from one table of column powers; each
-    # evaluated on its own gives the same descent to the bit
-    import numpy as np
-    from singspect import poly, weights
-    from singspect.poly import gradient, hessian
-    from singspect.weights import _descend_to_critical, _to_weighted_sphere
-
-    f = parse("z1^2*z2 + z2^5 + z3^3", 3)
-    grads, hess = gradient(f), hessian(f)
-    q = np.array([float(qi) for qi in solve_weights(f).q])
-    rng = np.random.default_rng(4)
-    Z = _to_weighted_sphere(rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)), q)
-    joint = _descend_to_critical(grads, hess, q, Z, 1.0)
-    joint_evaluator = poly.evaluate_joint
-
-    def alone(polys, Z):
-        return [next(joint_evaluator([p], Z)) for p in polys]
-
-    monkeypatch.setattr(weights, "evaluate_joint", alone)
-    monkeypatch.setattr(poly, "evaluate_joint", alone)  # inside gradient_square
-    assert np.array_equal(joint, _descend_to_critical(grads, hess, q, Z, 1.0))
 
 
 @pytest.mark.parametrize("text,n", [("(z1+z2)^3", 2), ("(z1+z2)^5", 2), ("(z1+z2)^7", 2),
@@ -203,25 +211,21 @@ def test_joint_descent_equals_a_per_polynomial_reference(monkeypatch):
                                     ("10^100*(z1+z2)^3", 2), ("(1/10^100)*(z1+z2)^3", 2)])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_witness_rejects_non_isolated_singularities_of_any_degree(text, n, seed):
-    # near a critical curve such as z1 = -z2 of (z1+z2)^d, |grad f|^2 falls
-    # like |z1 + z2|^(2d - 2): a descent that stops on an absolute flatness
-    # (one that ignores the scale of f), measures h off the weighted unit
-    # sphere or takes a norm that overflows or underflows at the scale of f
-    # can miss it
+    # a critical curve such as z1 = -z2 of (z1+z2)^d fails the check at any
+    # degree and any scale of f, whatever witness points are drawn
     f = parse(text, n)
     with pytest.raises(GradientVanishesAwayFromOrigin):
         nondegeneracy_check(f, solve_weights(f), seed=seed)
 
 
 def test_witness_is_plain_complex_on_the_weighted_unit_sphere():
+    # the witness of a degenerate f is an exact monomial
     f = parse("(z1+z2)^3", 2)  # critical along z1 = -z2, weights (1/3, 1/3)
+    wv = solve_weights(f)
     with pytest.raises(GradientVanishesAwayFromOrigin) as err:
-        nondegeneracy_check(f, solve_weights(f))
-    w = err.value.witness
-    assert all(type(v) is complex for v in w)
+        nondegeneracy_check(f, wv)
+    assert_certificate(err.value, f, wv)
     assert "np." not in str(err.value)
-    assert max(abs(v) ** 3 for v in w) == pytest.approx(1.0)
-    assert sum(abs(f.wirtinger(i).evaluate_many([w])[0]) ** 2 for i in (1, 2)) < 1e-12
 
 
 @pytest.mark.parametrize("samples", [1, 2, 12000, 12001])
