@@ -12,30 +12,33 @@ error on stderr with the exit code of the first matching row of
 `_EXIT_CODES`: 1 parse error (of the polynomial, or a `--t` value that is
 not a number; both carry an offset), 2 degenerate input, 3 McKean-Singer
 constancy violated, 4 any other rejected input (a usage error argparse
-reports, such as an unknown command or `--samples abc`; an `index --csv`
-path that cannot be written, checked before any estimate without emptying
-an existing file or leaving a new one; a polynomial outside the weight
-system, such as one with a conjugate variable; a t that is not positive and
-finite, `index` or `weights` `--samples` below 1, a rejected quadrature
-node count, a `--basis` or `--sectors` the Galerkin solver rejects, or a
-float overflow, in the Galerkin matrices or from a coefficient outside the
-float range).
+reports, such as an unknown command, `--samples abc` or a negative
+`--seed`; an `index --csv` path that cannot be written, checked before any
+estimate without emptying an existing file or leaving a new one; a
+polynomial outside the weight system, such as one with a conjugate
+variable; a t that is not positive and finite, `index --samples` below 1,
+a rejected quadrature node count or a quadrature rule that is not finite,
+a `--basis` or `--sectors` the Galerkin solver rejects, or a float
+overflow, in the Galerkin matrices or from a coefficient outside the float
+range).
 0 is success, and 5 a failed `verify` check (its report is still written).
 
 The variable count n is the largest k of a `zk` in the polynomial's text.
 `torsion --sectors` defaults to 70, or to the Galerkin solver's floor
 2r + 2 for f = c z^(r+1) when that is larger; `torsion --exact` uses and
-records neither `--basis` nor `--sectors`.
+records neither `--basis` nor `--sectors`.  `--seed` is read only by the
+Monte Carlo `index` and the `verify` suites; `weights`, `torsion` and
+`index --method quadrature` accept it and record it in the manifest.
 
 This module imports only the exact, numpy-free layers (poly, weights).  Each
 command imports the modules it computes with when it runs, listed in
 `_MODULES`; `main` imports them right after parsing the command line and
 leaves that import out of the report's timer, so `timing` times the command
-and not its imports.  `weights` and `index` load numpy but not the spectral
-layer, `torsion` loads the spectral layer but not the index integral, and
-`torsion --exact` (the A_1 closed form in `zeta`) and the exact suites
-`verify clifford-identities` and `verify parametrix-identities` load no
-numpy at all.
+and not its imports.  `index` loads numpy but not the spectral layer,
+`torsion` loads the spectral layer but not the index integral, and
+`weights`, `torsion --exact` (the A_1 closed form in `zeta`) and the exact
+suites `verify clifford-identities` and `verify parametrix-identities` load
+no numpy at all.
 
 A CLI process runs one BLAS thread: importing this module sets
 OPENBLAS_NUM_THREADS=1 unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
@@ -70,7 +73,6 @@ from . import __version__
 from .poly import MixedPolynomial, ParseError, infer_variable_count, parse
 from .weights import (
     BRUTE_FORCE_MAX_MU,
-    WITNESS_SAMPLES,
     BilinearMonomialPresent,
     ConstancyViolated,
     DegenerateSingularity,
@@ -131,8 +133,8 @@ def _t_grid(text: str) -> list:
     return grid
 
 
-def _weight_system(f: MixedPolynomial, seed: int, samples: int = WITNESS_SAMPLES):
-    """Weights, witness report and Milnor number: the front end of `weights` and `index`.
+def _weight_system(f: MixedPolynomial):
+    """Weights, non-degeneracy report and Milnor number: the front end of `weights` and `index`.
 
     The bilinear check runs before `solve_weights`, so a z_i*z_j term is
     reported as such rather than as a rank-deficient weight system.
@@ -140,7 +142,7 @@ def _weight_system(f: MixedPolynomial, seed: int, samples: int = WITNESS_SAMPLES
     if has_bilinear_monomial(f):
         raise BilinearMonomialPresent("f contains a z_i*z_j monomial with i != j")
     wv = solve_weights(f)
-    nd = nondegeneracy_check(f, wv, samples=samples, seed=seed)
+    nd = nondegeneracy_check(f, wv)
     return wv, nd, milnor_oracle(wv)
 
 
@@ -148,9 +150,7 @@ def _weight_system(f: MixedPolynomial, seed: int, samples: int = WITNESS_SAMPLES
 
 
 def cmd_weights(args, f: MixedPolynomial):
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, not {args.samples}")
-    wv, nd, mu = _weight_system(f, args.seed, args.samples)
+    wv, nd, mu = _weight_system(f)
     result = {
         "q": [str(qi) for qi in wv.q],
         "d": wv.d,
@@ -161,7 +161,7 @@ def cmd_weights(args, f: MixedPolynomial):
     result.update(nd.to_json_dict())
     if mu <= BRUTE_FORCE_MAX_MU:
         result["mu_brute_force"] = _exact(milnor_brute_force(f, wv))
-    return {"witness_samples": nd.samples}, result
+    return {}, result
 
 
 def _check_writable(path: str) -> None:
@@ -186,10 +186,9 @@ def cmd_index(args, f: MixedPolynomial):
     t_grid = _t_grid(args.t)
     if args.csv:
         _check_writable(args.csv)
-    _, nd, mu_oracle = _weight_system(f, args.seed)
+    _, _, mu_oracle = _weight_system(f)
     budget = args.samples if args.method == "mc" else args.nodes
-    res = mckean_singer_check(f, t_grid, budget=budget, seed=args.seed,
-                              method=args.method, report=nd)
+    res = mckean_singer_check(f, t_grid, budget=budget, seed=args.seed, method=args.method)
     result = {
         "estimates": [
             {"t": e.t, "estimate": _with_err(e.estimate, e.std_error)}
@@ -325,9 +324,9 @@ def _suite_index(seed: int) -> list:
     from .index_integral import mckean_singer_check
 
     f = parse("z1^3", 1)
-    _, nd, mu = _weight_system(f, seed)
+    _, _, mu = _weight_system(f)
     try:
-        res = mckean_singer_check(f, (0.5, 1.0, 2.0), budget=200000, seed=seed, report=nd)
+        res = mckean_singer_check(f, (0.5, 1.0, 2.0), budget=200000, seed=seed)
     except ConstancyViolated:  # a failed check here, not an exit code
         res = None
     return [("McKean-Singer constancy z1^3", res is not None),
@@ -388,7 +387,6 @@ def cmd_verify(args, _f):
 # row) computes with beyond poly and weights, which this module imports; main
 # imports them outside the report's timer, and no command imports another's
 _MODULES = {
-    "weights": ("numpy",),
     "index": ("singspect.index_integral",),
     "torsion": ("singspect.spectral",),
     "torsion --exact": ("singspect.zeta",),
@@ -416,6 +414,14 @@ class UsageError(ValueError):
     """A command line argparse rejects: unknown command, missing or ill-typed value."""
 
 
+def _seed(text: str) -> int:
+    """The type of `--seed`: a non-negative int, the seeds numpy's generators take."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {seed}")
+    return seed
+
+
 class _ArgParser(argparse.ArgumentParser):
     """Raises UsageError instead of exiting 2; takes no abbreviation (subparsers inherit both).
 
@@ -438,8 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("weights", help="weight system, tameness and Milnor number")
     w.add_argument("polynomial")
-    w.add_argument("--seed", type=int, default=0)
-    w.add_argument("--samples", type=int, default=WITNESS_SAMPLES)
+    w.add_argument("--seed", type=_seed, default=0)
     w.set_defaults(func=cmd_weights)
 
     ix = sub.add_parser("index", help="Gaussian index integral across a t-grid")
@@ -447,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     ix.add_argument("--t", default="0.5,1,2")
     ix.add_argument("--samples", type=int, default=10 ** 6)
     ix.add_argument("--nodes", type=int, default=128)
-    ix.add_argument("--seed", type=int, default=0)
+    ix.add_argument("--seed", type=_seed, default=0)
     ix.add_argument("--method", choices=("mc", "quadrature"), default="mc")
     ix.add_argument("--csv", default=None)
     ix.set_defaults(func=cmd_index)
@@ -457,12 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--exact", action="store_true")
     tr.add_argument("--basis", type=int, default=60)
     tr.add_argument("--sectors", type=int, default=None)
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--seed", type=_seed, default=0)
     tr.set_defaults(func=cmd_torsion)
 
     vf = sub.add_parser("verify", help="run an invariant suite")
     vf.add_argument("suite")
-    vf.add_argument("--seed", type=int, default=0)
+    vf.add_argument("--seed", type=_seed, default=0)
     vf.set_defaults(func=cmd_verify)
     return ap
 

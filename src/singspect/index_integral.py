@@ -6,8 +6,9 @@ For a non-degenerate quasi-homogeneous f,
 
 independent of t > 0.  The module evaluates the integral either by
 importance-sampled Monte Carlo (complex Gaussian proposal whose scale comes
-from the fitted quadratic growth floor |grad f|^2 >= |z|^2 / C - 1, which
-keeps the weights bounded) or, for any n, by quadrature in weighted polar
+from a quadratic growth floor |grad f|^2 >= |z|^2 / C - 1, with C fitted
+once per f on fixed random points, which keeps the weights bounded) or,
+for any n, by quadrature in weighted polar
 coordinates z_j = lam^{q_j} zeta_j: quasi-homogeneity turns the integral
 into a smooth integral over the unit sphere (Gauss-Legendre on the simplex
 of the |zeta_j|^2, trapezoid in the angles, one angle fixed by the circle
@@ -26,6 +27,7 @@ falls short of the error.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -34,7 +36,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .poly import MixedPolynomial, evaluate_joint, gradient, hessian_determinant, square_sum
-from .weights import ConstancyViolated, NondegeneracyReport, solve_weights
+from .weights import ConstancyViolated, solve_weights
 
 
 class UnsupportedNodeCount(ValueError):
@@ -95,6 +97,34 @@ def integrand(f: MixedPolynomial, Z, t: float) -> np.ndarray:
     if not t > 0:
         raise ValueError("t must be positive")
     return _Compiled(f).density(np.asarray(Z, dtype=complex), t)
+
+
+# the growth constant's points: this many on each sphere, from stream 0
+_GROWTH_POINTS_PER_RADIUS = 4000
+_GROWTH_RADII = (0.1, 1.0, 10.0)
+
+
+@functools.lru_cache(maxsize=16)
+def _growth_constant(f: MixedPolynomial) -> float:
+    """C of the growth floor |grad f|^2 >= |z|^2 / C - 1: the Monte Carlo proposal scale.
+
+    C is 1.5 times the largest |z|^2 / (|grad f|^2 + 1) over points drawn
+    uniformly on the spheres |z| = 0.1, 1 and 10 by default_rng(0); the
+    margin keeps the importance weights bounded where the points undershoot.
+    C depends on f alone, and is computed once per f: a t-grid draws it once.
+    """
+    rng = np.random.default_rng(0)
+    n = f.n
+    pts = []
+    for r in _GROWTH_RADII:
+        x = rng.normal(size=(_GROWTH_POINTS_PER_RADIUS, 2 * n))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        pts.append(r * (x[:, :n] + 1j * x[:, n:]))
+    Z = np.concatenate(pts, axis=0)
+    with np.errstate(over="ignore"):  # an |grad f|^2 that overflows gives a ratio of 0
+        grad_sq = square_sum(evaluate_joint(gradient(f), Z))
+    ratio = (np.abs(Z) ** 2).sum(axis=1) / (grad_sq + 1.0)
+    return 1.5 * float(ratio.max())
 
 
 _MC_STRATA = 64  # each stratum has its own stream; sums are reduced in stratum order
@@ -222,7 +252,8 @@ def _quadrature_estimate(
     t and a constant factor c of f enter only through x0, so the rule is
     covariant under c f and, for equal weights, t-independent to rounding.
     Sphere points come in blocks of _BLOCK_ROWS rows, each with one pass over
-    the radial nodes.  The error is |Q_N - Q_{N/2}|, at least 1e3 eps |Q_N|.
+    the radial nodes.  The error is |Q_N - Q_{N/2}|, at least 1e3 eps |Q_N|;
+    a Q_N or Q_{N/2} that is not finite raises ValueError.
     Raises UnsupportedNodeCount, before any rule is built, for N < 8 or when
     (2N^2)^(n-1) sphere points times 4N radial nodes, or N^3, exceed
     _MAX_QUADRATURE_POINTS.
@@ -269,8 +300,12 @@ def _quadrature_estimate(
                           lam_a, log_wx) for lo in range(0, size, _BLOCK_ROWS))
         return 2 * math.pi * 2.0 ** (1 - n) / math.pi ** n * total
 
-    full = run(nodes)
-    return full, max(abs(full - run(nodes // 2)), 1e3 * np.finfo(float).eps * abs(full))
+    with np.errstate(all="ignore"):  # a rule value that is not finite is raised below
+        full, half = run(nodes), run(nodes // 2)
+    for npts, value in ((nodes, full), (nodes // 2, half)):
+        if not math.isfinite(value):
+            raise ValueError(f"the {npts}-node quadrature rule is not finite: {value}")
+    return full, max(abs(full - half), 1e3 * np.finfo(float).eps * abs(full))
 
 
 # a budget of None means the method's default, as in the CLI's `index`
@@ -288,13 +323,9 @@ def compute_index(
     budget: int | None = None,
     seed: int = 0,
     method: str = "mc",
-    *,
-    report: NondegeneracyReport,
 ) -> IndexEstimate:
     """One estimate of the index integral at time t.
 
-    `report` is the weights-module non-degeneracy report; its fitted
-    growth constant sets the Monte Carlo proposal scale and nothing else.
     `budget` is the sample count (Monte Carlo) or the node count N of the
     weighted-polar rule (quadrature), whose weights come from solve_weights;
     None means 10^6 samples or 128 nodes.
@@ -304,7 +335,7 @@ def compute_index(
         budget = _DEFAULT_BUDGETS.get(method)
     comp = _Compiled(f)
     if method == "mc":
-        est, err = _mc_estimate(comp, t, budget, seed, report.fitted_C)
+        est, err = _mc_estimate(comp, t, budget, seed, _growth_constant(f))
     elif method == "quadrature":
         est, err = _quadrature_estimate(comp, t, budget, solve_weights(f).q)
     else:
@@ -323,8 +354,6 @@ def mckean_singer_check(
     budget: int | None = None,
     seed: int = 0,
     method: str = "mc",
-    *,
-    report: NondegeneracyReport,
 ) -> IndexResult:
     """Estimates across the t-grid with pairwise 3-sigma constancy enforced.
 
@@ -336,8 +365,7 @@ def mckean_singer_check(
         _check_t(t)
     ests: List[IndexEstimate] = []
     for i, t in enumerate(t_grid):
-        ests.append(compute_index(f, t, budget=budget, seed=grid_seed(seed, i),
-                                  method=method, report=report))
+        ests.append(compute_index(f, t, budget=budget, seed=grid_seed(seed, i), method=method))
     floor = 1e-12
     for i in range(len(ests)):
         for j in range(i + 1, len(ests)):

@@ -424,11 +424,6 @@ def square_sum(values: Iterable[np.ndarray]) -> np.ndarray:
     return total
 
 
-def gradient_square(grads: Sequence[MixedPolynomial], Z: np.ndarray) -> np.ndarray:
-    """|grad f|^2 = sum_i |d_i f|^2 at the rows of a complex (m, n) array, from gradient(f)."""
-    return square_sum(evaluate_joint(grads, Z))
-
-
 def hessian(f: MixedPolynomial) -> List[List[MixedPolynomial]]:
     g = gradient(f)
     return [[gi.wirtinger(j) for j in range(1, f.n + 1)] for gi in g]

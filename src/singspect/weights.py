@@ -12,10 +12,10 @@ Jacobian ring), produces the tameness report with the gap quantities
 
 and computes the Milnor number mu = prod_i (1/q_i - 1) and, as its
 cross-check, the brute-force Jacobian-ring dimension from the same graded
-pieces (the CLI reports it for mu <= BRUTE_FORCE_MAX_MU).  The
-non-degeneracy check also draws random witness points, whose only outputs
-are floats: the Monte Carlo growth-floor scale `fitted_C`, the diagnostic
-`min_grad_norm` and the float-range guards; only they import numpy.
+pieces (the CLI reports it for mu <= BRUTE_FORCE_MAX_MU).  Everything
+here is exact rational arithmetic, and the module imports no numpy: even
+the check that f's coefficients stay within the float range the numeric
+layers need is an exact bound on the mean of |grad f|^2 over a torus.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from operator import add
 from fractions import Fraction
 from typing import List, Tuple
 
-from .poly import MixedPolynomial, _monomial_str, gradient, gradient_square
+from .poly import MixedPolynomial, _monomial_str, gradient
 
 
 class DegenerateSingularity(ValueError):
@@ -114,30 +114,16 @@ class WeightVector:
         return tuple(int(qi * d) for qi in self.q)
 
 
-@dataclass(frozen=True)
 class NondegeneracyReport:
-    """What a passed check measured: `nondegeneracy_check` raises on every failure.
+    """What a passed check found: `nondegeneracy_check` raises on every failure.
 
-    `min_grad_norm`, the least |grad f| over the raw samples, is a diagnostic
-    that can underflow to 0.0; `fitted_C` is the scale C of the growth floor
-    |grad f|^2 >= |z|^2 / C - 1, exported for importance sampling.
+    The check is exact and draws no points, so `samples` is 0.
     """
 
-    samples: int
-    min_grad_norm: float
-    fitted_C: float
+    samples = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "no_bilinear": True,
-            "isolated_witness": {
-                "passed": True,
-                "samples": self.samples,
-                "min_grad_norm": self.min_grad_norm,
-                "heuristic": False,
-            },
-            "fitted_C": self.fitted_C,
-        }
+        return {"no_bilinear": True, "isolated_witness": {"passed": True, "heuristic": False}}
 
 
 @dataclass(frozen=True)
@@ -259,14 +245,6 @@ def has_bilinear_monomial(f: MixedPolynomial) -> bool:
     return False
 
 
-def _to_weighted_sphere(Z: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Move each row of Z along (lambda . z)_i = lambda^(q_i) z_i onto max_i |z_i|^(1/q_i) = 1."""
-    import numpy as np
-
-    rho = (np.abs(Z) ** (1 / q)).max(axis=1)
-    return Z * rho[:, None] ** -q
-
-
 def _monomials(k: Tuple[int, ...], delta: int) -> List[Tuple[int, ...]]:
     """The exponent tuples e with sum_j e_j k_j = delta, in increasing order."""
     if delta < 0:
@@ -317,18 +295,30 @@ def _jacobian_piece(grads: List[MixedPolynomial], d: int, k: Tuple[int, ...],
     return len(free), (free[0] if free else None)
 
 
-# witness points in total, split as evenly as possible over the sphere radii
-WITNESS_SAMPLES = 12000
-_WITNESS_RADII = (0.1, 1.0, 10.0)
+# f's coefficients are in the float range the numeric layers need when the
+# mean of |grad f|^2 over the torus |z_k| = R is below 2^1024 at R = 10 and
+# at least 1e24 times the smallest normal float at R = 1.  The bounds are
+# set to reproduce the exit codes of the guards they replace, which tested
+# the largest |grad f|^2 on random points up to radius 10 and on the
+# weighted unit sphere.  The factor 1e24 is the margin of a float descent
+# that no longer exists; what the lower bound should be is open (see the
+# FOUND on the `1e-24 * h_scale` guard in CHANGES.md)
+_TORUS_MEAN_MAX = Fraction(2) ** 1024
+_TORUS_MEAN_MIN = 10 ** 24 * Fraction(1, 2 ** 1022)
 
 
-def nondegeneracy_check(
-    f: MixedPolynomial,
-    wv: WeightVector,
-    samples: int = WITNESS_SAMPLES,
-    seed: int = 0,
-) -> NondegeneracyReport:
-    """Check the two non-degeneracy conditions exactly, and fit the growth floor.
+def _torus_mean(grads: List[MixedPolynomial], radius: int) -> Fraction:
+    """The mean of sum_j |d_j f|^2 over the torus |z_k| = radius, exactly.
+
+    By Parseval it is the sum of |c|^2 radius^(2 deg) over the terms c z^a
+    of the d_j f.
+    """
+    return sum((c.abs2() * radius ** (2 * sum(a))
+                for g in grads for (a, _b), c in g.terms.items()), Fraction(0))
+
+
+def nondegeneracy_check(f: MixedPolynomial, wv: WeightVector) -> NondegeneracyReport:
+    """Check the two non-degeneracy conditions and the float range of f, exactly.
 
     Condition (1), no bilinear monomial, is read off f.  Condition (2),
     isolated critical point at the origin, holds iff the Jacobian ring
@@ -339,62 +329,26 @@ def nondegeneracy_check(
     delta in (c, c + max_i q_i]; otherwise a monomial of such a degree
     outside the Jacobian ideal is raised as the certificate.
 
-    `samples` random points in total on three spheres feed only the floats:
-    the diagnostic `min_grad_norm`, the float-range guards and the scale C
-    of the growth floor |grad f|^2 >= |z|^2 / C - 1.  The guards run before
-    the exact verdict, so a coefficient outside the float range fails as
-    such even where f is also degenerate.
+    Between the two, a ValueError rejects coefficients outside the float
+    range (the _TORUS_MEAN_MAX and _TORUS_MEAN_MIN bounds), so such an f
+    fails as such even where it is also degenerate.
     """
-    import numpy as np
-
     if has_bilinear_monomial(f):
         raise BilinearMonomialPresent("f contains a z_i*z_j monomial with i != j")
     grads = gradient(f)
-    rng = np.random.default_rng(seed)
-    n = f.n
-    per = samples // len(_WITNESS_RADII)
-    pts = []
-    for i, r in enumerate(_WITNESS_RADII):
-        m = per + (1 if i < samples - per * len(_WITNESS_RADII) else 0)
-        x = rng.normal(size=(m, 2 * n))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        pts.append(r * (x[:, :n] + 1j * x[:, n:]))
-    Z = np.concatenate(pts, axis=0)
-    q = np.array([float(qi) for qi in wv.q])
-    with np.errstate(over="ignore"):  # h_scale below rejects an h that overflows
-        grad_sq = gradient_square(grads, Z)
-        S = _to_weighted_sphere(Z, q)
-        h = gradient_square(grads, S)
-
-    # the largest |grad f|^2 on the weighted unit sphere, where it is bounded
-    # away from zero for an isolated f whatever its degree, measures the
-    # float range of f's coefficients.  The raw samples reach radius 10,
-    # where |grad f|^2 can overflow while h does not, and the growth floor
-    # below needs them finite too
-    h_scale = float(h.max())
-    for value in (h_scale, float(grad_sq.max())):
-        if not 0 < value < math.inf:
-            raise ValueError(f"a coefficient is outside the float range: |grad f|^2 = {value}")
-    # so is an h_scale within a factor 1e24 of the subnormal range
-    if 1e-24 * h_scale < np.finfo(float).tiny:
-        raise ValueError(f"a coefficient is outside the float range: h_scale = {h_scale}")
-
+    if _torus_mean(grads, 10) >= _TORUS_MEAN_MAX:
+        raise ValueError("a coefficient is outside the float range: "
+                         "|grad f|^2 overflows a float at radius 10")
+    if _torus_mean(grads, 1) < _TORUS_MEAN_MIN:
+        raise ValueError("a coefficient is outside the float range: "
+                         "|grad f|^2 at radius 1 is within a factor 1e24 of the subnormal range")
     d, k = wv.d, wv.k
     c_top = _top_degree(d, k)
     for delta in range(c_top + 1, c_top + max(k) + 1):
         dim, monomial = _jacobian_piece(grads, d, k, delta)
         if dim:
             raise GradientVanishesAwayFromOrigin(Fraction(delta, d), monomial)
-
-    # growth floor |grad f|^2 >= |z|^2/C - 1: C must dominate the max sample
-    # ratio.  A 1.5x margin keeps downstream importance weights bounded when
-    # samples undershoot
-    ratio = (np.abs(Z) ** 2).sum(axis=1) / (grad_sq + 1.0)
-    return NondegeneracyReport(
-        samples=int(Z.shape[0]),
-        min_grad_norm=float(np.sqrt(grad_sq.min())),
-        fitted_C=1.5 * float(ratio.max()),
-    )
+    return NondegeneracyReport()
 
 
 # -- Milnor number ------------------------------------------------------------

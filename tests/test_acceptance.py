@@ -57,10 +57,11 @@ def _report(num: int, ok: bool, detail: str):
     assert ok, line
 
 
-def _prepared(text, n, seed=11):
+def _prepared(text, n):
     f = parse(text, n)
     wv = solve_weights(f)
-    return f, wv, nondegeneracy_check(f, wv, seed=seed)
+    nondegeneracy_check(f, wv)
+    return f, wv
 
 
 def test_criterion_01_clifford_identities():
@@ -126,9 +127,9 @@ def test_criterion_03_index_reproduces_milnor():
     ok = True
     details = []
     for text, n, mu, tol in cases:
-        f, wv, rep = _prepared(text, n)
+        f, wv = _prepared(text, n)
         start = time.perf_counter()
-        est = compute_index(f, 1.0, budget=10 ** 6, seed=101, report=rep)
+        est = compute_index(f, 1.0, budget=10 ** 6, seed=101)
         elapsed = time.perf_counter() - start
         rel = abs(est.estimate - mu) / mu
         ok &= rel <= tol and round(est.estimate) == mu and elapsed < 60.0
@@ -140,16 +141,15 @@ def test_criterion_04_mckean_singer_constancy():
     ok = True
     details = []
     for text, n in (("(1/2)*z1^2", 1), ("z1^3", 1), ("z1^3 + z2^3", 2)):
-        f, wv, rep = _prepared(text, n)
-        res = mckean_singer_check(f, (0.5, 1.0, 2.0), budget=10 ** 6,
-                                  seed=31, report=rep)
+        f, wv = _prepared(text, n)
+        res = mckean_singer_check(f, (0.5, 1.0, 2.0), budget=10 ** 6, seed=31)
         ok &= res.mu_rounded == milnor_oracle(wv)
         details.append(f"{text}: pooled {res.mu_pooled:.4f}")
     # 3-sigma coverage of the exact cubic value over 100 reseeds
-    f, wv, rep = _prepared("z1^3", 1)
+    f, wv = _prepared("z1^3", 1)
     hits = 0
     for s in range(100):
-        est = compute_index(f, 1.0, budget=20000, seed=5000 + s, report=rep)
+        est = compute_index(f, 1.0, budget=20000, seed=5000 + s)
         if abs(est.estimate - 2.0) <= 3 * est.std_error:
             hits += 1
     ok &= hits >= 95

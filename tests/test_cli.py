@@ -100,25 +100,19 @@ def test_weights_brute_force_is_bounded_by_mu_not_by_n(capsys):
 
 
 def test_weights_of_a_large_coefficient_is_strict_json():
-    # (|grad f|^2 + 1)^2 of 10^150 z1^3 overflows a float on the radius-10
-    # samples
+    # |grad f|^2 of 10^150 z1^3 is within a factor 10^4 of the float range at
+    # radius 10, where the Monte Carlo growth constant samples it
+    from singspect.index_integral import _growth_constant
+    from singspect.poly import parse
+
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
 
     proc = run_cli("weights", "10^150*z1^3")
     assert proc.returncode == 0
     assert proc.stderr == ""
-    res = json.loads(proc.stdout, parse_constant=reject)["result"]
-    assert 0 < res["fitted_C"] < math.inf
-
-
-def test_weights_witness_samples_is_the_budget_passed(capsys):
-    from singspect import cli
-
-    assert cli.main(["weights", "z1^3", "--samples", "5"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["manifest"]["budgets"]["witness_samples"] == 5
-    assert report["result"]["isolated_witness"]["samples"] == 5
+    json.loads(proc.stdout, parse_constant=reject)
+    assert 0 < _growth_constant(parse("10^150*z1^3", 1)) < math.inf
 
 
 def test_index_constancy_violation_exit_code(monkeypatch, capsys):
@@ -208,7 +202,7 @@ def test_index_single_t_gaussian_normalization():
     (["torsion", "z1^3", "--basis", "100000"], 4),
     (["torsion", "z1^3", "--sectors", "4097"], 4),  # one above _MAX_SECTOR_CUTOFF
     (["torsion", "z1^110", "--sectors", "222"], 4),  # the oscillator scale overflows
-    (["weights", "z1^3", "--samples", "-5"], 4),
+    (["weights", "z1^3", "--samples", "-5"], 4),  # weights takes no --samples
     (["weights", "z1^3", "--samples", "0"], 4),
     (["weights", "conj(z1)^3"], 4),  # outside the weight system: not holomorphic
     (["index", "z1^3 + z1*conj(z1)"], 4),
@@ -231,6 +225,19 @@ def test_index_single_t_gaussian_normalization():
     (["weights", "(1/10^154)*(z1+z2)^3"], 4),
     (["weights", "(1/10^155)*(z1+z2)^3"], 4),
     (["weights", "(1/10^160)*(z1^3+z2^4)"], 4),
+    # a seed numpy's generators reject, also where no generator reads it
+    (["weights", "z1^3", "--seed", "-1"], 4),
+    (["index", "z1^3", "--t", "1", "--samples", "1000", "--seed", "-1"], 4),
+    (["index", "z1^3", "--t", "1", "--method", "quadrature", "--seed", "-1"], 4),
+    (["torsion", "z1^3", "--seed", "-1"], 4),
+    (["verify", "all", "--seed", "-1"], 4),
+    (["verify", "clifford-identities", "--seed", "-1"], 4),
+    # the quadrature rule is not finite
+    (["index", "10^100*(z1^3 + z1*z2^3)", "--t", "1", "--method", "quadrature",
+      "--nodes", "8"], 4),
+    (["index", "(1/10^100)*(z1^3 + z1*z2^3)", "--t", "1", "--method", "quadrature",
+      "--nodes", "8"], 4),
+    (["index", "10^120*(z1^3+z2^4)", "--t", "1", "--method", "quadrature", "--nodes", "8"], 4),
 ], ids=["t-empty", "t-text", "t-gap", "t-zero", "t-negative", "t-nan", "t-inf",
         "samples-zero", "samples-negative", "basis-4", "sectors-2", "basis-100000",
         "sectors-4097", "torsion-overflow", "weights-samples-negative", "weights-samples-zero",
@@ -239,7 +246,10 @@ def test_index_single_t_gaussian_normalization():
         "index-coefficient-overflow", "torsion-coefficient-overflow", "torsion-scale-overflow",
         "torsion-scale-underflow", "weights-gradient-underflow", "weights-gradient-overflow",
         "weights-sample-gradient-overflow", "weights-witness-underflow-154",
-        "weights-witness-underflow-155", "weights-witness-underflow-160"])
+        "weights-witness-underflow-155", "weights-witness-underflow-160", "weights-seed-negative",
+        "index-seed-negative", "quadrature-seed-negative", "torsion-seed-negative",
+        "verify-all-seed-negative", "verify-clifford-seed-negative", "quadrature-nan-large",
+        "quadrature-nan-small", "quadrature-nan-anisotropic"])
 def test_bad_numeric_arguments_are_structured_errors(args, code, capsys):
     from singspect import cli
 
@@ -457,13 +467,14 @@ def test_blas_thread_count_leaves_reports_unchanged(args):
     ("cli.main(['verify', 'parametrix-identities'])", "numpy"),
     ("build_U(parse('z1^3', 1), 4) and 0", "numpy"),
     ("cli.main(['weights', 'z1^3 + z2^4'])", "singspect.spectral"),
+    ("cli.main(['weights', 'z1^3 + z2^4'])", "numpy"),
     ("cli.main(['index', 'z1^3', '--t', '1', '--samples', '1000'])", "singspect.spectral"),
     ("cli.main(['torsion', 'z1^3', '--basis', '20', '--sectors', '24'])",
      "singspect.index_integral"),
     ("cli.main(['torsion', '(1/2)*z1^2', '--exact'])", "singspect.index_integral"),
     ("cli.main(['torsion', '(1/2)*z1^2', '--exact'])", "numpy"),
-], ids=["verify-clifford", "verify-parametrix", "build_U", "weights", "index", "torsion",
-        "torsion-exact", "torsion-exact-numpy"])
+], ids=["verify-clifford", "verify-parametrix", "build_U", "weights", "weights-numpy", "index",
+        "torsion", "torsion-exact", "torsion-exact-numpy"])
 def test_each_command_imports_only_what_it_runs(call, unloaded):
     # a module-level numpy import in an exact module would undo the saving
     code = ("import contextlib, io, sys\n"

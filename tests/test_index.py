@@ -15,10 +15,11 @@ from singspect.poly import parse, gradient
 from singspect.weights import milnor_oracle, nondegeneracy_check, solve_weights
 
 
-def prepared(text, n, seed=11):
+def prepared(text, n):
     f = parse(text, n)
     wv = solve_weights(f)
-    return f, wv, nondegeneracy_check(f, wv, seed=seed)
+    nondegeneracy_check(f, wv)
+    return f, wv
 
 
 def test_integrand_examples():
@@ -43,36 +44,36 @@ def test_integrand_nonnegative():
 
 
 def test_compute_index_known_values():
-    f, wv, rep = prepared("(1/2)*z1^2", 1)
-    est = compute_index(f, 1.0, budget=200000, seed=5, report=rep)
+    f, wv = prepared("(1/2)*z1^2", 1)
+    est = compute_index(f, 1.0, budget=200000, seed=5)
     assert abs(est.estimate - 1.0) < 4 * est.std_error + 1e-3
-    f3, wv3, rep3 = prepared("z1^3", 1)
-    est3 = compute_index(f3, 1.0, budget=200000, seed=5, report=rep3)
+    f3, wv3 = prepared("z1^3", 1)
+    est3 = compute_index(f3, 1.0, budget=200000, seed=5)
     assert abs(est3.estimate - 2.0) < 4 * est3.std_error + 2e-3
 
 
 def test_quadrature_path_is_sharp():
-    f, wv, rep = prepared("(1/2)*z1^2", 1)
-    est = compute_index(f, 1.0, budget=128, method="quadrature", report=rep)
+    f, wv = prepared("(1/2)*z1^2", 1)
+    est = compute_index(f, 1.0, budget=128, method="quadrature")
     assert abs(est.estimate - 1.0) < 1e-10
-    f3, _, rep3 = prepared("z1^3", 1)
-    est3 = compute_index(f3, 1.0, budget=128, method="quadrature", report=rep3)
+    f3, _ = prepared("z1^3", 1)
+    est3 = compute_index(f3, 1.0, budget=128, method="quadrature")
     assert abs(est3.estimate - 2.0) < 1e-8
-    f33, _, rep33 = prepared("z1^3 + z2^3", 2)
-    est33 = compute_index(f33, 1.0, budget=48, method="quadrature", report=rep33)
+    f33, _ = prepared("z1^3 + z2^3", 2)
+    est33 = compute_index(f33, 1.0, budget=48, method="quadrature")
     assert abs(est33.estimate - 4.0) < 1e-4
-    f222, _, rep222 = prepared("(1/2)*z1^2 + (1/2)*z2^2 + (1/2)*z3^2", 3)
-    est222 = compute_index(f222, 1.0, budget=12, method="quadrature", report=rep222)
+    f222, _ = prepared("(1/2)*z1^2 + (1/2)*z2^2 + (1/2)*z3^2", 3)
+    est222 = compute_index(f222, 1.0, budget=12, method="quadrature")
     assert abs(est222.estimate - 1.0) <= 1e-4
 
 
 def test_quadrature_blocks_do_not_change_the_estimate(monkeypatch):
     # 10^4 and 8^4 grid rows per radial node, in blocks of 4096 rows and in
     # ragged blocks of 97 rows
-    f, _, rep = prepared("z1^3 + z2^3 + z3^3", 3)
-    default = compute_index(f, 1.0, budget=10, method="quadrature", report=rep)
+    f, _ = prepared("z1^3 + z2^3 + z3^3", 3)
+    default = compute_index(f, 1.0, budget=10, method="quadrature")
     monkeypatch.setattr(index_integral, "_BLOCK_ROWS", 97)
-    blocked = compute_index(f, 1.0, budget=10, method="quadrature", report=rep)
+    blocked = compute_index(f, 1.0, budget=10, method="quadrature")
     assert blocked.estimate == pytest.approx(default.estimate, rel=1e-12)
     assert blocked.std_error == pytest.approx(default.std_error, rel=1e-12)
     assert default.std_error > 0
@@ -80,24 +81,24 @@ def test_quadrature_blocks_do_not_change_the_estimate(monkeypatch):
 
 def test_quadrature_error_at_eight_nodes():
     # the reference rule must differ from the 8-node rule it checks
-    f, _, rep = prepared("z1^3 + z2^3", 2)
-    est = compute_index(f, 1.0, budget=8, method="quadrature", report=rep)
+    f, _ = prepared("z1^3 + z2^3", 2)
+    est = compute_index(f, 1.0, budget=8, method="quadrature")
     assert est.std_error > 0
     assert abs(est.estimate - 4.0) <= est.std_error
 
 
 def test_quadrature_rejects_unsupported_node_counts():
-    f, _, rep = prepared("z1^3", 1)
+    f, _ = prepared("z1^3", 1)
     with pytest.raises(ValueError):
-        compute_index(f, 1.0, budget=10 ** 6, method="quadrature", report=rep)
+        compute_index(f, 1.0, budget=10 ** 6, method="quadrature")
     # above the point cap, no half-node rule to compare, and a half-node rule
     # too coarse for the bar to cover the error
     for nodes in (646, 1, 2, 3, 4, 5, 6, 7):
         with pytest.raises(ValueError):
-            compute_index(f, 1.0, budget=nodes, method="quadrature", report=rep)
-    f33, _, rep33 = prepared("z1^3 + z2^3", 2)
+            compute_index(f, 1.0, budget=nodes, method="quadrature")
+    f33, _ = prepared("z1^3 + z2^3", 2)
     with pytest.raises(ValueError):
-        compute_index(f33, 1.0, budget=10 ** 6, method="quadrature", report=rep33)
+        compute_index(f33, 1.0, budget=10 ** 6, method="quadrature")
 
 
 def test_quadrature_node_cap_precedes_any_rule_build(monkeypatch):
@@ -112,13 +113,13 @@ def test_quadrature_node_cap_precedes_any_rule_build(monkeypatch):
              3: prepared("z1^3 + z2^3 + z3^3", 3)}
     below_floor = [(nodes, n) for nodes in range(2, 8) for n in (1, 2, 3)]
     for nodes, n in [(646, 1), (16384, 1), (323, 2), (28, 3), (1, 1), (0, 2)] + below_floor:
-        f, _, rep = polys[n]
+        f, _ = polys[n]
         with pytest.raises(index_integral.UnsupportedNodeCount):
-            compute_index(f, 1.0, budget=nodes, method="quadrature", report=rep)
+            compute_index(f, 1.0, budget=nodes, method="quadrature")
     for nodes, n in ((645, 1), (322, 2), (27, 3), (8, 1), (8, 2), (8, 3)):
-        f, _, rep = polys[n]
+        f, _ = polys[n]
         with pytest.raises(AssertionError, match=f"built a {nodes}-node rule"):
-            compute_index(f, 1.0, budget=nodes, method="quadrature", report=rep)
+            compute_index(f, 1.0, budget=nodes, method="quadrature")
 
 
 # (1/10^6)*(...) and 10^6*(...) take the rule far from |c| = 1
@@ -130,33 +131,33 @@ COVERAGE_POLYS = ("z1^3", "z1^5", "z1^3 + z2^3", "z1^3 + z2^4", "z1^4 + z2^5",
 @pytest.mark.parametrize("text", COVERAGE_POLYS)
 def test_quadrature_error_bar_covers_the_error(text):
     n = 3 if "z3" in text else 2 if "z2" in text else 1
-    f, wv, rep = prepared(text, n)
+    f, wv = prepared(text, n)
     mu = milnor_oracle(wv)
     # at 128 nodes one variable is converged at both rules, so the floor of the bar counts
     for nodes in {1: (8, 16, 32, 64, 128), 2: (8, 16, 32, 64), 3: (12,)}[n]:
         for t in (0.5, 1.0, 2.0):
-            est = compute_index(f, t, budget=nodes, method="quadrature", report=rep)
+            est = compute_index(f, t, budget=nodes, method="quadrature")
             assert abs(est.estimate - mu) <= est.std_error, (nodes, t, est)
 
 
 def test_quadrature_depends_on_t_and_scale_only_through_the_radial_window():
     # equal weights: the rule is t-independent to rounding, although 16 nodes
     # are 4e-4 from mu; a factor c of f is the time t |c|^2 for any weights
-    f, _, rep = prepared("z1^3 + z2^3", 2)
-    ests = [compute_index(f, t, budget=16, method="quadrature", report=rep).estimate
+    f, _ = prepared("z1^3 + z2^3", 2)
+    ests = [compute_index(f, t, budget=16, method="quadrature").estimate
             for t in (0.5, 1.0, 2.0)]
     assert abs(ests[0] - 4.0) > 1e-4
     assert max(ests) - min(ests) <= 1e-13
-    f5, _, rep5 = prepared("z1^2*z2 + z2^4", 2)
-    c5, _, crep5 = prepared("10^3*(z1^2*z2 + z2^4)", 2)
-    scaled = compute_index(c5, 1.0, budget=16, method="quadrature", report=crep5)
-    slow = compute_index(f5, 1e6, budget=16, method="quadrature", report=rep5)
+    f5, _ = prepared("z1^2*z2 + z2^4", 2)
+    c5, _ = prepared("10^3*(z1^2*z2 + z2^4)", 2)
+    scaled = compute_index(c5, 1.0, budget=16, method="quadrature")
+    slow = compute_index(f5, 1e6, budget=16, method="quadrature")
     assert scaled.estimate == pytest.approx(slow.estimate, rel=1e-12)
     assert scaled.std_error == pytest.approx(slow.std_error, rel=1e-9)
 
 
 def test_t_grid_is_validated_before_any_estimate(monkeypatch):
-    f, _, rep = prepared("z1^3", 1)
+    f, _ = prepared("z1^3", 1)
 
     def estimate(*args, **kwargs):
         raise AssertionError("an estimate ran before the grid was checked")
@@ -164,58 +165,58 @@ def test_t_grid_is_validated_before_any_estimate(monkeypatch):
     monkeypatch.setattr(index_integral, "compute_index", estimate)
     for grid in ((0.5, 0.0), (1.0, 2.0, float("nan")), (1.0, -1.0), (0.5, float("inf"))):
         with pytest.raises(ValueError, match="positive and finite"):
-            mckean_singer_check(f, grid, report=rep)
+            mckean_singer_check(f, grid)
 
 
 def test_determinism_same_seed():
-    f, wv, rep = prepared("z1^3", 1)
-    a = compute_index(f, 1.0, budget=50000, seed=42, report=rep)
-    b = compute_index(f, 1.0, budget=50000, seed=42, report=rep)
+    f, wv = prepared("z1^3", 1)
+    a = compute_index(f, 1.0, budget=50000, seed=42)
+    b = compute_index(f, 1.0, budget=50000, seed=42)
     assert a.estimate == b.estimate and a.std_error == b.std_error
-    c = compute_index(f, 1.0, budget=50000, seed=43, report=rep)
+    c = compute_index(f, 1.0, budget=50000, seed=43)
     assert c.estimate != a.estimate
 
 
 def test_mckean_singer_check():
-    f, wv, rep = prepared("(1/2)*z1^2 + (1/2)*z2^2", 2)
-    res = mckean_singer_check(f, (1.0, 4.0), budget=150000, seed=9, report=rep)
+    f, wv = prepared("(1/2)*z1^2 + (1/2)*z2^2", 2)
+    res = mckean_singer_check(f, (1.0, 4.0), budget=150000, seed=9)
     assert res.mu_rounded == 1 == milnor_oracle(wv)
-    f3, wv3, rep3 = prepared("z1^3", 1)
-    res3 = mckean_singer_check(f3, (0.5, 1.0, 2.0), budget=150000, seed=9, report=rep3)
+    f3, wv3 = prepared("z1^3", 1)
+    res3 = mckean_singer_check(f3, (0.5, 1.0, 2.0), budget=150000, seed=9)
     assert res3.mu_rounded == 2
     assert len(res3.estimates) == 3
     assert "t,estimate,stderr" in res3.to_csv()
-    one = mckean_singer_check(f3, (1.0,), budget=20000, seed=9, report=rep3)
+    one = mckean_singer_check(f3, (1.0,), budget=20000, seed=9)
     assert one.mu_pooled == one.estimates[0].estimate  # no pairs, weight exactly 1
 
 
 def test_default_budget_follows_the_method():
     # budget=None is 128 nodes for the quadrature, whose rule at the Monte
     # Carlo default of 10^6 would be far too large to run
-    f, wv, rep = prepared("z1^3", 1)
-    est = compute_index(f, 1.0, method="quadrature", report=rep)
+    f, wv = prepared("z1^3", 1)
+    est = compute_index(f, 1.0, method="quadrature")
     assert est.budget == 128 and abs(est.estimate - 2.0) <= est.std_error + 1e-9
-    res = mckean_singer_check(f, method="quadrature", report=rep)
+    res = mckean_singer_check(f, method="quadrature")
     assert [e.budget for e in res.estimates] == [128] * 3 and res.mu_rounded == 2
 
 
 def test_index_with_off_diagonal_hessian():
     # D4: det d^2 f = 12 z2^2 - 4 z1^2 comes from the off-diagonal entries 2 z1
-    f, wv, rep = prepared("z1^2*z2 + z2^3", 2)
+    f, wv = prepared("z1^2*z2 + z2^3", 2)
     assert milnor_oracle(wv) == 4
-    mc = compute_index(f, 1.0, budget=400000, seed=3, report=rep)
+    mc = compute_index(f, 1.0, budget=400000, seed=3)
     assert abs(mc.estimate - 4.0) <= 4 * mc.std_error
-    quad = compute_index(f, 1.0, budget=48, method="quadrature", report=rep)
+    quad = compute_index(f, 1.0, budget=48, method="quadrature")
     assert 0 < abs(quad.estimate - 4.0) <= quad.std_error
 
 
 def test_constancy_violation_detected(monkeypatch):
     # honest estimates of one constant rarely disagree beyond 3 sigma, so the
     # exception wiring is checked with stubbed estimates at a set z-score
-    f, wv, rep = prepared("z1^3", 1)
+    f, wv = prepared("z1^3", 1)
 
     def stub(offset_sigmas):
-        def fake(f, t, budget, seed, method, report):
+        def fake(f, t, budget, seed, method):
             est = 2.0 + (offset_sigmas if t > 1 else 0.0) * math.sqrt(2) * 0.01
             return IndexEstimate(t=t, estimate=est, std_error=0.01, method=method,
                                  budget=budget)
@@ -223,9 +224,9 @@ def test_constancy_violation_detected(monkeypatch):
 
     monkeypatch.setattr(index_integral, "compute_index", stub(10.0))
     with pytest.raises(ConstancyViolated):
-        mckean_singer_check(f, (1.0, 2.0), report=rep)
+        mckean_singer_check(f, (1.0, 2.0))
     monkeypatch.setattr(index_integral, "compute_index", stub(1.0))
-    res = mckean_singer_check(f, (1.0, 2.0), report=rep)
+    res = mckean_singer_check(f, (1.0, 2.0))
     assert res.mu_rounded == 2
 
 
@@ -251,15 +252,16 @@ def test_scaled_coordinate_quadrature_invariance():
     # evaluate the index integral in scaled coordinates z = diag(s^{q_i}) z'
     # and compare with the direct quadrature: the Jacobian exactly cancels
     # the homogeneity factors, so both must agree
-    f, wv, rep = prepared("z1^3", 1)
+    f, wv = prepared("z1^3", 1)
     t = 1.0
-    direct = compute_index(f, t, budget=128, method="quadrature", report=rep).estimate
+    direct = compute_index(f, t, budget=128, method="quadrature").estimate
 
     s = 3.0
     q = float(wv.q[0])
     # substitute z = s^{-q} z'; dvol picks up s^{-2q}; |f'(z)|^2 = s^{-2(1-q)}|f'(z')|^2
     x, wts = np.polynomial.hermite.hermgauss(160)
-    sigma = math.sqrt(rep.fitted_C / t) * s ** q  # widen nodes to the scaled frame
+    # widen nodes to the scaled frame
+    sigma = math.sqrt(index_integral._growth_constant(f) / t) * s ** q
     xs = sigma * x
     ws = sigma * wts * np.exp(x * x)
     Z = (xs[:, None] + 1j * xs[None, :]).ravel()[:, None]
@@ -275,11 +277,11 @@ def test_scaled_coordinate_quadrature_invariance():
 
 def test_mc_coverage_of_exact_value():
     # polar closed form gives exactly 2 for the cubic; 3 sigma coverage
-    f, wv, rep = prepared("z1^3", 1)
+    f, wv = prepared("z1^3", 1)
     hits = 0
     runs = 40
     for s in range(runs):
-        est = compute_index(f, 1.0, budget=20000, seed=1000 + s, report=rep)
+        est = compute_index(f, 1.0, budget=20000, seed=1000 + s)
         if abs(est.estimate - 2.0) <= 3 * est.std_error:
             hits += 1
     assert hits >= int(0.9 * runs)
@@ -318,9 +320,9 @@ def test_blocked_mc_matches_an_unblocked_reference(budget):
     # 1 and 63 leave strata without samples; 64 * 4097 + 5 gives strata of
     # 4098 rows, which straddle the 4096-row block boundary
     assert index_integral._BLOCK_ROWS == 4096
-    f, _, rep = prepared("z1^3 + z2^4", 2)
-    est = compute_index(f, 0.7, budget=budget, seed=5, report=rep)
-    ref, ref_err = _reference_mc(f, 0.7, budget, 5, rep.fitted_C)
+    f, _ = prepared("z1^3 + z2^4", 2)
+    est = compute_index(f, 0.7, budget=budget, seed=5)
+    ref, ref_err = _reference_mc(f, 0.7, budget, 5, index_integral._growth_constant(f))
     assert est.estimate == pytest.approx(ref, rel=1e-12)
     assert est.std_error == pytest.approx(ref_err, rel=1e-12, abs=1e-12 * abs(ref))
 
@@ -332,11 +334,11 @@ def test_mc_estimate_keeps_no_stratum_arrays_alive():
     import gc
     import tracemalloc
 
-    f, _, rep = prepared("z1^3 + z2^4", 2)
+    f, _ = prepared("z1^3 + z2^4", 2)
     gc.disable()
     tracemalloc.start()
     try:
-        compute_index(f, 1.0, budget=10 ** 6, report=rep)
+        compute_index(f, 1.0, budget=10 ** 6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -390,16 +392,52 @@ def _per_polynomial_mc(f, t, budget, seed, growth_c):
 @pytest.mark.parametrize("budget", [1, 63, 64 * 4097 + 5])
 def test_joint_mc_equals_a_per_polynomial_reference(text, n, budget):
     # strata without samples, and strata of 4098 rows that straddle a block
-    f, _, rep = prepared(text, n)
-    got = index_integral._mc_estimate(index_integral._Compiled(f), 0.7, budget, 5, rep.fitted_C)
-    assert got == _per_polynomial_mc(f, 0.7, budget, 5, rep.fitted_C)
+    f, _ = prepared(text, n)
+    growth_c = index_integral._growth_constant(f)
+    got = index_integral._mc_estimate(index_integral._Compiled(f), 0.7, budget, 5, growth_c)
+    assert got == _per_polynomial_mc(f, 0.7, budget, 5, growth_c)
 
 
 @pytest.mark.parametrize("text,n,nodes", [("z1^3", 1, 128), ("z1^3 + z2^4", 2, 64)])
 def test_joint_quadrature_equals_a_per_polynomial_reference(monkeypatch, text, n, nodes):
-    f, _, rep = prepared(text, n)
-    joint = compute_index(f, 1.0, budget=nodes, method="quadrature", report=rep)
+    f, _ = prepared(text, n)
+    joint = compute_index(f, 1.0, budget=nodes, method="quadrature")
     monkeypatch.setattr(index_integral, "evaluate_joint",
                         lambda polys, Z: [p.evaluate_many(Z) for p in polys])
-    alone = compute_index(f, 1.0, budget=nodes, method="quadrature", report=rep)
+    alone = compute_index(f, 1.0, budget=nodes, method="quadrature")
     assert (joint.estimate, joint.std_error) == (alone.estimate, alone.std_error)
+
+
+def test_fitted_constant_bounds_growth_floor():
+    # |grad f|^2 >= |z|^2 / C - 1 must hold on fresh sample points
+    f = parse("(1/2)*z1^2", 1)
+    growth_c = index_integral._growth_constant(f)
+    rng = np.random.default_rng(123)
+    Z = rng.normal(scale=4.0, size=(500, 1)) + 1j * rng.normal(scale=4.0, size=(500, 1))
+    grad_sq = np.abs(f.wirtinger(1).evaluate_many(Z)) ** 2
+    floor = (np.abs(Z[:, 0]) ** 2) / growth_c - 1
+    assert np.all(grad_sq >= floor - 1e-9)
+
+
+def test_growth_constant_reads_no_seed_and_is_drawn_once_per_grid(monkeypatch):
+    # the proposal scale is a function of f alone: every seed's estimate uses
+    # the same one, numpy's global state does not move it, and a t-grid draws
+    # its points once
+    f, _ = prepared("z1^3 + z2^4", 2)
+    growth = index_integral._growth_constant
+    growth.cache_clear()
+    scales = []
+    mc_estimate = index_integral._mc_estimate
+
+    def spy(comp, t, budget, seed, growth_c):
+        scales.append(growth_c)
+        return mc_estimate(comp, t, budget, seed, growth_c)
+
+    monkeypatch.setattr(index_integral, "_mc_estimate", spy)
+    mckean_singer_check(f, (0.5, 1.0, 2.0), budget=20000, seed=3)
+    compute_index(f, 1.0, budget=20000, seed=7)
+    assert growth.cache_info().misses == 1
+    assert len(scales) == 4 and len(set(scales)) == 1
+    growth.cache_clear()
+    np.random.seed(5)
+    assert growth(f) == scales[0]
