@@ -12,7 +12,7 @@ import argparse
 import csv
 import sys
 
-from singspect.index_integral import compute_index, grid_seed
+from singspect.index_integral import compute_index
 from singspect.poly import infer_variable_count, parse
 from singspect.weights import milnor_oracle, nondegeneracy_check, solve_weights
 
@@ -39,7 +39,7 @@ def main() -> int:
         mu = milnor_oracle(wv)
         print(f"\n{text}   mu = {mu}")
         for i, t in enumerate(t_grid):
-            est = compute_index(f, t, budget=args.samples, seed=grid_seed(args.seed, i))
+            est = compute_index(f, t, budget=args.samples, seed=args.seed, point=i)
             z = abs(est.estimate - mu) / max(est.std_error, 1e-12)
             print(f"  t = {t:6.3f}  estimate = {est.estimate:9.5f} "
                   f"+- {est.std_error:.5f}   z(mu) = {z:5.2f}")

@@ -5,23 +5,37 @@ For a non-degenerate quasi-homogeneous f,
     mu(f) = (t^n / pi^n) int exp(-t |grad f|^2) |det d^2 f|^2 dvol,
 
 independent of t > 0.  The module evaluates the integral either by
-importance-sampled Monte Carlo (complex Gaussian proposal whose scale comes
-from a quadratic growth floor |grad f|^2 >= |z|^2 / C - 1, with C fitted
-once per f on fixed random points, which keeps the weights bounded) or,
-for any n, by quadrature in weighted polar
-coordinates z_j = lam^{q_j} zeta_j: quasi-homogeneity turns the integral
-into a smooth integral over the unit sphere (Gauss-Legendre on the simplex
-of the |zeta_j|^2, trapezoid in the angles, one angle fixed by the circle
-action) times a one-dimensional radial integral (trapezoid in log lam).
-It checks the t-independence across a grid.  The integrand is evaluated at
-the rows of a complex (m, n) array of points, one value per row.  Both
-methods evaluate d_1 f .. d_n f and det d^2 f together, with one
-`poly.evaluate_joint` call and so one table of column powers per block of
-at most _BLOCK_ROWS = 4096 points, and their temporaries stay small
-whatever the sample or node count.  Monte Carlo writes each block of
-samples into one reused complex buffer whose columns are contiguous.  The
-quadrature takes at least 8 nodes: with fewer, its half-node error bar
-falls short of the error.
+importance-sampled Monte Carlo or, for any n, by quadrature in weighted
+polar coordinates z_j = lam^{q_j} zeta_j: quasi-homogeneity turns the
+integral into a smooth integral over the unit sphere (Gauss-Legendre on the
+simplex of the |zeta_j|^2, trapezoid in the angles, one angle fixed by the
+circle action) times a one-dimensional radial integral (trapezoid in log
+lam).  It checks the t-independence across a grid.
+
+The Monte Carlo proposal is the complex Gaussian of variance C/t per
+coordinate, whose scale comes from a quadratic growth floor
+|grad f|^2 >= |z|^2 / C - 1, with C fitted once per f on fixed random
+points, which keeps the weights bounded.  It is drawn in polar form: each
+|z_j|^2 is C/t times a standard exponential, and a uniform phase is drawn
+only for the pivot columns of the exact matrix of exponent differences
+(a - b) - (a0 - b0) over the terms of each of d_1 f .. d_n f and det d^2 f;
+every other coordinate is real and non-negative.  This is exact, not an
+approximation: a phase vector phi in that matrix's null space (it holds the
+weights q, the circle action) leaves every |d_j f|, |det d^2 f| and the
+proposal unchanged under z_j -> e^{i phi_j} z_j, so rotating a sample
+until its free phases are 0 leaves its weight unchanged while its other
+phases stay iid uniform, and the law of the importance weight is that of
+the full Gaussian draw.  For n = 1 and for Brieskorn-Pham f no phase is
+drawn at all.
+
+The integrand is evaluated at the rows of a complex (m, n) array of points,
+one value per row.  Both methods evaluate d_1 f .. d_n f and det d^2 f
+together, with one `poly.evaluate_joint` call and so one table of column
+powers per block of at most _BLOCK_ROWS = 4096 points, and their
+temporaries stay small whatever the sample or node count.  Monte Carlo
+writes each block of samples into one reused complex buffer whose columns
+are contiguous.  The quadrature takes at least 8 nodes: with fewer, its
+half-node error bar falls short of the error.
 """
 
 from __future__ import annotations
@@ -31,12 +45,13 @@ import functools
 import io
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .poly import MixedPolynomial, evaluate_joint, gradient, hessian_determinant, square_sum
-from .weights import ConstancyViolated, solve_weights
+from .weights import ConstancyViolated, _rref, solve_weights
 
 
 class UnsupportedNodeCount(ValueError):
@@ -68,13 +83,28 @@ class IndexResult:
         return buf.getvalue()
 
 
+def _phase_rows(polys: Sequence[MixedPolynomial]) -> List[List[Fraction]]:
+    """(a - b) - (a0 - b0) over the terms z^a conj(z)^b of each polynomial, whose
+    first term is z^a0 conj(z)^b0: every |P| is invariant under z_j -> e^{i phi_j} z_j
+    exactly when each row . phi = 0."""
+    rows = []
+    for p in polys:
+        diffs = [[x - y for x, y in zip(a, b)] for a, b in p.terms]
+        rows += [[Fraction(x - x0) for x, x0 in zip(d, diffs[0])] for d in diffs[1:]]
+    return rows
+
+
 class _Compiled:
-    """Gradient and exact Hessian determinant of f, evaluated together at the same points."""
+    """Gradient and exact Hessian determinant of f, evaluated together at the
+    same points, and the coordinates whose phase the Monte Carlo draws."""
 
     def __init__(self, f: MixedPolynomial):
         self.n = f.n
         # d_1 f .. d_n f, then det d^2 f: one evaluate_joint call reads them all
         self.derivatives = gradient(f) + [hessian_determinant(f)]
+        # the pivot columns of the phase rows; each free column's phase is fixed
+        # by a symmetry of the density, so it is set to 0
+        self.angles = _rref(_phase_rows(self.derivatives))[1]
 
     def density(self, Z: np.ndarray, t: float, log_factor=0.0) -> np.ndarray:
         """(t^n / pi^n) exp(-t |grad f|^2) |det d^2 f|^2 at the rows of Z.
@@ -92,11 +122,17 @@ class _Compiled:
         return arg
 
 
+@functools.lru_cache(maxsize=16)
+def _compile(f: MixedPolynomial) -> _Compiled:
+    """_Compiled(f), built once per f: a t-grid shares it."""
+    return _Compiled(f)
+
+
 def integrand(f: MixedPolynomial, Z, t: float) -> np.ndarray:
     """The index density at the rows of a complex (m, n) array: one value per point."""
     if not t > 0:
         raise ValueError("t must be positive")
-    return _Compiled(f).density(np.asarray(Z, dtype=complex), t)
+    return _compile(f).density(np.asarray(Z, dtype=complex), t)
 
 
 # the growth constant's points: this many on each sphere, from stream 0
@@ -122,7 +158,7 @@ def _growth_constant(f: MixedPolynomial) -> float:
         pts.append(r * (x[:, :n] + 1j * x[:, n:]))
     Z = np.concatenate(pts, axis=0)
     with np.errstate(over="ignore"):  # an |grad f|^2 that overflows gives a ratio of 0
-        grad_sq = square_sum(evaluate_joint(gradient(f), Z))
+        grad_sq = square_sum(evaluate_joint(_compile(f).derivatives[:-1], Z))
     ratio = (np.abs(Z) ** 2).sum(axis=1) / (grad_sq + 1.0)
     return 1.5 * float(ratio.max())
 
@@ -134,52 +170,71 @@ _MC_STRATA = 64  # each stratum has its own stream; sums are reduced in stratum 
 _BLOCK_ROWS = 4096
 
 
+def _stratum_seed(seed: int, point: int, stratum: int) -> np.random.SeedSequence:
+    """The stream of one stratum of t-grid point `point`.
+
+    Spawn keys keep every (seed, point, stratum) apart, and apart from the
+    unkeyed SeedSequence(seed) behind default_rng(seed): numpy pads entropy
+    with zeros, so SeedSequence([seed, 0]) would be that stream.
+    """
+    return np.random.SeedSequence(seed, spawn_key=(point, stratum))
+
+
 def _mc_estimate(
-    comp: _Compiled, t: float, budget: int, seed: int, growth_c: float
+    comp: _Compiled, t: float, budget: int, seed: int, growth_c: float, point: int = 0
 ) -> Tuple[float, float]:
     """Importance-sampled mean and standard error, reduced in stratum order.
 
-    Stratum idx draws X then Y from SeedSequence([seed, idx]) into buffers
-    shared by all strata; its weights are evaluated in blocks of _BLOCK_ROWS
-    rows into one vector, whose sum and sum of squares are the stratum's.
-    Each block's points go into a complex buffer whose columns are
-    contiguous, so the density reads them without a copy.
+    The proposal is the complex Gaussian of variance C/t per coordinate, in
+    polar form.  Stratum k draws, from _stratum_seed(seed, point, k), the
+    standard exponentials E_j with |z_j|^2 = (C/t) E_j, coordinate by
+    coordinate, then a uniform phase for each column in comp.angles; every
+    other coordinate is real and non-negative, which leaves the law of the
+    weight unchanged (see the module docstring).  So -log p = sum_j E_j +
+    n log(pi C/t), and no |z|^2 is recomputed.  The stratum's weights are
+    evaluated in blocks of _BLOCK_ROWS rows into one vector, whose sum and
+    sum of squares are the stratum's.  Each block's points go into a
+    complex buffer whose columns are contiguous, so the density reads them
+    without a copy.
     """
     if budget < 1:
         raise ValueError(f"the Monte Carlo budget must be at least 1 sample, not {budget}")
-    n = comp.n
-    var_real = growth_c / (2 * t)        # per real coordinate; complex variance C/t
-    sigma = math.sqrt(var_real)
+    n, angles = comp.n, comp.angles
+    scale = growth_c / t  # E |z_j|^2
     per = budget // _MC_STRATA
     counts = [per + (1 if i < budget - per * _MC_STRATA else 0) for i in range(_MC_STRATA)]
     total = 0.0
     total_sq = 0.0
-    log_norm = n * math.log(math.pi * 2 * var_real)  # log of proposal normalizer
-    X = np.empty((counts[0], n))
-    Y = np.empty((counts[0], n))
-    Z = np.empty((n, min(counts[0], _BLOCK_ROWS)), dtype=complex).T
+    log_norm = n * math.log(math.pi * scale)  # log of proposal normalizer
+    E = np.empty(n * counts[0])
+    U = np.empty(len(angles) * counts[0])
+    Z = np.zeros((n, min(counts[0], _BLOCK_ROWS)), dtype=complex).T  # free columns stay real
     W = np.empty(counts[0])
-    for idx, m in enumerate(counts):
+    for k, m in enumerate(counts):
         if m == 0:
             continue
-        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        x, y, w = X[:m], Y[:m], W[:m]
-        rng.standard_normal(out=x)  # the same stream as normal(scale=sigma)
-        x *= sigma
-        rng.standard_normal(out=y)
-        y *= sigma
+        rng = np.random.default_rng(_stratum_seed(seed, point, k))
+        e, u, w = E[:n * m].reshape(n, m), U[:len(angles) * m].reshape(-1, m), W[:m]
+        rng.standard_exponential(out=e)
+        if angles:
+            rng.random(out=u)
+            u *= math.pi  # half the phase
         for lo in range(0, m, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, m)
-            xb, yb, zb = x[lo:hi], y[lo:hi], Z[:hi - lo]
-            zb.real = xb
-            zb.imag = yb
-            # |x|^2 + |y|^2 added column by column: the order in which numpy's row
-            # sum adds fewer than 8 columns (from 8 on it adds them pairwise)
-            neg_log_p = xb[:, 0] * xb[:, 0] + yb[:, 0] * yb[:, 0]
+            eb, zb = e[:, lo:hi], Z[:hi - lo]
+            neg_log_p = eb[0] + log_norm
             for j in range(1, n):
-                neg_log_p += xb[:, j] * xb[:, j] + yb[:, j] * yb[:, j]
-            neg_log_p /= 2 * var_real
-            neg_log_p += log_norm
+                neg_log_p += eb[j]
+            for j in range(n):
+                zb[:, j].real = np.sqrt(eb[j] * scale)
+            for a, j in enumerate(angles):
+                # the rational parametrization of the circle by h = tan(phase / 2),
+                # whose cos^2 + sin^2 = 1 holds whatever the rounding of h
+                h = np.tan(u[a, lo:hi])
+                c = 2 / (1 + h * h)  # 1 + cos(phase); sin(phase) = h c
+                z = zb[:, j]
+                z.imag = z.real * (h * c)
+                z.real *= c - 1
             w[lo:hi] = comp.density(zb, t, neg_log_p)  # density / proposal
         total += float(w.sum())
         total_sq += float((w * w).sum())
@@ -323,29 +378,27 @@ def compute_index(
     budget: int | None = None,
     seed: int = 0,
     method: str = "mc",
+    point: int = 0,
 ) -> IndexEstimate:
     """One estimate of the index integral at time t.
 
     `budget` is the sample count (Monte Carlo) or the node count N of the
     weighted-polar rule (quadrature), whose weights come from solve_weights;
-    None means 10^6 samples or 128 nodes.
+    None means 10^6 samples or 128 nodes.  `point` is the estimate's index
+    in a t-grid, which Monte Carlo keys its streams on (_stratum_seed); a
+    standalone estimate is point 0.
     """
     _check_t(t)
     if budget is None:
         budget = _DEFAULT_BUDGETS.get(method)
-    comp = _Compiled(f)
+    comp = _compile(f)
     if method == "mc":
-        est, err = _mc_estimate(comp, t, budget, seed, _growth_constant(f))
+        est, err = _mc_estimate(comp, t, budget, seed, _growth_constant(f), point)
     elif method == "quadrature":
         est, err = _quadrature_estimate(comp, t, budget, solve_weights(f).q)
     else:
         raise ValueError("method must be 'mc' or 'quadrature'")
     return IndexEstimate(t=t, estimate=est, std_error=err, method=method, budget=budget)
-
-
-def grid_seed(seed: int, i: int) -> int:
-    """Seed of the estimate at point i of a t-grid run with base seed `seed`."""
-    return seed + 977 * i
 
 
 def mckean_singer_check(
@@ -365,7 +418,7 @@ def mckean_singer_check(
         _check_t(t)
     ests: List[IndexEstimate] = []
     for i, t in enumerate(t_grid):
-        ests.append(compute_index(f, t, budget=budget, seed=grid_seed(seed, i), method=method))
+        ests.append(compute_index(f, t, budget=budget, seed=seed, method=method, point=i))
     floor = 1e-12
     for i in range(len(ests)):
         for j in range(i + 1, len(ests)):

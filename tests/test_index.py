@@ -216,7 +216,7 @@ def test_constancy_violation_detected(monkeypatch):
     f, wv = prepared("z1^3", 1)
 
     def stub(offset_sigmas):
-        def fake(f, t, budget, seed, method):
+        def fake(f, t, budget, seed, method, point):
             est = 2.0 + (offset_sigmas if t > 1 else 0.0) * math.sqrt(2) * 0.01
             return IndexEstimate(t=t, estimate=est, std_error=0.01, method=method,
                                  budget=budget)
@@ -287,25 +287,42 @@ def test_mc_coverage_of_exact_value():
     assert hits >= int(0.9 * runs)
 
 
+def _angle_columns(f):
+    """The pivot columns of f's exponent-difference matrix, from floating-point
+    ranks: column c is a pivot when it raises the rank of the columns before it."""
+    from singspect.poly import hessian_determinant
+
+    rows = []
+    for p in gradient(f) + [hessian_determinant(f)]:
+        diffs = [np.subtract(a, b) for a, b in p.terms]
+        rows += [d - diffs[0] for d in diffs[1:]]
+    M = np.array(rows, dtype=float).reshape(-1, f.n)
+
+    def rank(k):
+        return np.linalg.matrix_rank(M[:, :k]) if k and len(M) else 0
+
+    return [c for c in range(f.n) if rank(c + 1) > rank(c)]
+
+
 def _reference_mc(f, t, budget, seed, growth_c):
-    """_mc_estimate as one unblocked evaluation per stratum, with normal(scale=sigma) draws."""
+    """_mc_estimate as one unblocked evaluation per stratum: exponential |z_j|^2,
+    a uniform phase e^{i theta} on each angle column, the others real."""
     from singspect.poly import hessian_determinant
 
     n = f.n
-    var_real = growth_c / (2 * t)
-    sigma = math.sqrt(var_real)
+    angles = _angle_columns(f)
     per = budget // index_integral._MC_STRATA
     total = total_sq = 0.0
     for idx in range(index_integral._MC_STRATA):
         m = per + (1 if idx < budget - per * index_integral._MC_STRATA else 0)
         if m == 0:
             continue
-        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        X = rng.normal(scale=sigma, size=(m, n))
-        Y = rng.normal(scale=sigma, size=(m, n))
-        Z = X + 1j * Y
-        log_p = -(X * X + Y * Y).sum(axis=1) / (2 * var_real) \
-            - n * math.log(math.pi * 2 * var_real)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, idx)))
+        E = rng.standard_exponential(size=(n, m))
+        theta = 2 * math.pi * rng.random(size=(len(angles), m))
+        Z = np.sqrt(E.T * (growth_c / t)).astype(complex)
+        Z[:, angles] *= np.exp(1j * theta.T)
+        log_p = -E.sum(axis=0) - n * math.log(math.pi * growth_c / t)
         grad_sq = sum(np.abs(g.evaluate_many(Z)) ** 2 for g in gradient(f))
         det_sq = np.abs(hessian_determinant(f).evaluate_many(Z)) ** 2
         w = (t / math.pi) ** n * np.exp(-t * grad_sq) * det_sq / np.exp(log_p)
@@ -325,6 +342,18 @@ def test_blocked_mc_matches_an_unblocked_reference(budget):
     ref, ref_err = _reference_mc(f, 0.7, budget, 5, index_integral._growth_constant(f))
     assert est.estimate == pytest.approx(ref, rel=1e-12)
     assert est.std_error == pytest.approx(ref_err, rel=1e-12, abs=1e-12 * abs(ref))
+
+
+@pytest.mark.parametrize("text,n", [("z1^3 + z1*z2^3", 2), ("z1^2 + z1*z2^3 + z2*z3^3", 3)])
+def test_drawn_phases_match_an_unblocked_reference(text, n):
+    # one and two drawn phases, built from tan(theta / 2) by _mc_estimate and
+    # as exp(i theta) by the reference
+    f, _ = prepared(text, n)
+    budget = 64 * 4097 + 5
+    est = compute_index(f, 0.7, budget=budget, seed=5)
+    ref, ref_err = _reference_mc(f, 0.7, budget, 5, index_integral._growth_constant(f))
+    assert est.estimate == pytest.approx(ref, rel=1e-12)
+    assert est.std_error == pytest.approx(ref_err, rel=1e-12)
 
 
 def test_mc_estimate_keeps_no_stratum_arrays_alive():
@@ -348,36 +377,45 @@ def test_mc_estimate_keeps_no_stratum_arrays_alive():
 
 def _per_polynomial_mc(f, t, budget, seed, growth_c):
     """_mc_estimate with each derivative of f evaluated on its own, as one
-    evaluate_many call per polynomial, on row-major blocks of 4096 points, and
-    the proposal's |x|^2 + |y|^2 as a row sum: the same arithmetic in the
-    same order, so the result must be equal to the bit."""
+    evaluate_many call per polynomial, on row-major blocks of 4096 points: the
+    same arithmetic in the same order, so the result must be equal to the bit."""
     from singspect.poly import hessian_determinant
 
     n, rows = f.n, 4096
     grads, det = gradient(f), hessian_determinant(f)
-    var_real = growth_c / (2 * t)
-    sigma = math.sqrt(var_real)
-    log_norm = n * math.log(math.pi * 2 * var_real)
+    angles = _angle_columns(f)
+    scale = growth_c / t
+    log_norm = n * math.log(math.pi * scale)
     per = budget // index_integral._MC_STRATA
     total = total_sq = 0.0
     for idx in range(index_integral._MC_STRATA):
         m = per + (1 if idx < budget - per * index_integral._MC_STRATA else 0)
         if m == 0:
             continue
-        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        x = rng.standard_normal(size=(m, n)) * sigma
-        y = rng.standard_normal(size=(m, n)) * sigma
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, idx)))
+        e = rng.standard_exponential(size=(n, m))
+        u = rng.random(size=(len(angles), m)) * math.pi
         w = np.empty(m)
         for lo in range(0, m, rows):
-            xb, yb = x[lo:lo + rows], y[lo:lo + rows]
-            Z = xb + 1j * yb
+            eb = e[:, lo:lo + rows]
+            Z = np.zeros((eb.shape[1], n), dtype=complex)
+            for j in range(n):
+                Z[:, j].real = np.sqrt(eb[j] * scale)
+            for a, j in enumerate(angles):
+                h = np.tan(u[a, lo:lo + rows])
+                c = 2 / (1 + h * h)
+                Z[:, j].imag = Z[:, j].real * (h * c)
+                Z[:, j].real *= c - 1
             arg = 0.0
             for g in grads:
                 v = g.evaluate_many(Z)
                 arg = arg + (v.real * v.real + v.imag * v.imag)
             arg *= -t
             arg += n * math.log(t / math.pi)
-            arg += (xb * xb + yb * yb).sum(axis=1) / (2 * var_real) + log_norm
+            neg_log_p = eb[0] + log_norm
+            for j in range(1, n):
+                neg_log_p += eb[j]
+            arg += neg_log_p
             np.exp(arg, out=arg)
             d = det.evaluate_many(Z)
             w[lo:lo + rows] = arg * (d.real * d.real + d.imag * d.imag)
@@ -429,9 +467,9 @@ def test_growth_constant_reads_no_seed_and_is_drawn_once_per_grid(monkeypatch):
     scales = []
     mc_estimate = index_integral._mc_estimate
 
-    def spy(comp, t, budget, seed, growth_c):
+    def spy(comp, t, budget, seed, growth_c, point):
         scales.append(growth_c)
-        return mc_estimate(comp, t, budget, seed, growth_c)
+        return mc_estimate(comp, t, budget, seed, growth_c, point)
 
     monkeypatch.setattr(index_integral, "_mc_estimate", spy)
     mckean_singer_check(f, (0.5, 1.0, 2.0), budget=20000, seed=3)
@@ -441,3 +479,93 @@ def test_growth_constant_reads_no_seed_and_is_drawn_once_per_grid(monkeypatch):
     growth.cache_clear()
     np.random.seed(5)
     assert growth(f) == scales[0]
+
+
+# Brieskorn-Pham, E7, D5, the README chain and the n = 3 loop
+SYMMETRY_POLYS = ("z1^3", "z1^5", "z1^3 + z2^4", "z1^3 + z2^3 + z3^4", "z1^3 + z1*z2^3",
+                  "z1^2*z2 + z2^4", "z1^2 + z1*z2^3 + z2*z3^3", "z1^2*z2 + z2^2*z3 + z3^2*z1")
+
+
+@pytest.mark.parametrize("text", SYMMETRY_POLYS)
+def test_free_phases_are_exact_symmetries_of_the_density(text):
+    # each free column of the phase rows spans, with the pivots it fixes, a
+    # phase vector phi under which z_j -> e^{i phi_j} z_j leaves the density
+    # unchanged; the circle action q is among them
+    from fractions import Fraction
+    from singspect.weights import _rref
+
+    n = 3 if "z3" in text else 2 if "z2" in text else 1
+    f, wv = prepared(text, n)
+    comp = index_integral._Compiled(f)
+    rows = index_integral._phase_rows(comp.derivatives)
+    mat, pivots = _rref(rows)
+    assert comp.angles == pivots == _angle_columns(f)
+    if n == 1 or text.count("*") == 0:
+        assert comp.angles == []
+    if text in ("z1^3 + z1*z2^3", "z1^2*z2 + z2^4"):
+        assert comp.angles == [0]
+    assert all(sum(r * q for r, q in zip(row, wv.q)) == 0 for row in rows)
+    null_space = []
+    for c in range(n):
+        if c not in pivots:
+            phi = [Fraction(0)] * n
+            phi[c] = Fraction(1)
+            for row, p in zip(mat, pivots):
+                phi[p] = -row[c]
+            null_space.append(phi)
+    assert len(null_space) == n - len(pivots) >= 1
+    rng = np.random.default_rng(11)
+    Z = 0.6 * (rng.normal(size=(200, n)) + 1j * rng.normal(size=(200, n)))
+    before = comp.density(Z, 0.7)
+    assert np.count_nonzero(before) >= 190  # a few far points underflow to 0
+    for phi in null_space + [list(wv.q)]:
+        for turn in (1.0, -0.37, 2.9):
+            rotated = Z * np.exp(2j * math.pi * turn * np.array([float(x) for x in phi]))
+            after = comp.density(rotated, 0.7)
+            assert np.all(np.abs(after - before) <= 1e-12 * before), (phi, turn)
+
+
+@pytest.mark.parametrize("text", ["z1^3 + z2^4", "z1^3 + z1*z2^3"])
+def test_mc_error_bars_are_calibrated_across_seeds(text):
+    # no phase and one phase drawn: over 200 seeds the z-scores
+    # (estimate - mu) / stderr must have mean about 0 and sd about 1
+    f, wv = prepared(text, 2)
+    mu = milnor_oracle(wv)
+    z = np.array([(e.estimate - mu) / e.std_error
+                  for e in (compute_index(f, 1.0, budget=20000, seed=s) for s in range(200))])
+    assert abs(z.mean()) <= 0.25
+    assert 0.8 <= z.std(ddof=1) <= 1.2
+
+
+def test_stratum_streams_never_collide():
+    # seed 977 at point 0 was seed 0 at point 1, and SeedSequence([0, 0]) is
+    # SeedSequence(0), the growth constant's default_rng(0)
+    states = [tuple(index_integral._stratum_seed(seed, point, k).generate_state(4))
+              for seed in (0, 977) for point in (0, 1, 2)
+              for k in range(index_integral._MC_STRATA)]
+    assert len(set(states)) == len(states) == 2 * 3 * 64
+    assert tuple(np.random.SeedSequence(0).generate_state(4)) not in states
+    assert np.random.SeedSequence(0).generate_state(4).tolist() == \
+        np.random.SeedSequence([0, 0]).generate_state(4).tolist()
+
+
+def test_grid_points_draw_their_own_streams(monkeypatch):
+    # point i of a grid is compute_index at point=i; a standalone estimate is point 0
+    f, _ = prepared("z1^3", 1)
+    res = mckean_singer_check(f, (1.0, 1.0, 1.0), budget=5000, seed=977)
+    alone = [compute_index(f, 1.0, budget=5000, seed=977, point=i) for i in range(3)]
+    assert [e.estimate for e in res.estimates] == [e.estimate for e in alone]
+    assert len({e.estimate for e in alone}) == 3
+    assert compute_index(f, 1.0, budget=5000, seed=977).estimate == alone[0].estimate
+    assert compute_index(f, 1.0, budget=5000, seed=0, point=1).estimate != alone[0].estimate
+
+
+def test_compiled_derivatives_are_built_once_per_f():
+    compile_ = index_integral._compile
+    compile_.cache_clear()
+    f, _ = prepared("z1^3 + z1*z2^3", 2)
+    mckean_singer_check(f, (0.5, 1.0, 2.0), budget=2000, seed=1)
+    assert compile_.cache_info().misses == 1
+    g, _ = prepared("z1^3 + z2^3", 2)
+    mckean_singer_check(g, (0.5, 1.0, 2.0), method="quadrature", budget=8)
+    assert compile_.cache_info().misses == 2
