@@ -12,6 +12,7 @@ import argparse
 import csv
 import sys
 
+from singspect.cli import _seed
 from singspect.index_integral import compute_index
 from singspect.poly import infer_variable_count, parse
 from singspect.weights import milnor_oracle, nondegeneracy_check, solve_weights
@@ -25,7 +26,7 @@ def main() -> int:
                     help="polynomial text (repeatable); defaults to a small suite")
     ap.add_argument("--t", default="0.25,0.5,1,2,4")
     ap.add_argument("--samples", type=int, default=400000)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_seed, default=0)
     ap.add_argument("--csv", default=None)
     args = ap.parse_args()
 

@@ -33,8 +33,9 @@ one value per row.  Both methods evaluate d_1 f .. d_n f and det d^2 f
 together, with one `poly.evaluate_joint` call and so one table of column
 powers per block of at most _BLOCK_ROWS = 4096 points, and their
 temporaries stay small whatever the sample or node count.  Monte Carlo
-writes each block of samples into one reused complex buffer whose columns
-are contiguous.  The quadrature takes at least 8 nodes: with fewer, its
+draws each block of samples from the one stream of its t-grid point, keyed
+on (seed, point), into one reused complex buffer whose columns are
+contiguous.  The quadrature takes at least 8 nodes: with fewer, its
 half-node error bar falls short of the error.
 """
 
@@ -163,79 +164,66 @@ def _growth_constant(f: MixedPolynomial) -> float:
     return 1.5 * float(ratio.max())
 
 
-_MC_STRATA = 64  # each stratum has its own stream; sums are reduced in stratum order
 # rows of points per density evaluation, for Monte Carlo and quadrature alike:
 # a block's temporaries (64 KB complex) stay in cache and below malloc's mmap
 # threshold, so they are reused from the heap rather than faulted in afresh
 _BLOCK_ROWS = 4096
 
 
-def _stratum_seed(seed: int, point: int, stratum: int) -> np.random.SeedSequence:
-    """The stream of one stratum of t-grid point `point`.
+def _point_seed(seed: int, point: int) -> np.random.SeedSequence:
+    """The stream of t-grid point `point`.
 
-    Spawn keys keep every (seed, point, stratum) apart, and apart from the
-    unkeyed SeedSequence(seed) behind default_rng(seed): numpy pads entropy
-    with zeros, so SeedSequence([seed, 0]) would be that stream.
+    Spawn keys keep every (seed, point) apart, and apart from the unkeyed
+    SeedSequence(seed) behind default_rng(seed): numpy pads entropy with
+    zeros, so SeedSequence([seed, 0]) would be that stream.
     """
-    return np.random.SeedSequence(seed, spawn_key=(point, stratum))
+    return np.random.SeedSequence(seed, spawn_key=(point,))
 
 
 def _mc_estimate(
     comp: _Compiled, t: float, budget: int, seed: int, growth_c: float, point: int = 0
 ) -> Tuple[float, float]:
-    """Importance-sampled mean and standard error, reduced in stratum order.
+    """Importance-sampled mean and standard error, from one stream in blocks.
 
     The proposal is the complex Gaussian of variance C/t per coordinate, in
-    polar form.  Stratum k draws, from _stratum_seed(seed, point, k), the
-    standard exponentials E_j with |z_j|^2 = (C/t) E_j, coordinate by
-    coordinate, then a uniform phase for each column in comp.angles; every
-    other coordinate is real and non-negative, which leaves the law of the
-    weight unchanged (see the module docstring).  So -log p = sum_j E_j +
-    n log(pi C/t), and no |z|^2 is recomputed.  The stratum's weights are
-    evaluated in blocks of _BLOCK_ROWS rows into one vector, whose sum and
-    sum of squares are the stratum's.  Each block's points go into a
-    complex buffer whose columns are contiguous, so the density reads them
-    without a copy.
+    polar form.  The samples come in blocks of _BLOCK_ROWS rows (the last
+    one shorter) from the one stream _point_seed(seed, point).  Each block
+    draws the standard exponentials E_j with |z_j|^2 = (C/t) E_j, coordinate
+    by coordinate, then a uniform phase for each column in comp.angles;
+    every other coordinate is real and non-negative, which leaves the law of
+    the weight unchanged (see the module docstring).  So -log p = sum_j E_j
+    + n log(pi C/t), and no |z|^2 is recomputed.  Each block's points go
+    into one reused complex buffer whose columns are contiguous, so the
+    density reads them without a copy, and its weights add to the sum and
+    the sum of squares in block order.
     """
     if budget < 1:
         raise ValueError(f"the Monte Carlo budget must be at least 1 sample, not {budget}")
     n, angles = comp.n, comp.angles
     scale = growth_c / t  # E |z_j|^2
-    per = budget // _MC_STRATA
-    counts = [per + (1 if i < budget - per * _MC_STRATA else 0) for i in range(_MC_STRATA)]
+    log_norm = n * math.log(math.pi * scale)  # log of proposal normalizer
+    rng = np.random.default_rng(_point_seed(seed, point))
+    Z = np.zeros((n, min(budget, _BLOCK_ROWS)), dtype=complex).T  # free columns stay real
     total = 0.0
     total_sq = 0.0
-    log_norm = n * math.log(math.pi * scale)  # log of proposal normalizer
-    E = np.empty(n * counts[0])
-    U = np.empty(len(angles) * counts[0])
-    Z = np.zeros((n, min(counts[0], _BLOCK_ROWS)), dtype=complex).T  # free columns stay real
-    W = np.empty(counts[0])
-    for k, m in enumerate(counts):
-        if m == 0:
-            continue
-        rng = np.random.default_rng(_stratum_seed(seed, point, k))
-        e, u, w = E[:n * m].reshape(n, m), U[:len(angles) * m].reshape(-1, m), W[:m]
-        rng.standard_exponential(out=e)
-        if angles:
-            rng.random(out=u)
-            u *= math.pi  # half the phase
-        for lo in range(0, m, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, m)
-            eb, zb = e[:, lo:hi], Z[:hi - lo]
-            neg_log_p = eb[0] + log_norm
-            for j in range(1, n):
-                neg_log_p += eb[j]
-            for j in range(n):
-                zb[:, j].real = np.sqrt(eb[j] * scale)
-            for a, j in enumerate(angles):
-                # the rational parametrization of the circle by h = tan(phase / 2),
-                # whose cos^2 + sin^2 = 1 holds whatever the rounding of h
-                h = np.tan(u[a, lo:hi])
-                c = 2 / (1 + h * h)  # 1 + cos(phase); sin(phase) = h c
-                z = zb[:, j]
-                z.imag = z.real * (h * c)
-                z.real *= c - 1
-            w[lo:hi] = comp.density(zb, t, neg_log_p)  # density / proposal
+    for lo in range(0, budget, _BLOCK_ROWS):
+        zb = Z[:budget - lo]
+        e = rng.standard_exponential((n, len(zb)))
+        u = rng.random((len(angles), len(zb))) * math.pi  # half the phases
+        neg_log_p = e[0] + log_norm
+        for j in range(1, n):
+            neg_log_p += e[j]
+        for j in range(n):
+            zb[:, j].real = np.sqrt(e[j] * scale)
+        for a, j in enumerate(angles):
+            # the rational parametrization of the circle by h = tan(phase / 2),
+            # whose cos^2 + sin^2 = 1 holds whatever the rounding of h
+            h = np.tan(u[a])
+            c = 2 / (1 + h * h)  # 1 + cos(phase); sin(phase) = h c
+            z = zb[:, j]
+            z.imag = z.real * (h * c)
+            z.real *= c - 1
+        w = comp.density(zb, t, neg_log_p)  # density / proposal
         total += float(w.sum())
         total_sq += float((w * w).sum())
     mean = total / budget
@@ -385,7 +373,7 @@ def compute_index(
     `budget` is the sample count (Monte Carlo) or the node count N of the
     weighted-polar rule (quadrature), whose weights come from solve_weights;
     None means 10^6 samples or 128 nodes.  `point` is the estimate's index
-    in a t-grid, which Monte Carlo keys its streams on (_stratum_seed); a
+    in a t-grid, which Monte Carlo keys its stream on (_point_seed); a
     standalone estimate is point 0.
     """
     _check_t(t)

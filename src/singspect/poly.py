@@ -135,9 +135,6 @@ class MixedPolynomial(SparseMap):
             self.n, {(b, a): c.conjugate() for (a, b), c in self.terms.items()}
         )
 
-    def total_degree(self) -> int:
-        return max((sum(a) + sum(b) for a, b in self.terms), default=0)
-
     # -- calculus ----------------------------------------------------------
 
     def wirtinger(self, i: int, conjugated: bool = False) -> "MixedPolynomial":

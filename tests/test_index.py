@@ -305,37 +305,38 @@ def _angle_columns(f):
 
 
 def _reference_mc(f, t, budget, seed, growth_c):
-    """_mc_estimate as one unblocked evaluation per stratum: exponential |z_j|^2,
-    a uniform phase e^{i theta} on each angle column, the others real."""
+    """_mc_estimate as one unblocked evaluation: the draws of every 4096-row
+    block of one stream, exponential |z_j|^2 and a uniform phase e^{i theta}
+    on each angle column, the others real."""
     from singspect.poly import hessian_determinant
 
     n = f.n
     angles = _angle_columns(f)
-    per = budget // index_integral._MC_STRATA
-    total = total_sq = 0.0
-    for idx in range(index_integral._MC_STRATA):
-        m = per + (1 if idx < budget - per * index_integral._MC_STRATA else 0)
-        if m == 0:
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, idx)))
-        E = rng.standard_exponential(size=(n, m))
-        theta = 2 * math.pi * rng.random(size=(len(angles), m))
-        Z = np.sqrt(E.T * (growth_c / t)).astype(complex)
-        Z[:, angles] *= np.exp(1j * theta.T)
-        log_p = -E.sum(axis=0) - n * math.log(math.pi * growth_c / t)
-        grad_sq = sum(np.abs(g.evaluate_many(Z)) ** 2 for g in gradient(f))
-        det_sq = np.abs(hessian_determinant(f).evaluate_many(Z)) ** 2
-        w = (t / math.pi) ** n * np.exp(-t * grad_sq) * det_sq / np.exp(log_p)
-        total += float(w.sum())
-        total_sq += float((w * w).sum())
-    mean = total / budget
-    return mean, math.sqrt(max(total_sq / budget - mean * mean, 0.0) / budget)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    E, theta = [], []
+    for lo in range(0, budget, 4096):
+        m = min(4096, budget - lo)
+        E.append(rng.standard_exponential(size=(n, m)))
+        theta.append(2 * math.pi * rng.random(size=(len(angles), m)))
+    E, theta = np.hstack(E), np.hstack(theta)
+    Z = np.sqrt(E.T * (growth_c / t)).astype(complex)
+    Z[:, angles] *= np.exp(1j * theta.T)
+    log_p = -E.sum(axis=0) - n * math.log(math.pi * growth_c / t)
+    grad_sq = sum(np.abs(g.evaluate_many(Z)) ** 2 for g in gradient(f))
+    det_sq = np.abs(hessian_determinant(f).evaluate_many(Z)) ** 2
+    w = (t / math.pi) ** n * np.exp(-t * grad_sq) * det_sq / np.exp(log_p)
+    mean = float(w.sum()) / budget
+    return mean, math.sqrt(max(float((w * w).sum()) / budget - mean * mean, 0.0) / budget)
 
 
-@pytest.mark.parametrize("budget", [1, 63, 64, 64 * 4097 + 5])
+# the edges of the 4096-row block: one short block, one full block, a full
+# block and one row, and several blocks and a short one; 63, 64 and
+# 64 * 4097 + 5 are short and long budgets away from the edges
+MC_BUDGETS = [1, 63, 64, 4095, 4096, 4097, 3 * 4096 + 5, 64 * 4097 + 5]
+
+
+@pytest.mark.parametrize("budget", MC_BUDGETS)
 def test_blocked_mc_matches_an_unblocked_reference(budget):
-    # 1 and 63 leave strata without samples; 64 * 4097 + 5 gives strata of
-    # 4098 rows, which straddle the 4096-row block boundary
     assert index_integral._BLOCK_ROWS == 4096
     f, _ = prepared("z1^3 + z2^4", 2)
     est = compute_index(f, 0.7, budget=budget, seed=5)
@@ -349,17 +350,17 @@ def test_drawn_phases_match_an_unblocked_reference(text, n):
     # one and two drawn phases, built from tan(theta / 2) by _mc_estimate and
     # as exp(i theta) by the reference
     f, _ = prepared(text, n)
-    budget = 64 * 4097 + 5
+    budget = 3 * 4096 + 5
     est = compute_index(f, 0.7, budget=budget, seed=5)
     ref, ref_err = _reference_mc(f, 0.7, budget, 5, index_integral._growth_constant(f))
     assert est.estimate == pytest.approx(ref, rel=1e-12)
     assert est.std_error == pytest.approx(ref_err, rel=1e-12)
 
 
-def test_mc_estimate_keeps_no_stratum_arrays_alive():
+def test_mc_estimate_keeps_no_block_arrays_alive():
     # temporaries are freed by reference counting alone: with the cyclic
-    # collector off, a reference cycle holding a stratum's arrays would keep
-    # all 64 strata alive and the traced peak would grow with the budget
+    # collector off, a reference cycle holding a block's arrays would keep
+    # all 245 blocks alive and the traced peak would grow with the budget
     import gc
     import tracemalloc
 
@@ -377,8 +378,9 @@ def test_mc_estimate_keeps_no_stratum_arrays_alive():
 
 def _per_polynomial_mc(f, t, budget, seed, growth_c):
     """_mc_estimate with each derivative of f evaluated on its own, as one
-    evaluate_many call per polynomial, on row-major blocks of 4096 points: the
-    same arithmetic in the same order, so the result must be equal to the bit."""
+    evaluate_many call per polynomial, on row-major blocks of 4096 points of
+    one stream: the same arithmetic in the same order, so the result must be
+    equal to the bit."""
     from singspect.poly import hessian_determinant
 
     n, rows = f.n, 4096
@@ -386,39 +388,33 @@ def _per_polynomial_mc(f, t, budget, seed, growth_c):
     angles = _angle_columns(f)
     scale = growth_c / t
     log_norm = n * math.log(math.pi * scale)
-    per = budget // index_integral._MC_STRATA
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     total = total_sq = 0.0
-    for idx in range(index_integral._MC_STRATA):
-        m = per + (1 if idx < budget - per * index_integral._MC_STRATA else 0)
-        if m == 0:
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, idx)))
+    for lo in range(0, budget, rows):
+        m = min(rows, budget - lo)
         e = rng.standard_exponential(size=(n, m))
         u = rng.random(size=(len(angles), m)) * math.pi
-        w = np.empty(m)
-        for lo in range(0, m, rows):
-            eb = e[:, lo:lo + rows]
-            Z = np.zeros((eb.shape[1], n), dtype=complex)
-            for j in range(n):
-                Z[:, j].real = np.sqrt(eb[j] * scale)
-            for a, j in enumerate(angles):
-                h = np.tan(u[a, lo:lo + rows])
-                c = 2 / (1 + h * h)
-                Z[:, j].imag = Z[:, j].real * (h * c)
-                Z[:, j].real *= c - 1
-            arg = 0.0
-            for g in grads:
-                v = g.evaluate_many(Z)
-                arg = arg + (v.real * v.real + v.imag * v.imag)
-            arg *= -t
-            arg += n * math.log(t / math.pi)
-            neg_log_p = eb[0] + log_norm
-            for j in range(1, n):
-                neg_log_p += eb[j]
-            arg += neg_log_p
-            np.exp(arg, out=arg)
-            d = det.evaluate_many(Z)
-            w[lo:lo + rows] = arg * (d.real * d.real + d.imag * d.imag)
+        Z = np.zeros((m, n), dtype=complex)
+        for j in range(n):
+            Z[:, j].real = np.sqrt(e[j] * scale)
+        for a, j in enumerate(angles):
+            h = np.tan(u[a])
+            c = 2 / (1 + h * h)
+            Z[:, j].imag = Z[:, j].real * (h * c)
+            Z[:, j].real *= c - 1
+        arg = 0.0
+        for g in grads:
+            v = g.evaluate_many(Z)
+            arg = arg + (v.real * v.real + v.imag * v.imag)
+        arg *= -t
+        arg += n * math.log(t / math.pi)
+        neg_log_p = e[0] + log_norm
+        for j in range(1, n):
+            neg_log_p += e[j]
+        arg += neg_log_p
+        np.exp(arg, out=arg)
+        d = det.evaluate_many(Z)
+        w = arg * (d.real * d.real + d.imag * d.imag)
         total += float(w.sum())
         total_sq += float((w * w).sum())
     mean = total / budget
@@ -427,9 +423,8 @@ def _per_polynomial_mc(f, t, budget, seed, growth_c):
 
 @pytest.mark.parametrize("text,n", [("z1^3", 1), ("z1^3 + z2^4", 2),
                                     ("z1^2*z2 + z2^3 + z3^4", 3)])
-@pytest.mark.parametrize("budget", [1, 63, 64 * 4097 + 5])
+@pytest.mark.parametrize("budget", MC_BUDGETS)
 def test_joint_mc_equals_a_per_polynomial_reference(text, n, budget):
-    # strata without samples, and strata of 4098 rows that straddle a block
     f, _ = prepared(text, n)
     growth_c = index_integral._growth_constant(f)
     got = index_integral._mc_estimate(index_integral._Compiled(f), 0.7, budget, 5, growth_c)
@@ -537,13 +532,12 @@ def test_mc_error_bars_are_calibrated_across_seeds(text):
     assert 0.8 <= z.std(ddof=1) <= 1.2
 
 
-def test_stratum_streams_never_collide():
+def test_point_streams_never_collide():
     # seed 977 at point 0 was seed 0 at point 1, and SeedSequence([0, 0]) is
     # SeedSequence(0), the growth constant's default_rng(0)
-    states = [tuple(index_integral._stratum_seed(seed, point, k).generate_state(4))
-              for seed in (0, 977) for point in (0, 1, 2)
-              for k in range(index_integral._MC_STRATA)]
-    assert len(set(states)) == len(states) == 2 * 3 * 64
+    states = [tuple(index_integral._point_seed(seed, point).generate_state(4))
+              for seed in (0, 1, 977) for point in range(5)]
+    assert len(set(states)) == len(states) == 3 * 5
     assert tuple(np.random.SeedSequence(0).generate_state(4)) not in states
     assert np.random.SeedSequence(0).generate_state(4).tolist() == \
         np.random.SeedSequence([0, 0]).generate_state(4).tolist()
@@ -569,3 +563,22 @@ def test_compiled_derivatives_are_built_once_per_f():
     g, _ = prepared("z1^3 + z2^3", 2)
     mckean_singer_check(g, (0.5, 1.0, 2.0), method="quadrature", budget=8)
     assert compile_.cache_info().misses == 2
+
+
+def test_each_estimate_draws_one_stream(monkeypatch):
+    # one generator per t-grid point, whatever the budget: a standalone
+    # estimate builds one, a 3-point grid three, keyed on (seed, point)
+    f, _ = prepared("z1^3 + z2^4", 2)
+    keys = []
+    point_seed = index_integral._point_seed
+
+    def spy(seed, point):
+        keys.append((seed, point))
+        return point_seed(seed, point)
+
+    monkeypatch.setattr(index_integral, "_point_seed", spy)
+    compute_index(f, 1.0, budget=3 * 4096 + 5, seed=4)
+    assert keys == [(4, 0)]
+    keys.clear()
+    mckean_singer_check(f, (0.5, 1.0, 2.0), budget=20000, seed=9)
+    assert keys == [(9, 0), (9, 1), (9, 2)]

@@ -18,3 +18,12 @@ def test_experiment_script_runs(script, args):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_index_study_rejects_a_negative_seed():
+    # a usage error before any output, as for the CLI's --seed
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_index_study.py"),
+                           "--seed", "-1"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert not proc.stdout
+    assert "--seed: must be a non-negative integer, not -1" in proc.stderr
