@@ -10,6 +10,7 @@ is flat in t and rounds to the Milnor number.
 
 import argparse
 import csv
+import math
 import sys
 
 from singspect.cli import _seed
@@ -20,18 +21,35 @@ from singspect.weights import milnor_oracle, nondegeneracy_check, solve_weights
 DEFAULT_CASES = ["(1/2)*z1^2", "z1^3", "z1^4", "z1^3 + z2^3"]
 
 
+def _samples(text: str) -> int:
+    """The type of `--samples`: at least one sample per estimate."""
+    samples = int(text)
+    if samples < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {samples}")
+    return samples
+
+
+def _t_grid(text: str) -> list:
+    """The type of `--t`: comma-separated times, each positive and finite."""
+    grid = [float(x) for x in text.split(",")]
+    for t in grid:
+        if not 0 < t < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, not {t}")
+    return grid
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--poly", action="append", default=None,
                     help="polynomial text (repeatable); defaults to a small suite")
-    ap.add_argument("--t", default="0.25,0.5,1,2,4")
-    ap.add_argument("--samples", type=int, default=400000)
+    ap.add_argument("--t", type=_t_grid, default="0.25,0.5,1,2,4")
+    ap.add_argument("--samples", type=_samples, default=400000)
     ap.add_argument("--seed", type=_seed, default=0)
     ap.add_argument("--csv", default=None)
     args = ap.parse_args()
 
     cases = args.poly or DEFAULT_CASES
-    t_grid = [float(x) for x in args.t.split(",")]
+    t_grid = args.t
     rows = []
     for text in cases:
         f = parse(text, infer_variable_count(text))

@@ -12,12 +12,16 @@ simplex of the |zeta_j|^2, trapezoid in the angles, one angle fixed by the
 circle action) times a one-dimensional radial integral (trapezoid in log
 lam).  It checks the t-independence across a grid.
 
-The Monte Carlo proposal is the complex Gaussian of variance C/t per
-coordinate, whose scale comes from a quadratic growth floor
-|grad f|^2 >= |z|^2 / C - 1, with C fitted once per f on fixed random
-points, which keeps the weights bounded.  It is drawn in polar form: each
-|z_j|^2 is C/t times a standard exponential, and a uniform phase is drawn
-only for the pivot columns of the exact matrix of exponent differences
+The Monte Carlo proposal is the complex Gaussian of variance sigma_j^2 in
+coordinate j.  log sigma is the least-squares solution of
+log(sqrt(t) |c|) + a . log sigma = 0 over the terms c z^a of d_1 f .. d_n f,
+a torus normalization of t |grad f|^2 solved exactly once per f as
+log sigma_j = u_j - v_j log(t) / 2; it reads no seed.  For A_1 in any n the
+proposal is the normalized integrand, so every weight is 1; for a
+Brieskorn-Pham f it matches each coordinate's scale; and a factor c of f
+gives the estimate of f at time t |c|^2.  It is drawn in polar form: each
+|z_j|^2 is sigma_j^2 times a standard exponential, and a uniform phase is
+drawn only for the pivot columns of the exact matrix of exponent differences
 (a - b) - (a0 - b0) over the terms of each of d_1 f .. d_n f and det d^2 f;
 every other coordinate is real and non-negative.  This is exact, not an
 approximation: a phase vector phi in that matrix's null space (it holds the
@@ -95,6 +99,33 @@ def _phase_rows(polys: Sequence[MixedPolynomial]) -> List[List[Fraction]]:
     return rows
 
 
+def _log_scale(grads: Sequence[MixedPolynomial]) -> Tuple[List[float], List[float]]:
+    """(u, v) with log sigma_j = u_j - v_j log(t) / 2, the least-squares solution
+    of log(sqrt(t) |c|) + a . log sigma = 0 over the terms c z^a of d_1 f .. d_n f.
+
+    So sigma is the scale at which every term of sqrt(t) grad f has modulus
+    about 1, a torus normalization of t |grad f|^2.  The normal equations
+    A^T A x = A^T y have an integer matrix, so [A^T A | A^T] is reduced
+    exactly: u = -M log|c| and v = M 1 with M = (A^T A)^{-1} A^T.  A column
+    that f does not constrain gets u_j = v_j = 0.
+    """
+    exponents, log_c = [], []
+    for g in grads:
+        for (a, b), c in g.terms.items():
+            exponents.append([x + y for x, y in zip(a, b)])
+            m = c.abs2()
+            log_c.append((math.log(m.numerator) - math.log(m.denominator)) / 2)
+    n = len(grads)
+    normal = [[Fraction(sum(row[i] * row[k] for row in exponents)) for k in range(n)]
+              + [Fraction(row[i]) for row in exponents] for i in range(n)]
+    mat, pivots = _rref(normal)
+    u, v = [0.0] * n, [0.0] * n
+    for row, j in zip(mat, pivots):
+        u[j] = -math.fsum(float(m) * lc for m, lc in zip(row[n:], log_c))
+        v[j] = float(sum(row[n:]))
+    return u, v
+
+
 class _Compiled:
     """Gradient and exact Hessian determinant of f, evaluated together at the
     same points, and the coordinates whose phase the Monte Carlo draws."""
@@ -106,6 +137,12 @@ class _Compiled:
         # the pivot columns of the phase rows; each free column's phase is fixed
         # by a symmetry of the density, so it is set to 0
         self.angles = _rref(_phase_rows(self.derivatives))[1]
+        self.log_scale = _log_scale(self.derivatives[:-1])
+
+    def sigma(self, t: float) -> List[float]:
+        """The Monte Carlo proposal's scale per coordinate at time t: E |z_j|^2 = sigma_j^2."""
+        half_log_t = math.log(t) / 2
+        return [math.exp(u - v * half_log_t) for u, v in zip(*self.log_scale)]
 
     def density(self, Z: np.ndarray, t: float, log_factor=0.0) -> np.ndarray:
         """(t^n / pi^n) exp(-t |grad f|^2) |det d^2 f|^2 at the rows of Z.
@@ -136,34 +173,6 @@ def integrand(f: MixedPolynomial, Z, t: float) -> np.ndarray:
     return _compile(f).density(np.asarray(Z, dtype=complex), t)
 
 
-# the growth constant's points: this many on each sphere, from stream 0
-_GROWTH_POINTS_PER_RADIUS = 4000
-_GROWTH_RADII = (0.1, 1.0, 10.0)
-
-
-@functools.lru_cache(maxsize=16)
-def _growth_constant(f: MixedPolynomial) -> float:
-    """C of the growth floor |grad f|^2 >= |z|^2 / C - 1: the Monte Carlo proposal scale.
-
-    C is 1.5 times the largest |z|^2 / (|grad f|^2 + 1) over points drawn
-    uniformly on the spheres |z| = 0.1, 1 and 10 by default_rng(0); the
-    margin keeps the importance weights bounded where the points undershoot.
-    C depends on f alone, and is computed once per f: a t-grid draws it once.
-    """
-    rng = np.random.default_rng(0)
-    n = f.n
-    pts = []
-    for r in _GROWTH_RADII:
-        x = rng.normal(size=(_GROWTH_POINTS_PER_RADIUS, 2 * n))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        pts.append(r * (x[:, :n] + 1j * x[:, n:]))
-    Z = np.concatenate(pts, axis=0)
-    with np.errstate(over="ignore"):  # an |grad f|^2 that overflows gives a ratio of 0
-        grad_sq = square_sum(evaluate_joint(_compile(f).derivatives[:-1], Z))
-    ratio = (np.abs(Z) ** 2).sum(axis=1) / (grad_sq + 1.0)
-    return 1.5 * float(ratio.max())
-
-
 # rows of points per density evaluation, for Monte Carlo and quadrature alike:
 # a block's temporaries (64 KB complex) stay in cache and below malloc's mmap
 # threshold, so they are reused from the heap rather than faulted in afresh
@@ -181,27 +190,28 @@ def _point_seed(seed: int, point: int) -> np.random.SeedSequence:
 
 
 def _mc_estimate(
-    comp: _Compiled, t: float, budget: int, seed: int, growth_c: float, point: int = 0
+    comp: _Compiled, t: float, budget: int, seed: int, sigma: Sequence[float], point: int = 0
 ) -> Tuple[float, float]:
     """Importance-sampled mean and standard error, from one stream in blocks.
 
-    The proposal is the complex Gaussian of variance C/t per coordinate, in
-    polar form.  The samples come in blocks of _BLOCK_ROWS rows (the last
-    one shorter) from the one stream _point_seed(seed, point).  Each block
-    draws the standard exponentials E_j with |z_j|^2 = (C/t) E_j, coordinate
-    by coordinate, then a uniform phase for each column in comp.angles;
-    every other coordinate is real and non-negative, which leaves the law of
-    the weight unchanged (see the module docstring).  So -log p = sum_j E_j
-    + n log(pi C/t), and no |z|^2 is recomputed.  Each block's points go
-    into one reused complex buffer whose columns are contiguous, so the
-    density reads them without a copy, and its weights add to the sum and
-    the sum of squares in block order.
+    The proposal is the complex Gaussian of variance sigma_j^2 in coordinate
+    j (comp.sigma(t)), in polar form.  The samples come in blocks of
+    _BLOCK_ROWS rows (the last one shorter) from the one stream
+    _point_seed(seed, point).  Each block draws the standard exponentials E_j
+    with |z_j|^2 = sigma_j^2 E_j, coordinate by coordinate, then a uniform
+    phase for each column in comp.angles; every other coordinate is real and
+    non-negative, which leaves the law of the weight unchanged (see the
+    module docstring).  So -log p = sum_j E_j + sum_j log(pi sigma_j^2), and
+    no |z|^2 is recomputed.  Each block's points go into one reused complex
+    buffer whose columns are contiguous, so the density reads them without a
+    copy, and its weights add to the sum and the sum of squares in block
+    order.
     """
     if budget < 1:
         raise ValueError(f"the Monte Carlo budget must be at least 1 sample, not {budget}")
     n, angles = comp.n, comp.angles
-    scale = growth_c / t  # E |z_j|^2
-    log_norm = n * math.log(math.pi * scale)  # log of proposal normalizer
+    scale = [s * s for s in sigma]  # E |z_j|^2
+    log_norm = sum(math.log(math.pi * v) for v in scale)  # log of proposal normalizer
     rng = np.random.default_rng(_point_seed(seed, point))
     Z = np.zeros((n, min(budget, _BLOCK_ROWS)), dtype=complex).T  # free columns stay real
     total = 0.0
@@ -214,7 +224,7 @@ def _mc_estimate(
         for j in range(1, n):
             neg_log_p += e[j]
         for j in range(n):
-            zb[:, j].real = np.sqrt(e[j] * scale)
+            zb[:, j].real = np.sqrt(e[j] * scale[j])
         for a, j in enumerate(angles):
             # the rational parametrization of the circle by h = tan(phase / 2),
             # whose cos^2 + sin^2 = 1 holds whatever the rounding of h
@@ -381,7 +391,7 @@ def compute_index(
         budget = _DEFAULT_BUDGETS.get(method)
     comp = _compile(f)
     if method == "mc":
-        est, err = _mc_estimate(comp, t, budget, seed, _growth_constant(f), point)
+        est, err = _mc_estimate(comp, t, budget, seed, comp.sigma(t), point)
     elif method == "quadrature":
         est, err = _quadrature_estimate(comp, t, budget, solve_weights(f).q)
     else:

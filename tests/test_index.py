@@ -261,7 +261,7 @@ def test_scaled_coordinate_quadrature_invariance():
     # substitute z = s^{-q} z'; dvol picks up s^{-2q}; |f'(z)|^2 = s^{-2(1-q)}|f'(z')|^2
     x, wts = np.polynomial.hermite.hermgauss(160)
     # widen nodes to the scaled frame
-    sigma = math.sqrt(index_integral._growth_constant(f) / t) * s ** q
+    sigma = index_integral._compile(f).sigma(t)[0] * s ** q
     xs = sigma * x
     ws = sigma * wts * np.exp(x * x)
     Z = (xs[:, None] + 1j * xs[None, :]).ravel()[:, None]
@@ -304,7 +304,7 @@ def _angle_columns(f):
     return [c for c in range(f.n) if rank(c + 1) > rank(c)]
 
 
-def _reference_mc(f, t, budget, seed, growth_c):
+def _reference_mc(f, t, budget, seed, sigma):
     """_mc_estimate as one unblocked evaluation: the draws of every 4096-row
     block of one stream, exponential |z_j|^2 and a uniform phase e^{i theta}
     on each angle column, the others real."""
@@ -319,9 +319,10 @@ def _reference_mc(f, t, budget, seed, growth_c):
         E.append(rng.standard_exponential(size=(n, m)))
         theta.append(2 * math.pi * rng.random(size=(len(angles), m)))
     E, theta = np.hstack(E), np.hstack(theta)
-    Z = np.sqrt(E.T * (growth_c / t)).astype(complex)
+    var = np.array(sigma) ** 2
+    Z = np.sqrt(E.T * var).astype(complex)
     Z[:, angles] *= np.exp(1j * theta.T)
-    log_p = -E.sum(axis=0) - n * math.log(math.pi * growth_c / t)
+    log_p = -E.sum(axis=0) - np.log(math.pi * var).sum()
     grad_sq = sum(np.abs(g.evaluate_many(Z)) ** 2 for g in gradient(f))
     det_sq = np.abs(hessian_determinant(f).evaluate_many(Z)) ** 2
     w = (t / math.pi) ** n * np.exp(-t * grad_sq) * det_sq / np.exp(log_p)
@@ -340,7 +341,7 @@ def test_blocked_mc_matches_an_unblocked_reference(budget):
     assert index_integral._BLOCK_ROWS == 4096
     f, _ = prepared("z1^3 + z2^4", 2)
     est = compute_index(f, 0.7, budget=budget, seed=5)
-    ref, ref_err = _reference_mc(f, 0.7, budget, 5, index_integral._growth_constant(f))
+    ref, ref_err = _reference_mc(f, 0.7, budget, 5, index_integral._compile(f).sigma(0.7))
     assert est.estimate == pytest.approx(ref, rel=1e-12)
     assert est.std_error == pytest.approx(ref_err, rel=1e-12, abs=1e-12 * abs(ref))
 
@@ -352,7 +353,7 @@ def test_drawn_phases_match_an_unblocked_reference(text, n):
     f, _ = prepared(text, n)
     budget = 3 * 4096 + 5
     est = compute_index(f, 0.7, budget=budget, seed=5)
-    ref, ref_err = _reference_mc(f, 0.7, budget, 5, index_integral._growth_constant(f))
+    ref, ref_err = _reference_mc(f, 0.7, budget, 5, index_integral._compile(f).sigma(0.7))
     assert est.estimate == pytest.approx(ref, rel=1e-12)
     assert est.std_error == pytest.approx(ref_err, rel=1e-12)
 
@@ -376,7 +377,7 @@ def test_mc_estimate_keeps_no_block_arrays_alive():
     assert peak < 8 * 2 ** 20
 
 
-def _per_polynomial_mc(f, t, budget, seed, growth_c):
+def _per_polynomial_mc(f, t, budget, seed, sigma):
     """_mc_estimate with each derivative of f evaluated on its own, as one
     evaluate_many call per polynomial, on row-major blocks of 4096 points of
     one stream: the same arithmetic in the same order, so the result must be
@@ -386,8 +387,8 @@ def _per_polynomial_mc(f, t, budget, seed, growth_c):
     n, rows = f.n, 4096
     grads, det = gradient(f), hessian_determinant(f)
     angles = _angle_columns(f)
-    scale = growth_c / t
-    log_norm = n * math.log(math.pi * scale)
+    scale = [s * s for s in sigma]
+    log_norm = sum(math.log(math.pi * v) for v in scale)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     total = total_sq = 0.0
     for lo in range(0, budget, rows):
@@ -396,7 +397,7 @@ def _per_polynomial_mc(f, t, budget, seed, growth_c):
         u = rng.random(size=(len(angles), m)) * math.pi
         Z = np.zeros((m, n), dtype=complex)
         for j in range(n):
-            Z[:, j].real = np.sqrt(e[j] * scale)
+            Z[:, j].real = np.sqrt(e[j] * scale[j])
         for a, j in enumerate(angles):
             h = np.tan(u[a])
             c = 2 / (1 + h * h)
@@ -426,9 +427,9 @@ def _per_polynomial_mc(f, t, budget, seed, growth_c):
 @pytest.mark.parametrize("budget", MC_BUDGETS)
 def test_joint_mc_equals_a_per_polynomial_reference(text, n, budget):
     f, _ = prepared(text, n)
-    growth_c = index_integral._growth_constant(f)
-    got = index_integral._mc_estimate(index_integral._Compiled(f), 0.7, budget, 5, growth_c)
-    assert got == _per_polynomial_mc(f, 0.7, budget, 5, growth_c)
+    comp = index_integral._Compiled(f)
+    got = index_integral._mc_estimate(comp, 0.7, budget, 5, comp.sigma(0.7))
+    assert got == _per_polynomial_mc(f, 0.7, budget, 5, comp.sigma(0.7))
 
 
 @pytest.mark.parametrize("text,n,nodes", [("z1^3", 1, 128), ("z1^3 + z2^4", 2, 64)])
@@ -441,39 +442,55 @@ def test_joint_quadrature_equals_a_per_polynomial_reference(monkeypatch, text, n
     assert (joint.estimate, joint.std_error) == (alone.estimate, alone.std_error)
 
 
-def test_fitted_constant_bounds_growth_floor():
-    # |grad f|^2 >= |z|^2 / C - 1 must hold on fresh sample points
-    f = parse("(1/2)*z1^2", 1)
-    growth_c = index_integral._growth_constant(f)
-    rng = np.random.default_rng(123)
-    Z = rng.normal(scale=4.0, size=(500, 1)) + 1j * rng.normal(scale=4.0, size=(500, 1))
-    grad_sq = np.abs(f.wirtinger(1).evaluate_many(Z)) ** 2
-    floor = (np.abs(Z[:, 0]) ** 2) / growth_c - 1
-    assert np.all(grad_sq >= floor - 1e-9)
+@pytest.mark.parametrize("text,n", [("(1/2)*z1^2", 1), ("5*z1^2 + (1/3)*z2^2", 2)])
+def test_a1_proposal_is_the_integrand(text, n):
+    # for A_1 in any n the proposal is the normalized integrand: every weight
+    # is 1, so the estimate is mu = 1 with no variance at every t
+    f, _ = prepared(text, n)
+    for t in (0.3, 1.0, 7.0):
+        est = compute_index(f, t, budget=20000, seed=2)
+        assert est.estimate == pytest.approx(1.0, rel=1e-12)
+        assert est.std_error <= 1e-12
 
 
-def test_growth_constant_reads_no_seed_and_is_drawn_once_per_grid(monkeypatch):
-    # the proposal scale is a function of f alone: every seed's estimate uses
-    # the same one, numpy's global state does not move it, and a t-grid draws
-    # its points once
+@pytest.mark.parametrize("base,c,t", [("z1^2*z2 + z2^4", "10^3", 1e6),
+                                      ("z1^3 + z2^4", "(1/10^6)", 1e-12)])
+def test_mc_depends_on_a_factor_of_f_only_through_t(base, c, t):
+    # c f at time 1 is f at time |c|^2, at one seed, to rounding: the scale
+    # sigma solves for sqrt(t) |c| and the density sees t |c|^2
+    f, _ = prepared(base, 2)
+    cf, _ = prepared(f"{c}*({base})", 2)
+    scaled = compute_index(cf, 1.0, budget=20000, seed=3)
+    slow = compute_index(f, t, budget=20000, seed=3)
+    assert scaled.estimate == pytest.approx(slow.estimate, rel=1e-12)
+    assert scaled.std_error == pytest.approx(slow.std_error, rel=1e-12)
+
+
+def test_proposal_scale_reads_no_seed_and_is_built_once_per_f(monkeypatch):
+    # the proposal scale is a function of f and t alone: every seed's estimate
+    # uses the same one, numpy's global state does not move it, and a t-grid
+    # builds it once
     f, _ = prepared("z1^3 + z2^4", 2)
-    growth = index_integral._growth_constant
-    growth.cache_clear()
-    scales = []
-    mc_estimate = index_integral._mc_estimate
+    index_integral._compile.cache_clear()
+    builds, sigmas = [], []
+    log_scale, mc_estimate = index_integral._log_scale, index_integral._mc_estimate
 
-    def spy(comp, t, budget, seed, growth_c, point):
-        scales.append(growth_c)
-        return mc_estimate(comp, t, budget, seed, growth_c, point)
+    def build(grads):
+        builds.append(grads)
+        return log_scale(grads)
 
+    def spy(comp, t, budget, seed, sigma, point):
+        sigmas.append((t, sigma))
+        return mc_estimate(comp, t, budget, seed, sigma, point)
+
+    monkeypatch.setattr(index_integral, "_log_scale", build)
     monkeypatch.setattr(index_integral, "_mc_estimate", spy)
-    mckean_singer_check(f, (0.5, 1.0, 2.0), budget=20000, seed=3)
-    compute_index(f, 1.0, budget=20000, seed=7)
-    assert growth.cache_info().misses == 1
-    assert len(scales) == 4 and len(set(scales)) == 1
-    growth.cache_clear()
+    mckean_singer_check(f, (0.5, 1.0, 2.0), budget=2000, seed=3)
     np.random.seed(5)
-    assert growth(f) == scales[0]
+    compute_index(f, 1.0, budget=2000, seed=7)
+    assert len(builds) == 1
+    assert [t for t, _ in sigmas] == [0.5, 1.0, 2.0, 1.0]
+    assert sigmas[1][1] == sigmas[3][1]
 
 
 # Brieskorn-Pham, E7, D5, the README chain and the n = 3 loop
@@ -520,11 +537,14 @@ def test_free_phases_are_exact_symmetries_of_the_density(text):
             assert np.all(np.abs(after - before) <= 1e-12 * before), (phi, turn)
 
 
-@pytest.mark.parametrize("text", ["z1^3 + z2^4", "z1^3 + z1*z2^3"])
+# no phase and one phase drawn; high degrees; coefficient scales far from 1,
+# per variable and for the whole of f
+@pytest.mark.parametrize("text", ["z1^3 + z2^4", "z1^3 + z1*z2^3", "z1^8", "z1^13",
+                                  "(1/10^6)*z1^3 + z2^4", "10^6*(z1^2*z2 + z2^4)"])
 def test_mc_error_bars_are_calibrated_across_seeds(text):
-    # no phase and one phase drawn: over 200 seeds the z-scores
-    # (estimate - mu) / stderr must have mean about 0 and sd about 1
-    f, wv = prepared(text, 2)
+    # over 200 seeds the z-scores (estimate - mu) / stderr must have mean
+    # about 0 and sd about 1
+    f, wv = prepared(text, 2 if "z2" in text else 1)
     mu = milnor_oracle(wv)
     z = np.array([(e.estimate - mu) / e.std_error
                   for e in (compute_index(f, 1.0, budget=20000, seed=s) for s in range(200))])
@@ -534,7 +554,7 @@ def test_mc_error_bars_are_calibrated_across_seeds(text):
 
 def test_point_streams_never_collide():
     # seed 977 at point 0 was seed 0 at point 1, and SeedSequence([0, 0]) is
-    # SeedSequence(0), the growth constant's default_rng(0)
+    # SeedSequence(0), the stream of default_rng(0)
     states = [tuple(index_integral._point_seed(seed, point).generate_state(4))
               for seed in (0, 1, 977) for point in range(5)]
     assert len(set(states)) == len(states) == 3 * 5

@@ -20,10 +20,17 @@ def test_experiment_script_runs(script, args):
     assert proc.stdout
 
 
-def test_index_study_rejects_a_negative_seed():
-    # a usage error before any output, as for the CLI's --seed
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_index_study.py"),
-                           "--seed", "-1"], capture_output=True, text=True)
+@pytest.mark.parametrize("args,message", [
+    (["--seed", "-1"], "--seed: must be a non-negative integer, not -1"),
+    (["--samples", "0"], "--samples: must be at least 1, not 0"),
+    (["--t", "0.5,-1"], "--t: must be positive and finite, not -1.0"),
+], ids=["seed", "samples", "t"])
+def test_index_study_rejects_a_negative_seed(args, message):
+    # a usage error before any output, as for the CLI's --seed; a --samples
+    # below 1 or a t that is not positive and finite would otherwise fail
+    # only after the table's header
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_index_study.py"), *args],
+                          capture_output=True, text=True)
     assert proc.returncode == 2
     assert not proc.stdout
-    assert "--seed: must be a non-negative integer, not -1" in proc.stderr
+    assert message in proc.stderr
