@@ -32,15 +32,21 @@ phases stay iid uniform, and the law of the importance weight is that of
 the full Gaussian draw.  For n = 1 and for Brieskorn-Pham f no phase is
 drawn at all.
 
-The integrand is evaluated at the rows of a complex (m, n) array of points,
-one value per row.  Both methods evaluate d_1 f .. d_n f and det d^2 f
+The integrand is evaluated at the rows of an (m, n) array of points, one
+value per row.  Both methods evaluate d_1 f .. d_n f and det d^2 f
 together, with one `poly.evaluate_joint` call and so one table of column
 powers per block of at most _BLOCK_ROWS = 4096 points, and their
 temporaries stay small whatever the sample or node count.  Monte Carlo
 draws each block of samples from the one stream of its t-grid point, keyed
-on (seed, point), into one reused complex buffer whose columns are
-contiguous.  The quadrature takes at least 8 nodes: with fewer, its
-half-node error bar falls short of the error.
+on (seed, point), into one reused buffer whose columns are contiguous.
+When no phase is drawn the samples are real, so the buffer is float64 and
+the derivatives are evaluated in float64 (in complex128 where a
+coefficient is not real); otherwise the buffer is complex128, as are the
+quadrature's sphere points, and so is the arithmetic.  A real product
+rounds as the complex product of the same values with zero imaginary
+parts, so both buffers give the same estimate to the bit.  The quadrature
+takes at least 8 nodes: with fewer, its half-node error bar falls short of
+the error.
 """
 
 from __future__ import annotations
@@ -55,7 +61,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .poly import MixedPolynomial, evaluate_joint, gradient, hessian_determinant, square_sum
+from .poly import (MixedPolynomial, abs_square, evaluate_joint, gradient, hessian_determinant,
+                   square_sum)
 from .weights import ConstancyViolated, _rref, solve_weights
 
 
@@ -156,7 +163,7 @@ class _Compiled:
         arg += self.n * math.log(t / math.pi)
         arg += log_factor
         np.exp(arg, out=arg)
-        arg *= d.real * d.real + d.imag * d.imag
+        arg *= abs_square(d)
         return arg
 
 
@@ -167,9 +174,8 @@ def _compile(f: MixedPolynomial) -> _Compiled:
 
 
 def integrand(f: MixedPolynomial, Z, t: float) -> np.ndarray:
-    """The index density at the rows of a complex (m, n) array: one value per point."""
-    if not t > 0:
-        raise ValueError("t must be positive")
+    """The index density at the rows of an (m, n) array, read as complex points: one value per point."""
+    _check_t(t)
     return _compile(f).density(np.asarray(Z, dtype=complex), t)
 
 
@@ -202,10 +208,13 @@ def _mc_estimate(
     phase for each column in comp.angles; every other coordinate is real and
     non-negative, which leaves the law of the weight unchanged (see the
     module docstring).  So -log p = sum_j E_j + sum_j log(pi sigma_j^2), and
-    no |z|^2 is recomputed.  Each block's points go into one reused complex
-    buffer whose columns are contiguous, so the density reads them without a
-    copy, and its weights add to the sum and the sum of squares in block
-    order.
+    no |z|^2 is recomputed.  Each block's exponentials are drawn into one
+    reused buffer, coordinate by coordinate, and scaled in place, and their
+    square roots go straight into one reused point buffer whose columns are
+    contiguous, so the density reads them without a copy.  That buffer is
+    float64 when comp.angles is empty, so phase-free samples are evaluated
+    in float64, and complex128 otherwise.  The weights add to the sum and
+    the sum of squares in block order.
     """
     if budget < 1:
         raise ValueError(f"the Monte Carlo budget must be at least 1 sample, not {budget}")
@@ -213,26 +222,32 @@ def _mc_estimate(
     scale = [s * s for s in sigma]  # E |z_j|^2
     log_norm = sum(math.log(math.pi * v) for v in scale)  # log of proposal normalizer
     rng = np.random.default_rng(_point_seed(seed, point))
-    Z = np.zeros((n, min(budget, _BLOCK_ROWS)), dtype=complex).T  # free columns stay real
+    rows = min(budget, _BLOCK_ROWS)
+    # free columns stay real; with no drawn phase every column is
+    Z = np.zeros((n, rows), dtype=complex if angles else float).T
+    E = np.empty(n * rows)
     total = 0.0
     total_sq = 0.0
     for lo in range(0, budget, _BLOCK_ROWS):
         zb = Z[:budget - lo]
-        e = rng.standard_exponential((n, len(zb)))
-        u = rng.random((len(angles), len(zb))) * math.pi  # half the phases
+        e = E[:n * len(zb)].reshape(n, len(zb))  # C-contiguous: the fill order of a fresh draw
+        rng.standard_exponential(out=e)
         neg_log_p = e[0] + log_norm
         for j in range(1, n):
             neg_log_p += e[j]
         for j in range(n):
-            zb[:, j].real = np.sqrt(e[j] * scale[j])
-        for a, j in enumerate(angles):
-            # the rational parametrization of the circle by h = tan(phase / 2),
-            # whose cos^2 + sin^2 = 1 holds whatever the rounding of h
-            h = np.tan(u[a])
-            c = 2 / (1 + h * h)  # 1 + cos(phase); sin(phase) = h c
-            z = zb[:, j]
-            z.imag = z.real * (h * c)
-            z.real *= c - 1
+            e[j] *= scale[j]
+            np.sqrt(e[j], out=zb[:, j].real)
+        if angles:
+            u = rng.random((len(angles), len(zb))) * math.pi  # half the phases
+            for a, j in enumerate(angles):
+                # the rational parametrization of the circle by h = tan(phase / 2),
+                # whose cos^2 + sin^2 = 1 holds whatever the rounding of h
+                h = np.tan(u[a])
+                c = 2 / (1 + h * h)  # 1 + cos(phase); sin(phase) = h c
+                z = zb[:, j]
+                z.imag = z.real * (h * c)
+                z.real *= c - 1
         w = comp.density(zb, t, neg_log_p)  # density / proposal
         total += float(w.sum())
         total_sq += float((w * w).sum())
@@ -328,10 +343,10 @@ def _quadrature_estimate(
 
     def block(Z: np.ndarray, w: np.ndarray, lam_a, log_wx) -> float:
         *grads, d = evaluate_joint(comp.derivatives, Z)
-        w *= d.real * d.real + d.imag * d.imag
+        w *= abs_square(d)
         b = np.empty((len(w), n))  # t |d_j f|^2 e^{a_j x0}
         for j, v in enumerate(grads):
-            b[:, j] = v.real * v.real + v.imag * v.imag
+            b[:, j] = abs_square(v)
         gmax = b.max(axis=1)
         log_tg = math.log(t) + np.log(gmax)
         b /= gmax[:, None]

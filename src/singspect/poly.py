@@ -30,10 +30,14 @@ calculus with the conventions
 which agree with the real 2n-dimensional gradient and Laplacian; the
 square (grad p)^2 is grad_dot p p = 4 sum_i d_i p dbar_i p.
 
-Numeric evaluation takes a complex (m, n) array of points and returns one
-value per row (`MixedPolynomial.evaluate_many`); `evaluate_joint` evaluates
-several polynomials at the same points from one table of column powers, and
-`evaluate_many` is that evaluator on one polynomial.  A polynomial in two points
+Numeric evaluation takes an (m, n) array of points and returns one value per
+row (`MixedPolynomial.evaluate_many`); `evaluate_joint` evaluates several
+polynomials at the same points from one table of column powers, and
+`evaluate_many` is that evaluator on one polynomial.  A float64 array holds
+real points: there a polynomial with real coefficients is computed in
+float64 and one with a non-real coefficient in complex128.  Any other input
+is read as complex points and computed in complex128.  `abs_square` gives
+|v|^2 of either kind of values.  A polynomial in two points
 is evaluated at the pairs of two (m, n) arrays z and w by
 `evaluate_two_point`, the one place that builds the rows [z - w, w].  The
 algebra is exact and numpy-free; only these float evaluators import numpy.
@@ -159,7 +163,7 @@ class MixedPolynomial(SparseMap):
     # -- evaluation ----------------------------------------------------------
 
     def evaluate_many(self, Z: np.ndarray) -> np.ndarray:
-        """Values at the rows of a complex (m, n) array: `evaluate_joint` on this one polynomial."""
+        """Values at the rows of a real or complex (m, n) array: `evaluate_joint` on this one polynomial."""
         (values,) = evaluate_joint([self], Z)
         return values
 
@@ -339,41 +343,56 @@ parse = MixedPolynomial.parse
 
 
 def evaluate_joint(polys: Sequence[MixedPolynomial], Z) -> Iterator[np.ndarray]:
-    """Each polynomial's values at the rows of a complex (m, n) array, in turn: the float evaluator.
+    """Each polynomial's values at the rows of an (m, n) array of points, in turn: the float evaluator.
 
-    All the polynomials share one table of column powers: each z_j^e and
-    conj(z_j)^e that any term needs is built once per call, on a contiguous
-    column, as one product with the power below it.  A term is its
-    coefficient times a product of those powers, and each polynomial sums
-    its own terms in its own order, so its values do not depend on the
-    polynomials evaluated beside it.  A column that is already contiguous,
-    as in an (m, n) array in Fortran order, is read without a copy.  The
-    values come one polynomial at a time, so a caller that reduces each as
-    it comes holds one, and a column's powers are dropped after the last
-    polynomial that needs them.
+    A float64 numpy array is read as it is, as real points; any other input
+    becomes a complex128 array.  All the polynomials share one table of
+    column powers: each z_j^e and conj(z_j)^e that any term needs is built
+    once per call, on a contiguous column, as one product with the power
+    below it; at real points conj(z_j) is z_j, so its powers are z_j's.  A
+    term is its coefficient times a product of those powers, and each
+    polynomial sums its own terms in its own order, starting from its first
+    term, so its values do not depend on the polynomials evaluated beside
+    it.  At real points a polynomial whose coefficients are all real is
+    summed in float64, and one with a non-real coefficient in complex128;
+    at complex points every polynomial is summed in complex128.  Each real
+    product rounds as the real part of the complex product of the same
+    points, whose imaginary parts are zero, so the real values equal the
+    real parts of the complex path's to the bit.  A column that is already
+    contiguous, as in an (m, n) array in Fortran order, is read without a
+    copy.  The values come one polynomial at a time, so a caller that
+    reduces each as it comes holds one, and a column's powers are dropped
+    after the last polynomial that needs them.
     """
     import numpy as np
 
-    Z = np.asarray(Z, dtype=complex)
+    real = isinstance(Z, np.ndarray) and Z.dtype == np.float64
+    if not real:
+        Z = np.asarray(Z, dtype=complex)
     n = polys[0].n
     if any(p.n != n for p in polys):
         raise ValueError("polynomials evaluated together must share their variable count")
     if Z.ndim != 2 or Z.shape[1] != n:
         raise ValueError(f"points must be an (m, {n}) array, not {Z.shape}")
-    # (k, e) -> column k to the power e, for z_1..z_n then conj(z_1)..conj(z_n);
-    # every product is a new array: numpy can round an in-place product of
-    # one row apart from the same row in a longer array
+    # the power table's column for exponent slot k: z_1..z_n then
+    # conj(z_1)..conj(z_n), where a real conj(z_j) is z_j
+    column = [k % n if real else k for k in range(2 * n)]
+    # (column, e) -> that column to the power e; every product is a new
+    # array: numpy can round an in-place product of one row apart from the
+    # same row in a longer array
     powers: Dict[Tuple[int, int], np.ndarray] = {}
-    # column k -> the last polynomial that needs a power of it
-    last = {k: i for i, p in enumerate(polys) for a, b in p.terms
+    # column -> the last polynomial that needs a power of it
+    last = {column[k]: i for i, p in enumerate(polys) for a, b in p.terms
             for k, e in enumerate(a + b) if e}
     for i, p in enumerate(polys):
-        total = np.zeros(Z.shape[0], dtype=complex)
+        summed_real = real and all(c.is_real() for c in p.terms.values())
+        total = None
         for (a, b), c in p.terms.items():
-            term = complex(c)
+            term = complex(c).real if summed_real else complex(c)
             for k, e in enumerate(a + b):
                 if not e:
                     continue
+                k = column[k]
                 if (k, e) not in powers:
                     for j in range(1, e + 1):
                         if (k, j) in powers:
@@ -384,7 +403,12 @@ def evaluate_joint(polys: Sequence[MixedPolynomial], Z) -> Iterator[np.ndarray]:
                             col = Z[:, k] if k < n else np.conj(Z[:, k - n])
                             powers[k, 1] = np.ascontiguousarray(col)
                 term = powers[k, e] * term
-            total += term
+            if total is None:
+                total = np.full(Z.shape[0], term) if np.ndim(term) == 0 else term
+            else:
+                total += term
+        if total is None:  # the zero polynomial
+            total = np.zeros(Z.shape[0], dtype=float if real else complex)
         for key in [key for key in powers if last[key[0]] == i]:
             del powers[key]
         yield total
@@ -413,11 +437,21 @@ def gradient(f: MixedPolynomial) -> List[MixedPolynomial]:
     return [f.wirtinger(i) for i in range(1, f.n + 1)]
 
 
+def abs_square(v: np.ndarray) -> np.ndarray:
+    """|v|^2 of a real or complex array, as a new float64 array."""
+    if v.dtype.kind != "c":
+        return v * v
+    out = v.real * v.real
+    out += v.imag * v.imag
+    return out
+
+
 def square_sum(values: Iterable[np.ndarray]) -> np.ndarray:
-    """sum_i |v_i|^2 of complex arrays, added in order."""
-    total = 0.0
-    for v in values:
-        total = total + (v.real * v.real + v.imag * v.imag)
+    """sum_i |v_i|^2 of real or complex arrays, added in order."""
+    squares = map(abs_square, values)
+    total = next(squares, 0.0)
+    for sq in squares:
+        total += sq
     return total
 
 

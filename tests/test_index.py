@@ -11,7 +11,7 @@ from singspect.index_integral import (
     integrand,
     mckean_singer_check,
 )
-from singspect.poly import parse, gradient
+from singspect.poly import evaluate_joint, gradient, parse
 from singspect.weights import milnor_oracle, nondegeneracy_check, solve_weights
 
 
@@ -29,8 +29,9 @@ def test_integrand_examples():
         assert abs(got - math.exp(-abs(z) ** 2) / math.pi) < 1e-14
     f3 = parse("z1^3", 1)
     assert integrand(f3, [[0.0]], 1.0)[0] == 0.0  # Hessian 6z vanishes at 0
-    with pytest.raises(ValueError):
-        integrand(f, [[0.3]], math.nan)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            integrand(f, [[0.3]], bad)
     z = 0.4 - 0.2j
     expected = (1 / math.pi) * math.exp(-9 * abs(z) ** 4) * 36 * abs(z) ** 2
     assert abs(integrand(f3, [[z]], 1.0)[0] - expected) < 1e-14
@@ -423,13 +424,44 @@ def _per_polynomial_mc(f, t, budget, seed, sigma):
 
 
 @pytest.mark.parametrize("text,n", [("z1^3", 1), ("z1^3 + z2^4", 2),
-                                    ("z1^2*z2 + z2^3 + z3^4", 3)])
+                                    ("z1^2*z2 + z2^3 + z3^4", 3),
+                                    ("(3/5 + (4/5)*i)*z1^3 + z2^4", 2)])
 @pytest.mark.parametrize("budget", MC_BUDGETS)
 def test_joint_mc_equals_a_per_polynomial_reference(text, n, budget):
     f, _ = prepared(text, n)
     comp = index_integral._Compiled(f)
     got = index_integral._mc_estimate(comp, 0.7, budget, 5, comp.sigma(0.7))
     assert got == _per_polynomial_mc(f, 0.7, budget, 5, comp.sigma(0.7))
+
+
+@pytest.mark.parametrize("text,n,points", [("z1^3", 1, "float64"), ("z1^3 + z2^4", 2, "float64"),
+                                           ("z1^3 + z1*z2^3", 2, "complex128")])
+def test_mc_evaluates_phase_free_samples_in_float64(monkeypatch, text, n, points):
+    # no phase is drawn for n = 1 or a Brieskorn-Pham f, so its samples are
+    # real; E7 draws one phase, so its samples are complex
+    f, _ = prepared(text, n)
+    seen = []
+
+    def spy(polys, Z):
+        seen.append(Z.dtype)
+        return evaluate_joint(polys, Z)
+
+    monkeypatch.setattr(index_integral, "evaluate_joint", spy)
+    compute_index(f, 1.0, budget=4097, seed=1)
+    assert seen == [np.dtype(points)] * 2
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_mc_ignores_a_unit_phase_on_a_brieskorn_pham_term(t):
+    # a unit factor of one term of a Brieskorn-Pham f multiplies d_j f and
+    # det d^2 f by itself, so no |d_j f| or |det d^2 f| changes beyond
+    # rounding and no phase is drawn: at one seed the estimate is that of
+    # z1^3 + z2^4, from the same real samples
+    base = compute_index(parse("z1^3 + z2^4", 2), t, budget=200000, seed=7)
+    for text in ("(3/5 + (4/5)*i)*z1^3 + z2^4", "z1^3 + (3/5 + (4/5)*i)*z2^4"):
+        est = compute_index(parse(text, 2), t, budget=200000, seed=7)
+        assert est.estimate == pytest.approx(base.estimate, rel=1e-12)
+        assert est.std_error == pytest.approx(base.std_error, rel=1e-12)
 
 
 @pytest.mark.parametrize("text,n,nodes", [("z1^3", 1, 128), ("z1^3 + z2^4", 2, 64)])

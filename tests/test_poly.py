@@ -290,3 +290,33 @@ def test_evaluate_joint_matches_one_polynomial_at_a_time(n, rows):
     assert np.all(next(evaluate_joint([unit], Z)) == 1)
     with pytest.raises(ValueError, match="share their variable count"):
         list(evaluate_joint([f, parse("z1", n + 1)], Z))
+
+
+@pytest.mark.parametrize("rows", [1, 5000])
+def test_evaluate_joint_at_real_points(rows):
+    # a float64 array holds real points: real coefficients are summed in
+    # float64, to the bit the real parts of the complex path at the same
+    # points, and a non-real coefficient gives the complex path's values
+    rng = np.random.default_rng(rows)
+    X = rng.normal(size=(rows, 2))
+    real = [parse("z1^2*conj(z1) - 3*z2", 2), parse("z1^3 + z2^4", 2),
+            parse("(1/3)*z1^2*conj(z1)*conj(z2)^2 + 7 - conj(z1)^5", 2)]
+    nonreal = [parse("i*z1^2", 2), parse("(3/5 + (4/5)*i)*z1^3 + z2^4", 2),
+               parse("z1*conj(z1) + i", 2)]
+    complex_path = list(evaluate_joint(real + nonreal, X.astype(complex)))
+    for p, v, ref in zip(real + nonreal, evaluate_joint(real + nonreal, X), complex_path):
+        assert v.shape == (rows,)
+        if p in real:
+            assert v.dtype == np.float64
+            assert np.array_equal(v, ref.real) and not np.any(ref.imag)
+        else:
+            assert v.dtype == np.complex128
+            assert np.array_equal(v, ref)
+    for points in (X, X.astype(complex)):
+        const, zero = evaluate_joint([MixedPolynomial.constant(2, Fraction(5, 2)),
+                                      MixedPolynomial.zero(2)], points)
+        assert const.dtype == zero.dtype == points.dtype
+        assert np.array_equal(const, np.full(rows, 2.5))
+        assert np.array_equal(zero, np.zeros(rows))
+    # any other input, such as a list of floats, is read as complex points
+    assert parse("z1", 1).evaluate_many([[0.5]]).dtype == np.complex128
