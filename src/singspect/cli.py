@@ -17,10 +17,12 @@ reports, such as an unknown command, `--samples abc` or a negative
 estimate without emptying an existing file or leaving a new one; a
 polynomial outside the weight system, such as one with a conjugate
 variable; a t that is not positive and finite, `index --samples` below 1,
-a rejected quadrature node count or a quadrature rule that is not finite,
-a `--basis` or `--sectors` the Galerkin solver rejects, or a float
-overflow, in the Galerkin matrices or from a coefficient outside the float
-range).
+a rejected quadrature node count, an index estimate or error that is not
+finite, by either method, or a Monte Carlo proposal variance that is not a
+normal float, a `--basis` or `--sectors` the Galerkin solver rejects, or a
+float overflow, in the Galerkin matrices or from a coefficient that a
+numeric layer cannot convert to a normal float).  `weights` is exact, so
+it exits 0 or 2 at any coefficient scale.
 0 is success, and 5 a failed `verify` check (its report is still written).
 
 The variable count n is the largest k of a `zk` in the polynomial's text.

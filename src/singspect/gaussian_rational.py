@@ -3,7 +3,11 @@
 All polynomial coefficients and exact operator entries in this package are
 Gaussian rationals, so algebraic identities (ring axioms, supertrace
 identities, the parametrix recursion) can be tested as exact equalities.
-Conversion to floating complex happens only at evaluation boundaries.
+Conversion to floating complex happens only at evaluation boundaries, and
+only through `complex()`, which refuses a value it cannot represent: one
+whose modulus is above the float range or, being nonzero, below the
+smallest normal float, where it would become a subnormal or 0 (both raise
+OverflowError).
 
 A value is stored as three integers (p, q, d) meaning (p + q*i)/d, in the
 normal form d > 0 and gcd(p, q, d) = 1, so equal values have equal triples.
@@ -20,6 +24,7 @@ keys.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -155,7 +160,12 @@ class GaussianRational:
         return hash((self._p, self._q, self._d))
 
     def __complex__(self):
-        return complex(self._p / self._d, self._q / self._d)
+        # int division already raises OverflowError above the float range
+        z = complex(self._p / self._d, self._q / self._d)
+        if abs(z) < sys.float_info.min and self:  # the modulus: 1 + 10^-320 i is a fine float
+            raise OverflowError(f"a nonzero value of modulus below {sys.float_info.min:.3g}, "
+                                f"the smallest normal float, has no normal float value")
+        return z
 
     def is_real(self) -> bool:
         return self._q == 0

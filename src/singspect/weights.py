@@ -13,9 +13,9 @@ Jacobian ring), produces the tameness report with the gap quantities
 and computes the Milnor number mu = prod_i (1/q_i - 1) and, as its
 cross-check, the brute-force Jacobian-ring dimension from the same graded
 pieces (the CLI reports it for mu <= BRUTE_FORCE_MAX_MU).  Everything
-here is exact rational arithmetic, and the module imports no numpy: even
-the check that f's coefficients stay within the float range the numeric
-layers need is an exact bound on the mean of |grad f|^2 over a torus.
+here is exact rational arithmetic, and the module imports no numpy, so it
+answers for any coefficient: whether a coefficient fits the float range is
+decided where the numeric layers convert it (`GaussianRational.__complex__`).
 """
 
 from __future__ import annotations
@@ -295,30 +295,8 @@ def _jacobian_piece(grads: List[MixedPolynomial], d: int, k: Tuple[int, ...],
     return len(free), (free[0] if free else None)
 
 
-# f's coefficients are in the float range the numeric layers need when the
-# mean of |grad f|^2 over the torus |z_k| = R is below 2^1024 at R = 10 and
-# at least 1e24 times the smallest normal float at R = 1.  The bounds are
-# set to reproduce the exit codes of the guards they replace, which tested
-# the largest |grad f|^2 on random points up to radius 10 and on the
-# weighted unit sphere.  The factor 1e24 is the margin of a float descent
-# that no longer exists; what the lower bound should be is open (see the
-# FOUND on the `1e-24 * h_scale` guard in CHANGES.md)
-_TORUS_MEAN_MAX = Fraction(2) ** 1024
-_TORUS_MEAN_MIN = 10 ** 24 * Fraction(1, 2 ** 1022)
-
-
-def _torus_mean(grads: List[MixedPolynomial], radius: int) -> Fraction:
-    """The mean of sum_j |d_j f|^2 over the torus |z_k| = radius, exactly.
-
-    By Parseval it is the sum of |c|^2 radius^(2 deg) over the terms c z^a
-    of the d_j f.
-    """
-    return sum((c.abs2() * radius ** (2 * sum(a))
-                for g in grads for (a, _b), c in g.terms.items()), Fraction(0))
-
-
 def nondegeneracy_check(f: MixedPolynomial, wv: WeightVector) -> NondegeneracyReport:
-    """Check the two non-degeneracy conditions and the float range of f, exactly.
+    """Check the two non-degeneracy conditions of f, exactly.
 
     Condition (1), no bilinear monomial, is read off f.  Condition (2),
     isolated critical point at the origin, holds iff the Jacobian ring
@@ -327,22 +305,13 @@ def nondegeneracy_check(f: MixedPolynomial, wv: WeightVector) -> NondegeneracyRe
     (1970) 385), and every monomial of degree above c + max_i q_i is z_j
     times one of degree above c, so A is finite iff A_delta = 0 for every
     delta in (c, c + max_i q_i]; otherwise a monomial of such a degree
-    outside the Jacobian ideal is raised as the certificate.
-
-    Between the two, a ValueError rejects coefficients outside the float
-    range (the _TORUS_MEAN_MAX and _TORUS_MEAN_MIN bounds), so such an f
-    fails as such even where it is also degenerate.
+    outside the Jacobian ideal is raised as the certificate.  Both tests
+    are exact, so every coefficient, however large or small, gets its
+    verdict.
     """
     if has_bilinear_monomial(f):
         raise BilinearMonomialPresent("f contains a z_i*z_j monomial with i != j")
-    grads = gradient(f)
-    if _torus_mean(grads, 10) >= _TORUS_MEAN_MAX:
-        raise ValueError("a coefficient is outside the float range: "
-                         "|grad f|^2 overflows a float at radius 10")
-    if _torus_mean(grads, 1) < _TORUS_MEAN_MIN:
-        raise ValueError("a coefficient is outside the float range: "
-                         "|grad f|^2 at radius 1 is within a factor 1e24 of the subnormal range")
-    d, k = wv.d, wv.k
+    grads, d, k = gradient(f), wv.d, wv.k
     c_top = _top_degree(d, k)
     for delta in range(c_top + 1, c_top + max(k) + 1):
         dim, monomial = _jacobian_piece(grads, d, k, delta)

@@ -98,21 +98,41 @@ def test_weights_brute_force_is_bounded_by_mu_not_by_n(capsys):
     assert "mu_brute_force" not in res
 
 
-def test_weights_of_a_large_coefficient_is_strict_json():
-    # |grad f|^2 of 10^150 z1^3 is within a factor 10^4 of the float range at
-    # radius 10; the Monte Carlo proposal's scale follows the coefficient, so
-    # the index finds mu = 2 there
-    def reject(constant):
-        raise ValueError(f"{constant} is not JSON")
+def reject_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
 
+
+def test_weights_of_a_large_coefficient_is_strict_json():
+    # |grad f|^2 of 10^152 z1^3 overflows a float at radius 10; the Monte
+    # Carlo proposal's scale follows the coefficient, so the index finds mu = 2
     proc = run_cli("weights", "10^150*z1^3")
     assert proc.returncode == 0
     assert proc.stderr == ""
-    json.loads(proc.stdout, parse_constant=reject)
-    proc = run_cli("index", "10^150*z1^3", "--t", "0.5,1,2", "--samples", "100000")
-    assert proc.returncode == 0
-    assert proc.stderr == ""
-    assert json.loads(proc.stdout, parse_constant=reject)["result"]["pass"] is True
+    json.loads(proc.stdout, parse_constant=reject_constant)
+    for polynomial in ("10^150*z1^3", "10^152*z1^3"):
+        proc = run_cli("index", polynomial, "--t", "0.5,1,2", "--samples", "100000")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout, parse_constant=reject_constant)["result"]["pass"] is True
+
+
+@pytest.mark.parametrize("polynomial,mu", [
+    ("10^400*z1^2", 1), ("10^200*z1^3", 2), ("10^152*z1^3", 2), ("(1/10^200)*z1^3", 2),
+    ("(1/10^160)*(z1^3+z2^4)", 6),
+], ids=["coefficient-above-float-range", "gradient-above-float-range",
+        "gradient-above-float-range-at-radius-10", "gradient-below-float-range",
+        "hessian-determinant-subnormal"])
+def test_weights_is_exact_at_any_coefficient_scale(polynomial, mu, capsys):
+    # weights computes nothing in floats, so no coefficient is outside its range
+    from singspect import cli
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["weights", polynomial]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    res = json.loads(out, parse_constant=reject_constant)["result"]
+    assert res["mu"] == res["mu_brute_force"] == {"tag": "exact", "value": mu}
 
 
 def test_index_constancy_violation_exit_code(monkeypatch, capsys):
@@ -211,20 +231,18 @@ def test_index_single_t_gaussian_normalization():
     (["index", "z1^3", "--t"], 4),
     (["nope"], 4),
     (["index", "z1^3", "--n", "1"], 4),  # n comes from the text, and --n is not --nodes
-    # coefficients outside the float range
-    (["weights", "10^400*z1^2"], 4),
-    (["index", "10^400*z1^2"], 4),
+    # coefficients outside the float range of the numeric layers
+    (["index", "10^400*z1^2"], 4),  # the proposal variance underflows
     (["torsion", "10^400*z1^2"], 4),
     (["torsion", "10^200*z1^3"], 4),
     (["torsion", "(1/10^200)*z1^2"], 4),
-    (["weights", "(1/10^200)*z1^3"], 4),
-    (["weights", "10^200*z1^3"], 4),
-    (["weights", "10^152*z1^3"], 4),  # finite on the unit sphere, not at radius 10
-    # |grad f|^2 so small on the weighted unit sphere that the witness
-    # thresholds relative to it underflow
-    (["weights", "(1/10^154)*(z1+z2)^3"], 4),
-    (["weights", "(1/10^155)*(z1+z2)^3"], 4),
-    (["weights", "(1/10^160)*(z1^3+z2^4)"], 4),
+    # a Monte Carlo estimate that is not finite, and a proposal variance that overflows
+    (["index", "z1^13 + 10^150*z2^2", "--t", "1", "--samples", "20000"], 4),
+    (["index", "(1/10^300)*z1^2 + z2^2", "--t", "1", "--samples", "20000"], 4),
+    (["index", "z1^3 + z2^4", "--t", "1e-300", "--samples", "2000"], 4),
+    # a degenerate f is degenerate at any coefficient scale
+    (["weights", "(1/10^154)*(z1+z2)^3"], 2),
+    (["weights", "(1/10^155)*(z1+z2)^3"], 2),
     # a seed numpy's generators reject, also where no generator reads it
     (["weights", "z1^3", "--seed", "-1"], 4),
     (["index", "z1^3", "--t", "1", "--samples", "1000", "--seed", "-1"], 4),
@@ -242,11 +260,10 @@ def test_index_single_t_gaussian_normalization():
         "samples-zero", "samples-negative", "basis-4", "sectors-2", "basis-100000",
         "sectors-4097", "torsion-overflow", "weights-samples-negative", "weights-samples-zero",
         "weights-conjugate", "index-conjugate", "csv-unwritable", "usage-samples-text",
-        "usage-t-missing", "usage-unknown-command", "usage-n", "weights-coefficient-overflow",
-        "index-coefficient-overflow", "torsion-coefficient-overflow", "torsion-scale-overflow",
-        "torsion-scale-underflow", "weights-gradient-underflow", "weights-gradient-overflow",
-        "weights-sample-gradient-overflow", "weights-witness-underflow-154",
-        "weights-witness-underflow-155", "weights-witness-underflow-160", "weights-seed-negative",
+        "usage-t-missing", "usage-unknown-command", "usage-n", "index-coefficient-overflow",
+        "torsion-coefficient-overflow", "torsion-scale-overflow", "torsion-scale-underflow",
+        "index-mc-not-finite-large", "index-mc-variance-overflow", "index-mc-not-finite-small-t",
+        "weights-degenerate-small-154", "weights-degenerate-small-155", "weights-seed-negative",
         "index-seed-negative", "quadrature-seed-negative", "torsion-seed-negative",
         "verify-all-seed-negative", "verify-clifford-seed-negative", "quadrature-nan-large",
         "quadrature-nan-small", "quadrature-nan-anisotropic"])

@@ -117,6 +117,17 @@ def test_mixed_type_equality_and_unsupported_operands():
         parse("z1", 1) * 0.1
 
 
+def test_complex_refuses_values_outside_the_normal_float_range():
+    # below the smallest normal float a value would become a subnormal or 0;
+    # above the float range the int division itself overflows
+    for value in (GaussianRational(Fraction(1, 10 ** 320)), GaussianRational(10 ** 400)):
+        with pytest.raises(OverflowError):
+            complex(value)
+    # the modulus decides, not each part
+    assert complex(GaussianRational(1, Fraction(1, 10 ** 320))) == complex(1, 1e-320)
+    assert complex(GaussianRational(0)) == 0j
+
+
 def test_division_by_zero_raises():
     for zero in (0, Fraction(0), GaussianRational(0)):
         with pytest.raises(ZeroDivisionError):
