@@ -9,21 +9,31 @@ manifests produce byte-identical reports apart from the separate timing
 field.  `main` is the one driver: it parses the polynomial, times the
 command, writes the report, and turns an exception into a structured JSON
 error on stderr with the exit code of the first matching row of
-`_EXIT_CODES`: 1 parse error (of the polynomial, or a `--t` value that is
-not a number; both carry an offset), 2 degenerate input, 3 McKean-Singer
-constancy violated, 4 any other rejected input (a usage error argparse
-reports, such as an unknown command, `--samples abc` or a negative
-`--seed`; an `index --csv` path that cannot be written, checked before any
-estimate without emptying an existing file or leaving a new one; a
-polynomial outside the weight system, such as one with a conjugate
-variable; a t that is not positive and finite, `index --samples` below 1,
-a rejected quadrature node count, an index estimate or error that is not
-finite, by either method, or a Monte Carlo proposal variance that is not a
-normal float, a `--basis` or `--sectors` the Galerkin solver rejects, or a
-float overflow, in the Galerkin matrices or from a coefficient that a
-numeric layer cannot convert to a normal float).  `weights` is exact, so
-it exits 0 or 2 at any coefficient scale.
-0 is success, and 5 a failed `verify` check (its report is still written).
+`_EXIT_CODES`:
+
+  0  success;
+  1  a parse error, of the polynomial or of a `--t` value that is not a
+     number; both carry an offset;
+  2  degenerate input;
+  3  McKean-Singer constancy violated;
+  4  any other rejected input:
+     - a usage error argparse reports, such as an unknown command,
+       `--samples abc` or a negative `--seed`;
+     - a polynomial outside the weight system, such as one with a
+       conjugate variable;
+     - a t that is not positive and finite;
+     - `index --samples` below 2;
+     - a rejected quadrature node count;
+     - an index estimate that is not positive and finite (0 when no sample
+       or node carried the integrand), or an error that is not finite, by
+       either method;
+     - a Monte Carlo proposal variance that is not a normal float;
+     - a `--basis` or `--sectors` the Galerkin solver rejects;
+     - a float overflow, in the Galerkin matrices or from a coefficient
+       that a numeric layer cannot convert to a normal float;
+  5  a failed `verify` check (its report is still written).
+
+`weights` is exact, so it exits 0 or 2 at any coefficient scale.
 
 The variable count n is the largest k of a `zk` in the polynomial's text.
 `torsion --sectors` defaults to 70, or to the Galerkin solver's floor
@@ -166,28 +176,10 @@ def cmd_weights(args, f: MixedPolynomial):
     return {}, result
 
 
-def _check_writable(path: str) -> None:
-    """Fail before the estimate if `path` cannot be written, and leave it as it was.
-
-    "a" keeps an existing file; a new one is made and removed again, so a
-    run that fails later leaves no file behind.
-    """
-    try:
-        if os.path.exists(path):
-            open(path, "a").close()
-        else:
-            open(path, "x").close()
-            os.remove(path)
-    except OSError as exc:
-        raise ValueError(f"cannot write --csv {path!r}: {exc.strerror}") from None
-
-
 def cmd_index(args, f: MixedPolynomial):
     from .index_integral import mckean_singer_check
 
     t_grid = _t_grid(args.t)
-    if args.csv:
-        _check_writable(args.csv)
     _, _, mu_oracle = _weight_system(f)
     budget = args.samples if args.method == "mc" else args.nodes
     res = mckean_singer_check(f, t_grid, budget=budget, seed=args.seed, method=args.method)
@@ -203,10 +195,6 @@ def cmd_index(args, f: MixedPolynomial):
         "pass": bool(res.mu_rounded == mu_oracle),
         "method": res.method,
     }
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(res.to_csv())
-        result["csv"] = args.csv
     return {"budget": budget, "t_grid": t_grid, "method": args.method}, result
 
 
@@ -234,6 +222,7 @@ def cmd_torsion(args, f: MixedPolynomial):
     result["path"] = "numeric" if exact_res is None else "both"
     result["T2"] = _with_err(numeric.torsion, numeric.error_bar * numeric.torsion)
     result["log_T2"] = _with_err(numeric.log_torsion, numeric.error_bar)
+    result["log_T2_splits"] = list(numeric.log_torsion_splits)
     result["spectrum_levels"] = spec.values.size
     result["fit_exponents"] = list(numeric.exponents)
     result["fit_condition"] = numeric.fit_condition
@@ -456,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     ix.add_argument("--nodes", type=int, default=128)
     ix.add_argument("--seed", type=_seed, default=0)
     ix.add_argument("--method", choices=("mc", "quadrature"), default="mc")
-    ix.add_argument("--csv", default=None)
     ix.set_defaults(func=cmd_index)
 
     tr = sub.add_parser("torsion", help="torsion invariant of a 1-variable singularity")

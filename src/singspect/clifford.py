@@ -65,13 +65,6 @@ class ExteriorOperator(SparseMap):
     def scale(self, c) -> "ExteriorOperator":
         return super().scale(GaussianRational.from_value(c))
 
-    def __mul__(self, other):
-        if isinstance(other, ExteriorOperator):
-            return self.matmul(other)
-        return self.scale(other)
-
-    __rmul__ = scale
-
     def matmul(self, other: "ExteriorOperator") -> "ExteriorOperator":
         """Matrix product self @ other (apply other first)."""
         self._check_size(other)

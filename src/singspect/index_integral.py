@@ -51,9 +51,7 @@ the error.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 import sys
 from dataclasses import dataclass
@@ -86,14 +84,6 @@ class IndexResult:
     mu_pooled: float
     mu_rounded: int
     method: str
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["t", "estimate", "stderr"])
-        for e in self.estimates:
-            w.writerow([e.t, e.estimate, e.std_error])
-        return buf.getvalue()
 
 
 def _phase_rows(polys: Sequence[MixedPolynomial]) -> List[List[Fraction]]:
@@ -215,10 +205,11 @@ def _mc_estimate(
     contiguous, so the density reads them without a copy.  That buffer is
     float64 when comp.angles is empty, so phase-free samples are evaluated
     in float64, and complex128 otherwise.  The weights add to the sum and
-    the sum of squares in block order.
+    the sum of squares in block order.  A standard error needs at least 2
+    samples: one sample's spread is 0, a bar it has not earned.
     """
-    if budget < 1:
-        raise ValueError(f"the Monte Carlo budget must be at least 1 sample, not {budget}")
+    if budget < 2:
+        raise ValueError(f"the Monte Carlo budget must be at least 2 samples, not {budget}")
     n, angles = comp.n, comp.angles
     scale = [s * s for s in sigma]  # E |z_j|^2
     if not all(sys.float_info.min <= v <= sys.float_info.max for v in scale):
@@ -403,22 +394,25 @@ def compute_index(
     None means 10^6 samples or 128 nodes.  `point` is the estimate's index
     in a t-grid, which Monte Carlo keys its stream on (_point_seed); a
     standalone estimate is point 0.  Both methods run with numpy's float
-    warnings off, and an estimate or error that is not finite raises
+    warnings off.  The density is non-negative and mu is at least 1, so an
+    estimate that is not positive and finite (0 when no sample or node
+    carried the integrand), or an error that is not finite, raises
     ValueError.
     """
     _check_t(t)
     if budget is None:
         budget = _DEFAULT_BUDGETS.get(method)
     comp = _compile(f)
-    with np.errstate(all="ignore"):  # an estimate that is not finite is raised below
+    with np.errstate(all="ignore"):  # a non-finite or zero estimate is raised below
         if method == "mc":
             est, err = _mc_estimate(comp, t, budget, seed, comp.sigma(t), point)
         elif method == "quadrature":
             est, err = _quadrature_estimate(comp, t, budget, solve_weights(f).q)
         else:
             raise ValueError("method must be 'mc' or 'quadrature'")
-    if not (math.isfinite(est) and math.isfinite(err)):
-        raise ValueError(f"the {method} estimate at t = {t} is not finite: {est} +- {err}")
+    if not (0 < est < math.inf and math.isfinite(err)):
+        raise ValueError(f"the {method} estimate at t = {t} is not positive and finite: "
+                         f"{est} +- {err}")
     return IndexEstimate(t=t, estimate=est, std_error=err, method=method, budget=budget)
 
 

@@ -28,8 +28,8 @@ s = 0 defines the torsion log T^i = -(Theta^i)'(0).  Two routes compute it:
 
 The numeric torsion and the A_1 torsion sum rule renormalize through one
 driver, `_renormalize`: one window rule in units of 1/E that keeps clear of
-the spectrum's completeness edge, and an error bar that is the spread of
-log T over three splits.  A function of time takes an array of times and
+the spectrum's completeness edge, and log T at three splits, whose spread is
+the error bar.  A function of time takes an array of times and
 returns one value per time, so each time grid is one call.
 """
 
@@ -415,15 +415,16 @@ def _renormalize(
     pinned: Sequence[Tuple[float, float]],
     complete_below: float,
     split: float = 1.0,
-) -> Tuple[MellinResult, float]:
-    """The renormalized Mellin transform of F at `split`, and its spread.
+) -> Tuple[MellinResult, Tuple[float, float, float]]:
+    """The renormalized Mellin transform of F at `split`, and log T at three splits.
 
     `split` and the fit window are in units of 1/E, which makes the result
     covariant under rescaling the spectrum.  At each split s the window runs
     from max(s/4, min(12 E / complete_below, 0.6 s)), which keeps its low
     edge where truncating the spectrum is negligible, up to max(s, 1).
-    `upper(A)` returns int_A^inf F dt/t.  The spread is that of
-    log T = -Theta'(0) over split/2, split and 2 split.
+    `upper(A)` returns int_A^inf F dt/t.  The three values are
+    log T = -Theta'(0) at split/2, split and 2 split, in that order; the fit
+    at `split` runs first.
     """
     edge = 12.0 * energy / complete_below
     fits = []
@@ -434,8 +435,8 @@ def _renormalize(
             F, exponents, upper(A), split=A,
             fit_window=(lo / energy, max(s, 1.0) / energy), pinned=pinned,
         ))
-    logs = [-r.derivative_at_0 for r in fits]
-    return fits[0], max(logs) - min(logs)
+    at_split, half, double = (-r.derivative_at_0 for r in fits)
+    return fits[0], (half, at_split, double)
 
 
 # the Wigner-Kirkwood powers (k-1) p are fitted up to this one; raising it to 8
@@ -450,7 +451,8 @@ def renormalize_and_torsion(spectrum: Spectrum, data: ArData, split: float = 1.0
     2 is twice the 0-form trace, so `_renormalize` runs on that.  Its t^{-p}
     and t^0 coefficients are pinned to a_0 and a_1, and only the powers
     (k-1) p with k >= 2 are fitted.  The value reported is the one at
-    `split`; the error bar is the spread over split/2, split and 2 split.
+    `split`; `log_torsion_splits` holds log T at split/2, split and 2 split,
+    and the error bar is their spread.
     """
     p, a0, a1, energy = data.heat_expansion()
     tail = fit_weyl_tail(spectrum, data)
@@ -462,8 +464,8 @@ def renormalize_and_torsion(spectrum: Spectrum, data: ArData, split: float = 1.0
         return 2 * (float(exp1(spectrum.eigenvalues * A).sum()) + tail.mellin_upper(A))
 
     exponents = [k * p for k in range(1, int(_MAX_EXPONENT / p + 1e-9) + 1)]
-    res, spread = _renormalize(F, upper, energy, exponents, ((-p, 2 * a0), (0.0, 2 * a1)),
-                               spectrum.complete_below, split)
+    res, logs = _renormalize(F, upper, energy, exponents, ((-p, 2 * a0), (0.0, 2 * a1)),
+                             spectrum.complete_below, split)
     log_t = -res.derivative_at_0
     return ZetaResult(
         theta_at_0=res.value_at_0,
@@ -472,7 +474,8 @@ def renormalize_and_torsion(spectrum: Spectrum, data: ArData, split: float = 1.0
         exponents=res.exponents,
         fit_condition=res.fit_condition,
         fit_unstable=res.fit_condition > 1e10 or res.fit_residual > 1e-3,
-        error_bar=spread,
+        error_bar=max(logs) - min(logs),
+        log_torsion_splits=logs,
     )
 
 
@@ -532,14 +535,14 @@ def torsion_sum_check(tau1: float, tau2: float) -> TorsionSumReport:
     # out is of order e^{-60} at A = 1/E whatever the ratio of the taus;
     # the closed-form traces are complete, so no edge raises the window
     stretch = 60 * max(tau1, tau2) / min(tau1, tau2)
-    res, spread = _renormalize(F, lambda A: _log_integral(F, A, stretch * A),
-                               2 * max(tau1, tau2), (-4.0, -2.0, 0.0, 2.0, 4.0), (),
-                               math.inf)
+    res, logs = _renormalize(F, lambda A: _log_integral(F, A, stretch * A),
+                             2 * max(tau1, tau2), (-4.0, -2.0, 0.0, 2.0, 4.0), (),
+                             math.inf)
     log_lhs = -res.derivative_at_0
     log_rhs = torsion_sum_rhs(1, 1, torsion_exact_a1(tau1).log_torsion,
                               1, 1, torsion_exact_a1(tau2).log_torsion)
     diff = abs(log_lhs - log_rhs)
     return TorsionSumReport(
-        log_lhs=log_lhs, log_rhs=log_rhs, difference=diff, error_bar=spread,
+        log_lhs=log_lhs, log_rhs=log_rhs, difference=diff, error_bar=max(logs) - min(logs),
         passed=diff <= _SUM_RULE_TOLERANCE,
     )

@@ -157,6 +157,7 @@ class ZetaResult:
     fit_condition: float = 0.0
     fit_unstable: bool = False
     error_bar: float = 0.0
+    log_torsion_splits: Tuple[float, ...] = ()  # numeric path: at split/2, split, 2 split
 
 
 def torsion_exact_a1(tau: float) -> ZetaResult:

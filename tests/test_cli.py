@@ -1,10 +1,8 @@
-import csv
 import json
 import os
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -149,10 +147,9 @@ def test_index_constancy_violation_exit_code(monkeypatch, capsys):
     assert json.loads(err)["error"]["type"] == "ConstancyViolated"
 
 
-def test_index_command(tmp_path):
-    csv_path = tmp_path / "series.csv"
+def test_index_command():
     proc = run_cli("index", "z1^3", "--t", "0.5,1,2", "--samples", "100000",
-                   "--seed", "7", "--csv", str(csv_path))
+                   "--seed", "7")
     assert proc.returncode == 0
     res = json.loads(proc.stdout)["result"]
     assert res["mu_oracle"]["value"] == 2
@@ -161,8 +158,6 @@ def test_index_command(tmp_path):
     assert len(res["estimates"]) == 3
     for entry in res["estimates"]:
         assert "stderr" in entry["estimate"]
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "t,estimate,stderr" and len(lines) == 4
 
 
 def test_index_quadrature_product():
@@ -217,6 +212,7 @@ def test_index_single_t_gaussian_normalization():
     (["index", "z1^3", "--t", "inf"], 4),
     (["index", "z1^3", "--t", "1", "--samples", "0"], 4),
     (["index", "z1^3", "--t", "1", "--samples", "-5"], 4),
+    (["index", "z1^3", "--t", "1", "--samples", "1"], 4),  # no standard error from one sample
     (["torsion", "z1^3", "--basis", "4"], 4),
     (["torsion", "z1^3", "--sectors", "2"], 4),
     (["torsion", "z1^3", "--basis", "100000"], 4),
@@ -226,7 +222,6 @@ def test_index_single_t_gaussian_normalization():
     (["weights", "z1^3", "--samples", "0"], 4),
     (["weights", "conj(z1)^3"], 4),  # outside the weight system: not holomorphic
     (["index", "z1^3 + z1*conj(z1)"], 4),
-    (["index", "z1^3", "--t", "1", "--samples", "1000", "--csv", "/nonexistent/x.csv"], 4),
     (["index", "z1^3", "--samples", "abc"], 4),  # argparse usage errors
     (["index", "z1^3", "--t"], 4),
     (["nope"], 4),
@@ -240,6 +235,9 @@ def test_index_single_t_gaussian_normalization():
     (["index", "z1^13 + 10^150*z2^2", "--t", "1", "--samples", "20000"], 4),
     (["index", "(1/10^300)*z1^2 + z2^2", "--t", "1", "--samples", "20000"], 4),
     (["index", "z1^3 + z2^4", "--t", "1e-300", "--samples", "2000"], 4),
+    # an estimate of 0: no sample or node carried the integrand
+    (["index", "z1^3", "--t", "1e-320", "--samples", "2000"], 4),
+    (["index", "(1/10^300)*z1^2 + z2^2", "--t", "1", "--method", "quadrature"], 4),
     # a degenerate f is degenerate at any coefficient scale
     (["weights", "(1/10^154)*(z1+z2)^3"], 2),
     (["weights", "(1/10^155)*(z1+z2)^3"], 2),
@@ -257,12 +255,13 @@ def test_index_single_t_gaussian_normalization():
       "--nodes", "8"], 4),
     (["index", "10^120*(z1^3+z2^4)", "--t", "1", "--method", "quadrature", "--nodes", "8"], 4),
 ], ids=["t-empty", "t-text", "t-gap", "t-zero", "t-negative", "t-nan", "t-inf",
-        "samples-zero", "samples-negative", "basis-4", "sectors-2", "basis-100000",
+        "samples-zero", "samples-negative", "samples-one", "basis-4", "sectors-2", "basis-100000",
         "sectors-4097", "torsion-overflow", "weights-samples-negative", "weights-samples-zero",
-        "weights-conjugate", "index-conjugate", "csv-unwritable", "usage-samples-text",
+        "weights-conjugate", "index-conjugate", "usage-samples-text",
         "usage-t-missing", "usage-unknown-command", "usage-n", "index-coefficient-overflow",
         "torsion-coefficient-overflow", "torsion-scale-overflow", "torsion-scale-underflow",
         "index-mc-not-finite-large", "index-mc-variance-overflow", "index-mc-not-finite-small-t",
+        "index-mc-zero", "quadrature-zero",
         "weights-degenerate-small-154", "weights-degenerate-small-155", "weights-seed-negative",
         "index-seed-negative", "quadrature-seed-negative", "torsion-seed-negative",
         "verify-all-seed-negative", "verify-clifford-seed-negative", "quadrature-nan-large",
@@ -277,47 +276,6 @@ def test_bad_numeric_arguments_are_structured_errors(args, code, capsys):
     assert out == ""
     payload = json.loads(err)
     assert payload["schema"] == "1" and payload["error"]["message"]
-
-
-def test_unwritable_csv_fails_before_the_estimate(monkeypatch, capsys):
-    from singspect import cli, index_integral
-
-    def no_estimate(*args, **kwargs):
-        raise AssertionError("the estimate ran before --csv was checked")
-
-    monkeypatch.setattr(index_integral, "mckean_singer_check", no_estimate)
-    assert cli.main(["index", "z1^3", "--t", "1", "--csv", "/nonexistent/x.csv"]) == 4
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err)["error"]["message"].startswith("cannot write --csv")
-
-
-@pytest.mark.parametrize("polynomial,code", [("z1*z2", 2), ("z1^3", 3)],
-                         ids=["degenerate", "constancy-violated"])
-def test_failed_index_keeps_an_existing_csv(polynomial, code, monkeypatch, tmp_path, capsys):
-    from singspect import cli, index_integral
-    from singspect.index_integral import ConstancyViolated
-
-    def violated(*args, **kwargs):
-        raise ConstancyViolated(0.5, 1.0, 4.2)
-
-    monkeypatch.setattr(index_integral, "mckean_singer_check", violated)
-    csv_path = tmp_path / "old.csv"
-    csv_path.write_text("earlier,report\n")
-    assert cli.main(["index", polynomial, "--t", "1", "--csv", str(csv_path)]) == code
-    assert capsys.readouterr().out == ""
-    assert csv_path.read_text() == "earlier,report\n"
-
-
-@pytest.mark.parametrize("polynomial,t,code", [("z1*z2", "1", 2), ("z1^3", "0.5,-1", 4)],
-                         ids=["degenerate", "bad-t"])
-def test_failed_index_leaves_no_new_csv(polynomial, t, code, tmp_path, capsys):
-    from singspect import cli
-
-    csv_path = tmp_path / "new.csv"
-    assert cli.main(["index", polynomial, "--t", t, "--csv", str(csv_path)]) == code
-    assert capsys.readouterr().out == ""
-    assert not csv_path.exists()
 
 
 def test_help_still_exits_zero(capsys):
@@ -350,12 +308,24 @@ def test_torsion_exact_report_ignores_basis_and_sectors(capsys):
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
-def test_torsion_numeric_close_to_exact():
-    proc = run_cli("torsion", "(1/2)*z1^2", "--basis", "60", "--sectors", "70")
-    assert proc.returncode == 0
-    res = json.loads(proc.stdout)["result"]
+def test_torsion_numeric_close_to_exact(capsys):
+    from singspect import cli
+    from singspect.poly import parse
+    from singspect.spectral import GalerkinConfig, ar_data, eigensolve, renormalize_and_torsion
+
+    assert cli.main(["torsion", "(1/2)*z1^2", "--basis", "60", "--sectors", "70"]) == 0
+    res = json.loads(capsys.readouterr().out)["result"]
     assert res["path"] == "both"
     assert res["log_difference"] < 1e-3
+    # log T2 at splits 0.5, 1 and 2: the value is the middle one, the bar their spread
+    splits = res["log_T2_splits"]
+    assert len(splits) == 3
+    assert splits[1] == res["log_T2"]["value"]
+    assert max(splits) - min(splits) == res["log_T2"]["stderr"]
+    f = parse("(1/2)*z1^2", 1)
+    spec = eigensolve(GalerkinConfig(f, basis_size=60, sector_cutoff=70))
+    outer = [renormalize_and_torsion(spec, ar_data(f), split=s).log_torsion for s in (0.5, 2.0)]
+    assert [splits[0], splits[2]] == outer
 
 
 @pytest.mark.parametrize("poly,unstable", [("z1^4", False), ("(1/2)*z1^2", False)])
@@ -538,23 +508,3 @@ print(spectral.torsion_sum_check(0.5, 0.5).passed, file=sys.stderr)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.split() == ["0"] * len(runs) + ["True"]
-
-
-def test_index_study_script_matches_index_report(tmp_path):
-    # the script seeds each t the way the index command does
-    args = ["--t", "0.5,1", "--samples", "20000"]
-    csv_path = tmp_path / "study.csv"
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_index_study.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--poly", "(1/2)*z1^2", *args, "--csv", str(csv_path)],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    proc = run_cli("index", "(1/2)*z1^2", *args, "--seed", "0")
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)["result"]["estimates"]
-    assert [(float(r["t"]), float(r["estimate"]), float(r["stderr"])) for r in rows] == [
-        (e["t"], e["estimate"]["value"], e["estimate"]["stderr"]) for e in report
-    ]
