@@ -21,7 +21,7 @@ error on stderr with the exit code of the first matching row of
        `--samples abc` or a negative `--seed`;
      - a polynomial outside the weight system, such as one with a
        conjugate variable;
-     - a t that is not positive and finite;
+     - a t that is not finite or is below the smallest normal float;
      - `index --samples` below 2;
      - a rejected quadrature node count;
      - an index estimate that is not positive and finite (0 when no sample

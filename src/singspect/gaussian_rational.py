@@ -14,12 +14,19 @@ normal form d > 0 and gcd(p, q, d) = 1, so equal values have equal triples.
 Every operation normalizes its result once, with a single three-argument
 gcd; a sum with an int or with a coprime denominator needs none.
 
+`over_common_denominator` and `from_integers` are the way out of and back
+into this form for integer kernels: values over one common denominator as
+Gaussian integer numerators, and a numerator over a denominator normalized
+with one gcd.  Polynomial products (poly.py) sum their integer products
+this way.
+
 `SparseMap` is the one sparse exact container: a size `n` and a dict of
 nonzero exact values.  Every constructor and operation accumulates into a
-plain dict and then drops its zero values in one place, `SparseMap._nonzero`.
-Polynomials (poly.py), exterior-algebra operators (clifford.py) and operator
-polynomials (parametrix.py) subclass it and keep only their own products and
-keys.
+plain dict and then drops its zero values in one place, `SparseMap._nonzero`;
+a sum and a difference each copy the left map once and add or subtract the
+right map's values into it.  Polynomials (poly.py), exterior-algebra
+operators (clifford.py) and operator polynomials (parametrix.py) subclass it
+and keep only their own products and keys.
 """
 
 from __future__ import annotations
@@ -204,6 +211,20 @@ def _reduced(p: int, q: int, d: int) -> GaussianRational:
     return _make(p, q, d)
 
 
+from_integers = _reduced
+
+
+def over_common_denominator(values) -> tuple:
+    """(d, [(p, q), ...]): the values' least common denominator d and each value times d.
+
+    Each value v becomes the Gaussian integer p + q*i = v * d, so integer
+    arithmetic on the numerators stays exact and `from_integers(p, q, d)`
+    turns a result back into a value with one gcd.
+    """
+    d = lcm(*(x._d for x in values))
+    return d, [(x._p * (d // x._d), x._q * (d // x._d)) for x in values]
+
+
 class SparseMap:
     """A size n and a map of keys to nonzero values.
 
@@ -245,7 +266,11 @@ class SparseMap:
         return self._raw(self.n, self._nonzero(out))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_size(other)
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out[k] - v if k in out else -v
+        return self._raw(self.n, self._nonzero(out))
 
     def __neg__(self):
         return self._raw(self.n, {k: -v for k, v in self.terms.items()})

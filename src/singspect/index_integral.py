@@ -375,8 +375,15 @@ _DEFAULT_BUDGETS = {"mc": 10 ** 6, "quadrature": 128}
 
 
 def _check_t(t: float) -> None:
-    if not 0 < t < math.inf:
-        raise ValueError(f"t must be positive and finite, not {t}")
+    """Reject a t outside [smallest normal float, inf), for both methods alike.
+
+    Below the normal range t |grad f|^2 loses its precision, and the Monte
+    Carlo weights overflow for most samples but not all, which biases the
+    estimate while its bar stays small.
+    """
+    if not sys.float_info.min <= t < math.inf:
+        raise ValueError(f"t must be positive and finite, at least the smallest normal float "
+                         f"{sys.float_info.min:.4g}, not {t}")
 
 
 def compute_index(

@@ -23,7 +23,10 @@ coefficients (2n-slot MixedPolynomials in u = z - w and w, see poly.py), so
 all polynomial calculus stays in the scalar factors and matrix products
 happen once per distinct symbol pair (cached).  The map's sums, negation and
 scaling are SparseMap's, since they keep symbols canonical; the constructor
-and the product canonicalize each symbol in `_by_symbol` before they sum.
+canonicalizes each symbol in `_by_symbol` before the polys sum.  The
+product groups the symbol pairs by canonical product symbol and makes each
+symbol's poly, the sum of its pairs' scalar products, in one call of
+poly's exact product kernel.
 
 Numeric evaluation takes the point pairs as two complex (m, n) arrays z and
 w and returns an (m, 4^n, 4^n) stack, one dense matrix per pair; the
@@ -41,6 +44,7 @@ from .clifford import ExteriorOperator, hessian_coupling
 from .gaussian_rational import GaussianRational, SparseMap
 from .poly import (
     MixedPolynomial,
+    _sum_of_products,
     at_u_zero,
     evaluate_two_point,
     from_single_point,
@@ -66,18 +70,24 @@ def _cached_matmul(a: ExteriorOperator, b: ExteriorOperator) -> ExteriorOperator
     return out
 
 
+def _canonical(op: ExteriorOperator) -> Tuple[ExteriorOperator, GaussianRational]:
+    """(symbol, c) with op = c * symbol and the symbol's first (sorted) entry 1."""
+    c0 = op.terms[min(op.terms)]
+    return (op, c0) if c0 == 1 else (op.scale(GaussianRational(1) / c0), c0)
+
+
 def _by_symbol(pairs) -> Dict[ExteriorOperator, MixedPolynomial]:
     """The (symbol, poly) pairs summed by canonical symbol, zero sums dropped.
 
-    A symbol is scaled so its first (sorted) entry is 1 and the factor is
-    folded into its poly; a zero symbol contributes nothing.
+    A zero symbol contributes nothing; another is made canonical and its
+    factor folded into its poly.
     """
     out: Dict[ExteriorOperator, MixedPolynomial] = {}
     for op, poly in pairs:
         if op:
-            c0 = op.terms[min(op.terms)]
+            op, c0 = _canonical(op)
             if c0 != 1:
-                op, poly = op.scale(GaussianRational(1) / c0), poly * c0
+                poly = poly * c0
             out[op] = out[op] + poly if op in out else poly
     return SparseMap._nonzero(out)
 
@@ -110,10 +120,16 @@ class OperatorPolynomial(SparseMap):
     # -- products (sums, negation and scaling are SparseMap's) ----------------
 
     def __matmul__(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
-        return self._raw(self.n, _by_symbol(
-            (_cached_matmul(op1, op2), p1 * p2)
-            for op1, p1 in self.terms.items() for op2, p2 in other.terms.items()
-        ))
+        """The symbol products grouped by canonical symbol, then one product kernel per symbol."""
+        groups: Dict[ExteriorOperator, list] = {}
+        for op1, p1 in self.terms.items():
+            for op2, p2 in other.terms.items():
+                op = _cached_matmul(op1, op2)
+                if op:
+                    op, c0 = _canonical(op)
+                    groups.setdefault(op, []).append((c0, p1, p2))
+        return self._raw(self.n, SparseMap._nonzero(
+            {op: _sum_of_products(2 * self.n, triples) for op, triples in groups.items()}))
 
     # -- z-direction calculus, applied to the scalar factors -----------------
 

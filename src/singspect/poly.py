@@ -21,6 +21,15 @@ Text grammar (whitespace insignificant):
 The canonical printer emits terms in lexicographic exponent order and its
 output parses back to the same polynomial.
 
+Every exact product is one kernel, `_sum_of_products`, which sums
+c * p * q over a list of triples: `p * q` is the kernel on one pair,
+`grad_dot_z` and `hermitian_gradient_square` call it once over all their
+pairs, and operator polynomials (parametrix.py) once per product symbol.
+It packs each exponent pair into one int and sums integer products of the
+coefficients' numerators over a common denominator, so no GaussianRational
+is made until each output term's one; its terms come in the order of the
+naive double loops, added in turn (see its docstring).
+
 Real-gradient contractions used downstream are defined through Wirtinger
 calculus with the conventions
 
@@ -45,11 +54,12 @@ algebra is exact and numpy-free; only these float evaluators import numpy.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .gaussian_rational import GaussianRational, SparseMap
+from .gaussian_rational import GaussianRational, SparseMap, from_integers, over_common_denominator
 
 ExponentPair = Tuple[Tuple[int, ...], Tuple[int, ...]]
 Terms = Dict[ExponentPair, GaussianRational]
@@ -104,15 +114,7 @@ class MixedPolynomial(SparseMap):
     def __mul__(self, other):
         if isinstance(other, MixedPolynomial):
             self._check_size(other)
-            out: Terms = {}
-            for (a1, b1), c1 in self.terms.items():
-                for (a2, b2), c2 in other.terms.items():
-                    k = (
-                        tuple(x + y for x, y in zip(a1, a2)),
-                        tuple(x + y for x, y in zip(b1, b2)),
-                    )
-                    out[k] = out[k] + c1 * c2 if k in out else c1 * c2
-            return MixedPolynomial._raw(self.n, self._nonzero(out))
+            return _sum_of_products(self.n, [(1, self, other)])
         return self.scale(GaussianRational.from_value(other))
 
     __rmul__ = __mul__
@@ -188,6 +190,88 @@ class MixedPolynomial(SparseMap):
     @staticmethod
     def parse(text: str, n: int) -> "MixedPolynomial":
         return _Parser(text, n).parse()
+
+
+def _pack(exponents: Tuple[int, ...], width: int) -> int:
+    """The exponents as fields of `width` bits of one int, the first field highest."""
+    key = 0
+    for e in exponents:
+        key = key << width | e
+    return key
+
+
+def _numerators(p: MixedPolynomial, width: int):
+    """(d, [(key, x, y), ...]): p's common denominator d, and each term's packed key and numerator x + y*i."""
+    d, nums = over_common_denominator(p.terms.values())
+    return d, [(_pack(a + b, width), x, y) for (a, b), (x, y) in zip(p.terms, nums)]
+
+
+def _sum_of_products(n: int, triples) -> MixedPolynomial:
+    """sum c * p * q over (c, p, q) triples of an exact number and two polynomials in n variables.
+
+    The one exact product kernel.  Each exponent pair (a, b) packs into one
+    int, every field as wide as the bit length of the largest exponent of
+    any left operand plus the largest of any right one, so adding two keys
+    adds their exponents and no field carries into the next.  Each operand's
+    coefficients go over one common denominator as Gaussian integer
+    numerators; a triple's c, and the factor from its denominator to the
+    common denominator of all triples, are folded into its left numerators.
+    The integer products are summed under the packed keys, in plain ints
+    when no coefficient has an imaginary part, and each sum becomes one
+    GaussianRational with one gcd.  The terms come in the order of the sum
+    of the triples' products, each computed by a naive double loop over its
+    left and right terms, added in turn: a term comes where its first
+    product falls, and a sum that is zero after a triple leaves and comes
+    back at the end if a later product makes it again.  Zero sums are
+    dropped.
+    """
+    triples = [(GaussianRational.from_value(c), p, q) for c, p, q in triples]
+    triples = [(c, p, q) for c, p, q in triples if c and p.terms and q.terms]
+    if not triples:
+        return MixedPolynomial.zero(n)
+    width = (max(max(a + b) for _, p, _ in triples for a, b in p.terms) +
+             max(max(a + b) for _, _, q in triples for a, b in q.terms)).bit_length()
+    packed = []  # (denominator, left terms times c, right terms) of each triple
+    for c, p, q in triples:
+        dc, ((cx, cy),) = over_common_denominator([c])
+        dp, left = _numerators(p, width)
+        dq, right = _numerators(q, width)
+        left = [(k, x * cx - y * cy, x * cy + y * cx) for k, x, y in left]
+        packed.append((dc * dp * dq, left, right))
+    d = math.lcm(*(den for den, _, _ in packed))
+    real = not any(y for _, left, right in packed for _, _, y in left + right)
+    re: Dict[int, int] = {}
+    im: Dict[int, int] = {}
+    re_get, im_get = re.get, im.get
+    for i, (den, left, right) in enumerate(packed):
+        if i:  # a sum that is zero after a triple leaves, and a later product appends it anew
+            for k in [k for k, x in re.items() if not x and not im_get(k, 0)]:
+                del re[k]
+                im.pop(k, None)
+        s = d // den
+        if real:
+            right = [(k, x) for k, x, _ in right]
+            for k1, x1, _ in left:
+                x1 *= s
+                for k2, x2 in right:
+                    k = k1 + k2
+                    re[k] = re_get(k, 0) + x1 * x2
+        else:
+            for k1, x1, y1 in left:
+                x1, y1 = x1 * s, y1 * s
+                for k2, x2, y2 in right:
+                    k = k1 + k2
+                    re[k] = re_get(k, 0) + x1 * x2 - y1 * y2
+                    im[k] = im_get(k, 0) + x1 * y2 + y1 * x2
+    mask = (1 << width) - 1
+    shifts = [width * i for i in reversed(range(2 * n))]
+    out: Terms = {}
+    for k, x in re.items():
+        y = im_get(k, 0)
+        if x or y:
+            e = [k >> sh & mask for sh in shifts]
+            out[tuple(e[:n]), tuple(e[n:])] = from_integers(x, y, d)
+    return MixedPolynomial._raw(n, out)
 
 
 def _monomial_str(a: Tuple[int, ...], b: Tuple[int, ...]) -> str:
@@ -481,10 +565,7 @@ def hermitian_gradient_square(f: MixedPolynomial) -> MixedPolynomial:
     """The potential sum_i d_i f * conj(d_i f); rejects non-holomorphic input."""
     if not f.is_holomorphic():
         raise ValueError("hermitian_gradient_square requires a holomorphic polynomial")
-    out = MixedPolynomial.zero(f.n)
-    for gi in gradient(f):
-        out = out + gi * gi.conjugate()
-    return out
+    return _sum_of_products(f.n, [(1, gi, gi.conjugate()) for gi in gradient(f)])
 
 
 # -- two-point polynomials --------------------------------------------------
@@ -585,11 +666,11 @@ def laplacian_z(p: MixedPolynomial) -> MixedPolynomial:
 
 def grad_dot_z(p: MixedPolynomial, q: MixedPolynomial) -> MixedPolynomial:
     """grad_z p . grad_z q = 2 sum_i (d_i p dbar_i q + dbar_i p d_i q)."""
-    out = MixedPolynomial.zero(p.n)
+    triples = []
     for i in range(1, p.n // 2 + 1):
-        out = out + (p.wirtinger(i) * q.wirtinger(i, conjugated=True) +
-                     p.wirtinger(i, conjugated=True) * q.wirtinger(i)) * 2
-    return out
+        triples.append((2, p.wirtinger(i), q.wirtinger(i, conjugated=True)))
+        triples.append((2, p.wirtinger(i, conjugated=True), q.wirtinger(i)))
+    return _sum_of_products(p.n, triples)
 
 
 def evaluate_two_point(p: MixedPolynomial, z, w) -> np.ndarray:

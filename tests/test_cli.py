@@ -235,8 +235,11 @@ def test_index_single_t_gaussian_normalization():
     (["index", "z1^13 + 10^150*z2^2", "--t", "1", "--samples", "20000"], 4),
     (["index", "(1/10^300)*z1^2 + z2^2", "--t", "1", "--samples", "20000"], 4),
     (["index", "z1^3 + z2^4", "--t", "1e-300", "--samples", "2000"], 4),
-    # an estimate of 0: no sample or node carried the integrand
+    # a subnormal t, for either method, before any estimate
+    (["index", "z1^3", "--t", "1e-310", "--samples", "2000"], 4),
+    (["index", "z1^3", "--t", "1e-310", "--method", "quadrature"], 4),
     (["index", "z1^3", "--t", "1e-320", "--samples", "2000"], 4),
+    # an estimate of 0: no sample or node carried the integrand
     (["index", "(1/10^300)*z1^2 + z2^2", "--t", "1", "--method", "quadrature"], 4),
     # a degenerate f is degenerate at any coefficient scale
     (["weights", "(1/10^154)*(z1+z2)^3"], 2),
@@ -261,7 +264,8 @@ def test_index_single_t_gaussian_normalization():
         "usage-t-missing", "usage-unknown-command", "usage-n", "index-coefficient-overflow",
         "torsion-coefficient-overflow", "torsion-scale-overflow", "torsion-scale-underflow",
         "index-mc-not-finite-large", "index-mc-variance-overflow", "index-mc-not-finite-small-t",
-        "index-mc-zero", "quadrature-zero",
+        "index-mc-subnormal-t", "quadrature-subnormal-t", "index-mc-subnormal-t-1e-320",
+        "quadrature-zero",
         "weights-degenerate-small-154", "weights-degenerate-small-155", "weights-seed-negative",
         "index-seed-negative", "quadrature-seed-negative", "torsion-seed-negative",
         "verify-all-seed-negative", "verify-clifford-seed-negative", "quadrature-nan-large",

@@ -164,7 +164,8 @@ def test_t_grid_is_validated_before_any_estimate(monkeypatch):
         raise AssertionError("an estimate ran before the grid was checked")
 
     monkeypatch.setattr(index_integral, "compute_index", estimate)
-    for grid in ((0.5, 0.0), (1.0, 2.0, float("nan")), (1.0, -1.0), (0.5, float("inf"))):
+    for grid in ((0.5, 0.0), (1.0, 2.0, float("nan")), (1.0, -1.0), (0.5, float("inf")),
+                 (1.0, 1e-310)):
         with pytest.raises(ValueError, match="positive and finite"):
             mckean_singer_check(f, grid)
 

@@ -6,6 +6,7 @@ import pytest
 
 from singspect import parametrix
 from singspect.clifford import supertrace_matrix
+from singspect.gaussian_rational import GaussianRational
 from singspect.oscillator import a1_diagonal_supertrace_flat
 from singspect.parametrix import (
     OperatorPolynomial,
@@ -295,12 +296,40 @@ def test_operator_negation_makes_no_products(monkeypatch):
     assert difference.is_zero() and (negated + U2).is_zero()
 
 
-@pytest.mark.parametrize("text,digest", [
-    ("(1/2)*z1^2", "f48ac4d6cf163f7803aa2017b5450e6962df145931a7cb937073ab14b7527ede"),
-    ("z1^3", "dc2420a02454bb364212b9587232500f070bd7ad569a49b48fa0edc0fdec6960"),
-], ids=["A1", "A2"])
-def test_bundle_dump_is_pinned(text, digest):
-    # g, every U_j and the three remainder groups at k = 4, as exact text
-    b = build_U(parse(text, 1), 4)
+def naive_operator_product(P, Q):
+    """P @ Q as pairwise products p1 * p2 merged by canonical symbol in turn: the reference."""
+    out = {}
+    for op1, p1 in P.terms.items():
+        for op2, p2 in Q.terms.items():
+            op, poly = op1.matmul(op2), p1 * p2
+            if not op:
+                continue
+            c0 = op.terms[min(op.terms)]
+            if c0 != 1:
+                op, poly = op.scale(GaussianRational(1) / c0), poly * c0
+            out[op] = out[op] + poly if op in out else poly
+    return {op: poly for op, poly in out.items() if poly}
+
+
+@pytest.mark.parametrize("text,n", [
+    ("z1^3", 1), ("z1^3 + z2^3", 2), ("z1^2*z2 + z2^3", 2), ("i*z1^3 + (1/3)*z2^2", 2),
+])
+def test_operator_product_matches_pairwise_products_merged_by_symbol(text, n):
+    b = build_U(parse(text, n), 3)
+    for P, Q in [(b.B, U) for U in b.U] + [(b.U[1], b.U[2]), (b.U[2], b.B), (b.U[3], b.U[1])]:
+        got, ref = P @ Q, naive_operator_product(P, Q)
+        assert got.terms == ref
+        assert [(op.canon_key(), list(poly.terms)) for op, poly in got.terms.items()] == \
+            [(op.canon_key(), list(poly.terms)) for op, poly in ref.items()]
+
+
+@pytest.mark.parametrize("text,n,k,digest", [
+    ("(1/2)*z1^2", 1, 4, "f48ac4d6cf163f7803aa2017b5450e6962df145931a7cb937073ab14b7527ede"),
+    ("z1^3", 1, 4, "dc2420a02454bb364212b9587232500f070bd7ad569a49b48fa0edc0fdec6960"),
+    ("z1^3 + z2^4", 2, 3, "4a6f4f8f918d4f683514bc3332839a35a75b11bdc4e9d6a89c1d7ff8559a4dba"),
+], ids=["A1", "A2", "E6"])
+def test_bundle_dump_is_pinned(text, n, k, digest):
+    # g, every U_j and the three remainder groups, as exact text
+    b = build_U(parse(text, n), k)
     dump = dump_bundle(b) + "\n".join(g.dump() for g in residual_polynomials(b))
     assert hashlib.sha256(dump.encode()).hexdigest() == digest

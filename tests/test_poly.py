@@ -12,6 +12,7 @@ from singspect.poly import (
     evaluate_joint,
     evaluate_two_point,
     from_single_point,
+    grad_dot_z,
     gradient,
     hermitian_gradient_square,
     hessian,
@@ -88,6 +89,101 @@ def test_print_parse_round_trip(p):
 @given(polys(1))
 def test_print_is_idempotent(p):
     assert str(parse(str(p), 1)) == str(p)
+
+
+# -- products against a naive double loop ----------------------------------------
+
+
+def naive_product(p, q):
+    """The terms of p * q by a double loop over tuple keys, in first-product order: the reference."""
+    out = {}
+    for (a1, b1), c1 in p.terms.items():
+        for (a2, b2), c2 in q.terms.items():
+            k = (tuple(x + y for x, y in zip(a1, a2)), tuple(x + y for x, y in zip(b1, b2)))
+            out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def merged(term_maps):
+    """The term maps added in turn, a sum that reaches zero dropped at once: the reference sum."""
+    out = {}
+    for terms in term_maps:
+        for k, v in terms.items():
+            out[k] = out[k] + v if k in out else v
+        out = {k: v for k, v in out.items() if v}
+    return out
+
+
+def assert_same_terms(p, terms):
+    assert p.terms == terms
+    assert list(p.terms) == list(terms)
+
+
+# complex coefficients over pairwise coprime denominators
+wide_coeffs = st.tuples(st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7, 11, 13]),
+                        st.integers(-6, 6)).map(
+    lambda t: GaussianRational(Fraction(t[0], t[1]), Fraction(t[2], t[1])))
+
+
+def wide_polys(n, max_deg, max_terms=6):
+    """Polynomials with conjugate exponents up to max_deg, so packed fields pass 8 bits."""
+    exps = st.tuples(st.tuples(*[st.integers(0, max_deg)] * n),
+                     st.tuples(*[st.integers(0, max_deg)] * n))
+    return st.dictionaries(exps, wide_coeffs, max_size=max_terms).map(
+        lambda terms: MixedPolynomial(n, terms))
+
+
+def near_polys(n):
+    """Polynomials whose terms share monomials, so products collide and cancel."""
+    exps = st.tuples(st.tuples(*[st.integers(0, 2)] * n), st.tuples(*[st.integers(0, 1)] * n))
+    small = st.sampled_from([-1, 1, 2]).map(GaussianRational)
+    return st.dictionaries(exps, small, max_size=5).map(lambda terms: MixedPolynomial(n, terms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(wide_polys(n, 300), wide_polys(n, 40), near_polys(n), near_polys(n))))
+def test_product_matches_naive_double_loop(operands):
+    p, q, r, s = operands
+    for x, y in ((p, q), (q, p), (r, s), (p, r), (p, p)):
+        assert_same_terms(x * y, naive_product(x, y))
+
+
+@pytest.mark.parametrize("left,right,n", [
+    ("(z1 - z2)", "(z1 + z2)", 2),  # the z1*z2 products cancel
+    ("z1^2 - z1*z2 + z2^2", "z1 + z2", 2),
+    ("z1^300*conj(z1)^7 + (1/3 + (2/5)*i)*conj(z2)^255", "(3/7)*i*z1^256 - (1/11)*z2*conj(z2)", 2),
+    ("i*z1*conj(z1)^2 + (1/2)*conj(z1)", "conj(z1)^2 - (1/3)*i*z1", 1),
+    ("(1/4)*z1*z2*z3 - i*conj(z3)^9", "z3^200 + (5/13)*conj(z1)", 3),
+    ("0", "z1^3 + conj(z1)", 1),
+    ("z1^3 + conj(z1)", "0", 1),
+    ("3/4", "(1/2)*i", 1),  # every exponent zero
+], ids=["cancellation", "sum-of-cubes", "wide-fields", "conjugates-n1", "n3", "zero-left",
+        "zero-right", "constants"])
+def test_product_examples_match_naive_double_loop(left, right, n):
+    p, q = parse(left, n), parse(right, n)
+    assert_same_terms(p * q, naive_product(p, q))
+
+
+def test_cancelling_product_is_exact():
+    assert parse("(z1 - z2)*(z1 + z2)", 2) == parse("z1^2 - z2^2", 2)
+    assert list(parse("(z1 - z2)*(z1 + z2)", 2).terms) == [((2, 0), (0, 0)), ((0, 2), (0, 0))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2).flatmap(
+    lambda n: st.tuples(near_polys(2 * n), wide_polys(2 * n, 40, max_terms=4))))
+def test_gradient_sums_match_the_merged_naive_products(operands):
+    p, q = operands
+    n = p.n // 2
+    products = []
+    for i in range(1, n + 1):
+        products.append(naive_product(p.wirtinger(i) * 2, q.wirtinger(i, conjugated=True)))
+        products.append(naive_product(p.wirtinger(i, conjugated=True) * 2, q.wirtinger(i)))
+    assert_same_terms(grad_dot_z(p, q), merged(products))
+    f = MixedPolynomial(p.n, {(a, (0,) * p.n): c for (a, _), c in p.terms.items()})
+    assert_same_terms(hermitian_gradient_square(f),
+                      merged(naive_product(g, g.conjugate()) for g in gradient(f)))
 
 
 def test_wirtinger_examples():
