@@ -18,15 +18,17 @@ translated to Wirtinger form once: Delta = 4 sum d dbar,
 grad.grad = 2 sum (d (x) dbar + dbar (x) d), (grad g)^2 = 4 sum dg dbar g.
 
 An operator-valued polynomial is a SparseMap (gaussian_rational.py) from
-canonicalized ExteriorOperator symbols to scalar two-point polynomial
+canonical ExteriorOperator symbols to scalar two-point polynomial
 coefficients (2n-slot MixedPolynomials in u = z - w and w, see poly.py), so
-all polynomial calculus stays in the scalar factors and matrix products
-happen once per distinct symbol pair (cached).  The map's sums, negation and
-scaling are SparseMap's, since they keep symbols canonical; the constructor
-canonicalizes each symbol in `_by_symbol` before the polys sum.  The
-product groups the symbol pairs by canonical product symbol and makes each
-symbol's poly, the sum of its pairs' scalar products, in one call of
-poly's exact product kernel.
+all polynomial calculus stays in the scalar factors.  A symbol becomes
+canonical once: at construction (`_by_symbol`) or at the first product that
+makes it, whose canonical form and factor the product cache keeps.  The
+map's sums, negation and scaling are SparseMap's, and the scalar calculus
+(`map_polys`) keeps the symbols as they are.  The product groups the symbol
+pairs by their cached canonical product and makes each symbol's poly, the
+sum of its pairs' scalar products, in one call of poly's exact product
+kernel.  Nothing else is memoized: the remainder groups are recomputed on
+each call.
 
 Numeric evaluation takes the point pairs as two complex (m, n) arrays z and
 w and returns an (m, 4^n, 4^n) stack, one dense matrix per pair; the
@@ -37,7 +39,7 @@ import numpy: building and checking the parametrix is numpy-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .clifford import ExteriorOperator, hessian_coupling
@@ -58,16 +60,19 @@ from .poly import (
     u_euler,
 )
 
-_matmul_cache: Dict[tuple, ExteriorOperator] = {}
+_matmul_cache: Dict[tuple, Optional[Tuple[ExteriorOperator, GaussianRational]]] = {}
 
 
-def _cached_matmul(a: ExteriorOperator, b: ExteriorOperator) -> ExteriorOperator:
+def _cached_matmul(a: ExteriorOperator, b: ExteriorOperator):
+    """(symbol, c) with a @ b = c * symbol, symbol canonical; None when a @ b is zero.
+
+    Each distinct product is computed, and made canonical, once.
+    """
     key = (a.canon_key(), b.canon_key())
-    out = _matmul_cache.get(key)
-    if out is None:
-        out = a @ b
-        _matmul_cache[key] = out
-    return out
+    if key not in _matmul_cache:
+        op = a @ b
+        _matmul_cache[key] = _canonical(op) if op else None
+    return _matmul_cache[key]
 
 
 def _canonical(op: ExteriorOperator) -> Tuple[ExteriorOperator, GaussianRational]:
@@ -124,9 +129,9 @@ class OperatorPolynomial(SparseMap):
         groups: Dict[ExteriorOperator, list] = {}
         for op1, p1 in self.terms.items():
             for op2, p2 in other.terms.items():
-                op = _cached_matmul(op1, op2)
-                if op:
-                    op, c0 = _canonical(op)
+                product = _cached_matmul(op1, op2)
+                if product is not None:
+                    op, c0 = product
                     groups.setdefault(op, []).append((c0, p1, p2))
         return self._raw(self.n, SparseMap._nonzero(
             {op: _sum_of_products(2 * self.n, triples) for op, triples in groups.items()}))
@@ -134,7 +139,8 @@ class OperatorPolynomial(SparseMap):
     # -- z-direction calculus, applied to the scalar factors -----------------
 
     def map_polys(self, fn) -> "OperatorPolynomial":
-        return OperatorPolynomial(self.n, {op: fn(poly) for op, poly in self.terms.items()})
+        """fn applied to every poly; the symbols, already canonical, are kept."""
+        return self._raw(self.n, self._nonzero({op: fn(poly) for op, poly in self.terms.items()}))
 
     def laplacian_z(self) -> "OperatorPolynomial":
         return self.map_polys(laplacian_z)
@@ -207,9 +213,6 @@ class ParametrixBundle:
     # derived from g once by build_U: Delta g and (grad g)^2
     lap_g: MixedPolynomial
     grad_sq_g: MixedPolynomial
-    # the three remainder groups, built on first use by residual_polynomials
-    residual_groups: Optional[Tuple[OperatorPolynomial, ...]] = field(
-        default=None, init=False, repr=False, compare=False)
 
 
 def build_g(V: MixedPolynomial) -> MixedPolynomial:
@@ -226,10 +229,8 @@ def build_g(V: MixedPolynomial) -> MixedPolynomial:
 
 def build_B(f: MixedPolynomial) -> OperatorPolynomial:
     """The Hessian coupling operator as a polynomial in z = u + w."""
-    out = OperatorPolynomial.zero(f.n)
-    for atom, coeff in hessian_coupling(hessian(f)):
-        out = out + OperatorPolynomial(f.n, {atom: from_single_point(coeff)})
-    return out
+    pairs = ((atom, from_single_point(coeff)) for atom, coeff in hessian_coupling(hessian(f)))
+    return OperatorPolynomial._raw(f.n, _by_symbol(pairs))
 
 
 def _recursion_rhs(bundle: ParametrixBundle, U, j) -> OperatorPolynomial:
@@ -239,8 +240,7 @@ def _recursion_rhs(bundle: ParametrixBundle, U, j) -> OperatorPolynomial:
     """
     rhs = U[j].laplacian_z() - (bundle.B @ U[j])
     if j >= 1:
-        rhs = rhs - U[j - 1].scale(bundle.lap_g) \
-            - U[j - 1].grad_dot_with(bundle.g).scale(2)
+        rhs = rhs - U[j - 1].scale(bundle.lap_g) - U[j - 1].grad_dot_with(2 * bundle.g)
     if j >= 2:
         rhs = rhs + U[j - 2].scale(bundle.grad_sq_g)
     return rhs
@@ -328,10 +328,8 @@ def residual_polynomials(bundle: ParametrixBundle) -> Tuple[OperatorPolynomial, 
     k = bundle.k
     if k < 2:
         raise ValueError("residual groups need k >= 2")
-    if bundle.residual_groups is None:
-        U = bundle.U + [OperatorPolynomial.zero(bundle.f.n)] * 2
-        bundle.residual_groups = tuple(-_recursion_rhs(bundle, U, k + i) for i in range(3))
-    return bundle.residual_groups
+    U = bundle.U + [OperatorPolynomial.zero(bundle.f.n)] * 2
+    return tuple(-_recursion_rhs(bundle, U, k + i) for i in range(3))
 
 
 def evaluate_residual(bundle: ParametrixBundle, z, w, t) -> np.ndarray:
@@ -366,9 +364,7 @@ def residual_order_check(bundle: ParametrixBundle, z, w) -> ResidualReport:
     """
     import numpy as np
 
-    if bundle.k < 2:
-        raise ValueError("residual check needs k >= 2")
-    # (t, pair) matrix of Frobenius norms
+    # (t, pair) matrix of Frobenius norms; residual_polynomials rejects k < 2
     norms = np.linalg.norm(evaluate_residual(bundle, z, w, _RESIDUAL_T_GRID), axis=(2, 3))
     norms = norms[:, np.all(norms > 0, axis=0)]
     exps = np.polyfit(np.log(_RESIDUAL_T_GRID), np.log(norms), 1)[0]

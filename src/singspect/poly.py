@@ -41,15 +41,16 @@ square (grad p)^2 is grad_dot p p = 4 sum_i d_i p dbar_i p.
 
 Numeric evaluation takes an (m, n) array of points and returns one value per
 row (`MixedPolynomial.evaluate_many`); `evaluate_joint` evaluates several
-polynomials at the same points from one table of column powers, and
-`evaluate_many` is that evaluator on one polynomial.  A float64 array holds
-real points: there a polynomial with real coefficients is computed in
-float64 and one with a non-real coefficient in complex128.  Any other input
-is read as complex points and computed in complex128.  `abs_square` gives
-|v|^2 of either kind of values.  A polynomial in two points
-is evaluated at the pairs of two (m, n) arrays z and w by
-`evaluate_two_point`, the one place that builds the rows [z - w, w].  The
-algebra is exact and numpy-free; only these float evaluators import numpy.
+polynomials at the same points from one table of column powers and returns
+their values as one list, and `evaluate_many` is that evaluator on one
+polynomial.  A float64 array holds real points: there a polynomial with real
+coefficients is computed in float64 and one with a non-real coefficient in
+complex128.  Any other input is read as complex points and computed in
+complex128.  `abs_square` gives |v|^2 of either kind of values.  A
+polynomial in two points is evaluated at the pairs of two (m, n) arrays z
+and w by `evaluate_two_point`, the one place that builds the rows
+[z - w, w].  The algebra is exact and numpy-free; only these float
+evaluators import numpy.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .gaussian_rational import GaussianRational, SparseMap, from_integers, over_common_denominator
 
@@ -426,8 +427,8 @@ class _Parser:
 parse = MixedPolynomial.parse
 
 
-def evaluate_joint(polys: Sequence[MixedPolynomial], Z) -> Iterator[np.ndarray]:
-    """Each polynomial's values at the rows of an (m, n) array of points, in turn: the float evaluator.
+def evaluate_joint(polys: Sequence[MixedPolynomial], Z) -> List[np.ndarray]:
+    """Each polynomial's values at the rows of an (m, n) array of points: the float evaluator.
 
     A float64 numpy array is read as it is, as real points; any other input
     becomes a complex128 array.  All the polynomials share one table of
@@ -444,9 +445,7 @@ def evaluate_joint(polys: Sequence[MixedPolynomial], Z) -> Iterator[np.ndarray]:
     points, whose imaginary parts are zero, so the real values equal the
     real parts of the complex path's to the bit.  A column that is already
     contiguous, as in an (m, n) array in Fortran order, is read without a
-    copy.  The values come one polynomial at a time, so a caller that
-    reduces each as it comes holds one, and a column's powers are dropped
-    after the last polynomial that needs them.
+    copy.  The values come back as one list, in the order of `polys`.
     """
     import numpy as np
 
@@ -465,10 +464,8 @@ def evaluate_joint(polys: Sequence[MixedPolynomial], Z) -> Iterator[np.ndarray]:
     # array: numpy can round an in-place product of one row apart from the
     # same row in a longer array
     powers: Dict[Tuple[int, int], np.ndarray] = {}
-    # column -> the last polynomial that needs a power of it
-    last = {column[k]: i for i, p in enumerate(polys) for a, b in p.terms
-            for k, e in enumerate(a + b) if e}
-    for i, p in enumerate(polys):
+    values = []
+    for p in polys:
         summed_real = real and all(c.is_real() for c in p.terms.values())
         total = None
         for (a, b), c in p.terms.items():
@@ -493,9 +490,8 @@ def evaluate_joint(polys: Sequence[MixedPolynomial], Z) -> Iterator[np.ndarray]:
                 total += term
         if total is None:  # the zero polynomial
             total = np.zeros(Z.shape[0], dtype=float if real else complex)
-        for key in [key for key in powers if last[key[0]] == i]:
-            del powers[key]
-        yield total
+        values.append(total)
+    return values
 
 
 def infer_variable_count(text: str) -> int:
@@ -660,8 +656,8 @@ def laplacian_z(p: MixedPolynomial) -> MixedPolynomial:
     """Delta_z p = 4 sum_i d_i dbar_i p."""
     out = MixedPolynomial.zero(p.n)
     for i in range(1, p.n // 2 + 1):
-        out = out + p.wirtinger(i).wirtinger(i, conjugated=True) * 4
-    return out
+        out = out + p.wirtinger(i).wirtinger(i, conjugated=True)
+    return out * 4
 
 
 def grad_dot_z(p: MixedPolynomial, q: MixedPolynomial) -> MixedPolynomial:

@@ -215,7 +215,9 @@ def test_batched_evaluation_matches_row_by_row(f):
     assert np.array_equal(on_grid[1], evaluate_residual(b, z, w, t))
 
 
-def test_residual_groups_are_built_once_per_bundle(monkeypatch):
+def test_residual_check_makes_each_remainder_group_once(monkeypatch):
+    # one check over the whole t-grid solves each order past the truncation
+    # once, and the groups, made anew on each call, do not change
     b = build_U(A2, 3)
     orders = []
     rhs = parametrix._recursion_rhs
@@ -225,11 +227,9 @@ def test_residual_groups_are_built_once_per_bundle(monkeypatch):
         return rhs(bundle, U, j)
 
     monkeypatch.setattr(parametrix, "_recursion_rhs", counted)
-    z, w = [[0.3 + 0.1j]], [[-0.2 + 0.4j]]
-    first = evaluate_residual(b, z, w, 0.05)
-    assert np.array_equal(evaluate_residual(b, z, w, 0.05), first)
     residual_order_check(b, *random_pairs(1, 1, seed=0))
     assert orders == [3, 4, 5]
+    assert residual_polynomials(b) == residual_polynomials(b)
 
 
 def test_residual_leading_exponent_a1_k2():
@@ -323,11 +323,42 @@ def test_operator_product_matches_pairwise_products_merged_by_symbol(text, n):
             [(op.canon_key(), list(poly.terms)) for op, poly in ref.items()]
 
 
+@pytest.mark.parametrize("text,n,k", [
+    ("z1^3 + z2^3", 2, 4), ("z1^2*z2 + z2^3", 2, 2), ("i*z1^3 + (1/3)*z2^2", 2, 3), ("z1^3", 1, 4),
+])
+def test_every_symbol_has_first_entry_one(text, n, k):
+    # the canonical form of every symbol of B, of each U_j and of each remainder group
+    b = build_U(parse(text, n), k)
+    for P in [b.B] + b.U + list(residual_polynomials(b)):
+        for op in P.terms:
+            assert op.sorted_terms()[0][1] == 1
+
+
+def test_canonical_form_is_made_once_per_symbol(monkeypatch):
+    # a symbol is made canonical at construction or once per distinct
+    # nonzero product, whose canonical form the product cache keeps
+    monkeypatch.setattr(parametrix, "_matmul_cache", {})
+    calls = []
+    canonical = parametrix._canonical
+
+    def counted(op):
+        calls.append(op)
+        return canonical(op)
+
+    monkeypatch.setattr(parametrix, "_canonical", counted)
+    build_U(PROD, 4)
+    products = [v for v in parametrix._matmul_cache.values() if v is not None]
+    assert products and len(products) < len(parametrix._matmul_cache)
+    # the constructor inputs: the identity U_0 and the four Hessian-coupling atoms of B
+    assert len(calls) == len(products) + 5
+
+
 @pytest.mark.parametrize("text,n,k,digest", [
     ("(1/2)*z1^2", 1, 4, "f48ac4d6cf163f7803aa2017b5450e6962df145931a7cb937073ab14b7527ede"),
     ("z1^3", 1, 4, "dc2420a02454bb364212b9587232500f070bd7ad569a49b48fa0edc0fdec6960"),
     ("z1^3 + z2^4", 2, 3, "4a6f4f8f918d4f683514bc3332839a35a75b11bdc4e9d6a89c1d7ff8559a4dba"),
-], ids=["A1", "A2", "E6"])
+    ("i*z1^3 + (1/3)*z2^2", 2, 3, "eb1477d56a280f5944644c8148d33ae196ec99605d5c9dd5c6e7818bdff9b608"),
+], ids=["A1", "A2", "E6", "non-real"])
 def test_bundle_dump_is_pinned(text, n, k, digest):
     # g, every U_j and the three remainder groups, as exact text
     b = build_U(parse(text, n), k)

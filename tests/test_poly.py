@@ -383,7 +383,7 @@ def test_evaluate_joint_matches_one_polynomial_at_a_time(n, rows):
             for p, v in zip(order, got):
                 assert v.shape == (rows,)
                 assert np.array_equal(v, one_at_a_time[polys.index(p)])
-    assert np.all(next(evaluate_joint([unit], Z)) == 1)
+    assert np.all(evaluate_joint([unit], Z)[0] == 1)
     with pytest.raises(ValueError, match="share their variable count"):
         list(evaluate_joint([f, parse("z1", n + 1)], Z))
 
