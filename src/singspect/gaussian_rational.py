@@ -122,6 +122,10 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, int) and other:
+            # (p + q i) / (d * other), the sign of other moved onto the numerator
+            s = 1 if other > 0 else -1
+            return _reduced(s * self._p, s * self._q, self._d * (s * other))
         t = self._triple(other)
         if t is None:
             return NotImplemented

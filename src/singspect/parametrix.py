@@ -17,6 +17,13 @@ remainder of the truncated parametrix.  All real-gradient expressions are
 translated to Wirtinger form once: Delta = 4 sum d dbar,
 grad.grad = 2 sum (d (x) dbar + dbar (x) d), (grad g)^2 = 4 sum dg dbar g.
 
+Each right-hand side is one product kernel call per canonical symbol: its
+five terms become (c, p, q) triples under their symbols, in the order
+written above, and poly's kernel sums each symbol's triples at once.  The
+left-hand side is one pass over the terms of U_{j+1}, each times j + 1
+plus its u-degree, the inverse of the tau average; build_U checks it
+against the right-hand side it solved by exact equality.
+
 An operator-valued polynomial is a SparseMap (gaussian_rational.py) from
 canonical ExteriorOperator symbols to scalar two-point polynomial
 coefficients (2n-slot MixedPolynomials in u = z - w and w, see poly.py), so
@@ -27,13 +34,14 @@ map's sums, negation and scaling are SparseMap's, and the scalar calculus
 (`map_polys`) keeps the symbols as they are.  The product groups the symbol
 pairs by their cached canonical product and makes each symbol's poly, the
 sum of its pairs' scalar products, in one call of poly's exact product
-kernel.  Nothing else is memoized: the remainder groups are recomputed on
-each call.
+kernel; the right-hand side takes the pairs of B U_j the same way.
+Nothing else is memoized: the remainder groups are recomputed on each call.
 
 Numeric evaluation takes the point pairs as two complex (m, n) arrays z and
 w and returns an (m, 4^n, 4^n) stack, one dense matrix per pair; the
-scalar factors go through poly.evaluate_two_point.  Only the evaluators
-import numpy: building and checking the parametrix is numpy-free.
+scalar factors of an operator polynomial go through one
+poly.evaluate_two_point_joint call.  Only the evaluators import numpy:
+building and checking the parametrix is numpy-free.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ from .poly import (
     _sum_of_products,
     at_u_zero,
     evaluate_two_point,
+    evaluate_two_point_joint,
     from_single_point,
     grad_dot_z,
     hermitian_gradient_square,
@@ -79,6 +88,21 @@ def _canonical(op: ExteriorOperator) -> Tuple[ExteriorOperator, GaussianRational
     """(symbol, c) with op = c * symbol and the symbol's first (sorted) entry 1."""
     c0 = op.terms[min(op.terms)]
     return (op, c0) if c0 == 1 else (op.scale(GaussianRational(1) / c0), c0)
+
+
+def _symbol_products(P: "OperatorPolynomial", Q: "OperatorPolynomial"):
+    """(symbol, c, p, q) for each symbol pair of P @ Q whose product c * symbol is nonzero."""
+    for op1, p1 in P.terms.items():
+        for op2, p2 in Q.terms.items():
+            product = _cached_matmul(op1, op2)
+            if product is not None:
+                yield product[0], product[1], p1, p2
+
+
+def _summed_by_symbol(n: int, groups) -> Dict[ExteriorOperator, MixedPolynomial]:
+    """Each symbol's (c, p, q) triples summed by one product kernel call, zero sums dropped."""
+    return SparseMap._nonzero({op: _sum_of_products(2 * n, triples)
+                               for op, triples in groups.items()})
 
 
 def _by_symbol(pairs) -> Dict[ExteriorOperator, MixedPolynomial]:
@@ -127,14 +151,9 @@ class OperatorPolynomial(SparseMap):
     def __matmul__(self, other: "OperatorPolynomial") -> "OperatorPolynomial":
         """The symbol products grouped by canonical symbol, then one product kernel per symbol."""
         groups: Dict[ExteriorOperator, list] = {}
-        for op1, p1 in self.terms.items():
-            for op2, p2 in other.terms.items():
-                product = _cached_matmul(op1, op2)
-                if product is not None:
-                    op, c0 = product
-                    groups.setdefault(op, []).append((c0, p1, p2))
-        return self._raw(self.n, SparseMap._nonzero(
-            {op: _sum_of_products(2 * self.n, triples) for op, triples in groups.items()}))
+        for op, c0, p1, p2 in _symbol_products(self, other):
+            groups.setdefault(op, []).append((c0, p1, p2))
+        return self._raw(self.n, _summed_by_symbol(self.n, groups))
 
     # -- z-direction calculus, applied to the scalar factors -----------------
 
@@ -142,18 +161,8 @@ class OperatorPolynomial(SparseMap):
         """fn applied to every poly; the symbols, already canonical, are kept."""
         return self._raw(self.n, self._nonzero({op: fn(poly) for op, poly in self.terms.items()}))
 
-    def laplacian_z(self) -> "OperatorPolynomial":
-        return self.map_polys(laplacian_z)
-
-    def u_euler(self) -> "OperatorPolynomial":
-        return self.map_polys(u_euler)
-
     def tau_weighted(self, j: int) -> "OperatorPolynomial":
         return self.map_polys(lambda p: tau_weighted(p, j))
-
-    def grad_dot_with(self, g: MixedPolynomial) -> "OperatorPolynomial":
-        """grad_z g . grad_z self, scalar-gradient against each coefficient."""
-        return self.map_polys(lambda p: grad_dot_z(g, p))
 
     # -- reductions ----------------------------------------------------------
 
@@ -178,8 +187,10 @@ class OperatorPolynomial(SparseMap):
 
         dim = 4 ** self.n
         out = np.zeros((len(z), dim, dim), dtype=complex)
-        for op, poly in self.terms.items():
-            out += evaluate_two_point(poly, z, w)[:, None, None] * op.to_numpy()
+        if self.terms:
+            values = evaluate_two_point_joint(list(self.terms.values()), z, w)
+            for op, v in zip(self.terms, values):
+                out += v[:, None, None] * op.to_numpy()
         return out
 
     def dump(self) -> str:
@@ -210,9 +221,11 @@ class ParametrixBundle:
     g: MixedPolynomial
     B: OperatorPolynomial
     U: List[OperatorPolynomial]
-    # derived from g once by build_U: Delta g and (grad g)^2
+    # derived from g once by build_U: Delta g, (grad g)^2 and the Wirtinger
+    # derivatives (d_i g, dbar_i g) for i = 1..n
     lap_g: MixedPolynomial
     grad_sq_g: MixedPolynomial
+    grad_g: Tuple[Tuple[MixedPolynomial, MixedPolynomial], ...]
 
 
 def build_g(V: MixedPolynomial) -> MixedPolynomial:
@@ -222,7 +235,7 @@ def build_g(V: MixedPolynomial) -> MixedPolynomial:
     g = segment_average(V, 0)
     if not (swap_points(g) - g).is_zero():
         raise AssertionError("mean-value function is not point-symmetric")
-    if not (u_euler(g) + g - from_single_point(V)).is_zero():
+    if u_euler(g, 1) != from_single_point(V):
         raise AssertionError("Euler identity (z-w).grad g + g = V failed")
     return g
 
@@ -236,19 +249,42 @@ def build_B(f: MixedPolynomial) -> OperatorPolynomial:
 def _recursion_rhs(bundle: ParametrixBundle, U, j) -> OperatorPolynomial:
     """Delta U_j - B U_j - Delta g U_{j-1} - 2 grad g . grad U_{j-1} + (grad g)^2 U_{j-2}.
 
-    Terms with a negative index vanish, so j = 0 gives -B.
+    Terms with a negative index vanish, so j = 0 gives -B.  Each term adds
+    (c, p, q) triples under canonical symbols, in Wirtinger form and in
+    this order: 4 d_i dbar_i p against the constant 1; the symbol pairs of
+    B U_j, taken as the operator product takes them; p against Delta g;
+    the 2n products -4 d_i g dbar_i p and -4 dbar_i g d_i p; and p against
+    (grad g)^2.  Each symbol's poly is one product kernel call over its
+    triples.
     """
-    rhs = U[j].laplacian_z() - (bundle.B @ U[j])
+    n = bundle.f.n
+    one = MixedPolynomial.constant(2 * n, 1)
+    groups: Dict[ExteriorOperator, list] = {}
+
+    def add(op, c, p, q):
+        if p and q:
+            groups.setdefault(op, []).append((c, p, q))
+
+    for op, p in U[j].terms.items():
+        for i in range(1, n + 1):
+            add(op, 4, p.wirtinger(i).wirtinger(i, conjugated=True), one)
+    for op, c0, p1, p2 in _symbol_products(bundle.B, U[j]):
+        add(op, -c0, p1, p2)
     if j >= 1:
-        rhs = rhs - U[j - 1].scale(bundle.lap_g) - U[j - 1].grad_dot_with(2 * bundle.g)
+        for op, p in U[j - 1].terms.items():
+            add(op, -1, p, bundle.lap_g)
+            for i, (dg, dbar_g) in enumerate(bundle.grad_g, 1):
+                add(op, -4, dg, p.wirtinger(i, conjugated=True))
+                add(op, -4, dbar_g, p.wirtinger(i))
     if j >= 2:
-        rhs = rhs + U[j - 2].scale(bundle.grad_sq_g)
-    return rhs
+        for op, p in U[j - 2].terms.items():
+            add(op, 1, p, bundle.grad_sq_g)
+    return OperatorPolynomial._raw(n, _summed_by_symbol(n, groups))
 
 
 def _recursion_lhs(U, j) -> OperatorPolynomial:
-    """(j+1) U_{j+1} + (z-w).grad_z U_{j+1}."""
-    return U[j + 1].scale(j + 1) + U[j + 1].u_euler()
+    """(j+1) U_{j+1} + (z-w).grad_z U_{j+1}: each term times j + 1 plus its u-degree."""
+    return U[j + 1].map_polys(lambda p: u_euler(p, j + 1))
 
 
 def build_U(f: MixedPolynomial, k: int) -> ParametrixBundle:
@@ -265,6 +301,8 @@ def build_U(f: MixedPolynomial, k: int) -> ParametrixBundle:
     bundle = ParametrixBundle(
         f=f, k=k, V=V, g=g, B=build_B(f), U=[OperatorPolynomial.identity(f.n)],
         lap_g=laplacian_z(g), grad_sq_g=grad_dot_z(g, g),
+        grad_g=tuple((g.wirtinger(i), g.wirtinger(i, conjugated=True))
+                     for i in range(1, f.n + 1)),
     )
     U = bundle.U
     rhs = []
@@ -272,8 +310,8 @@ def build_U(f: MixedPolynomial, k: int) -> ParametrixBundle:
         rhs.append(_recursion_rhs(bundle, U, j))
         U.append(rhs[j].tau_weighted(j))
 
-    for j in range(k):
-        if not (_recursion_lhs(U, j) - rhs[j]).is_zero():
+    for j in range(k):  # normal forms are unique, so the identity is an equality
+        if _recursion_lhs(U, j) != rhs[j]:
             raise AssertionError(f"recursion identity failed at j={j}")
     if k >= 1 and not (U[1].swap_points() - U[1]).is_zero():
         raise AssertionError("U_1 is not symmetric in z and w")

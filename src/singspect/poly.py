@@ -24,7 +24,8 @@ output parses back to the same polynomial.
 Every exact product is one kernel, `_sum_of_products`, which sums
 c * p * q over a list of triples: `p * q` is the kernel on one pair,
 `grad_dot_z` and `hermitian_gradient_square` call it once over all their
-pairs, and operator polynomials (parametrix.py) once per product symbol.
+pairs, and operator polynomials (parametrix.py) once per symbol of a
+product or of a recursion right-hand side.
 It packs each exponent pair into one int and sums integer products of the
 coefficients' numerators over a common denominator, so no GaussianRational
 is made until each output term's one; its terms come in the order of the
@@ -48,9 +49,10 @@ coefficients is computed in float64 and one with a non-real coefficient in
 complex128.  Any other input is read as complex points and computed in
 complex128.  `abs_square` gives |v|^2 of either kind of values.  A
 polynomial in two points is evaluated at the pairs of two (m, n) arrays z
-and w by `evaluate_two_point`, the one place that builds the rows
-[z - w, w].  The algebra is exact and numpy-free; only these float
-evaluators import numpy.
+and w by `evaluate_two_point`, and several such polynomials by
+`evaluate_two_point_joint`; both build the rows [z - w, w] in one place.
+The algebra is exact and numpy-free; only these float evaluators import
+numpy.
 """
 
 from __future__ import annotations
@@ -570,7 +572,7 @@ def hermitian_gradient_square(f: MixedPolynomial) -> MixedPolynomial:
 # u = z - w in slots 1..n and w in slots n+1..2n.  Derivatives in z act on
 # the u slots only, so d/dz_i is wirtinger(i).  The functions below are the
 # only code that knows this layout; each reads n as p.n // 2.  Point pairs
-# come in as two (m, n) arrays, and evaluate_two_point is the one place that
+# come in as two (m, n) arrays, and _two_point_rows is the one place that
 # builds their rows [z - w, w].
 
 
@@ -613,22 +615,26 @@ def from_single_point(p: MixedPolynomial) -> MixedPolynomial:
 
 
 def tau_weighted(p: MixedPolynomial, j: int) -> MixedPolynomial:
-    """Apply int_0^1 p(tau*u, w) tau^j dtau: weight 1/(d_u + j + 1)."""
+    """Apply int_0^1 p(tau*u, w) tau^j dtau: each term divided by its u-degree + j + 1.
+
+    Each quotient is the coefficient's denominator times that integer,
+    normalized with one gcd; u_euler(., j + 1) is the inverse.
+    """
     if j < 0:
         raise ValueError("tau weight must be non-negative")
     n = p.n // 2
     out: Terms = {}
     for k, c in p.terms.items():
-        out[k] = c * Fraction(1, _u_degree(k, n) + j + 1)
+        out[k] = c / (_u_degree(k, n) + j + 1)
     return MixedPolynomial._raw(p.n, out)
 
 
-def u_euler(p: MixedPolynomial) -> MixedPolynomial:
-    """(z - w) . grad_z, the Euler operator in u: multiply by u-degree."""
+def u_euler(p: MixedPolynomial, shift: int = 0) -> MixedPolynomial:
+    """(z - w) . grad_z p + shift * p: each term times its u-degree plus shift."""
     n = p.n // 2
     out: Terms = {}
     for k, c in p.terms.items():
-        d = _u_degree(k, n)
+        d = _u_degree(k, n) + shift
         if d:
             out[k] = c * d
     return MixedPolynomial._raw(p.n, out)
@@ -669,12 +675,25 @@ def grad_dot_z(p: MixedPolynomial, q: MixedPolynomial) -> MixedPolynomial:
     return _sum_of_products(p.n, triples)
 
 
-def evaluate_two_point(p: MixedPolynomial, z, w) -> np.ndarray:
-    """p at the point pairs (z[i], w[i]) of two (m, n) arrays: one value per pair."""
+def _two_point_rows(z, w) -> np.ndarray:
+    """The complex (m, 2n) rows [z - w, w] of the point pairs of two (m, n) arrays."""
     import numpy as np
 
     z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
-    return p.evaluate_many(np.concatenate([z - w, w], axis=1))
+    return np.concatenate([z - w, w], axis=1)
+
+
+def evaluate_two_point(p: MixedPolynomial, z, w) -> np.ndarray:
+    """p at the point pairs (z[i], w[i]) of two (m, n) arrays: one value per pair."""
+    return p.evaluate_many(_two_point_rows(z, w))
+
+
+def evaluate_two_point_joint(polys: Sequence[MixedPolynomial], z, w) -> List[np.ndarray]:
+    """Each polynomial's values at the point pairs of two (m, n) arrays: one `evaluate_joint` call.
+
+    The values equal evaluate_two_point's on each polynomial alone.
+    """
+    return evaluate_joint(polys, _two_point_rows(z, w))
 
 
 def segment_average(p: MixedPolynomial, j: int) -> MixedPolynomial:

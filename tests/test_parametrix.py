@@ -27,12 +27,40 @@ from singspect.poly import (
     hermitian_gradient_square,
     laplacian_z,
     parse,
+    u_euler,
 )
 
 A1 = parse("(1/2)*z1^2", 1)
 A2 = parse("z1^3", 1)
 PROD = parse("z1^3 + z2^3", 2)
 TRIPLE = parse("z1^3 + z2^3 + z3^3", 3)
+
+
+# the operator-level z-calculus, one scalar operation per symbol: the
+# reference for the recursion's fused right- and left-hand sides
+
+
+def op_laplacian(P):
+    return P.map_polys(laplacian_z)
+
+
+def op_u_euler(P):
+    return P.map_polys(u_euler)
+
+
+def op_grad_dot_with(P, g):
+    """grad_z g . grad_z P, scalar-gradient against each coefficient."""
+    return P.map_polys(lambda p: grad_dot_z(g, p))
+
+
+def composed_rhs(b, U, j):
+    """The order-j right-hand side as a sum of whole operator polynomials."""
+    rhs = op_laplacian(U[j]) - (b.B @ U[j])
+    if j >= 1:
+        rhs = rhs - U[j - 1].scale(b.lap_g) - op_grad_dot_with(U[j - 1], 2 * b.g)
+    if j >= 2:
+        rhs = rhs + U[j - 2].scale(b.grad_sq_g)
+    return rhs
 
 
 def random_pairs(samples, n, seed):
@@ -69,15 +97,15 @@ def test_U1_symmetry_and_defining_equation():
     for f in (A2, PROD):
         b = build_U(f, 1)
         assert (b.U[1].swap_points() - b.U[1]).is_zero()
-        assert (b.U[1] + b.U[1].u_euler() + b.B).is_zero()
+        assert (b.U[1] + op_u_euler(b.U[1]) + b.B).is_zero()
 
 
 def test_U2_satisfies_displayed_j1_identity():
     for f in (A1, A2):
         b = build_U(f, 2)
         lap_g = laplacian_z(b.g)
-        lhs = b.U[2].scale(2) + b.U[2].u_euler()
-        rhs = b.U[1].laplacian_z() - (b.B @ b.U[1]) \
+        lhs = b.U[2].scale(2) + op_u_euler(b.U[2])
+        rhs = op_laplacian(b.U[1]) - (b.B @ b.U[1]) \
             - OperatorPolynomial.identity(f.n).scale(lap_g)
         assert (lhs - rhs).is_zero()
 
@@ -87,6 +115,25 @@ def test_recursion_identities_exact(f, k):
     b = build_U(f, k)
     for j in range(0, k):
         assert recursion_residual(b, j).is_zero()
+
+
+@pytest.mark.parametrize("text,n,k", [
+    ("(1/2)*z1^2", 1, 3), ("z1^3", 1, 3), ("z1^3 + z2^4", 2, 2),
+    ("i*z1^3 + (1/3)*z2^2", 2, 2), ("z1^3 + z1*z2^3", 2, 2),
+], ids=["A1", "A2", "E6", "non-real", "E7"])
+def test_fused_rhs_matches_composed_rhs(text, n, k):
+    # every order of the build and of the remainder groups, U padded by zeros past k
+    b = build_U(parse(text, n), k)
+    U = b.U + [OperatorPolynomial.zero(n)] * 2
+    for j in range(k + 3):
+        fused, composed = parametrix._recursion_rhs(b, U, j), composed_rhs(b, U, j)
+        assert fused == composed
+        # the same symbol and term order too, so float evaluation is unchanged to the bit
+        assert [(op.canon_key(), list(p.terms)) for op, p in fused.terms.items()] == \
+            [(op.canon_key(), list(p.terms)) for op, p in composed.terms.items()]
+        if j < k:
+            lhs = U[j + 1].scale(j + 1) + op_u_euler(U[j + 1])
+            assert parametrix._recursion_lhs(U, j) == lhs == fused
 
 
 @pytest.mark.parametrize("bad_j", [0, 2])
@@ -116,7 +163,7 @@ def test_remainder_groups_match_hand_expanded_formulas(f, k):
     for i in range(1, f.n + 1):
         grad_sq_g = grad_sq_g + 4 * (g.wirtinger(i) * g.wirtinger(i, conjugated=True))
     assert grad_dot_z(g, g) == grad_sq_g
-    t_k1 = U[k].scale(laplacian_z(g)) + U[k].grad_dot_with(g).scale(2) \
+    t_k1 = U[k].scale(laplacian_z(g)) + op_grad_dot_with(U[k], g).scale(2) \
         - U[k - 1].scale(grad_sq_g)
     t_k2 = U[k].scale(grad_sq_g).scale(-1)
     _, got_k1, got_k2 = residual_polynomials(b)
@@ -213,6 +260,19 @@ def test_batched_evaluation_matches_row_by_row(f):
     # a grid of times leads the shape, one time at a time
     on_grid = evaluate_residual(b, z, w, [0.01, t])
     assert np.array_equal(on_grid[1], evaluate_residual(b, z, w, t))
+
+
+@pytest.mark.parametrize("text,n,k", [("z1^3", 1, 3), ("z1^3 + z1*z2^3", 2, 2)])
+def test_operator_evaluation_equals_per_symbol_sum(text, n, k):
+    # one joint evaluation of all symbols' polys gives the per-symbol sum to the bit
+    b = build_U(parse(text, n), k)
+    z, w = random_pairs(5, n, seed=4)
+    dim = 4 ** n
+    for P in b.U + list(residual_polynomials(b)) + [OperatorPolynomial.zero(n)]:
+        ref = np.zeros((len(z), dim, dim), dtype=complex)
+        for op, poly in P.terms.items():
+            ref += evaluate_two_point(poly, z, w)[:, None, None] * op.to_numpy()
+        assert np.array_equal(P.evaluate(z, w), ref)
 
 
 def test_residual_check_makes_each_remainder_group_once(monkeypatch):
@@ -364,3 +424,13 @@ def test_bundle_dump_is_pinned(text, n, k, digest):
     b = build_U(parse(text, n), k)
     dump = dump_bundle(b) + "\n".join(g.dump() for g in residual_polynomials(b))
     assert hashlib.sha256(dump.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("text,n,k,digest", [
+    ("z1^3 + z1*z2^3", 2, 3, "db47ff903a57f7f0ba6f02fd172924d17e865d126aee6132c488ce86753b9b50"),
+    ("z1^3 + z2^3", 2, 6, "8cabd4e90d4f1eba9be0233ff18b50d70c457188a23af97e854787deb2119e9a"),
+], ids=["E7", "Brieskorn-Pham-k6"])
+def test_bundle_dump_without_remainder_is_pinned(text, n, k, digest):
+    # g and every U_j as exact text; E7's symbol products include negated canonical forms
+    b = build_U(parse(text, n), k)
+    assert hashlib.sha256(dump_bundle(b).encode()).hexdigest() == digest

@@ -20,6 +20,8 @@ from singspect.poly import (
     parse,
     segment_average,
     swap_points,
+    tau_weighted,
+    u_euler,
 )
 
 
@@ -271,6 +273,15 @@ def test_segment_average_matches_gauss_legendre(p, j, xs):
     scale = np.sum(weights * sizes) / 2
     got = evaluate_two_point(segment_average(p, j), z[None], w[None])[0]
     assert abs(got - ref) <= 1e-10 * max(scale, 1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(4, max_terms=4, max_deg=3), st.integers(0, 4))
+def test_shifted_u_euler_inverts_the_tau_average(p, j):
+    # (j + 1) p + (z - w).grad_z p in one pass, and the tau average undoes it
+    assert u_euler(p, j + 1) == p * (j + 1) + u_euler(p)
+    assert tau_weighted(u_euler(p, j + 1), j) == p
+    assert u_euler(tau_weighted(p, j), j + 1) == p
 
 
 def test_evaluation_takes_arrays_of_points():
