@@ -50,7 +50,10 @@ and not its imports.  `index` loads numpy but not the spectral layer,
 `torsion` loads the spectral layer but not the index integral, and
 `weights`, `torsion --exact` (the A_1 closed form in `zeta`) and the exact
 suites `verify clifford-identities` and `verify parametrix-identities` load
-no numpy at all.
+no numpy at all.  No command imports `dataclasses`, which with the
+`inspect`, `ast` and `dis` it loads and the methods it generates cost about
+8 ms of every process's start-up: the package's records are NamedTuples or
+`__slots__` classes.
 
 A CLI process runs one BLAS thread: importing this module sets
 OPENBLAS_NUM_THREADS=1 unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
@@ -330,6 +333,7 @@ def _suite_spectral(seed: int) -> list:
     from .spectral import (
         GalerkinConfig, ar_data, eigensolve, renormalize_and_torsion, torsion_exact_a1,
     )
+    from .zeta import zeta_and_derivative
 
     checks = []
     f = parse("(1/2)*z1^2", 1)
@@ -339,7 +343,7 @@ def _suite_spectral(seed: int) -> list:
     checks.append(("A_1 eigenvalues", bool(np.max(np.abs(lam - ref)) < 1e-6)))
     exact = torsion_exact_a1(0.5)
     checks.append(("A_1 exact torsion",
-                   abs(exact.torsion - math.exp(0.16542114370045092)) < 1e-10))
+                   abs(exact.torsion - math.exp(-zeta_and_derivative(-1.0)[1])) < 1e-10))
     big = eigensolve(GalerkinConfig(f, basis_size=60, sector_cutoff=70))
     numeric = renormalize_and_torsion(big, ar_data(f))
     checks.append(("numeric path within 1e-3",

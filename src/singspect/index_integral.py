@@ -54,9 +54,8 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -69,8 +68,7 @@ class UnsupportedNodeCount(ValueError):
     """A quadrature node count below _MIN_QUADRATURE_NODES or whose rule is too large to run."""
 
 
-@dataclass(frozen=True)
-class IndexEstimate:
+class IndexEstimate(NamedTuple):
     t: float
     estimate: float
     std_error: float
@@ -78,8 +76,7 @@ class IndexEstimate:
     budget: int
 
 
-@dataclass(frozen=True)
-class IndexResult:
+class IndexResult(NamedTuple):
     estimates: Tuple[IndexEstimate, ...]
     mu_pooled: float
     mu_rounded: int

@@ -34,24 +34,25 @@ one value per time: the heat traces work elementwise in t, for which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from .spectrum import Spectrum
 
 
-@dataclass(frozen=True)
 class OscillatorSpec:
     """Parameters of the oscillator f = (tau/2) z^2 at time t (an array, for the heat traces)."""
 
-    tau: complex
-    t: float | np.ndarray
+    __slots__ = ("tau", "t")
 
-    def __post_init__(self):
-        if not abs(self.tau) > 0:
+    def __init__(self, tau: complex, t: float | np.ndarray):
+        if not abs(tau) > 0:
             raise ValueError("tau must be nonzero")
-        if not np.all(self.t > 0):
+        if not np.all(t > 0):
             raise ValueError("t must be positive")
+        self.tau = tau
+        self.t = t
 
     @property
     def a(self) -> float:
@@ -78,8 +79,7 @@ def spectrum_k_forms(spec: OscillatorSpec, form_degree: int, count: int) -> Spec
 # -- kernels ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelValues:
+class KernelValues(NamedTuple):
     """Scalar kernel of 0/2-forms and the two 1-form sector coefficients.
 
     The 1-form kernel is scalar_minus * phi-(z) (x) phi-(w) plus the plus

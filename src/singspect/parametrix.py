@@ -47,8 +47,7 @@ building and checking the parametrix is numpy-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .clifford import ExteriorOperator, hessian_coupling
 from .gaussian_rational import GaussianRational, SparseMap
@@ -213,8 +212,7 @@ def _fmt_coeff(v: GaussianRational) -> str:
 # -- bundle construction ---------------------------------------------------------
 
 
-@dataclass
-class ParametrixBundle:
+class ParametrixBundle(NamedTuple):
     f: MixedPolynomial
     k: int
     V: MixedPolynomial
@@ -246,7 +244,13 @@ def build_B(f: MixedPolynomial) -> OperatorPolynomial:
     return OperatorPolynomial._raw(f.n, _by_symbol(pairs))
 
 
-def _recursion_rhs(bundle: ParametrixBundle, U, j) -> OperatorPolynomial:
+def _z_derivatives(P: OperatorPolynomial) -> Dict[ExteriorOperator, List[MixedPolynomial]]:
+    """[d_1 p, ..., d_n p] of each poly p of P, under its symbol."""
+    return {op: [p.wirtinger(i) for i in range(1, P.n + 1)] for op, p in P.terms.items()}
+
+
+def _recursion_rhs(bundle: ParametrixBundle, U, j,
+                   d_cur=None, d_prev=None) -> OperatorPolynomial:
     """Delta U_j - B U_j - Delta g U_{j-1} - 2 grad g . grad U_{j-1} + (grad g)^2 U_{j-2}.
 
     Terms with a negative index vanish, so j = 0 gives -B.  Each term adds
@@ -255,7 +259,9 @@ def _recursion_rhs(bundle: ParametrixBundle, U, j) -> OperatorPolynomial:
     B U_j, taken as the operator product takes them; p against Delta g;
     the 2n products -4 d_i g dbar_i p and -4 dbar_i g d_i p; and p against
     (grad g)^2.  Each symbol's poly is one product kernel call over its
-    triples.
+    triples.  `d_cur` and `d_prev` are `_z_derivatives` of U_j and U_{j-1},
+    taken here when not given: build_U passes each order's d_cur on as the
+    next order's d_prev, so every d_i p is taken once.
     """
     n = bundle.f.n
     one = MixedPolynomial.constant(2 * n, 1)
@@ -265,17 +271,21 @@ def _recursion_rhs(bundle: ParametrixBundle, U, j) -> OperatorPolynomial:
         if p and q:
             groups.setdefault(op, []).append((c, p, q))
 
-    for op, p in U[j].terms.items():
-        for i in range(1, n + 1):
-            add(op, 4, p.wirtinger(i).wirtinger(i, conjugated=True), one)
+    if d_cur is None:
+        d_cur = _z_derivatives(U[j])
+    for op, dp in d_cur.items():
+        for i, dp_i in enumerate(dp, 1):
+            add(op, 4, dp_i.wirtinger(i, conjugated=True), one)
     for op, c0, p1, p2 in _symbol_products(bundle.B, U[j]):
         add(op, -c0, p1, p2)
     if j >= 1:
+        if d_prev is None:
+            d_prev = _z_derivatives(U[j - 1])
         for op, p in U[j - 1].terms.items():
             add(op, -1, p, bundle.lap_g)
             for i, (dg, dbar_g) in enumerate(bundle.grad_g, 1):
                 add(op, -4, dg, p.wirtinger(i, conjugated=True))
-                add(op, -4, dbar_g, p.wirtinger(i))
+                add(op, -4, dbar_g, d_prev[op][i - 1])
     if j >= 2:
         for op, p in U[j - 2].terms.items():
             add(op, 1, p, bundle.grad_sq_g)
@@ -305,10 +315,12 @@ def build_U(f: MixedPolynomial, k: int) -> ParametrixBundle:
                      for i in range(1, f.n + 1)),
     )
     U = bundle.U
-    rhs = []
+    rhs, d_prev = [], None
     for j in range(k):
-        rhs.append(_recursion_rhs(bundle, U, j))
+        d_cur = _z_derivatives(U[j])
+        rhs.append(_recursion_rhs(bundle, U, j, d_cur, d_prev))
         U.append(rhs[j].tau_weighted(j))
+        d_prev = d_cur
 
     for j in range(k):  # normal forms are unique, so the identity is an equality
         if _recursion_lhs(U, j) != rhs[j]:
@@ -383,8 +395,7 @@ def evaluate_residual(bundle: ParametrixBundle, z, w, t) -> np.ndarray:
                for i, grp in enumerate(residual_polynomials(bundle)))
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     fitted_exponents: Tuple[float, ...]
     min_exponent: float
 

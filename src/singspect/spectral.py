@@ -16,9 +16,11 @@ Theta^i(s) = (2^{i-1} - 1) sum lambda_i^{-s}; its renormalized derivative at
 s = 0 defines the torsion log T^i = -(Theta^i)'(0).  Two routes compute it:
 
   * exact (A_1): Theta^2(s) = (2 tau)^{-s} zeta(s - 1), so
-    T^2 = (2 tau)^{-1/12} exp(-zeta'(-1)) with the Euler-Maclaurin oracle;
-    this route and the extraction of c and r from f (`ar_data`) live in the
-    numpy-free `zeta` module and are re-exported here;
+    T^2 = (2 tau)^{-1/12} exp(-zeta'(-1)) with zeta'(-1) = 1/12 - ln A in
+    closed form (A is Glaisher's constant; the Euler-Maclaurin oracle
+    checks it); this route and the extraction of c and r from f
+    (`ar_data`) live in the numpy-free `zeta` module and are re-exported
+    here;
   * numeric: Mellin split at t = 1/E, with E = v^{1/(r+1)} the energy unit;
     the upper part sums exponential integrals termwise and takes the Weyl
     tail in closed form, the lower part fits the heat trace on the
@@ -37,8 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,23 +77,26 @@ _MAX_BASIS_SIZE = 1024
 _MAX_SECTOR_CUTOFF = 4096
 
 
-@dataclass
 class GalerkinConfig:
-    f: MixedPolynomial
-    basis_size: int = 40
-    sector_cutoff: Optional[int] = None
+    """The singularity f, the radial basis size and the sector cutoff, with f's `data`."""
 
-    def __post_init__(self):
-        self.data = ar_data(self.f)
-        if not 8 <= self.basis_size <= _MAX_BASIS_SIZE:
+    __slots__ = ("f", "basis_size", "sector_cutoff", "data")
+
+    def __init__(self, f: MixedPolynomial, basis_size: int = 40,
+                 sector_cutoff: Optional[int] = None):
+        self.data = ar_data(f)
+        if not 8 <= basis_size <= _MAX_BASIS_SIZE:
             raise ValueError(f"basis_size must be from 8 to {_MAX_BASIS_SIZE}, "
-                             f"not {self.basis_size}")
+                             f"not {basis_size}")
         floor = 2 * self.data.r + 2
-        if self.sector_cutoff is None:
-            self.sector_cutoff = max(floor, 24)
-        if not floor <= self.sector_cutoff <= _MAX_SECTOR_CUTOFF:
+        if sector_cutoff is None:
+            sector_cutoff = max(floor, 24)
+        if not floor <= sector_cutoff <= _MAX_SECTOR_CUTOFF:
             raise ValueError(f"sector_cutoff must be from {floor} to {_MAX_SECTOR_CUTOFF}, "
-                             f"not {self.sector_cutoff}")
+                             f"not {sector_cutoff}")
+        self.f = f
+        self.basis_size = basis_size
+        self.sector_cutoff = sector_cutoff
 
 
 def _sector(size: int, alpha: int, r: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -177,8 +181,7 @@ def _eigensolve_at(config: GalerkinConfig, omega: float) -> Spectrum:
     return Spectrum(values[kept], mults[kept], complete_below=reliable)
 
 
-@dataclass(frozen=True)
-class RefinementReport:
+class RefinementReport(NamedTuple):
     spectra: Tuple[Spectrum, ...]
     max_increase: float
     truncation_errors: Tuple[float, ...]
@@ -209,8 +212,7 @@ def eigensolve_refined(config: GalerkinConfig, sizes: Sequence[int]) -> Refineme
 # -- tail model and heat trace ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeylTail:
+class WeylTail(NamedTuple):
     """Weyl counting model N(lambda) = a0 lambda^p / Gamma(p + 1) above Lambda = cutoff."""
 
     p: float
@@ -291,8 +293,7 @@ def theta(
     return pref * (partial + tail_val), pref * 0.25 * abs(tail_val)
 
 
-@dataclass
-class MellinResult:
+class MellinResult(NamedTuple):
     value_at_0: float
     derivative_at_0: float
     exponents: Tuple[float, ...]
@@ -492,8 +493,7 @@ def torsion_sum_rhs(mu1: int, n1: int, log_t1: float,
 _SUM_RULE_TOLERANCE = 2e-3
 
 
-@dataclass(frozen=True)
-class TorsionSumReport:
+class TorsionSumReport(NamedTuple):
     log_lhs: float
     log_rhs: float
     difference: float

@@ -3,13 +3,11 @@ arrays; a function of time takes an array of times, one value per time."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Sorted eigenvalues `values` with integer multiplicities `mults` (same shape).
 
@@ -17,15 +15,16 @@ class Spectrum:
     sums over the spectrum should either stay below it or correct for the tail.
     """
 
-    values: np.ndarray
-    mults: np.ndarray
-    complete_below: float
+    __slots__ = ("values", "mults", "complete_below")
 
-    def __post_init__(self):
-        if self.values.shape != self.mults.shape:
+    def __init__(self, values: np.ndarray, mults: np.ndarray, complete_below: float):
+        if values.shape != mults.shape:
             raise ValueError("values and mults must have equal shapes")
-        if np.any(np.diff(self.values) < 0):
+        if np.any(np.diff(values) < 0):
             raise ValueError("values must be sorted")
+        self.values = values
+        self.mults = mults
+        self.complete_below = complete_below
 
     @property
     def levels(self) -> Tuple[Tuple[float, int], ...]:

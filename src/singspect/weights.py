@@ -21,10 +21,9 @@ decided where the numeric layers convert it (`GaussianRational.__complex__`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .poly import MixedPolynomial, _monomial_str, gradient
 
@@ -81,16 +80,25 @@ class ConstancyViolated(RuntimeError):
         self.zscore = zscore
 
 
-@dataclass(frozen=True)
 class WeightVector:
     """Exact weights q_i in (0, 1/2] with q_i = k_i / d, gcd(d, k_1..k_n) = 1."""
 
-    q: Tuple[Fraction, ...]
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        for qi in self.q:
+    def __init__(self, q: Tuple[Fraction, ...]):
+        for qi in q:
             if not (0 < qi <= Fraction(1, 2)):
                 raise WeightOutOfRange(f"weight {qi} outside (0, 1/2]")
+        self.q = q
+
+    def __eq__(self, other):
+        return self.q == other.q if type(other) is WeightVector else NotImplemented
+
+    def __hash__(self):
+        return hash(self.q)
+
+    def __repr__(self):
+        return f"WeightVector(q={self.q!r})"
 
     @property
     def n(self) -> int:
@@ -126,8 +134,7 @@ class NondegeneracyReport:
         return {"no_bilinear": True, "isolated_witness": {"passed": True, "heuristic": False}}
 
 
-@dataclass(frozen=True)
-class TamenessReport:
+class TamenessReport(NamedTuple):
     q_max: Fraction
     q_min: Fraction
     gap: Fraction

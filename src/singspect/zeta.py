@@ -11,16 +11,17 @@ term reaches ~1e18 near s = -10, so the evaluation runs in 50-digit decimal
 arithmetic internally and rounds to float at the end.  Absolute error of
 both value and derivative is well below 1e-12 on the validated range.
 
-The A_1 torsion needs nothing but zeta'(-1), so its closed form lives here
-too, with the extraction of c and r from f = c z^{r+1} (`ar_data`) that
-both torsion paths start from.  The module imports no numpy, so `torsion
---exact` runs without it; `spectral` re-exports these names.
+The A_1 torsion needs only zeta(-1) = -1/12 and zeta'(-1) = 1/12 - ln A,
+where A is Glaisher's constant.  Its closed form lives here too, and takes
+the two values as float constants that equal `zeta_and_derivative(-1.0)` to
+the bit.  So does the extraction of c and r from f = c z^{r+1} (`ar_data`)
+that both torsion paths start from.  The module imports no numpy, so
+`torsion --exact` runs without it; `spectral` re-exports these names.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple, Tuple
@@ -35,6 +36,11 @@ _BERNOULLI = [
 
 _PRECISION = 50
 _N_TERMS = 50  # N, the direct terms
+
+# zeta(-1) = -1/12 and zeta'(-1) = 1/12 - ln A, correctly rounded: the same
+# doubles as zeta_and_derivative(-1.0), without its 6 ms of Decimal arithmetic
+ZETA_AT_MINUS_1 = -1 / 12
+ZETA_PRIME_AT_MINUS_1 = -0.16542114370045094
 
 
 def zeta_and_derivative(s: float) -> Tuple[float, float]:
@@ -99,8 +105,7 @@ class HeatExpansion(NamedTuple):
     energy: float
 
 
-@dataclass(frozen=True)
-class ArData:
+class ArData(NamedTuple):
     """One-variable monomial singularity f = c z^{r+1}."""
 
     coeff: complex
@@ -148,8 +153,7 @@ def ar_data(f: MixedPolynomial) -> ArData:
     return data
 
 
-@dataclass
-class ZetaResult:
+class ZetaResult(NamedTuple):
     theta_at_0: float
     log_torsion: float
     torsion: float
@@ -165,6 +169,5 @@ def torsion_exact_a1(tau: float) -> ZetaResult:
 
     T^2 = (2 tau)^{-1/12} exp(-zeta'(-1)).
     """
-    z_m1, zp_m1 = zeta_and_derivative(-1.0)
-    deriv = -math.log(2 * abs(tau)) * z_m1 + zp_m1
-    return ZetaResult(theta_at_0=z_m1, log_torsion=-deriv, torsion=math.exp(-deriv))
+    deriv = -math.log(2 * abs(tau)) * ZETA_AT_MINUS_1 + ZETA_PRIME_AT_MINUS_1
+    return ZetaResult(theta_at_0=ZETA_AT_MINUS_1, log_torsion=-deriv, torsion=math.exp(-deriv))

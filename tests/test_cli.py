@@ -480,6 +480,41 @@ def test_each_command_imports_only_what_it_runs(call, unloaded):
     assert proc.stdout.split() == ["0", "False"]
 
 
+# one run per command and per row of cli._MODULES, and whether it is numpy-free
+_STARTUP_RUNS = {
+    "weights": (["weights", "z1^3 + z2^4"], True),
+    "index": (["index", "z1^3", "--t", "1", "--samples", "1000"], False),
+    "torsion": (["torsion", "z1^3", "--basis", "20", "--sectors", "24"], False),
+    "torsion --exact": (["torsion", "(1/2)*z1^2", "--exact"], True),
+    "clifford-identities": (["verify", "clifford-identities"], True),
+    "parametrix-identities": (["verify", "parametrix-identities"], True),
+    "oscillator-consistency": (["verify", "oscillator-consistency"], False),
+    "index-mckean-singer": (["verify", "index-mckean-singer"], False),
+    "spectral-a1": (["verify", "spectral-a1"], False),
+}
+
+
+@pytest.mark.parametrize("command", list(_STARTUP_RUNS))
+def test_no_command_imports_dataclasses(command):
+    # dataclasses (with inspect, ast and dis) costs about 8 ms of every process's
+    # start-up; pytest loads it, so each command runs in a fresh interpreter
+    from singspect import cli
+
+    assert set(_STARTUP_RUNS) == {"weights", *cli._MODULES}
+    argv, numpy_free = _STARTUP_RUNS[command]
+    code = ("import contextlib, io, sys\n"
+            "from singspect import cli, parametrix\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main({argv!r})\n"
+            "print(code, *(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert loaded[0] == "0" and "dataclasses" not in loaded
+    if numpy_free:
+        assert loaded == ["0"]
+
+
 def test_numeric_torsion_leaves_scipy_integrate_unloaded():
     # the Weyl tail's upper Mellin integral is closed-form, so no quadrature
     code = ("import sys, singspect.cli; "

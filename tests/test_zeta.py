@@ -23,6 +23,15 @@ def test_zeta_derivative_minus_one(monkeypatch):
     assert abs(d - d2) < 1e-12
 
 
+def test_closed_form_constants_are_the_oracle_values():
+    # the A_1 torsion reads these constants; bit equality keeps its reports unchanged
+    assert zeta_and_derivative(-1.0) == (zeta_module.ZETA_AT_MINUS_1,
+                                         zeta_module.ZETA_PRIME_AT_MINUS_1)
+    res = zeta_module.torsion_exact_a1(0.5)
+    assert res.theta_at_0 == zeta_module.ZETA_AT_MINUS_1
+    assert res.log_torsion == -zeta_module.ZETA_PRIME_AT_MINUS_1
+
+
 def test_functional_values_on_range():
     known = {
         0.0: -0.5,
